@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL
 from .observables import KappaSequence, interleave, separation
@@ -259,9 +260,9 @@ class DissipationEvidence:
 def _greedy_families(sp: FinitePmSpace, targets, delta):
     """Assign components of the strict sub-delta graph to atom bins (best fit
     decreasing) and leave the rest as small bins."""
-    from .observables import _component_masses
-
-    comps = _component_masses(sp, delta * (1.0 - 1e-9))
+    strict = sp.dist < delta * (1.0 - 1e-9) - VALIDATION_TOL
+    _, labels = connected_components(strict, directed=False)
+    comps = sorted(np.bincount(labels, weights=sp.mass), reverse=True)
     atom_bins = [0.0] * len(targets)
     small = []
     remaining_targets = list(range(len(targets)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Coupling, FinitePmSpace, InputError, SizeLimitError
+from .core import Coupling, FinitePmSpace, InputError, SizeLimitError, _subset_fold
 
 EXACT_MAX_CELLS = 12
 
@@ -124,27 +124,6 @@ def _maxflow_coupling(kept_cells, mass_x, mass_y):
     return flow
 
 
-def _subset_max(values, size):
-    """out[mask] = max of values over the indices in mask (0 on empty)."""
-    out = np.zeros(size)
-    for i, v in enumerate(values):
-        step = 1 << i
-        out = out.reshape(-1, 2 * step)
-        out[:, step:] = np.maximum(out[:, :step], v)
-        out = out.ravel()
-    return out
-
-
-def _subset_sum(values, size):
-    out = np.zeros(size)
-    for i, v in enumerate(values):
-        step = 1 << i
-        out = out.reshape(-1, 2 * step)
-        out[:, step:] = out[:, :step] + v
-        out = out.ravel()
-    return out
-
-
 def _all_maxdisc(disc, ncells):
     """maxdisc[mask]: largest pairwise discrepancy among the cells in mask."""
     size = 1 << ncells
@@ -152,7 +131,7 @@ def _all_maxdisc(disc, ncells):
     for i in range(ncells):
         step = 1 << i
         # rowmax over masks restricted to bits below the running doubling
-        row = _subset_max(disc[i, :], size)  # max disc between cell i and mask
+        row = _subset_fold(np.maximum, disc[i, :])  # max disc between cell i and mask
         # masks are finalised at the pass of their highest set bit, which
         # overwrites any interim value with max over the fully processed rest
         md = md.reshape(-1, 2 * step)
@@ -183,7 +162,7 @@ def _all_maxflow(masks_count, nx, ny, mass_x, mass_y):
                 bits |= bit << i
             colbits.append(bits)
         rowbits = colbits
-    other_sum = _subset_sum(other_mass, 1 << other)
+    other_sum = _subset_fold(np.add, other_mass)
     best = np.full(masks_count, np.inf)
     for a_mask in range(1 << side):
         cut = sum(own_mass[i] for i in range(side) if not a_mask >> i & 1)

@@ -512,9 +512,6 @@ def _cmd_run(args):
 def build_parser():
     ap = argparse.ArgumentParser(prog="mmslab", description=__doc__)
     ap.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    ap.add_argument("--tol", type=float, default=None, help="reserved tolerance override")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; execution is sequential")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -578,8 +575,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
+    if args.seed is None and args.command != "run":
+        args.seed = 0  # a plan carries its own seed unless --seed overrides it
     try:
         return args.func(args)
     except core.SizeLimitError as e:

@@ -345,8 +345,8 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b, max_points=20):
     if a.shape != (n,) or b.shape != (n,):
         raise InputError("mass vectors must match the space")
 
-    amass = _subset_sums(a)
-    bmass = _subset_sums(b)
+    amass = _subset_fold(np.add, a)
+    bmass = _subset_fold(np.add, b)
     thresholds = np.unique(np.concatenate(([0.0], sp.dist.ravel())))
 
     for idx, t in enumerate(thresholds):
@@ -354,7 +354,7 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b, max_points=20):
         # ball bitmasks at radius t (closed balls)
         within = sp.dist <= t + VALIDATION_TOL
         balls = [int(sum(1 << j for j in range(n) if within[i, j])) for i in range(n)]
-        union = _subset_union(balls, n)
+        union = _subset_fold(np.bitwise_or, balls, np.int64)
         gap = float(np.max(bmass - amass[union]))
         cand = max(t, gap)
         if cand < nxt:
@@ -362,23 +362,14 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b, max_points=20):
     return 1.0  # unreachable: the last interval always yields a candidate
 
 
-def _subset_sums(w):
-    n = len(w)
-    out = np.zeros(1 << n)
-    for i in range(n):
+def _subset_fold(ufunc, values, dtype=float):
+    """out[mask] = ufunc folded over values[i] for the bits i set in mask,
+    starting from 0 for the empty mask, over all 2^len(values) masks."""
+    out = np.zeros(1 << len(values), dtype=dtype)
+    for i, v in enumerate(values):
         step = 1 << i
         out = out.reshape(-1, 2 * step)
-        out[:, step:] = out[:, :step] + w[i]
-        out = out.ravel()
-    return out
-
-
-def _subset_union(masks, n):
-    out = np.zeros(1 << n, dtype=np.int64)
-    for i in range(n):
-        step = 1 << i
-        out = out.reshape(-1, 2 * step)
-        out[:, step:] = out[:, :step] | np.int64(masks[i])
+        out[:, step:] = ufunc(out[:, :step], v)
         out = out.ravel()
     return out
 

@@ -170,10 +170,11 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         if norm == 0:
             raise ConvergenceError("inverse iteration collapsed onto the constants")
         u /= norm
-        bu = ab[1] * u
-        bu[:-1] += ab[0, 1:] * u[1:]
-        bu[1:] += ab[0, 1:] * u[:-1]
-        lam = float(np.dot(u, bu)) - shift
+        # Rayleigh quotient in edge form (u is unit and deflated, so the
+        # denominator is 1).  The symmetrised form cancels the diagonal
+        # against the off-diagonal, and at m ~ 65 000 its rounding alternated
+        # between two values 1e-8 apart that never met the stopping test.
+        lam = float(np.dot(cond, np.diff(u / sq) ** 2))
         if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
             return lam, u / sq
         lam_old = lam

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import erf
+from scipy.special import erfinv
 
 from .core import (
     FinitePmSpace,
@@ -161,7 +161,9 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
             raise SizeLimitError(f"exact obs_diam is limited to {EXACT_MAX_POINTS} points")
         return _obs_diam_exact(sp, kappa)
     if mode == "heuristic":
-        return _obs_diam_heuristic(sp, kappa, starts, seed)
+        starts, _ = _effort_budget(sp.n, starts)
+        return _coordinate_ascent(sp, starts, seed, 50, 1e-13,
+                                  *_recompute(lambda f: partial_diameter(f, sp.mass, kappa)))
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -252,65 +254,64 @@ def _effort_budget(n, starts):
     return max(2, starts // scale), max(8, 200 // scale)
 
 
-def _obs_diam_heuristic(sp, kappa, starts, seed):
+def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
+    """Best value of seeded multi-start coordinate ascent over 1-Lipschitz f.
+
+    ``start(f)`` returns ``(value, state)`` for a start f and
+    ``move(state, f, i, c)`` the pair for f with f[i] moved to c, leaving f as
+    it was.  Each sweep tries, per coordinate, the low then the high end of
+    its feasible interval and keeps a candidate only when it beats the best
+    so far by more than ``tol``; a move whose pick equals f[i] changes
+    nothing, so rounding in an incremental ``move`` never counts as progress.
+    """
     rng = np.random.default_rng(seed)
-    n, D = sp.n, sp.dist
-    starts, _ = _effort_budget(n, starts)
+    D = sp.dist
     best = 0.0
-    for f0 in _anchor_starts(sp, rng, starts):
-        f = f0.copy()
-        cur = partial_diameter(f, sp.mass, kappa)
-        for _ in range(50):
+    for f in _anchor_starts(sp, rng, starts):
+        cur, state = start(f)
+        for _ in range(sweeps):
             improved = False
-            for i in range(n):
-                lo, hi = _lip_interval(D, f, i)
-                old = f[i]
-                for cand in (lo, hi):
-                    f[i] = cand
-                    val = partial_diameter(f, sp.mass, kappa)
-                    if val > cur + 1e-13:
-                        cur = val
-                        old = cand
-                        improved = True
-                f[i] = old
+            for i in range(sp.n):
+                pick, pick_val, pick_state = f[i], cur, state
+                for cand in _lip_interval(D, f, i):
+                    val, st = move(state, f, i, cand)
+                    if val > pick_val + tol:
+                        pick, pick_val, pick_state = cand, val, st
+                if pick != f[i]:
+                    f[i], cur, state = pick, pick_val, pick_state
+                    improved = True
             if not improved:
                 break
         best = max(best, cur)
     return best
 
 
+def _recompute(objective):
+    """``start`` and ``move`` for ``_coordinate_ascent`` that evaluate
+    ``objective`` in full at every candidate."""
+
+    def move(state, f, i, c):
+        old, f[i] = f[i], c
+        val = objective(f)
+        f[i] = old
+        return val, None
+
+    return (lambda f: (objective(f), None)), move
+
+
 def gaussian_obs_diam(sigma, kappa):
     """Observable diameter 2 sigma PsiInv((1-kappa)/2) of a Gaussian observable,
-    where Psi(t) is the centred normal integral on [0, t]; inverse by bisection."""
+    where Psi(t) is the centred normal integral on [0, t], so that
+    PsiInv(y) = sqrt(2) erfinv(2 y)."""
     if not sigma > 0:
         raise InputError("sigma must be positive")
     kappa = float(kappa)
     if not 0.0 < kappa < 1.0:
         raise InputError("kappa must lie in (0, 1)")
-    return 2.0 * sigma * _psi_inv((1.0 - kappa) / 2.0)
-
-
-def _psi(t):
-    return 0.5 * erf(t / math.sqrt(2.0))
-
-
-def _psi_inv(y, tol=1e-12):
-    if y <= 0.0:
-        return 0.0
+    y = (1.0 - kappa) / 2.0
     if y >= 0.5:
         raise InputError("Psi inverse needs an argument in [0, 1/2)")
-    lo, hi = 0.0, 1.0
-    while _psi(hi) < y:
-        hi *= 2.0
-        if hi > 1e3:
-            raise InputError("Psi inverse argument too close to 1/2")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _psi(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * sigma * math.sqrt(2.0) * float(erfinv(2.0 * y))
 
 
 def gaussian_vs_uniform_crossover(sigma, slack_tol=1e-3):
@@ -473,28 +474,6 @@ def _assignment_feasible(conflict, masses, needs):
         return rec(t + 1)  # discard the point
 
     return [sorted(g) for g in members] if rec(0) else None
-
-
-def _component_masses(sp: FinitePmSpace, delta):
-    """Masses of connected components of the graph with edges where dist < delta."""
-    n = sp.n
-    adj = sp.dist < delta - VALIDATION_TOL
-    seen = [False] * n
-    masses = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, acc = [s], 0.0
-        seen[s] = True
-        while stack:
-            i = stack.pop()
-            acc += sp.mass[i]
-            for j in np.nonzero(adj[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        masses.append(acc)
-    return sorted(masses, reverse=True)
 
 
 def _bins_feasible(comp_mass, needs):
@@ -683,42 +662,23 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
         verts = lipschitz_vertices(sp)
         return max(variance_of(sp, f) for f in verts)
     if mode == "heuristic":
-        return _variance_heuristic(sp, starts, seed)
+        m = sp.mass
+
+        def start(f):
+            E, Q = float(np.dot(m, f)), float(np.dot(m, f * f))
+            return Q - E * E, (E, Q)
+
+        def move(state, f, i, c):
+            # O(1) update of the first two moments
+            E, Q = state
+            mi, fi = m[i], f[i]
+            E = E - mi * fi + mi * c
+            Q = Q - mi * fi ** 2 + mi * c * c
+            return Q - E * E, (E, Q)
+
+        starts, sweeps = _effort_budget(sp.n, starts)
+        return _coordinate_ascent(sp, starts, seed, sweeps, 1e-14, start, move)
     raise InputError(f"unknown mode {mode!r}")
-
-
-def _variance_heuristic(sp, starts, seed):
-    rng = np.random.default_rng(seed)
-    n, D, m = sp.n, sp.dist, sp.mass
-    starts, sweeps = _effort_budget(n, starts)
-    best = 0.0
-    for f0 in _anchor_starts(sp, rng, starts):
-        f = f0.copy()
-        E = float(np.dot(m, f))
-        Q = float(np.dot(m, f * f))
-        for _ in range(sweeps):
-            improved = False
-            for i in range(n):
-                lo, hi = _lip_interval(D, f, i)
-                base_E = E - m[i] * f[i]
-                base_Q = Q - m[i] * f[i] ** 2
-                cur = Q - E * E
-                pick, pick_val = f[i], cur
-                for cand in (lo, hi):
-                    E2 = base_E + m[i] * cand
-                    Q2 = base_Q + m[i] * cand * cand
-                    val = Q2 - E2 * E2
-                    if val > pick_val + 1e-14:
-                        pick, pick_val = cand, val
-                if pick != f[i]:
-                    f[i] = pick
-                    E = base_E + m[i] * pick
-                    Q = base_Q + m[i] * pick * pick
-                    improved = True
-            if not improved:
-                break
-        best = max(best, Q - E * E)
-    return best
 
 
 def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
@@ -736,36 +696,12 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
         verts = lipschitz_vertices(sp)
         val = max(objective(f) for f in verts)
     elif mode == "heuristic":
-        val = _ascent_generic(sp, objective, starts, seed)
+        starts, sweeps = _effort_budget(sp.n, starts)
+        val = _coordinate_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
+                                 *_recompute(objective))
     else:
         raise InputError(f"unknown mode {mode!r}")
     return val ** (1.0 / p) if p != math.inf else val
-
-
-def _ascent_generic(sp, objective, starts, seed):
-    rng = np.random.default_rng(seed)
-    n, D = sp.n, sp.dist
-    starts, sweeps = _effort_budget(n, starts)
-    best = 0.0
-    for f0 in _anchor_starts(sp, rng, starts):
-        f = f0.copy()
-        cur = objective(f)
-        for _ in range(min(sweeps, 100)):
-            improved = False
-            for i in range(n):
-                lo, hi = _lip_interval(D, f, i)
-                old = f[i]
-                for cand in (lo, hi):
-                    f[i] = cand
-                    val = objective(f)
-                    if val > cur + 1e-14:
-                        cur, old = val, cand
-                        improved = True
-                f[i] = old
-            if not improved:
-                break
-        best = max(best, cur)
-    return best
 
 
 def variance_diam_bound_holds(sp: FinitePmSpace, mode="exact"):

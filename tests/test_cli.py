@@ -124,6 +124,21 @@ class TestExitCodes:
 
 
 class TestPlans:
+    def test_plan_seed_used_unless_overridden(self, tmp_path):
+        plan = {
+            "name": "seeded",
+            "seed": 7,
+            "spaces": [{"id": "tp", "kind": "two_point", "params": {"d": 1.0}}],
+            "invariants": [{"space": "tp", "kind": "diam"}],
+        }
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(plan))
+        report = tmp_path / "report.json"
+        assert run_cli("run", str(p), "--json-out", str(report))[0] == 0
+        assert json.loads(report.read_text())["seed"] == 7
+        assert run_cli("--seed", "3", "run", str(p), "--json-out", str(report))[0] == 0
+        assert json.loads(report.read_text())["seed"] == 3
+
     def test_empty_plan(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text(json.dumps({"name": "empty"}))

@@ -208,6 +208,25 @@ class TestMeasureDistances:
             )
 
 
+class TestSubsetFold:
+    @pytest.mark.parametrize("ufunc,dtype", [(np.add, float), (np.maximum, float),
+                                             (np.bitwise_or, np.int64)])
+    def test_matches_loop_over_masks(self, rng, ufunc, dtype):
+        for n in (0, 1, 2, 5, 9):
+            if dtype is float:
+                values = rng.uniform(0.0, 1.0, size=n)
+            else:
+                values = [int(v) for v in rng.integers(0, 1 << 20, size=n)]
+            got = core._subset_fold(ufunc, values, dtype)
+            assert got.shape == (1 << n,) and got.dtype == dtype
+            for mask in range(1 << n):
+                want = dtype(0)
+                for i in range(n):
+                    if mask >> i & 1:
+                        want = ufunc(want, values[i])
+                assert got[mask] == want
+
+
 class TestKyFan:
     def test_equal_functions(self, rng):
         sp = random_embedded_space(rng, 4)

@@ -85,6 +85,13 @@ class TestPoincare:
         _, eig = fn.second_eigenvalue(g)
         assert abs(float(np.dot(g.node_mass(), eig))) <= 1e-8
 
+    def test_converges_where_rayleigh_quotient_oscillated(self):
+        # at this size the symmetrised-form quotient alternated between two
+        # values about 1e-8 apart and never met the stopping test
+        length = 0.9855584598921796
+        lam, _ = fn.second_eigenvalue(fn.unit_interval_grid(65768, length), max_iter=200)
+        assert lam == pytest.approx((math.pi / length) ** 2, rel=1e-9)
+
     def test_size_floor(self):
         with pytest.raises(core.InputError):
             fn.poincare_c22(fn.unit_interval_grid(32))

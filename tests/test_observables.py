@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mmslab import core, observables as obs
-from conftest import corpus, random_embedded_space
+from conftest import corpus, random_embedded_space, random_shortest_path_space
 
 
 def two_point(d=1.0, p=0.5):
@@ -267,6 +267,17 @@ class TestGaussianFormula:
         with pytest.raises(core.InputError):
             obs.gaussian_obs_diam(1.0, 1.0)
 
+    def test_inverse_round_trip(self):
+        # erf(t) is the mass inside the window and erfc(t) the tail kappa that
+        # the inverse sees, each to full relative precision
+        from scipy.special import erf, erfc
+
+        tails = np.geomspace(1e-12, 0.5, 60)
+        for kappa in np.concatenate([tails, 1.0 - tails]):
+            t = obs.gaussian_obs_diam(1.0, kappa) / (2.0 * math.sqrt(2.0))
+            assert erf(t) == pytest.approx(1.0 - kappa, rel=1e-13, abs=0)
+            assert erfc(t) == pytest.approx(1.0 - (1.0 - kappa), rel=1e-12, abs=0)
+
     def test_crossover_exists_below_threshold(self):
         kappa, gap = obs.gaussian_vs_uniform_crossover(0.35)
         assert 0 < kappa < 1
@@ -431,6 +442,35 @@ class TestPVariance:
         sp = two_point()
         with pytest.raises(core.InputError):
             obs.p_variance(sp, [0.0, 1.0], 0.5)
+
+
+class TestHeuristicValuesPinned:
+    # (obs_diam kappa=0.2, variance, p_deviation p=3), heuristic with 8 starts
+    # and seed n, recorded when obs_diam, variance and p_deviation each ran
+    # their own ascent loop; the shared engine must reproduce them bit for bit
+    PINNED = [
+        (0.9411184447846447, 0.18508920604978846, 0.43430899065611345),
+        (0.6578429812218255, 0.07177889559604404, 0.2863495695340517),
+        (20.754089275531868, 92.62239070610462, 10.769124715001114),
+        (20.291882882344236, 87.53012698563174, 10.219004231633864),
+        (743.4427889163615, 111096.79707876508, 360.2034301364257),
+        (592.3485485131838, 67517.28993494125, 274.0690812051045),
+        (0.8848359361700696, 0.13921453896691957, 0.39655326309630234),
+        (0.5827529761098413, 0.0645910077546338, 0.2851951905340762),
+        (927.008566491813, 139200.70158770727, 418.98767251615),
+        (558.7333262416554, 67713.65208456709, 283.43646705060155),
+    ]
+
+    def test_values_unchanged(self):
+        rng = np.random.default_rng(2718)
+        got = []
+        for n, scale in ((5, 1.0), (8, 30.0), (12, 1000.0), (16, 1.0), (20, 1000.0)):
+            for sp in (random_embedded_space(rng, n, scale=scale),
+                       random_shortest_path_space(rng, n, scale=scale)):
+                got.append((obs.obs_diam(sp, 0.2, mode="heuristic", starts=8, seed=n),
+                            obs.variance(sp, mode="heuristic", starts=8, seed=n),
+                            obs.p_deviation(sp, 3, mode="heuristic", starts=8, seed=n)))
+        assert got == self.PINNED
 
 
 class TestLowerSemicontinuitySanity:
