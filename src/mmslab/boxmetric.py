@@ -20,7 +20,6 @@ distributions (a provable consequence of a small box distance).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,69 +52,52 @@ def _cell_discrepancy(sx, sy):
 
 
 def _maxflow_coupling(kept_cells, mass_x, mass_y):
-    """Coupling placing maximal mass on the kept cells (Ford-Fulkerson),
-    extended to a full coupling by pairing the leftover marginals."""
+    """Coupling placing maximal mass on the kept cells (Ford-Fulkerson with
+    breadth-first augmenting paths), extended to a full coupling by pairing the
+    leftover marginals."""
     nx, ny = len(mass_x), len(mass_y)
     flow = np.zeros((nx, ny))
     allowed = np.zeros((nx, ny), dtype=bool)
     for i, j in kept_cells:
         allowed[i, j] = True
     while True:
-        # BFS for an augmenting path source -> rows -> cols -> sink
         row_res = mass_x - flow.sum(axis=1)
         col_res = mass_y - flow.sum(axis=0)
-        parent = {}
-        queue = [("s", None)]
-        goal = None
-        seen_r, seen_c = set(), set()
-        while queue and goal is None:
-            node, _ = queue.pop(0)
-            if node == "s":
-                for i in range(nx):
-                    if row_res[i] > 1e-15 and i not in seen_r:
-                        seen_r.add(i)
-                        parent[("r", i)] = ("s", None)
-                        queue.append((("r", i), None))
-            elif node[0] == "r":
-                i = node[1]
-                for j in range(ny):
-                    if allowed[i, j] and j not in seen_c:
-                        seen_c.add(j)
-                        parent[("c", j)] = node
-                        if col_res[j] > 1e-15:
-                            goal = ("c", j)
-                            break
-                        queue.append((("c", j), None))
-            else:
-                j = node[1]
-                for i in range(nx):
-                    if flow[i, j] > 1e-15 and i not in seen_r:
-                        seen_r.add(i)
-                        parent[("r", i)] = node
-                        queue.append((("r", i), None))
+        # BFS over rows: a row reaches columns through kept cells, a column
+        # reaches rows back through cells that carry flow.  row_from[i] is the
+        # column that reached row i (-1: the source, -2: unreached), col_from[j]
+        # the row that reached column j (-1: unreached).
+        row_from = np.where(row_res > 1e-15, -1, -2)
+        col_from = np.full(ny, -1)
+        queue, goal = list(np.flatnonzero(row_from == -1)), None
+        for i in queue:
+            for j in np.flatnonzero(allowed[i] & (col_from < 0)):
+                col_from[j] = i
+                if col_res[j] > 1e-15:
+                    goal = j
+                    break
+                rows = np.flatnonzero((flow[:, j] > 1e-15) & (row_from == -2))
+                row_from[rows] = j
+                queue.extend(rows)
+            if goal is not None:
+                break
         if goal is None:
             break
-        # trace back the path and compute the bottleneck
-        path = [goal]
-        while path[-1] != ("s", None):
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = math.inf
-        for a, b in zip(path, path[1:]):
-            if a == ("s", None):
-                bottleneck = min(bottleneck, row_res[b[1]])
-            elif a[0] == "r" and b[0] == "c":
-                pass  # forward edge, unlimited
-            elif a[0] == "c" and b[0] == "r":
-                bottleneck = min(bottleneck, flow[b[1], a[1]])
-        bottleneck = min(bottleneck, col_res[path[-1][1]])
+        # walk back to the source, take the bottleneck and augment
+        fwd, back, j = [], [], goal
+        while j >= 0:
+            i = col_from[j]
+            fwd.append((i, j))
+            j = row_from[i]
+            if j >= 0:
+                back.append((i, j))
+        bottleneck = min([row_res[i], col_res[goal]] + [flow[c] for c in back])
         if bottleneck <= 1e-15:
             break
-        for a, b in zip(path, path[1:]):
-            if a[0] == "r" and b[0] == "c":
-                flow[a[1], b[1]] += bottleneck
-            elif a[0] == "c" and b[0] == "r":
-                flow[b[1], a[1]] -= bottleneck
+        for c in fwd:
+            flow[c] += bottleneck
+        for c in back:
+            flow[c] -= bottleneck
     row_res = np.maximum(mass_x - flow.sum(axis=1), 0.0)
     col_res = np.maximum(mass_y - flow.sum(axis=0), 0.0)
     slack = row_res.sum()

@@ -115,7 +115,12 @@ def make_space(kind, params, seed=0):
 
 
 def _cmd_gen(args):
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as e:
+        raise core.InputError(f"--params is not valid JSON: {e}") from e
+    if not isinstance(params, dict):
+        raise core.InputError("--params must be a JSON object")
     sp = make_space(args.kind, params, seed=args.seed)
     if isinstance(sp, functional.GridSpace1D):
         raise core.InputError("gen writes finite spaces; grid kinds exist only inside plans")
@@ -362,6 +367,15 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
 
     Returns the report dict; CSV rows follow the plan order exactly.
     """
+    ids = {spec.get("id") for spec in plan.spaces}
+    for spec in plan.invariants:
+        if spec.get("space") not in ids or "kind" not in spec:
+            raise core.InputError(f"invariant {spec!r} needs a kind and a known space id")
+    keys = {_row_key(spec) for spec in plan.invariants}
+    for a in plan.assertions:
+        for row in [a.get("row")] + ([a["other"]] if "other" in a else []):
+            if row not in keys:
+                raise core.InputError(f"assertion names unknown row {row!r}")
     built = {}
     for spec in plan.spaces:
         if "path" in spec:

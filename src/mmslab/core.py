@@ -458,7 +458,12 @@ def from_json_dict(d):
             mr = tuple(Fraction(s) for s in d["mass_rational"])
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad mass_rational entry: {e}") from e
-    coords = np.asarray(d["coords"], dtype=float) if "coords" in d else None
+    try:
+        dist = np.asarray(dist, dtype=float)
+        mass = np.asarray(mass, dtype=float)
+        coords = np.asarray(d["coords"], dtype=float) if "coords" in d else None
+    except (TypeError, ValueError) as e:
+        raise InputError(f"space JSON arrays must be rectangular and numeric: {e}") from e
     return space(points, dist, mass, mass_rational=mr, coords=coords)
 
 

@@ -199,7 +199,7 @@ def grid_variance(grid: GridSpace1D, values, p=2):
     return float(np.dot(mu, np.abs(f - mean) ** p))
 
 
-def _trial_functions(grid: GridSpace1D, trials, seed, include_eigen=True):
+def _trial_functions(grid: GridSpace1D, trials, seed):
     """Smooth seeded trial family: the spectral eigenfunction, centred
     polynomials, and low-frequency cosine mixtures, amplitude-normalised.
     Smoothness keeps the central-difference slope faithful."""
@@ -207,11 +207,8 @@ def _trial_functions(grid: GridSpace1D, trials, seed, include_eigen=True):
     x = grid.nodes
     span = x[-1] - x[0]
     t = (x - x[0]) / span
-    out = []
-    if include_eigen:
-        _, eig = second_eigenvalue(grid)
-        out.append(eig / np.abs(eig).max())
-    out.append(t - 0.5)
+    _, eig = second_eigenvalue(grid)
+    out = [eig / np.abs(eig).max(), t - 0.5]
     for deg in range(2, 7):
         out.append((t - 0.5) ** deg)
     while len(out) < trials:
@@ -268,13 +265,9 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     if constant <= 0:
         raise InputError("the candidate constant must be positive")
     mu = grid.node_mass()
-    _, eig = second_eigenvalue(grid)
-    eig = eig / np.abs(eig).max()
-
-    funcs = []
-    for eps in (0.003, 0.01, 0.03, 0.1):
-        funcs.append(1.0 + eps * eig)
-    funcs.extend(_trial_functions(grid, max(trials - len(funcs), 0), seed, include_eigen=True))
+    trial = _trial_functions(grid, max(trials - 4, 1), seed)
+    eig = trial[0]  # the normalised spectral eigenfunction
+    funcs = [1.0 + eps * eig for eps in (0.003, 0.01, 0.03, 0.1)] + trial
 
     worst = -math.inf
     lower = 0.0

@@ -12,7 +12,6 @@ ascent and always return feasible (hence lower) values.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -169,47 +168,29 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
 
 def _obs_diam_exact(sp, kappa):
     n = sp.n
-    D = sp.dist
     need = 1.0 - kappa
     best = 0.0
     # Variables: f_0..f_{n-1}, t.  Maximise t subject to
     #   t <= f[pi[r]] - f[pi[l]] for each minimal admissible window,
     #   ordering constraints, Lipschitz constraints, f[pi[0]] = 0.
+    e = np.eye(n + 1)
+    i, j = np.triu_indices(n, 1)
+    lip = np.stack([e[i] - e[j], e[j] - e[i]], axis=1).reshape(-1, n + 1)
+    lip_b = np.repeat(sp.dist[i, j], 2)
+    c = [0.0] * n + [-1.0]
+    bounds = [(None, None)] * n + [(0.0, None)]
     for pi in itertools.permutations(range(n)):
         if pi[0] > pi[-1]:
             continue  # f -> -f maps this ordering onto its reversal
         wins = _minimal_windows(sp.mass[list(pi)], need)
         if not wins:
             continue
-        A_ub, b_ub = [], []
-        tcol = n
-        for l, r in wins:
-            row = [0.0] * (n + 1)
-            row[tcol] = 1.0
-            row[pi[r]] -= 1.0
-            row[pi[l]] += 1.0
-            A_ub.append(row)
-            b_ub.append(0.0)
-        for k in range(n - 1):
-            row = [0.0] * (n + 1)
-            row[pi[k]] = 1.0
-            row[pi[k + 1]] = -1.0
-            A_ub.append(row)
-            b_ub.append(0.0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si, sj in ((i, j), (j, i)):
-                    row = [0.0] * (n + 1)
-                    row[si] = 1.0
-                    row[sj] = -1.0
-                    A_ub.append(row)
-                    b_ub.append(D[i, j])
-        c = [0.0] * n + [-1.0]
-        bounds = [(None, None)] * n + [(0.0, None)]
-        A_eq = [[0.0] * (n + 1)]
-        A_eq[0][pi[0]] = 1.0
+        p = np.array(pi)
+        l, r = np.array(wins).T
+        A_ub = np.vstack([e[n] - e[p[r]] + e[p[l]], e[p[:-1]] - e[p[1:]], lip])
+        b_ub = np.concatenate([np.zeros(len(wins) + n - 1), lip_b])
         res = linprog(
-            c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[0.0], bounds=bounds, method="highs"
+            c, A_ub=A_ub, b_ub=b_ub, A_eq=e[p[:1]], b_eq=[0.0], bounds=bounds, method="highs"
         )
         if res.status == 0:
             best = max(best, -res.fun)
@@ -579,7 +560,7 @@ def lipschitz_vertices(sp: FinitePmSpace, max_points=EXACT_MAX_POINTS):
 
     Every vertex has a spanning tree of tight signed constraints, so all
     (tree, sign) propagations cover the vertex set; infeasible candidates are
-    filtered and duplicates removed.
+    filtered and duplicates removed (the first copy in tree order is kept).
     """
     n = sp.n
     if n > max_points:
@@ -587,66 +568,33 @@ def lipschitz_vertices(sp: FinitePmSpace, max_points=EXACT_MAX_POINTS):
     D = sp.dist
     if n == 1:
         return np.zeros((1, 1))
-    feas_tol = 1e-10 * max(1.0, float(D.max()))
+    scale = max(1.0, float(D.max()))
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
     out = []
     seen = set()
-    for edges in _spanning_trees(n):
-        order = _bfs_orient(edges, n)
-        for signs in itertools.product((-1.0, 1.0), repeat=n - 1):
-            f = np.zeros(n)
-            for (u, v), s in zip(order, signs):
-                f[v] = f[u] + s * D[u, v]
-            diff = np.abs(f[:, None] - f[None, :]) - D
-            if diff.max() <= feas_tol:
-                key = tuple(np.round(f / max(1.0, float(D.max())), 10))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(f)
+    for parent in _rooted_trees(n):
+        # n - 1 sweeps settle every depth: f[v] = f[parent[v]] + s_v d(parent[v], v)
+        step = signs * D[parent[1:], np.arange(1, n)]
+        F = np.zeros((len(signs), n))
+        for _ in range(n - 1):
+            F[:, 1:] = F[:, parent[1:]] + step
+        F = F[(np.abs(F[:, :, None] - F[:, None, :]) - D).max(axis=(1, 2)) <= 1e-10 * scale]
+        for f, key in zip(F, np.round(F / scale, 10)):
+            key = tuple(key)
+            if key not in seen:
+                seen.add(key)
+                out.append(f)
     return np.array(out)
 
 
-def _spanning_trees(n):
-    """All labelled spanning trees on n nodes, decoded from Pruefer sequences."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for s in seq:
-            degree[s] += 1
-        edges = []
-        avail = sorted(i for i in range(n) if degree[i] == 1)
-        seq = list(seq)
-        for s in seq:
-            leaf = avail.pop(0)
-            edges.append((leaf, s))
-            degree[s] -= 1
-            if degree[s] == 1:
-                bisect.insort(avail, s)
-        edges.append((avail[0], avail[1]))
-        yield edges
-
-
-def _bfs_orient(edges, n):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order = []
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                order.append((u, v))
-                stack.append(v)
-    return order
+def _rooted_trees(n):
+    """Parent arrays of all n**(n-2) labelled spanning trees, rooted at node 0
+    (parent[0] = 0): the rows whose every ancestor chain reaches node 0."""
+    P = np.array([(0,) + t for t in itertools.product(range(n), repeat=n - 1)])
+    A = P
+    for _ in range(n):
+        A = np.take_along_axis(P, A, axis=1)
+    return P[(A == 0).all(axis=1)]
 
 
 def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):

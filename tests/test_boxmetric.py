@@ -219,3 +219,22 @@ class TestConvergence:
         sp = random_embedded_space(rng, 3)
         with pytest.raises(core.InputError):
             boxmetric.box_converges([], sp, tol=0.1)
+
+
+class TestMaxflowWitness:
+    def test_kept_mass_is_the_max_flow(self):
+        # the min-cut enumeration of _all_maxflow is an independent oracle
+        rng = np.random.default_rng(2024)
+        for nx, ny in ((2, 3), (3, 3), (3, 4)):
+            ncells = nx * ny
+            pairs = [(np.full(nx, 1.0 / nx), np.full(ny, 1.0 / ny))]  # ties
+            pairs += [(rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))) for _ in range(3)]
+            for mx, my in pairs:
+                kept = boxmetric._all_maxflow(1 << ncells, nx, ny, mx, my)
+                for mask in rng.integers(0, 1 << ncells, size=64):
+                    cells = [(c // ny, c % ny) for c in range(ncells) if mask >> c & 1]
+                    flow = boxmetric._maxflow_coupling(cells, mx, my)
+                    assert sum(flow[c] for c in cells) == pytest.approx(kept[mask], abs=1e-12)
+                    assert flow.min() >= 0.0
+                    assert np.abs(flow.sum(axis=1) - mx).max() <= 1e-12
+                    assert np.abs(flow.sum(axis=0) - my).max() <= 1e-12

@@ -169,3 +169,35 @@ class TestPlans:
         cli.run_experiment(plan, csv_path=str(csv_path), json_path=str(json_path))
         assert csv_path.read_text().startswith("space,invariant")
         assert json.loads(json_path.read_text())["ok"] is True
+
+
+SPACE_DOC = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "mass": [0.5, 0.5]}
+PLAN_SPACES = [{"id": "tp", "kind": "two_point", "params": {"d": 1.0}}]
+PLAN_ROWS = [{"space": "tp", "kind": "diam"}]
+INVARIANT = ["invariant", "{input}", "--kind", "diam"]
+MALFORMED_INPUTS = [
+    ("ragged_dist", {**SPACE_DOC, "dist": [[0.0, 1.0], [1.0]]}, INVARIANT),
+    ("non_numeric_coords", {**SPACE_DOC, "coords": [["x"], [1.0]]}, INVARIANT),
+    ("params_not_an_object", None, ["gen", "two_point", "--params", "[1]", "-o", "{output}"]),
+    ("params_not_json", None, ["gen", "two_point", "--params", "d=1", "-o", "{output}"]),
+    ("unknown_space_id",
+     {"spaces": PLAN_SPACES, "invariants": [{"space": "other", "kind": "diam"}]},
+     ["run", "{input}"]),
+    ("unknown_assertion_row",
+     {"spaces": PLAN_SPACES, "invariants": PLAN_ROWS,
+      "assertions": [{"row": "tp:var", "op": "le", "target": 1.0}]},
+     ["run", "{input}"]),
+]
+
+
+@pytest.mark.parametrize("doc,argv", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_is_input_error(tmp_path, doc, argv):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    argv = [a.format(input=path, output=tmp_path / "out.json") for a in argv]
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert "input error:" in err
+    assert "Traceback" not in err

@@ -490,3 +490,77 @@ class TestLowerSemicontinuitySanity:
         target = obs.variance(sp, "exact")
         vals = [obs.variance(core.scale(sp, 1 + 1 / n), "exact") for n in (4, 8, 16)]
         assert all(v >= target - 1e-6 for v in vals)
+
+
+def basic_solution_vertices(sp):
+    """Independent vertex oracle: the feasible solutions of (n-1)-subsets of
+    tight signed constraints f_i - f_j = +-d_ij with f_0 = 0 (duplicates kept)."""
+    n = sp.n
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                row = np.zeros(n)
+                row[i], row[j] = 1.0, -1.0
+                rows.append(row[1:])
+                rhs.append(sp.dist[i, j])
+    out = []
+    for idx in itertools.combinations(range(len(rows)), n - 1):
+        a = np.array([rows[t] for t in idx])
+        if abs(np.linalg.det(a)) < 1e-10:
+            continue
+        f = np.concatenate(([0.0], np.linalg.solve(a, np.array([rhs[t] for t in idx]))))
+        if np.max(np.abs(f[:, None] - f[None, :]) - sp.dist) <= 1e-9:
+            out.append(f)
+    return np.array(out)
+
+
+class TestExactKernels:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rooted_trees_cayley_count(self, n):
+        trees = obs._rooted_trees(n)
+        assert len(trees) == n ** (n - 2)
+        assert len({tuple(t) for t in trees}) == len(trees)
+        for parent in trees:
+            assert parent[0] == 0
+            for v in range(n):
+                for _ in range(n - 1):
+                    v = parent[v]
+                assert v == 0
+
+    def test_vertices_match_basic_solution_oracle(self):
+        for sp in corpus(151, 16, sizes=(2, 3, 4, 5)):
+            got = obs.lipschitz_vertices(sp)
+            want = basic_solution_vertices(sp)
+            gap = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+            assert gap.min(axis=1).max() <= 1e-9  # every vertex is a basic solution
+            assert gap.min(axis=0).max() <= 1e-9  # every basic solution is found
+            own = np.abs(got[:, None, :] - got[None, :, :]).max(axis=2) + np.eye(len(got))
+            assert own.min() > 1e-9  # and found once
+
+    # (obs_diam kappa=0.2, variance, p_deviation p=3), exact, recorded when the
+    # vertices came from Pruefer-decoded trees and the LP rows from Python lists
+    PINNED = [
+        (0.9796542449401511, 0.2542734864916523, 0.5146562816675774),
+        (0.0, 0.009387994610372746, 0.1788198730219718),
+        (24.220291766307444, 152.42235124320706, 12.503953835201944),
+        (16.88363133728468, 81.5991088751802, 9.376645346528154),
+        (562.8286486101022, 72484.40321962601, 290.1691966760179),
+        (362.3642932163525, 42091.89966323405, 234.49765936134568),
+        (0.7830517782493313, 0.1371280056843469, 0.38325266235885985),
+        (0.76603101214105, 0.0851534715168277, 0.31903048049839927),
+        (24.42113667843427, 104.37375622227638, 11.040456410850657),
+        (24.307052888735214, 142.08879203080838, 12.172077707591054),
+    ]
+
+    def test_exact_values_unchanged(self):
+        rng = np.random.default_rng(1618)
+        got = []
+        for n, scale in ((3, 1.0), (4, 30.0), (5, 1000.0), (5, 1.0), (6, 30.0)):
+            for sp in (random_embedded_space(rng, n, scale=scale),
+                       random_shortest_path_space(rng, n, scale=scale)):
+                got.append((obs.obs_diam(sp, 0.2), obs.variance(sp), obs.p_deviation(sp, 3)))
+        assert [g[0] for g in got] == [p[0] for p in self.PINNED]
+        for g, p in zip(got, self.PINNED):
+            # a vertex reached by two trees may keep either float copy (1 ulp)
+            assert g[1:] == pytest.approx(p[1:], rel=1e-15, abs=0.0)
