@@ -71,8 +71,8 @@ ZERO = AtomVector(())
 def sort_atoms(raw):
     """Sorting map: nonincreasing rearrangement with zeros dropped.  Idempotent."""
     entries = list(raw.entries) if isinstance(raw, AtomVector) else list(raw)
-    if any(e < 0 for e in entries):
-        raise InputError("atom entries must be nonnegative")
+    if not all(e >= 0 for e in entries):
+        raise InputError("atom entries must be nonnegative numbers")
     if float(sum(entries)) > 1.0 + VALIDATION_TOL:
         raise InputError("atom entries must have l1 norm <= 1")
     entries = sorted((e for e in entries if e > 0), reverse=True)
@@ -179,6 +179,8 @@ def member(sp: FinitePmSpace, alpha: AtomVector, delta=math.inf):
     largest atoms first, ties broken by point index, so the lexicographically
     smallest assignment is returned.
     """
+    if math.isnan(delta):
+        raise InputError("delta must not be NaN")
     entries = [float(e) for e in alpha.entries if e > 0]
     if len(entries) > MAX_PACKING or sp.n > MAX_PACKING:
         raise SizeLimitError(f"membership packing is limited to {MAX_PACKING} items/points")

@@ -210,54 +210,60 @@ def _candidate_couplings(sx, sy):
         yield plan
 
 
-def _selection_value(disc_sub, masses, keep):
-    kept_mass = float(masses[keep].sum()) if keep.any() else 0.0
-    md = float(disc_sub[np.ix_(keep, keep)].max()) if keep.any() else 0.0
-    return max(md, 1.0 - kept_mass)
+def _kept_value(peak, masses, keep):
+    """Selection value; peak[k] is the largest discrepancy of kept cell k."""
+    return max(float(peak[keep].max()), 1.0 - float(masses[keep].sum())) if keep.any() else 1.0
+
+
+def _drop_cell(disc_sub, peak, keep, d):
+    """Unkeep cell d; only rows whose peak was attained at d are recomputed."""
+    keep[d] = False
+    stale = np.flatnonzero(keep & (disc_sub[:, d] == peak))
+    if stale.size:
+        peak[stale] = disc_sub[np.ix_(stale, keep)].max(axis=1)
 
 
 def _optimize_selection(disc_sub, masses, rng, restarts=32):
-    """Greedy removal by violation magnitude plus 2-opt moves; returns best value."""
+    """Greedy removal by violation magnitude plus 2-opt moves; returns best value.
+    Each flip updates the running peaks in O(m) instead of rebuilding the kept
+    submatrix."""
     m = len(masses)
     best = 1.0
+    full_peak = disc_sub.max(axis=1)
     orders = [None] + [rng.permutation(m) for _ in range(restarts - 1)]
     for order in orders:
         keep = np.ones(m, dtype=bool)
-        best = min(best, _selection_value(disc_sub, masses, keep))
+        peak = full_peak.copy()
+        best = min(best, _kept_value(peak, masses, keep))
         while keep.any():
             idx = np.nonzero(keep)[0]
-            sub = disc_sub[np.ix_(idx, idx)]
-            peak = sub.max(axis=1)
             if order is None:
                 # remove the cell with the largest discrepancy, small mass first
-                key = peak * 1e6 - masses[idx] * 1e-6
+                key = peak[idx] * 1e6 - masses[idx] * 1e-6
             else:
                 jitter = np.argsort(order[idx]).astype(float) * 1e-9
-                key = peak + jitter
-            drop = idx[int(np.argmax(key))]
-            keep[drop] = False
-            best = min(best, _selection_value(disc_sub, masses, keep))
+                key = peak[idx] + jitter
+            _drop_cell(disc_sub, peak, keep, idx[int(np.argmax(key))])
+            best = min(best, _kept_value(peak, masses, keep))
         # 2-opt: single add + single drop moves from the greedy endpoint path
         keep = np.ones(m, dtype=bool)
-        val = _selection_value(disc_sub, masses, keep)
+        peak = full_peak.copy()
+        val = _kept_value(peak, masses, keep)
         for _ in range(4 * m):
-            idx_in = np.nonzero(keep)[0]
-            idx_out = np.nonzero(~keep)[0]
             improved = False
-            for flips in itertools.chain(
-                ((i,) for i in idx_in), ((o,) for o in idx_out)
-            ):
-                for c in flips:
-                    keep[c] = not keep[c]
-                v = _selection_value(disc_sub, masses, keep)
-                if v < val - 1e-15:
-                    val = v
-                    improved = True
+            for c in itertools.chain(np.nonzero(keep)[0], np.nonzero(~keep)[0]):
+                trial = peak.copy()
+                if keep[c]:
+                    _drop_cell(disc_sub, trial, keep, c)
                 else:
-                    for c in flips:
-                        keep[c] = not keep[c]
-                if improved:
+                    np.maximum(trial, disc_sub[:, c], out=trial)
+                    keep[c] = True
+                    trial[c] = disc_sub[c, keep].max()
+                v = _kept_value(trial, masses, keep)
+                if v < val - 1e-15:
+                    val, peak, improved = v, trial, True
                     break
+                keep[c] = not keep[c]
             best = min(best, val)
             if not improved:
                 break
@@ -329,19 +335,15 @@ def _distance_distribution(sp):
 
 def _levy(vals_a, w_a, vals_b, w_b, tol=1e-12):
     """Levy distance between two discrete distributions on the line."""
-    cdf_a = np.cumsum(w_a)
-    cdf_b = np.cumsum(w_b)
-
-    def cdf(vals, cdfv, x):
-        i = np.searchsorted(vals, x, side="right") - 1
-        return 0.0 if i < 0 else float(cdfv[i])
+    # values are unique, so cdf[1:] is each atom's own CDF value
+    cdf_a = np.concatenate(([0.0], np.cumsum(w_a)))
+    cdf_b = np.concatenate(([0.0], np.cumsum(w_b)))
 
     def feasible(eps):
-        for x in vals_a:
-            if cdf(vals_a, cdf_a, x) > cdf(vals_b, cdf_b, x + eps) + eps + tol:
-                return False
-        for x in vals_b:
-            if cdf(vals_b, cdf_b, x) > cdf(vals_a, cdf_a, x + eps) + eps + tol:
+        for vals_p, cdf_p, vals_q, cdf_q in ((vals_a, cdf_a, vals_b, cdf_b),
+                                             (vals_b, cdf_b, vals_a, cdf_a)):
+            at = np.searchsorted(vals_q, vals_p + eps, side="right")
+            if np.any(cdf_p[1:] > cdf_q[at] + eps + tol):
                 return False
         return True
 

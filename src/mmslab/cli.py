@@ -72,17 +72,56 @@ def _fmt_value(v):
 
 
 def _parse_alpha(text):
-    if text.endswith(".json"):
-        with open(text, encoding="utf-8") as fh:
-            data = json.load(fh)
-        entries = data["entries"]
-    else:
-        entries = [float(t) for t in text.split(",") if t.strip() != ""]
+    try:
+        if text.endswith(".json"):
+            with open(text, encoding="utf-8") as fh:
+                entries = [float(e) for e in json.load(fh)["entries"]]
+        else:
+            entries = [float(t) for t in text.split(",") if t.strip() != ""]
+    except (OSError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise core.InputError(f"cannot read atom vector {text!r}: {e}") from e
     return atoms_mod.sort_atoms(entries)
 
 
+# generator kind -> parameters it cannot do without
+_SPACE_KINDS = {
+    "two_point": (), "interval_grid": ("m",), "gaussian_sample": ("n_points",),
+    "sphere_sample": ("n_dim", "n_points"), "atom_space": ("alpha",),
+    "dissipation_family": ("alpha", "n"), "grid_interval": (), "grid_gaussian": (),
+}
+_GRID_KINDS = ("grid_interval", "grid_gaussian")
+
+
+def _is_real(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_finite(x):
+    return _is_real(x) and math.isfinite(x)
+
+
+def _check_params(kind, params):
+    """Reject a generator kind or parameters that make_space cannot use."""
+    if kind not in _SPACE_KINDS:
+        raise core.InputError(f"unknown generator kind {kind!r}")
+    if not isinstance(params, dict):
+        raise core.InputError("generator params must be a JSON object")
+    for key in _SPACE_KINDS[kind]:
+        if key not in params:
+            raise core.InputError(f"{kind} needs the parameter {key!r}")
+    for key, v in params.items():
+        if key == "alpha":
+            ok = isinstance(v, list) and all(map(_is_finite, v))
+        elif key == "seed":
+            ok = isinstance(v, int) and not isinstance(v, bool) and v >= 0
+        else:
+            ok = _is_finite(v)
+        if not ok:
+            raise core.InputError(f"parameter {key!r} of {kind} cannot be {v!r}")
+
+
 def make_space(kind, params, seed=0):
-    params = dict(params)
+    _check_params(kind, params)
     if kind == "two_point":
         return generators.two_point(params.get("d", 1.0), params.get("first_mass", 0.5))
     if kind == "interval_grid":
@@ -109,9 +148,7 @@ def make_space(kind, params, seed=0):
         return generators.dissipation_family(alpha, params.get("delta", 1.0), int(params["n"]))
     if kind == "grid_interval":
         return functional.unit_interval_grid(int(params.get("m", 512)), params.get("length", 1.0))
-    if kind == "grid_gaussian":
-        return functional.gaussian_grid(int(params.get("m", 512)), params.get("sigma", 1.0))
-    raise core.InputError(f"unknown generator kind {kind!r}")
+    return functional.gaussian_grid(int(params.get("m", 512)), params.get("sigma", 1.0))
 
 
 def _cmd_gen(args):
@@ -119,8 +156,6 @@ def _cmd_gen(args):
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as e:
         raise core.InputError(f"--params is not valid JSON: {e}") from e
-    if not isinstance(params, dict):
-        raise core.InputError("--params must be a JSON object")
     sp = make_space(args.kind, params, seed=args.seed)
     if isinstance(sp, functional.GridSpace1D):
         raise core.InputError("gen writes finite spaces; grid kinds exist only inside plans")
@@ -164,8 +199,11 @@ def evaluate_invariant(sp, kind, kappa=None, p=2.0, exact=False, seed=0):
 
 
 def _cmd_invariant(args):
+    try:
+        kappa = [float(t) for t in args.kappa.split(",")] if args.kappa else None
+    except ValueError as e:
+        raise core.InputError(f"--kappa must be comma-separated numbers: {e}") from e
     sp = core.load_space(args.file)
-    kappa = [float(t) for t in args.kappa.split(",")] if args.kappa else None
     value, cert = evaluate_invariant(
         sp, args.kind, kappa=kappa, p=args.p, exact=args.exact, seed=args.seed
     )
@@ -343,13 +381,16 @@ class ExperimentPlan:
 
     @staticmethod
     def from_dict(d):
-        return ExperimentPlan(
-            name=d.get("name", "plan"),
-            seed=int(d.get("seed", 0)),
-            spaces=list(d.get("spaces", [])),
-            invariants=list(d.get("invariants", [])),
-            assertions=list(d.get("assertions", [])),
-        )
+        if not isinstance(d, dict):
+            raise core.InputError("a plan must be a JSON object")
+        seed = d.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise core.InputError(f"plan seed must be an integer >= 0, got {seed!r}")
+        parts = {k: d.get(k, []) for k in ("spaces", "invariants", "assertions")}
+        for key, items in parts.items():
+            if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+                raise core.InputError(f"plan {key} must be a list of objects")
+        return ExperimentPlan(name=d.get("name", "plan"), seed=seed, **parts)
 
 
 def _row_key(spec):
@@ -362,20 +403,69 @@ def _row_key(spec):
     return f"{spec['space']}:{spec['kind']}" + (f":{blob}" if blob else "")
 
 
+# invariant kind -> (space it needs: grid, finite or either, fields it needs)
+_INVARIANTS = {
+    "diam": ("finite", ()), "var": ("finite", ()), "pvar": ("finite", ()),
+    "obsdiam": ("finite", ()), "obsdiam_projection": ("finite", ()), "sep": ("finite", ("kappa",)),
+    "c22": ("grid", ()), "ls_check": ("grid", ("constant",)),
+    "gauss_domination_scale": ("grid", ()), "gauss_obsdiam_formula": ("either", ("kappa",)),
+}
+# assertion op -> fields it needs
+_ASSERTIONS = {"close": ("target",), "gap_gt": ("other", "threshold"),
+               "le": ("target",), "ge": ("target",)}
+
+
+def _check_plan(plan):
+    """Reject a malformed plan whole, before any space is built."""
+    grids = {}
+    for spec in plan.spaces:
+        if not isinstance(spec.get("id"), str):
+            raise core.InputError(f"space entry {spec!r} needs a string id")
+        if "path" in spec:
+            if not isinstance(spec["path"], str):
+                raise core.InputError(f"space path {spec['path']!r} is not a string")
+        else:
+            _check_params(spec.get("kind"), spec.get("params", {}))
+        grid = "path" not in spec and spec.get("kind") in _GRID_KINDS
+        grids[spec["id"]] = "grid" if grid else "finite"
+    for spec in plan.invariants:
+        space, kind = spec.get("space"), spec.get("kind")
+        if not (isinstance(space, str) and space in grids and isinstance(kind, str)
+                and kind in _INVARIANTS):
+            raise core.InputError(f"invariant {spec!r} needs a known kind and space id")
+        needs, fields = _INVARIANTS[kind]
+        if needs not in ("either", grids[space]):
+            raise core.InputError(f"invariant {kind!r} needs a {needs} space, not {space!r}")
+        kappa = spec.get("kappa", 0.0)
+        listed = isinstance(kappa, list) and all(map(_is_real, kappa))
+        if not (_is_real(kappa) or listed and kind != "gauss_obsdiam_formula"):
+            raise core.InputError(f"invariant {spec!r}: kappa must be a number or numbers")
+        for key in ("p", "sigma", "constant", "trials"):
+            ok = isinstance(spec.get(key), int) if key == "trials" else _is_real(spec.get(key))
+            if key in spec and not ok:
+                raise core.InputError(f"invariant {spec!r}: {key} must be a number")
+        missing = [key for key in fields if key not in spec]
+        if missing:
+            raise core.InputError(f"invariant {spec!r} needs {missing[0]!r}")
+    keys = {_row_key(spec) for spec in plan.invariants}
+    for a in plan.assertions:
+        op = a.get("op")
+        if not (isinstance(op, str) and op in _ASSERTIONS):
+            raise core.InputError(f"unknown assertion op {op!r}")
+        for row in [a.get("row")] + ([a["other"]] if "other" in a else []):
+            if not (isinstance(row, str) and row in keys):
+                raise core.InputError(f"assertion names unknown row {row!r}")
+        numbers = [k for k in ("target", "atol", "rtol", "threshold") if k in a]
+        if not all(_is_real(a[k]) for k in numbers) or any(k not in a for k in _ASSERTIONS[op]):
+            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(_ASSERTIONS[op])}")
+
+
 def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
     """Execute a plan: build spaces, evaluate invariants, check assertions.
 
     Returns the report dict; CSV rows follow the plan order exactly.
     """
-    ids = {spec.get("id") for spec in plan.spaces}
-    for spec in plan.invariants:
-        if spec.get("space") not in ids or "kind" not in spec:
-            raise core.InputError(f"invariant {spec!r} needs a kind and a known space id")
-    keys = {_row_key(spec) for spec in plan.invariants}
-    for a in plan.assertions:
-        for row in [a.get("row")] + ([a["other"]] if "other" in a else []):
-            if row not in keys:
-                raise core.InputError(f"assertion names unknown row {row!r}")
+    _check_plan(plan)
     built = {}
     for spec in plan.spaces:
         if "path" in spec:
@@ -426,10 +516,8 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
             ok = abs(lhs - values[a["other"]]) > a["threshold"]
         elif op == "le":
             ok = lhs <= a["target"] + a.get("atol", 0.0)
-        elif op == "ge":
-            ok = lhs >= a["target"] - a.get("atol", 0.0)
         else:
-            raise core.InputError(f"unknown assertion op {op!r}")
+            ok = lhs >= a["target"] - a.get("atol", 0.0)
         if not ok:
             failures.append({"assertion": a, "value": lhs})
 
@@ -588,10 +676,15 @@ def build_parser():
 
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:  # usage errors (code 2) and --help (code 0)
+        return e.code
     if args.seed is None and args.command != "run":
         args.seed = 0  # a plan carries its own seed unless --seed overrides it
     try:
+        if args.seed is not None and args.seed < 0:
+            raise core.InputError("--seed must be >= 0")
         return args.func(args)
     except core.SizeLimitError as e:
         print(f"size limit: {e}", file=sys.stderr)

@@ -452,11 +452,13 @@ def from_json_dict(d):
         mass = d["mass"]
     except (KeyError, TypeError) as e:
         raise InputError(f"space JSON is missing field: {e}") from e
+    if not isinstance(points, list):
+        raise InputError("space JSON points must be a list")
     mr = None
     if "mass_rational" in d:
         try:
             mr = tuple(Fraction(s) for s in d["mass_rational"])
-        except (ValueError, ZeroDivisionError) as e:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as e:
             raise InputError(f"bad mass_rational entry: {e}") from e
     try:
         dist = np.asarray(dist, dtype=float)

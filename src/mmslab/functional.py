@@ -105,7 +105,7 @@ def gaussian_grid(m, sigma=1.0, cutoff=8.0):
     """
     if m < 2:
         raise InputError("gaussian grid needs m >= 2 subintervals")
-    if sigma <= 0:
+    if not sigma > 0:
         raise InputError("sigma must be positive")
     nodes = np.linspace(-cutoff * sigma, cutoff * sigma, m + 1)
     w = np.exp(-(nodes**2) / (2.0 * sigma**2))
@@ -262,7 +262,7 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     bound on the optimal constant.  Near-constant perturbations along the
     spectral eigenfunction drive the lower bound up to the (2,2) constant.
     """
-    if constant <= 0:
+    if not constant > 0:
         raise InputError("the candidate constant must be positive")
     mu = grid.node_mass()
     trial = _trial_functions(grid, max(trials - 4, 1), seed)

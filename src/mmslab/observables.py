@@ -88,19 +88,9 @@ def partial_diameter(values, masses, kappa):
     if v.shape != w.shape:
         raise InputError("values and masses must have the same length")
     order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    csum = np.concatenate(([0.0], np.cumsum(w)))
-    best = math.inf
-    j = 0
-    for i in range(len(v)):
-        if j < i:
-            j = i
-        while j < len(v) and csum[j + 1] - csum[i] < need - VALIDATION_TOL:
-            j += 1
-        if j >= len(v):
-            break
-        best = min(best, v[j] - v[i])
-    return float(best) if best < math.inf else float(v[-1] - v[0])
+    wins = _minimal_windows(w[order], need)
+    v = v[order].tolist()
+    return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
 
 
 def obs_diam_projection_estimate(sp: FinitePmSpace, kappa, projections=None):
@@ -113,6 +103,7 @@ def obs_diam_projection_estimate(sp: FinitePmSpace, kappa, projections=None):
         if sp.coords is None:
             raise InputError("space carries no coordinates; pass projections explicitly")
         projections = np.atleast_2d(sp.coords).reshape(sp.n, -1).T
+    kappa = _kappa_fraction(kappa)
     best = 0.0
     for proj in projections:
         best = max(best, partial_diameter(proj, sp.mass, kappa))
@@ -123,16 +114,25 @@ def obs_diam_projection_estimate(sp: FinitePmSpace, kappa, projections=None):
 # observable diameter
 
 
+def _kappa_fraction(kappa):
+    """kappa as a float; an observable diameter needs a finite 0 <= kappa < 1."""
+    kappa = float(kappa)
+    if not 0.0 <= kappa < 1.0:
+        raise InputError(f"kappa must be a finite number in [0, 1), got {kappa}")
+    return kappa
+
+
 def _minimal_windows(masses_sorted, need):
     """Index pairs (l, r) of inclusion-minimal contiguous windows with mass >= need."""
     n = len(masses_sorted)
-    csum = np.concatenate(([0.0], np.cumsum(masses_sorted)))
+    csum = np.concatenate(([0.0], np.cumsum(masses_sorted))).tolist()
+    short = need - VALIDATION_TOL
     out = []
     j = 0
     for i in range(n):
         if j < i:
             j = i
-        while j < n and csum[j + 1] - csum[i] < need - VALIDATION_TOL:
+        while j < n and csum[j + 1] - csum[i] < short:
             j += 1
         if j >= n:
             break
@@ -152,7 +152,7 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
     maximum over orderings.  Heuristic mode: seeded multi-start coordinate
     ascent from distance anchors; always a valid lower value.
     """
-    kappa = float(kappa)
+    kappa = _kappa_fraction(kappa)
     if sp.n == 1 or 1.0 - kappa <= VALIDATION_TOL:
         return 0.0
     if mode == "exact":
@@ -370,6 +370,8 @@ def separation(sp: FinitePmSpace, kappa, max_positive=12, max_points=20):
     union of connected components of the sub-threshold graph.
     """
     kappa = _as_kappa(kappa)
+    if not all(math.isfinite(k) for k in kappa.entries):
+        raise InputError("kappa entries must be finite")
     pos = sorted(kappa.positive(), reverse=True)
     if len(pos) > max_positive:
         raise SizeLimitError(f"separation is limited to {max_positive} positive entries")
@@ -632,7 +634,7 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
 def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
     """p-deviation: sup over 1-Lipschitz f of the p-th central moment^(1/p);
     for p = inf, the sup of the maximal central deviation."""
-    if p != math.inf and p < 1:
+    if not p >= 1:
         raise InputError("p must satisfy p >= 1")
     if sp.n == 1:
         return 0.0

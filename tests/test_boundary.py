@@ -1,0 +1,220 @@
+"""Input boundary: malformed plans, atom files and numeric arguments end in
+exit code 2 with ``input error:``, never in a traceback.  The library entry
+points reject NaN and out-of-range thresholds themselves, and Hypothesis fuzzes
+space documents, plan documents and numeric CLI arguments through
+``cli.main`` in-process."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mmslab import atoms, cli, core, generators, observables as obs
+
+NAN, INF = math.nan, math.inf
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def workdir():
+    """A temporary directory holding a valid three-point space file."""
+    with tempfile.TemporaryDirectory() as d:
+        core.save_space(generators.interval_grid(3), os.path.join(d, "space.json"))
+        yield d
+
+
+def write_json(d, name, doc):
+    path = os.path.join(d, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+GRID = {"id": "a", "kind": "interval_grid", "params": {"m": 4}}
+BAD_PLANS = [
+    ("space_without_kind", {"spaces": [{"id": "a", "params": {"m": 4}}]}),
+    ("non_numeric_param", {"spaces": [{**GRID, "params": {"m": "x"}}]}),
+    ("missing_param", {"spaces": [{**GRID, "params": {}}]}),
+    ("top_level_list", [GRID]),
+    ("string_seed", {"seed": "x", "spaces": [GRID]}),
+    ("string_kappa", {"spaces": [GRID],
+                      "invariants": [{"space": "a", "kind": "obsdiam", "kappa": "0.1"}]}),
+    ("grid_invariant_on_finite_space", {"spaces": [GRID],
+                                        "invariants": [{"space": "a", "kind": "c22"}]}),
+    ("assertion_without_target", {"spaces": [GRID],
+                                  "invariants": [{"space": "a", "kind": "diam"}],
+                                  "assertions": [{"row": "a:diam", "op": "le"}]}),
+]
+
+
+@pytest.mark.parametrize("doc", [case[1] for case in BAD_PLANS], ids=[c[0] for c in BAD_PLANS])
+def test_malformed_plan_is_input_error(doc):
+    with workdir() as d:
+        code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+BAD_ARGS = [
+    ("kappa_above_one", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "1.5"]),
+    ("kappa_nan", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "nan"]),
+    ("kappa_text", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "abc"]),
+    ("projection_kappa_nan",
+     ["invariant", "{space}", "--kind", "obsdiam_projection", "--kappa", "nan"]),
+    ("sep_kappa_inf", ["invariant", "{space}", "--kind", "sep", "--kappa", "0.3,inf"]),
+    ("p_nan", ["invariant", "{space}", "--kind", "pvar", "--p", "nan"]),
+    ("delta_nan", ["atoms", "member", "--space", "{space}", "--alpha", "0.3", "--delta", "nan"]),
+    ("alpha_not_json", ["atoms", "product", "--alpha", "{bad}", "--beta", "0.5"]),
+    ("alpha_nan", ["atoms", "product", "--alpha", "0.3,nan", "--beta", "0.5"]),
+    ("negative_seed", ["--seed", "-1", "invariant", "{space}", "--kind", "var"]),
+]
+
+
+@pytest.mark.parametrize("argv", [case[1] for case in BAD_ARGS], ids=[c[0] for c in BAD_ARGS])
+def test_bad_argument_is_input_error(argv):
+    with workdir() as d:
+        bad = os.path.join(d, "bad.json")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("{")
+        argv = [a.format(space=os.path.join(d, "space.json"), bad=bad) for a in argv]
+        code, _, err = run_main(argv)
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_library_rejects_nan_and_out_of_range():
+    sp = generators.interval_grid(4)
+    for kappa in (NAN, INF, -0.1, 1.0, 1.5):
+        with pytest.raises(core.InputError):
+            obs.obs_diam(sp, kappa, mode="heuristic")
+        with pytest.raises(core.InputError):
+            obs.obs_diam_projection_estimate(sp, kappa)
+    with pytest.raises(core.InputError):
+        obs.p_deviation(sp, NAN, mode="heuristic")
+    assert obs.p_deviation(sp, INF, mode="exact") == pytest.approx(0.5)
+    for kappa in ((0.3, NAN), (0.3, INF), (0.3, -INF)):
+        with pytest.raises(core.InputError):
+            obs.separation(sp, kappa)
+    assert obs.separation(sp, (0.3, -5.0, 0.3)) == obs.separation(sp, (0.3, 0.3))
+    with pytest.raises(core.InputError):
+        atoms.member(sp, atoms.sort_atoms([0.25]), NAN)
+    with pytest.raises(core.InputError):
+        atoms.sort_atoms([0.2, NAN])
+
+
+# ---------------------------------------------------------------------------
+# fuzzing through cli.main
+
+# anything a JSON document may hold where a number or a list is expected
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                 st.sampled_from([NAN, INF, -INF, [], [1], {"x": 1}]))
+SIZES = st.one_of(st.integers(-2, 6), st.sampled_from([0.5, 3.0]), JUNK)
+REALS = st.one_of(st.floats(-3.0, 3.0), JUNK)
+KAPPAS = st.one_of(REALS, st.lists(st.floats(-1.0, 1.0), max_size=4))
+
+SPACE_SPECS = st.one_of(
+    st.fixed_dictionaries({"id": st.just("a"), "kind": st.just("two_point")},
+                          optional={"params": st.fixed_dictionaries(
+                              {}, optional={"d": REALS, "first_mass": REALS})}),
+    st.fixed_dictionaries({"id": st.just("a"), "kind": st.just("interval_grid")},
+                          optional={"params": st.one_of(JUNK, st.fixed_dictionaries(
+                              {}, optional={"m": SIZES, "r": REALS, "seed": SIZES}))}),
+    st.fixed_dictionaries({"id": st.just("g"), "kind": st.just("grid_interval"),
+                           "params": st.fixed_dictionaries({"m": SIZES})}),
+    st.fixed_dictionaries({"id": st.just("f"), "path": st.sampled_from(
+        ["{space}", "{missing}", "{dir}", 5, None])}),
+    st.fixed_dictionaries({}, optional={"id": JUNK, "kind": JUNK, "params": JUNK}),
+)
+INVARIANTS = st.fixed_dictionaries(
+    {"space": st.sampled_from(["a", "g", "f", "zz", 1, None]),
+     "kind": st.sampled_from(list(cli._INVARIANTS) + ["bogus", None])},
+    optional={"kappa": KAPPAS, "p": REALS, "exact": st.booleans(), "constant": REALS,
+              "trials": st.one_of(st.integers(-2, 12), JUNK), "sigma": REALS})
+ASSERTIONS = st.fixed_dictionaries(
+    {"row": st.sampled_from(["a:diam", "f:var", "zz", None, 3]),
+     "op": st.sampled_from(list(cli._ASSERTIONS) + ["bogus", None])},
+    optional={"target": REALS, "atol": REALS, "rtol": REALS, "threshold": REALS,
+              "other": st.sampled_from(["a:diam", "zz", None])})
+PLANS = st.one_of(JUNK, st.lists(SPACE_SPECS, max_size=2), st.fixed_dictionaries(
+    {}, optional={"name": JUNK, "seed": SIZES,
+                  "spaces": st.one_of(st.lists(SPACE_SPECS, max_size=3), JUNK),
+                  "invariants": st.one_of(st.lists(INVARIANTS, max_size=3), JUNK),
+                  "assertions": st.one_of(st.lists(ASSERTIONS, max_size=2), JUNK)}))
+
+
+def fill(doc, d):
+    """Replace the path placeholders of a drawn plan with real paths."""
+    places = {"{space}": os.path.join(d, "space.json"),
+              "{missing}": os.path.join(d, "missing.json"), "{dir}": d}
+    if isinstance(doc, dict):
+        return {k: fill(v, d) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [fill(v, d) for v in doc]
+    return places.get(doc, doc) if isinstance(doc, str) else doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(PLANS)
+def test_fuzz_plan_documents(doc):
+    with workdir() as d:
+        code, _, err = run_main(["run", write_json(d, "plan.json", fill(doc, d))])
+    has_assertions = isinstance(doc, dict) and bool(doc.get("assertions"))
+    assert code in ((0, 1, 2, 3) if has_assertions else (0, 2, 3))
+    assert "Traceback" not in err
+
+
+MATRICES = st.one_of(st.just([[0.0, 1.0], [1.0, 0.0]]),
+                     st.lists(st.lists(REALS, max_size=3), max_size=3), JUNK)
+VECTORS = st.one_of(st.just([0.5, 0.5]), st.lists(REALS, max_size=3), JUNK)
+SPACE_DOCS = st.one_of(JUNK, st.fixed_dictionaries(
+    {"points": st.one_of(st.just(["x", "y"]), st.lists(st.text(max_size=2), max_size=3), JUNK),
+     "dist": MATRICES, "mass": VECTORS},
+    optional={"coords": MATRICES,
+              "mass_rational": st.one_of(st.lists(st.one_of(
+                  st.text(max_size=4), st.integers(-2, 3), st.floats()), max_size=3), JUNK)}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(SPACE_DOCS, st.sampled_from(["diam", "var", "obsdiam", "pvar", "sep"]), st.booleans())
+def test_fuzz_space_documents(doc, kind, exact):
+    with workdir() as d:
+        argv = ["invariant", write_json(d, "doc.json", doc), "--kind", kind]
+        code, _, err = run_main(argv + ["--kappa", "0.25,0.25"] + (["--exact"] if exact else []))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
+NUMBERS = st.one_of(st.floats().map(repr), st.text(max_size=5),
+                    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3).map(
+                        lambda xs: ",".join(map(repr, xs))),
+                    st.sampled_from(["nan", "inf", "-inf", "", ",", "0.3,0.3"]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["kappa", "p", "delta", "alpha", "seed"]),
+       st.sampled_from(["obsdiam", "obsdiam_projection", "sep", "pvar"]), NUMBERS)
+def test_fuzz_numeric_arguments(arg, kind, value):
+    with workdir() as d:
+        space = os.path.join(d, "space.json")
+        if arg in ("kappa", "p"):
+            argv = ["invariant", space, "--kind", kind, f"--{arg}={value}"]
+        elif arg == "seed":
+            argv = [f"--seed={value}", "invariant", space, "--kind", kind, "--kappa", "0.2,0.2"]
+        else:
+            options = {"alpha": "0.3", "delta": "1.0", arg: value}
+            argv = ["atoms", "member", "--space", space,
+                    f"--alpha={options['alpha']}", f"--delta={options['delta']}"]
+        code, _, err = run_main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mmslab import boxmetric, core
-from conftest import corpus, random_embedded_space
+from conftest import corpus, random_embedded_space, random_shortest_path_space
 
 
 def two_point(d=1.0, p=0.5):
@@ -238,3 +238,137 @@ class TestMaxflowWitness:
                     assert flow.min() >= 0.0
                     assert np.abs(flow.sum(axis=1) - mx).max() <= 1e-12
                     assert np.abs(flow.sum(axis=0) - my).max() <= 1e-12
+
+
+def scalar_levy(vals_a, w_a, vals_b, w_b, tol=1e-12):
+    """Reference Levy distance: the same bisection with one scalar CDF lookup
+    per support value."""
+    cdf_a = np.cumsum(w_a)
+    cdf_b = np.cumsum(w_b)
+
+    def cdf(vals, cdfv, x):
+        i = np.searchsorted(vals, x, side="right") - 1
+        return 0.0 if i < 0 else float(cdfv[i])
+
+    def feasible(eps):
+        for x in vals_a:
+            if cdf(vals_a, cdf_a, x) > cdf(vals_b, cdf_b, x + eps) + eps + tol:
+                return False
+        for x in vals_b:
+            if cdf(vals_b, cdf_b, x) > cdf(vals_a, cdf_a, x + eps) + eps + tol:
+                return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    if feasible(0.0):
+        return 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def submatrix_selection(disc_sub, masses, rng, restarts):
+    """Reference kept-cell search that rebuilds the kept submatrix for every
+    greedy step and every 2-opt candidate."""
+
+    def value(keep):
+        kept_mass = float(masses[keep].sum()) if keep.any() else 0.0
+        md = float(disc_sub[np.ix_(keep, keep)].max()) if keep.any() else 0.0
+        return max(md, 1.0 - kept_mass)
+
+    m = len(masses)
+    best = 1.0
+    orders = [None] + [rng.permutation(m) for _ in range(restarts - 1)]
+    for order in orders:
+        keep = np.ones(m, dtype=bool)
+        best = min(best, value(keep))
+        while keep.any():
+            idx = np.nonzero(keep)[0]
+            peak = disc_sub[np.ix_(idx, idx)].max(axis=1)
+            if order is None:
+                key = peak * 1e6 - masses[idx] * 1e-6
+            else:
+                key = peak + np.argsort(order[idx]).astype(float) * 1e-9
+            keep[idx[int(np.argmax(key))]] = False
+            best = min(best, value(keep))
+        keep = np.ones(m, dtype=bool)
+        val = value(keep)
+        for _ in range(4 * m):
+            improved = False
+            for c in list(np.nonzero(keep)[0]) + list(np.nonzero(~keep)[0]):
+                keep[c] = not keep[c]
+                v = value(keep)
+                if v < val - 1e-15:
+                    val, improved = v, True
+                    break
+                keep[c] = not keep[c]
+            best = min(best, val)
+            if not improved:
+                break
+    return best
+
+
+class TestSearchKernelsPinned:
+    """The vectorised kernels return the very floats of their reference loops."""
+
+    def test_levy_matches_scalar_reference(self):
+        rng = np.random.default_rng(77)
+        cases = 0
+        for k in range(120):
+            n1, n2 = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            make = random_embedded_space if k % 2 else random_shortest_path_space
+            scale = (0.01, 1.0, 30.0)[k % 3]
+            sx, sy = make(rng, n1, scale=scale), make(rng, n2, scale=scale)
+            da, db = boxmetric._distance_distribution(sx), boxmetric._distance_distribution(sy)
+            assert boxmetric._levy(*da, *db) == scalar_levy(*da, *db)
+            assert boxmetric._levy(*db, *da) == scalar_levy(*db, *da)
+            same = boxmetric._levy(*da, *da)
+            assert same == scalar_levy(*da, *da) == 0.0
+            cases += 3
+        assert cases >= 200
+
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_selection_matches_submatrix_reference(self, ties):
+        rng = np.random.default_rng(5 if ties else 6)
+        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 70):
+            raw = rng.integers(0, 4, size=(m, m)).astype(float) if ties else rng.random((m, m))
+            disc = np.triu(raw, 1) + np.triu(raw, 1).T
+            masses = np.full(m, 1.0 / m) if ties else rng.dirichlet(np.ones(m))
+            if ties:
+                disc *= 0.125
+            restarts = 3 if m > 30 else 6
+            gen_got, gen_want = np.random.default_rng(m), np.random.default_rng(m)
+            got = boxmetric._optimize_selection(disc, masses, gen_got, restarts)
+            want = submatrix_selection(disc, masses, gen_want, restarts)
+            assert got == want
+            assert gen_got.bit_generator.state == gen_want.bit_generator.state
+
+    # box_upper(restarts=8) and box_lower on pairs drawn from default_rng(2024),
+    # recorded before the search kernels were vectorised
+    RECORDED = [
+        (0.3296772944092218, 0.08577996400765152),
+        (0.3277334775295824, 0.08723898066638894),
+        (0.682369446534612, 0.18767442961210395),
+        (0.360663457432124, 0.045905212989176575),
+        (0.42389015924106255, 0.03463187218348766),
+        (0.48595805917089585, 0.02542376135793814),
+    ]
+
+    def test_box_values_unchanged(self):
+        rng = np.random.default_rng(2024)
+        emb, spt = random_embedded_space, random_shortest_path_space
+        pairs = [
+            (emb(rng, 4), emb(rng, 5)),
+            (spt(rng, 5), emb(rng, 6)),
+            (emb(rng, 3, scale=30.0), spt(rng, 8, scale=30.0)),
+            (spt(rng, 7), spt(rng, 7)),
+            (emb(rng, 12), emb(rng, 10)),
+            (emb(rng, 20), emb(rng, 20)),
+        ]
+        got = [(boxmetric.box_upper(a, b, restarts=8).upper, boxmetric.box_lower(a, b))
+               for a, b in pairs]
+        assert got == self.RECORDED

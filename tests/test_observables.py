@@ -564,3 +564,46 @@ class TestExactKernels:
         for g, p in zip(got, self.PINNED):
             # a vertex reached by two trees may keep either float copy (1 ulp)
             assert g[1:] == pytest.approx(p[1:], rel=1e-15, abs=0.0)
+
+
+class TestTwoPointerScan:
+    """partial_diameter and the exact LP windows share one two-pointer scan."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(404)
+        for k in range(300):
+            n = int(rng.integers(1, 13))
+            v = rng.integers(0, 3, size=n).astype(float) if k % 3 == 0 else rng.normal(size=n)
+            if k % 4 == 0:
+                w = np.full(n, 1.0 / n)
+            else:
+                w = rng.dirichlet(np.ones(n))
+                if k % 4 == 1:
+                    w[rng.random(n) < 0.4] *= 1e-14  # tiny masses beside the bulk
+                    w /= w.sum()
+            kappa = (0.0, 1e-9, 1.0 / n, 1.0 - 1.0 / n, 0.99, float(rng.uniform(0, 0.9)))[k % 6]
+            yield v, w, kappa
+        # windows whose mass equals need - VALIDATION_TOL exactly still count
+        for n, s in ((4, 0.5), (4, 0.75), (8, 0.5)):
+            yield np.arange(float(n)), np.full(n, 1.0 / n), 1.0 - (s + core.VALIDATION_TOL)
+
+    def test_scan_matches_all_windows(self):
+        for v, w, kappa in self.cases():
+            need = 1.0 - kappa
+            if need <= core.VALIDATION_TOL:
+                continue
+            order = np.argsort(v, kind="stable")
+            vs, ws = v[order], w[order]
+            csum = np.concatenate(([0.0], np.cumsum(ws)))
+            n = len(v)
+
+            def feasible(i, j):
+                return csum[j + 1] - csum[i] >= need - core.VALIDATION_TOL
+
+            windows = [(i, j) for i in range(n) for j in range(i, n) if feasible(i, j)]
+            want = min((vs[j] - vs[i] for i, j in windows), default=vs[-1] - vs[0])
+            assert obs.partial_diameter(v, w, kappa) == want
+            minimal = [(i, j) for i, j in windows
+                       if i == j or not (feasible(i + 1, j) or feasible(i, j - 1))]
+            assert obs._minimal_windows(ws, need) == minimal
