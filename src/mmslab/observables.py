@@ -264,7 +264,7 @@ def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
             if not improved:
                 break
         best = max(best, cur)
-    return best
+    return float(best)
 
 
 def _recompute(objective):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, output formats, plan runs
 and CSV determinism."""
 
+import csv
 import json
 import math
 import subprocess
@@ -169,6 +170,95 @@ class TestPlans:
         cli.run_experiment(plan, csv_path=str(csv_path), json_path=str(json_path))
         assert csv_path.read_text().startswith("space,invariant")
         assert json.loads(json_path.read_text())["ok"] is True
+
+
+# One plan over every space kind, invariant kind and assertion op, finite and
+# grid spaces, one kappa and a kappa list, exact and heuristic modes.  The
+# recorded CSV pins every value and certificate; failures pin every op both ways.
+PINNED_PLAN = {
+    "name": "pinned",
+    "seed": 5,
+    "spaces": [
+        {"id": "tp", "kind": "two_point", "params": {"d": 2.0, "first_mass": 0.25}},
+        {"id": "ig", "kind": "interval_grid", "params": {"m": 5, "r": 3.0}},
+        {"id": "gs", "kind": "gaussian_sample", "params": {"n_points": 12, "dim": 2}},
+        {"id": "sph", "kind": "sphere_sample", "params": {"n_dim": 2, "n_points": 8, "seed": 1}},
+        {"id": "at", "kind": "atom_space", "params": {"alpha": [0.25, 0.5], "m_diffuse": 3}},
+        {"id": "dis", "kind": "dissipation_family",
+         "params": {"alpha": [0.4], "delta": 2.0, "n": 4}},
+        {"id": "gi", "kind": "grid_interval", "params": {"m": 64}},
+        {"id": "gg", "kind": "grid_gaussian", "params": {"m": 64, "sigma": 1.5}},
+    ],
+    "invariants": [
+        {"space": "ig", "kind": "diam"},
+        {"space": "sph", "kind": "diam"},
+        {"space": "ig", "kind": "var", "exact": True},
+        {"space": "gs", "kind": "var"},
+        {"space": "dis", "kind": "var"},
+        {"space": "ig", "kind": "pvar", "p": 1, "exact": True},
+        {"space": "gs", "kind": "pvar", "p": 3.0},
+        {"space": "at", "kind": "obsdiam", "kappa": 0.2, "exact": True},
+        {"space": "gs", "kind": "obsdiam", "kappa": [0.1, 0.3]},
+        {"space": "sph", "kind": "obsdiam"},
+        {"space": "gs", "kind": "obsdiam_projection", "kappa": 0.25},
+        {"space": "tp", "kind": "sep", "kappa": [0.2, 0.2]},
+        {"space": "tp", "kind": "sep", "kappa": 0.4},
+        {"space": "at", "kind": "sep", "kappa": [0.3, 0.3, 0.05]},
+        {"space": "gi", "kind": "c22"},
+        {"space": "gg", "kind": "c22"},
+        {"space": "gi", "kind": "ls_check", "constant": 0.32, "trials": 20},
+        {"space": "gg", "kind": "ls_check", "constant": 1},
+        {"space": "gi", "kind": "gauss_domination_scale"},
+        {"space": "gi", "kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": 2.0},
+        {"space": "tp", "kind": "gauss_obsdiam_formula", "kappa": 0.5},
+    ],
+    "assertions": [
+        {"row": "ig:diam", "op": "close", "target": 3.0, "atol": 1e-12},
+        {"row": "ig:diam", "op": "close", "target": 2.9, "rtol": 0.01},
+        {"row": "gi:c22", "op": "gap_gt", "other": "gg:c22", "threshold": 0.5},
+        {"row": "gi:c22", "op": "gap_gt", "other": "gg:c22", "threshold": 1.5},
+        {"row": "ig:var:exact=True", "op": "le", "target": 1.2},
+        {"row": "ig:var:exact=True", "op": "le", "target": 1.1, "atol": 0.01},
+        {"row": "tp:sep:kappa=0.4", "op": "ge", "target": 1e9},
+        {"row": "gs:var", "op": "ge", "target": 5.0, "atol": 0.5},
+    ],
+}
+PINNED_CSV = (
+    'space,invariant,row_key,value,certificate\n'
+    'ig,diam,ig:diam,3.0,exact\n'
+    'sph,diam,sph:diam,1.9364646235583698,exact\n'
+    'ig,var,ig:var:exact=True,1.125,exact\n'
+    'gs,var,gs:var,1.2053443921891422,estimate\n'
+    'dis,var,dis:var,0.9993750000000028,estimate\n'
+    'ig,pvar,"ig:pvar:exact=True,p=1",0.9,exact\n'
+    'gs,pvar,gs:pvar:p=3.0,1.2179551239826756,estimate\n'
+    'at,obsdiam,"at:obsdiam:exact=True,kappa=0.2",2.0,exact\n'
+    'gs,obsdiam,"gs:obsdiam:kappa=[0.1, 0.3]",3.0892238754527925,estimate\n'
+    'sph,obsdiam,sph:obsdiam,1.9364646235583698,estimate\n'
+    'gs,obsdiam_projection,gs:obsdiam_projection:kappa=0.25,1.8777374659814345,estimate\n'
+    'tp,sep,"tp:sep:kappa=[0.2, 0.2]",2.0,exact\n'
+    'tp,sep,tp:sep:kappa=0.4,inf,exact\n'
+    'at,sep,"at:sep:kappa=[0.3, 0.3, 0.05]",1.0,exact\n'
+    'gi,c22,gi:c22,0.3183418463620757,estimate\n'
+    'gg,c22,gg:c22,1.5002334848057206,estimate\n'
+    'gi,ls_check,"gi:ls_check:constant=0.32,trials=20",-8.871016161825232e-08,bound\n'
+    'gg,ls_check,gg:ls_check:constant=1,0.05494152473344781,bound\n'
+    'gi,gauss_domination_scale,gi:gauss_domination_scale,0.3989422804014327,estimate\n'
+    'gi,gauss_obsdiam_formula,"gi:gauss_obsdiam_formula:kappa=0.1,sigma=2.0",6.579414507805892,exact\n'
+    'tp,gauss_obsdiam_formula,tp:gauss_obsdiam_formula:kappa=0.5,1.3489795003921636,exact\n'
+)
+
+
+def test_pinned_plan_csv():
+    assert {s["kind"] for s in PINNED_PLAN["spaces"]} == set(cli._SPACE_KINDS)
+    assert {r["kind"] for r in PINNED_PLAN["invariants"]} == set(cli._INVARIANTS)
+    assert {a["op"] for a in PINNED_PLAN["assertions"]} == set(cli._ASSERTIONS)
+    report = cli.run_experiment(cli.ExperimentPlan.from_dict(PINNED_PLAN))
+    assert report["csv"] == PINNED_CSV
+    for row in list(csv.reader(report["csv"].splitlines()))[1:]:
+        float(row[3])
+    failed = [PINNED_PLAN["assertions"].index(f["assertion"]) for f in report["failures"]]
+    assert failed == [1, 3, 5, 7]
 
 
 SPACE_DOC = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "mass": [0.5, 0.5]}
