@@ -83,13 +83,26 @@ def _parse_alpha(text):
     return atoms_mod.sort_atoms(entries)
 
 
-# generator kind -> parameters it cannot do without
+# generator kind -> (space it builds: finite or grid, parameters it cannot do
+# without, build(params, seed)); builders look generators up at call time
 _SPACE_KINDS = {
-    "two_point": (), "interval_grid": ("m",), "gaussian_sample": ("n_points",),
-    "sphere_sample": ("n_dim", "n_points"), "atom_space": ("alpha",),
-    "dissipation_family": ("alpha", "n"), "grid_interval": (), "grid_gaussian": (),
+    "two_point": ("finite", (), lambda p, seed: generators.two_point(
+        p.get("d", 1.0), p.get("first_mass", 0.5))),
+    "interval_grid": ("finite", ("m",), lambda p, seed: generators.interval_grid(
+        int(p["m"]), p.get("r", 1.0))),
+    "gaussian_sample": ("finite", ("n_points",), lambda p, seed: generators.gaussian_sample(
+        int(p["n_points"]), int(p.get("dim", 1)), p.get("sigma", 1.0), p.get("seed", seed))),
+    "sphere_sample": ("finite", ("n_dim", "n_points"), lambda p, seed: generators.sphere_sample(
+        int(p["n_dim"]), p.get("radius", 1.0), int(p["n_points"]), p.get("seed", seed))),
+    "atom_space": ("finite", ("alpha",), lambda p, seed: generators.atom_space(
+        atoms_mod.sort_atoms(p["alpha"]), int(p.get("m_diffuse", 8)))),
+    "dissipation_family": ("finite", ("alpha", "n"), lambda p, seed: generators.dissipation_family(
+        atoms_mod.sort_atoms(p["alpha"]), p.get("delta", 1.0), int(p["n"]))),
+    "grid_interval": ("grid", (), lambda p, seed: functional.unit_interval_grid(
+        int(p.get("m", 512)), p.get("length", 1.0))),
+    "grid_gaussian": ("grid", (), lambda p, seed: functional.gaussian_grid(
+        int(p.get("m", 512)), p.get("sigma", 1.0))),
 }
-_GRID_KINDS = ("grid_interval", "grid_gaussian")
 
 
 def _is_real(x):
@@ -106,7 +119,7 @@ def _check_params(kind, params):
         raise core.InputError(f"unknown generator kind {kind!r}")
     if not isinstance(params, dict):
         raise core.InputError("generator params must be a JSON object")
-    for key in _SPACE_KINDS[kind]:
+    for key in _SPACE_KINDS[kind][1]:
         if key not in params:
             raise core.InputError(f"{kind} needs the parameter {key!r}")
     for key, v in params.items():
@@ -122,33 +135,7 @@ def _check_params(kind, params):
 
 def make_space(kind, params, seed=0):
     _check_params(kind, params)
-    if kind == "two_point":
-        return generators.two_point(params.get("d", 1.0), params.get("first_mass", 0.5))
-    if kind == "interval_grid":
-        return generators.interval_grid(int(params["m"]), params.get("r", 1.0))
-    if kind == "gaussian_sample":
-        return generators.gaussian_sample(
-            int(params["n_points"]),
-            int(params.get("dim", 1)),
-            params.get("sigma", 1.0),
-            params.get("seed", seed),
-        )
-    if kind == "sphere_sample":
-        return generators.sphere_sample(
-            int(params["n_dim"]),
-            params.get("radius", 1.0),
-            int(params["n_points"]),
-            params.get("seed", seed),
-        )
-    if kind == "atom_space":
-        alpha = atoms_mod.sort_atoms(params["alpha"])
-        return generators.atom_space(alpha, int(params.get("m_diffuse", 8)))
-    if kind == "dissipation_family":
-        alpha = atoms_mod.sort_atoms(params["alpha"])
-        return generators.dissipation_family(alpha, params.get("delta", 1.0), int(params["n"]))
-    if kind == "grid_interval":
-        return functional.unit_interval_grid(int(params.get("m", 512)), params.get("length", 1.0))
-    return functional.gaussian_grid(int(params.get("m", 512)), params.get("sigma", 1.0))
+    return _SPACE_KINDS[kind][2](params, seed)
 
 
 def _cmd_gen(args):
@@ -168,34 +155,57 @@ def _cmd_gen(args):
 # invariant evaluation
 
 
-def evaluate_invariant(sp, kind, kappa=None, p=2.0, exact=False, seed=0):
-    """Returns (value, certificate)."""
-    if kind == "diam":
-        return sp.diam(), "exact"
-    if kind == "var":
-        mode = "exact" if exact else "heuristic"
-        return observables.variance(sp, mode=mode, seed=seed), (
-            "exact" if exact else "estimate"
-        )
-    if kind == "pvar":
-        mode = "exact" if exact else "heuristic"
-        return observables.p_deviation(sp, p, mode=mode, seed=seed), (
-            "exact" if exact else "estimate"
-        )
-    if kind == "obsdiam":
-        mode = "exact" if exact else "heuristic"
-        k = kappa[0] if kappa else 0.1
-        return observables.obs_diam(sp, k, mode=mode, seed=seed), (
-            "exact" if exact else "estimate"
-        )
-    if kind == "obsdiam_projection":
-        k = kappa[0] if kappa else 0.1
-        return observables.obs_diam_projection_estimate(sp, k), "estimate"
-    if kind == "sep":
-        if not kappa:
-            raise core.InputError("sep requires --kappa")
-        return observables.separation(sp, tuple(kappa)), "exact"
-    raise core.InputError(f"unknown invariant kind {kind!r}")
+def _kappas(spec):
+    """The row's kappa as a list (one number becomes one item), or None."""
+    kappa = spec.get("kappa")
+    return [kappa] if isinstance(kappa, (int, float)) else kappa
+
+
+def _first_kappa(spec):
+    kappas = _kappas(spec)
+    return kappas[0] if kappas else 0.1
+
+
+def _mode(spec):
+    return "exact" if spec.get("exact", False) else "heuristic"
+
+
+def _mode_certificate(spec):
+    return "exact" if spec.get("exact", False) else "estimate"
+
+
+def _separation(sp, spec, seed):
+    kappas = _kappas(spec)
+    if not kappas:
+        raise core.InputError("sep requires --kappa")
+    return observables.separation(sp, tuple(kappas)), "exact"
+
+
+# invariant kind -> (space it needs: finite, grid or either, fields it needs,
+# evaluate(space, spec, seed) -> (value, certificate)); rows look the library
+# functions up at call time
+_INVARIANTS = {
+    "diam": ("finite", (), lambda sp, spec, seed: (sp.diam(), "exact")),
+    "var": ("finite", (), lambda sp, spec, seed: (
+        observables.variance(sp, mode=_mode(spec), seed=seed), _mode_certificate(spec))),
+    "pvar": ("finite", (), lambda sp, spec, seed: (
+        observables.p_deviation(sp, spec.get("p", 2.0), mode=_mode(spec), seed=seed),
+        _mode_certificate(spec))),
+    "obsdiam": ("finite", (), lambda sp, spec, seed: (
+        observables.obs_diam(sp, _first_kappa(spec), mode=_mode(spec), seed=seed),
+        _mode_certificate(spec))),
+    "obsdiam_projection": ("finite", (), lambda sp, spec, seed: (
+        observables.obs_diam_projection_estimate(sp, _first_kappa(spec)), "estimate")),
+    "sep": ("finite", ("kappa",), _separation),
+    "c22": ("grid", (), lambda grid, spec, seed: (functional.poincare_c22(grid), "estimate")),
+    "ls_check": ("grid", ("constant",), lambda grid, spec, seed: (functional.log_sobolev_check(
+        grid, spec["constant"], trials=spec.get("trials", 1000), seed=seed).max_violation,
+        "bound")),
+    "gauss_domination_scale": ("grid", (), lambda grid, spec, seed: (
+        functional.gaussian_domination_scale(grid), "estimate")),
+    "gauss_obsdiam_formula": ("either", ("kappa",), lambda sp, spec, seed: (
+        observables.gaussian_obs_diam(spec.get("sigma", 1.0), spec["kappa"]), "exact")),
+}
 
 
 def _cmd_invariant(args):
@@ -204,9 +214,8 @@ def _cmd_invariant(args):
     except ValueError as e:
         raise core.InputError(f"--kappa must be comma-separated numbers: {e}") from e
     sp = core.load_space(args.file)
-    value, cert = evaluate_invariant(
-        sp, args.kind, kappa=kappa, p=args.p, exact=args.exact, seed=args.seed
-    )
+    spec = {"kappa": kappa, "p": args.p, "exact": args.exact}
+    value, cert = _INVARIANTS[args.kind][2](sp, spec, args.seed)
     _print_json({"kind": args.kind, "value": value, "certificate": cert}, args.format)
     return EXIT_OK
 
@@ -293,18 +302,27 @@ def _cmd_atoms(args):
 
 
 def _cmd_spectral(args):
-    if args.space == "interval":
-        grid = functional.unit_interval_grid(args.size)
-    elif args.space == "gaussian":
-        grid = functional.gaussian_grid(args.size, args.sigma)
-    else:
-        raise core.InputError(f"unknown grid space {args.space!r}")
+    def grid(m):
+        if args.space == "interval":
+            return functional.unit_interval_grid(m)
+        return functional.gaussian_grid(m, args.sigma)
+
+    if args.convergence_table:
+        rows = [["size", "c22"]]
+        m = 64
+        while m <= args.size:
+            rows.append([m, functional.poincare_c22(grid(m))])
+            m *= 2
+        csv.writer(sys.stdout).writerows(rows)
+        return EXIT_OK
     if args.constant == "c22":
-        value = functional.poincare_c22(grid)
+        value = functional.poincare_c22(grid(args.size))
         out = {"constant": "c22", "size": args.size, "value": value, "certificate": "estimate"}
-    elif args.constant == "ls":
+    else:
         reference = 1.0 / math.pi if args.space == "interval" else args.sigma
-        rep = functional.log_sobolev_check(grid, reference, trials=args.trials, seed=args.seed)
+        rep = functional.log_sobolev_check(
+            grid(args.size), reference, trials=args.trials, seed=args.seed
+        )
         out = {
             "constant": "ls",
             "size": args.size,
@@ -313,22 +331,6 @@ def _cmd_spectral(args):
             "lower_bound": rep.lower_bound,
             "certificate": "bound",
         }
-    else:
-        raise core.InputError(f"unknown constant {args.constant!r}")
-    if args.convergence_table:
-        rows = [["size", "c22"]]
-        m = 64
-        while m <= args.size:
-            rows.append([m, functional.poincare_c22(
-                functional.unit_interval_grid(m)
-                if args.space == "interval"
-                else functional.gaussian_grid(m, args.sigma)
-            )])
-            m *= 2
-        writer = csv.writer(sys.stdout)
-        for row in rows:
-            writer.writerow(row)
-        return EXIT_OK
     _print_json(out, args.format)
     return EXIT_OK
 
@@ -403,20 +405,21 @@ def _row_key(spec):
     return f"{spec['space']}:{spec['kind']}" + (f":{blob}" if blob else "")
 
 
-# invariant kind -> (space it needs: grid, finite or either, fields it needs)
-_INVARIANTS = {
-    "diam": ("finite", ()), "var": ("finite", ()), "pvar": ("finite", ()),
-    "obsdiam": ("finite", ()), "obsdiam_projection": ("finite", ()), "sep": ("finite", ("kappa",)),
-    "c22": ("grid", ()), "ls_check": ("grid", ("constant",)),
-    "gauss_domination_scale": ("grid", ()), "gauss_obsdiam_formula": ("either", ("kappa",)),
+# assertion op -> (fields it needs, holds(lhs, assertion, values by row key))
+_ASSERTIONS = {
+    "close": (("target",), lambda lhs, a, values: abs(lhs - a["target"])
+              <= a.get("atol", 0.0) + a.get("rtol", 0.0) * abs(a["target"])),
+    "gap_gt": (("other", "threshold"),
+               lambda lhs, a, values: abs(lhs - values[a["other"]]) > a["threshold"]),
+    "le": (("target",), lambda lhs, a, values: lhs <= a["target"] + a.get("atol", 0.0)),
+    "ge": (("target",), lambda lhs, a, values: lhs >= a["target"] - a.get("atol", 0.0)),
 }
-# assertion op -> fields it needs
-_ASSERTIONS = {"close": ("target",), "gap_gt": ("other", "threshold"),
-               "le": ("target",), "ge": ("target",)}
 
 
 def _check_plan(plan):
     """Reject a malformed plan whole, before any space is built."""
+    if not isinstance(plan.name, str):
+        raise core.InputError(f"plan name must be a string, got {plan.name!r}")
     grids = {}
     for spec in plan.spaces:
         if not isinstance(spec.get("id"), str):
@@ -426,14 +429,13 @@ def _check_plan(plan):
                 raise core.InputError(f"space path {spec['path']!r} is not a string")
         else:
             _check_params(spec.get("kind"), spec.get("params", {}))
-        grid = "path" not in spec and spec.get("kind") in _GRID_KINDS
-        grids[spec["id"]] = "grid" if grid else "finite"
+        grids[spec["id"]] = "finite" if "path" in spec else _SPACE_KINDS[spec["kind"]][0]
     for spec in plan.invariants:
         space, kind = spec.get("space"), spec.get("kind")
         if not (isinstance(space, str) and space in grids and isinstance(kind, str)
                 and kind in _INVARIANTS):
             raise core.InputError(f"invariant {spec!r} needs a known kind and space id")
-        needs, fields = _INVARIANTS[kind]
+        needs, fields, _ = _INVARIANTS[kind]
         if needs not in ("either", grids[space]):
             raise core.InputError(f"invariant {kind!r} needs a {needs} space, not {space!r}")
         kappa = spec.get("kappa", 0.0)
@@ -444,6 +446,8 @@ def _check_plan(plan):
             ok = isinstance(spec.get(key), int) if key == "trials" else _is_real(spec.get(key))
             if key in spec and not ok:
                 raise core.InputError(f"invariant {spec!r}: {key} must be a number")
+        if not isinstance(spec.get("exact", False), bool):
+            raise core.InputError(f"invariant {spec!r}: exact must be true or false")
         missing = [key for key in fields if key not in spec]
         if missing:
             raise core.InputError(f"invariant {spec!r} needs {missing[0]!r}")
@@ -456,8 +460,9 @@ def _check_plan(plan):
             if not (isinstance(row, str) and row in keys):
                 raise core.InputError(f"assertion names unknown row {row!r}")
         numbers = [k for k in ("target", "atol", "rtol", "threshold") if k in a]
-        if not all(_is_real(a[k]) for k in numbers) or any(k not in a for k in _ASSERTIONS[op]):
-            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(_ASSERTIONS[op])}")
+        fields = _ASSERTIONS[op][0]
+        if not all(_is_real(a[k]) for k in numbers) or any(k not in a for k in fields):
+            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(fields)}")
 
 
 def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
@@ -475,51 +480,12 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
     rows = []
     values = {}
     for spec in plan.invariants:
-        target = built[spec["space"]]
-        kind = spec["kind"]
-        if kind == "c22":
-            value, cert = functional.poincare_c22(target), "estimate"
-        elif kind == "ls_check":
-            rep = functional.log_sobolev_check(
-                target, spec["constant"], trials=spec.get("trials", 1000), seed=plan.seed
-            )
-            value, cert = rep.max_violation, "bound"
-        elif kind == "gauss_domination_scale":
-            value, cert = functional.gaussian_domination_scale(target), "estimate"
-        elif kind == "gauss_obsdiam_formula":
-            value, cert = observables.gaussian_obs_diam(
-                spec.get("sigma", 1.0), spec["kappa"]
-            ), "exact"
-        else:
-            kappa = spec.get("kappa")
-            value, cert = evaluate_invariant(
-                target,
-                kind,
-                kappa=[kappa] if isinstance(kappa, (int, float)) else kappa,
-                p=spec.get("p", 2.0),
-                exact=spec.get("exact", False),
-                seed=plan.seed,
-            )
+        value, cert = _INVARIANTS[spec["kind"]][2](built[spec["space"]], spec, plan.seed)
         key = _row_key(spec)
         values[key] = value
-        rows.append((spec["space"], kind, key, value, cert))
-
-    failures = []
-    for a in plan.assertions:
-        op = a["op"]
-        lhs = values[a["row"]]
-        if op == "close":
-            target = a["target"]
-            tol = a.get("atol", 0.0) + a.get("rtol", 0.0) * abs(target)
-            ok = abs(lhs - target) <= tol
-        elif op == "gap_gt":
-            ok = abs(lhs - values[a["other"]]) > a["threshold"]
-        elif op == "le":
-            ok = lhs <= a["target"] + a.get("atol", 0.0)
-        else:
-            ok = lhs >= a["target"] - a.get("atol", 0.0)
-        if not ok:
-            failures.append({"assertion": a, "value": lhs})
+        rows.append((spec["space"], spec["kind"], key, value, cert))
+    failures = [{"assertion": a, "value": values[a["row"]]} for a in plan.assertions
+                if not _ASSERTIONS[a["op"]][1](values[a["row"]], a, values)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -626,7 +592,7 @@ def build_parser():
     i = sub.add_parser("invariant", help="evaluate an invariant of a space file")
     i.add_argument("file")
     i.add_argument("--kind", required=True,
-                   choices=("obsdiam", "sep", "var", "pvar", "diam", "obsdiam_projection"))
+                   choices=[k for k, row in _INVARIANTS.items() if row[0] == "finite"])
     i.add_argument("--kappa", help="comma-separated thresholds")
     i.add_argument("--p", type=float, default=2.0)
     i.add_argument("--exact", action="store_true")

@@ -232,6 +232,8 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     """
     if not (1 <= p < math.inf and 1 <= q < math.inf):
         raise InputError("p and q must lie in [1, inf)")
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     best = 0.0
     for f in _trial_functions(grid, trials, seed):
         energy = edge_energy(grid, f, q) ** (1.0 / q)
@@ -264,6 +266,8 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """
     if not constant > 0:
         raise InputError("the candidate constant must be positive")
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
     mu = grid.node_mass()
     trial = _trial_functions(grid, max(trials - 4, 1), seed)
     eig = trial[0]  # the normalised spectral eigenfunction

@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmslab import atoms, cli, core, generators, observables as obs
+from mmslab import atoms, cli, core, functional, generators, observables as obs
 
 NAN, INF = math.nan, math.inf
 
@@ -55,6 +55,12 @@ BAD_PLANS = [
     ("assertion_without_target", {"spaces": [GRID],
                                   "invariants": [{"space": "a", "kind": "diam"}],
                                   "assertions": [{"row": "a:diam", "op": "le"}]}),
+    ("string_exact", {"spaces": [GRID],
+                      "invariants": [{"space": "a", "kind": "var", "exact": "no"}]}),
+    ("non_string_name", {"name": 3, "spaces": [GRID]}),
+    ("negative_trials", {"spaces": [{"id": "g", "kind": "grid_interval", "params": {"m": 64}}],
+                         "invariants": [{"space": "g", "kind": "ls_check", "constant": 0.3,
+                                         "trials": -2}]}),
 ]
 
 
@@ -78,6 +84,7 @@ BAD_ARGS = [
     ("alpha_not_json", ["atoms", "product", "--alpha", "{bad}", "--beta", "0.5"]),
     ("alpha_nan", ["atoms", "product", "--alpha", "0.3,nan", "--beta", "0.5"]),
     ("negative_seed", ["--seed", "-1", "invariant", "{space}", "--kind", "var"]),
+    ("negative_trials", ["spectral", "--space", "interval", "--constant", "ls", "--trials", "-2"]),
 ]
 
 
@@ -111,6 +118,12 @@ def test_library_rejects_nan_and_out_of_range():
         atoms.member(sp, atoms.sort_atoms([0.25]), NAN)
     with pytest.raises(core.InputError):
         atoms.sort_atoms([0.2, NAN])
+    grid = functional.unit_interval_grid(64)
+    for trials in (0, -2):
+        with pytest.raises(core.InputError):
+            functional.log_sobolev_check(grid, 0.3, trials=trials)
+        with pytest.raises(core.InputError):
+            functional.poincare_pq_lower(grid, 2, 2, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +260,13 @@ def test_pinned_plan_csv():
         float(row[3])
     failed = [PINNED_PLAN["assertions"].index(f["assertion"]) for f in report["failures"]]
     assert failed == [1, 3, 5, 7]
+
+
+def test_readme_names_every_space_and_invariant_kind():
+    with open(Path(__file__).parent.parent / "README.md", encoding="utf-8") as fh:
+        readme = fh.read()
+    missing = [k for k in (*cli._SPACE_KINDS, *cli._INVARIANTS) if f"`{k}`" not in readme]
+    assert not missing
 
 
 SPACE_DOC = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "mass": [0.5, 0.5]}
