@@ -443,7 +443,7 @@ def _check_plan(plan):
         if not (_is_real(kappa) or listed and kind != "gauss_obsdiam_formula"):
             raise core.InputError(f"invariant {spec!r}: kappa must be a number or numbers")
         for key in ("p", "sigma", "constant", "trials"):
-            ok = isinstance(spec.get(key), int) if key == "trials" else _is_real(spec.get(key))
+            ok = _is_real(spec.get(key)) and (key != "trials" or isinstance(spec[key], int))
             if key in spec and not ok:
                 raise core.InputError(f"invariant {spec!r}: {key} must be a number")
         if not isinstance(spec.get("exact", False), bool):

@@ -42,6 +42,8 @@ def write_json(d, name, doc):
 
 
 GRID = {"id": "a", "kind": "interval_grid", "params": {"m": 4}}
+LINE = {"id": "g", "kind": "grid_interval", "params": {"m": 64}}
+LS_CHECK = {"space": "g", "kind": "ls_check", "constant": 0.3}
 BAD_PLANS = [
     ("space_without_kind", {"spaces": [{"id": "a", "params": {"m": 4}}]}),
     ("non_numeric_param", {"spaces": [{**GRID, "params": {"m": "x"}}]}),
@@ -58,9 +60,8 @@ BAD_PLANS = [
     ("string_exact", {"spaces": [GRID],
                       "invariants": [{"space": "a", "kind": "var", "exact": "no"}]}),
     ("non_string_name", {"name": 3, "spaces": [GRID]}),
-    ("negative_trials", {"spaces": [{"id": "g", "kind": "grid_interval", "params": {"m": 64}}],
-                         "invariants": [{"space": "g", "kind": "ls_check", "constant": 0.3,
-                                         "trials": -2}]}),
+    ("boolean_trials", {"spaces": [LINE], "invariants": [{**LS_CHECK, "trials": True}]}),
+    ("negative_trials", {"spaces": [LINE], "invariants": [{**LS_CHECK, "trials": -2}]}),
 ]
 
 
