@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
+from ._scipy import connected_components
 from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL
 from .observables import KappaSequence, interleave, separation
 

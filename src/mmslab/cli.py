@@ -47,7 +47,7 @@ def _jsonable(x):
 def _print_json(obj, fmt="json"):
     if fmt == "csv":
         flat = _jsonable(obj)
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         if isinstance(flat, dict):
             for k, v in flat.items():
                 writer.writerow([k, v])
@@ -308,12 +308,14 @@ def _cmd_spectral(args):
         return functional.gaussian_grid(m, args.sigma)
 
     if args.convergence_table:
+        if args.constant != "c22":
+            raise core.InputError("--convergence-table tabulates c22 only, not --constant ls")
         rows = [["size", "c22"]]
         m = 64
         while m <= args.size:
             rows.append([m, functional.poincare_c22(grid(m))])
             m *= 2
-        csv.writer(sys.stdout).writerows(rows)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return EXIT_OK
     if args.constant == "c22":
         value = functional.poincare_c22(grid(args.size))
@@ -416,6 +418,17 @@ _ASSERTIONS = {
 }
 
 
+# invariant field -> (test every value of it passes, the library's message when
+# one fails); sep is exempt from the kappa test, as it takes any finite entries
+_FIELD_RANGES = {
+    "kappa": (lambda v: 0.0 <= v < 1.0, "kappa must be a finite number in [0, 1), got {}"),
+    "p": (lambda v: v >= 1, "p must satisfy p >= 1"),
+    "sigma": (lambda v: v > 0, "sigma must be positive"),
+    "constant": (lambda v: v > 0, "the candidate constant must be positive"),
+    "trials": (lambda v: v >= 1, "trials must be at least 1, got {}"),
+}
+
+
 def _check_plan(plan):
     """Reject a malformed plan whole, before any space is built."""
     if not isinstance(plan.name, str):
@@ -446,6 +459,11 @@ def _check_plan(plan):
             ok = _is_real(spec.get(key)) and (key != "trials" or isinstance(spec[key], int))
             if key in spec and not ok:
                 raise core.InputError(f"invariant {spec!r}: {key} must be a number")
+        for key, (in_range, message) in _FIELD_RANGES.items():
+            values = spec.get(key, [])
+            for v in values if isinstance(values, list) else [values]:
+                if not (key == "kappa" and kind == "sep" or in_range(v)):
+                    raise core.InputError(f"invariant {spec!r}: {message.format(v)}")
         if not isinstance(spec.get("exact", False), bool):
             raise core.InputError(f"invariant {spec!r}: exact must be true or false")
         missing = [key for key in fields if key not in spec]
@@ -624,7 +642,8 @@ def build_parser():
     s.add_argument("--sigma", type=float, default=1.0)
     s.add_argument("--constant", choices=("c22", "ls"), default="c22")
     s.add_argument("--trials", type=int, default=1000)
-    s.add_argument("--convergence-table", action="store_true")
+    s.add_argument("--convergence-table", action="store_true",
+                   help="CSV of c22 at sizes 64, 128, ... up to --size (always CSV, c22 only)")
     s.set_defaults(func=_cmd_spectral)
 
     c = sub.add_parser("compare", help="box bounds, dominations and invariants side by side")

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtri
 
+from ._scipy import ndtri, solve_banded
 from .core import FinitePmSpace, InputError, entropy_weighted
 
 GRID_NORMALIZATION_TOL = 1e-10

@@ -14,8 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
+from ._scipy import pdist, squareform
 from .atoms import AtomVector
 from .core import FinitePmSpace, InputError, check_valid, product
 from .functional import GridSpace1D, gaussian_grid, unit_interval_grid  # noqa: F401

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import erfinv
 
+from ._scipy import erfinv, linprog
 from .core import (
     FinitePmSpace,
     InputError,

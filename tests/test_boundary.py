@@ -62,6 +62,30 @@ BAD_PLANS = [
     ("non_string_name", {"name": 3, "spaces": [GRID]}),
     ("boolean_trials", {"spaces": [LINE], "invariants": [{**LS_CHECK, "trials": True}]}),
     ("negative_trials", {"spaces": [LINE], "invariants": [{**LS_CHECK, "trials": -2}]}),
+    ("kappa_above_one", {"spaces": [GRID],
+                         "invariants": [{"space": "a", "kind": "obsdiam", "kappa": 1.5}]}),
+    ("negative_kappa", {"spaces": [GRID], "invariants": [
+        {"space": "a", "kind": "obsdiam_projection", "kappa": -0.1}]}),
+    ("kappa_list_entry_one", {"spaces": [GRID],
+                              "invariants": [{"space": "a", "kind": "obsdiam",
+                                              "kappa": [0.1, 1.0]}]}),
+    ("p_below_one", {"spaces": [GRID],
+                     "invariants": [{"space": "a", "kind": "pvar", "p": 0.5}]}),
+    ("zero_constant", {"spaces": [LINE], "invariants": [{**LS_CHECK, "constant": 0}]}),
+    ("negative_sigma", {"spaces": [GRID], "invariants": [
+        {"space": "a", "kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": -1.0}]}),
+]
+
+# one plan per range check, with the message the library itself raises
+OUT_OF_RANGE = [
+    ({"kind": "obsdiam", "kappa": 1.5}, "kappa must be a finite number in [0, 1), got 1.5"),
+    ({"kind": "obsdiam", "kappa": [0.1, -0.2]},
+     "kappa must be a finite number in [0, 1), got -0.2"),
+    ({"kind": "pvar", "p": 0.5}, "p must satisfy p >= 1"),
+    ({"kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": 0},
+     "sigma must be positive"),
+    ({"kind": "ls_check", "constant": -0.3}, "the candidate constant must be positive"),
+    ({"kind": "ls_check", "constant": 0.3, "trials": 0}, "trials must be at least 1, got 0"),
 ]
 
 
@@ -71,6 +95,31 @@ def test_malformed_plan_is_input_error(doc):
         code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
     assert code == 2
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("row,message", OUT_OF_RANGE,
+                         ids=["kappa", "kappa_list", "p", "sigma", "constant", "trials"])
+def test_out_of_range_plan_fails_before_any_space_is_built(monkeypatch, row, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("make_space called for a plan that is out of range")
+
+    monkeypatch.setattr(cli, "make_space", no_build)
+    big = {"id": "a", "kind": "gaussian_sample", "params": {"n_points": 3000}}
+    doc = {"spaces": [big], "invariants": [{"space": "a", **row}]}
+    if row["kind"] == "ls_check":
+        doc["spaces"] = [{**LINE, "id": "a"}]
+    with workdir() as d:
+        code, out, err = run_main(["run", write_json(d, "plan.json", doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.strip().endswith(message)
+
+
+def test_sep_keeps_negative_and_large_thresholds():
+    doc = {"spaces": [GRID],
+           "invariants": [{"space": "a", "kind": "sep", "kappa": [0.3, -5.0, 1.5]}]}
+    with workdir() as d:
+        code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
+    assert code == 0, err
 
 
 BAD_ARGS = [

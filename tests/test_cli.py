@@ -90,6 +90,24 @@ class TestSubcommands:
         assert lines[0] == "size,c22"
         assert len(lines) == 4  # 64, 128, 256
 
+    def test_convergence_table_is_c22_only(self):
+        code, stdout, stderr = run_cli(
+            "spectral", "--space", "interval", "--size", "128", "--constant", "ls",
+            "--convergence-table",
+        )
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("input error:") and "c22 only" in stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "--space", "interval", "--size", "128", "--convergence-table"],
+        ["--format", "csv", "spectral", "--space", "interval", "--size", "128"],
+    ], ids=["convergence_table", "format_csv"])
+    def test_csv_output_ends_lines_with_newline_only(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\r" not in out
+        assert out.endswith("\n") and len(out.splitlines()) >= 2
+
     def test_compare(self, space_files):
         a, b = space_files
         code, stdout, _ = run_cli("compare", a, b)

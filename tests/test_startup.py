@@ -1,0 +1,146 @@
+"""Start-up: importing mmslab loads no scipy subpackage.
+
+Each scipy function mmslab uses is reached through a shim in
+``mmslab._scipy`` that imports it on the first call.  These tests pin that no
+module imports scipy at module level, that a fresh process running
+``mmslab --help`` loads no scipy module while an exact observable diameter
+loads ``scipy.optimize``, and that the shims return what scipy returns.
+"""
+
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+import scipy.optimize
+import scipy.sparse
+import scipy.sparse.csgraph
+import scipy.spatial.distance
+import scipy.special
+
+import mmslab
+from mmslab import atoms, functional, generators, observables as obs
+
+from conftest import random_embedded_space
+
+SOURCES = sorted(Path(mmslab.__file__).parent.glob("*.py"))
+
+
+def _import_time_statements(body):
+    """Statements run when the module is imported: not function bodies."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(node, field, []))
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] == "scipy"
+    return False
+
+
+def test_no_module_imports_scipy_at_import_time():
+    assert len(SOURCES) >= 9
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in SOURCES
+             for node in _import_time_statements(ast.parse(path.read_text()).body)
+             if _imports_scipy(node)]
+    assert not found, ("module-level scipy imports (use a shim in mmslab/_scipy.py): "
+                       + "; ".join(found))
+
+
+FRESH_PROCESS = """
+import contextlib, io, runpy, sys
+import mmslab
+import mmslab.cli
+sys.argv = ["mmslab", "--help"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("mmslab.cli", run_name="__main__", alter_sys=True)
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+from mmslab import generators, observables
+observables.obs_diam(generators.interval_grid(4), 0.1, mode="exact")
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_fresh_process_loads_scipy_only_when_it_needs_it():
+    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
+    assert before == "[]"
+    assert after == "True"
+
+
+def _same(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert np.asarray(a).dtype == np.asarray(b).dtype
+
+
+@pytest.mark.parametrize("x", [0.3, -0.95, np.array([-0.5, 0.0, 0.25, 0.999])])
+def test_erfinv_shim(x):
+    _same(obs.erfinv(x), scipy.special.erfinv(x))
+
+
+@pytest.mark.parametrize("x", [0.5, 1e-9, np.array([0.01, 0.3, 0.7, 0.99])])
+def test_ndtri_shim(x):
+    _same(functional.ndtri(x), scipy.special.ndtri(x))
+
+
+def test_pdist_and_squareform_shims():
+    pts = np.random.default_rng(3).normal(size=(7, 2))
+    condensed = generators.pdist(pts)
+    _same(condensed, scipy.spatial.distance.pdist(pts))
+    _same(generators.squareform(condensed), scipy.spatial.distance.squareform(condensed))
+    _same(generators.pdist(pts, "cityblock"),
+          scipy.spatial.distance.pdist(pts, metric="cityblock"))
+
+
+def test_solve_banded_shim():
+    n = 6
+    ab = np.vstack([np.r_[0.0, -np.ones(n - 1)], 3.0 * np.ones(n), np.r_[-np.ones(n - 1), 0.0]])
+    rhs = np.arange(1.0, n + 1.0)
+    x = functional.solve_banded((1, 1), ab, rhs)
+    _same(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
+    dense = np.diag(3.0 * np.ones(n)) - np.eye(n, k=1) - np.eye(n, k=-1)
+    np.testing.assert_allclose(dense @ x, rhs)
+
+
+def test_connected_components_shim():
+    graph = np.zeros((5, 5), dtype=bool)
+    graph[0, 1] = graph[1, 2] = graph[3, 4] = True
+    count, labels = atoms.connected_components(graph, directed=False)
+    want_count, want_labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    assert count == want_count == 2
+    _same(labels, want_labels)
+    sparse = scipy.sparse.csr_matrix(graph)
+    assert atoms.connected_components(sparse, directed=False)[0] == 2
+
+
+def test_every_lp_goes_through_the_observables_name(monkeypatch):
+    """perfbench counts LP solves by replacing ``observables.linprog``."""
+    sp = random_embedded_space(np.random.default_rng(7), 4)
+    plain = obs.obs_diam(sp, 0.1, mode="exact")
+    through_name, through_scipy = [], []
+    shim, solver = obs.linprog, scipy.optimize.linprog
+
+    def counted_shim(*args, **kwargs):
+        through_name.append(1)
+        return shim(*args, **kwargs)
+
+    def counted_solver(*args, **kwargs):
+        through_scipy.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "linprog", counted_shim)
+    monkeypatch.setattr(scipy.optimize, "linprog", counted_solver)
+    assert obs.obs_diam(sp, 0.1, mode="exact") == plain
+    assert len(through_name) == len(through_scipy) > 0
