@@ -102,7 +102,43 @@ def truncate(alpha: AtomVector, n, kind="zero"):
 
 
 # ---------------------------------------------------------------------------
-# contraction
+# packing search shared by contraction and membership
+
+
+def _pack(items, caps, tol, fill):
+    """Exhaustive packing of nonincreasing ``items`` into slots of residual
+    capacity ``caps``: an item fits a slot whose residual is at least the item
+    minus ``tol``, slots are tried in index order and slots with equal
+    residuals once (exactly when ``tol`` is zero, else to 12 digits).  With
+    ``fill`` every residual must end within ``tol`` of zero.
+
+    Returns the slot of each item, or None when no packing exists.
+    """
+    caps = list(caps)
+    slot = [-1] * len(items)
+
+    def rec(i):
+        if i == len(items):
+            return not fill or all(abs(v) <= tol for v in caps)
+        # items are sorted descending, so once an item fails everywhere the
+        # branch is dead
+        tried = set()
+        for j, cap in enumerate(caps):
+            key = round(float(cap), 12) if tol else cap
+            if key in tried:
+                continue
+            tried.add(key)
+            if cap < items[i] - tol:
+                continue
+            caps[j] -= items[i]
+            slot[i] = j
+            if rec(i + 1):
+                return True
+            caps[j] += items[i]
+            slot[i] = -1
+        return False
+
+    return slot if rec(0) else None
 
 
 def is_contraction(alpha: AtomVector, beta: AtomVector):
@@ -120,38 +156,10 @@ def is_contraction(alpha: AtomVector, beta: AtomVector):
     tol = Fraction(0) if exact else 1e-10
     if abs(sum(a) - sum(b)) > tol:
         return None
-    if not a:
-        return tuple(() for _ in beta.entries)
-
-    remaining = [list() for _ in b]
-    need = list(b)
-
-    def rec(i):
-        if i == len(a):
-            return all(abs(v) <= tol for v in need)
-        # entries are sorted descending, so once an entry fails everywhere the
-        # branch is dead; identical residual needs are only tried once
-        tried = set()
-        for j in range(len(b)):
-            key = need[j] if exact else round(float(need[j]), 12)
-            if key in tried:
-                continue
-            tried.add(key)
-            if need[j] < a[i] - tol:
-                continue
-            need[j] -= a[i]
-            remaining[j].append(i)
-            if rec(i + 1):
-                return True
-            remaining[j].pop()
-            need[j] += a[i]
-        return False
-
-    if rec(0):
-        groups = [tuple(g) for g in remaining]
-        groups += [()] * (len(beta.entries) - len(groups))
-        return tuple(groups)
-    return None
+    slot = _pack(a, b, tol, fill=True)
+    if slot is None:
+        return None
+    return tuple(tuple(i for i, s in enumerate(slot) if s == j) for j in range(len(beta.entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +194,8 @@ def member(sp: FinitePmSpace, alpha: AtomVector, delta=math.inf):
         raise SizeLimitError(f"membership packing is limited to {MAX_PACKING} items/points")
     if sp.diam() > delta + VALIDATION_TOL:
         return None
-    if not entries:
-        return AtomAssignment(())
-    cap = [float(m) for m in sp.mass]
-    assign = [-1] * len(entries)
-
-    def rec(i):
-        if i == len(entries):
-            return True
-        seen = set()
-        for x in range(sp.n):
-            key = round(cap[x], 12)
-            if key in seen:
-                continue  # equal residual capacities are interchangeable
-            seen.add(key)
-            if cap[x] < entries[i] - VALIDATION_TOL:
-                continue
-            cap[x] -= entries[i]
-            assign[i] = x
-            if rec(i + 1):
-                return True
-            cap[x] += entries[i]
-            assign[i] = -1
-        return False
-
-    return AtomAssignment(tuple(assign)) if rec(0) else None
+    slot = _pack(entries, [float(m) for m in sp.mass], VALIDATION_TOL, fill=False)
+    return None if slot is None else AtomAssignment(tuple(slot))
 
 
 def membership_intersection_report(sp: FinitePmSpace, alpha: AtomVector, ns):

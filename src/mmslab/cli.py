@@ -464,6 +464,8 @@ def _check_plan(plan):
             for v in values if isinstance(values, list) else [values]:
                 if not (key == "kappa" and kind == "sep" or in_range(v)):
                     raise core.InputError(f"invariant {spec!r}: {message.format(v)}")
+        if kind == "gauss_obsdiam_formula" and "kappa" in spec and not 0.0 < kappa:
+            raise core.InputError(f"invariant {spec!r}: kappa must lie in (0, 1)")
         if not isinstance(spec.get("exact", False), bool):
             raise core.InputError(f"invariant {spec!r}: exact must be true or false")
         missing = [key for key in fields if key not in spec]

@@ -21,6 +21,10 @@ import numpy as np
 VALIDATION_TOL = 1e-12
 REAL_TOL = 1e-9
 
+# Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
+ISOMORPHISM_MAX_POINTS = 10
+PROKHOROV_MAX_POINTS = 20
+
 # Above this size the cubic triangle-inequality sweep loops one index to keep
 # memory linear instead of materialising an n^3 tensor.
 _TRIANGLE_BLOCK_LIMIT = 48
@@ -264,29 +268,28 @@ def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
     return FinitePmSpace(pts, D, m, mr)
 
 
-def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace, tol=REAL_TOL, max_points=10):
+def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
     """Decide mm-isomorphism by searching mass-compatible support bijections.
 
-    Exact up to ``tol`` on masses and distances; intended for n <= 10.
+    Exact up to ``REAL_TOL`` on masses and distances; limited to
+    ``ISOMORPHISM_MAX_POINTS`` points.
     """
-    if sx.n > max_points or sy.n > max_points:
-        raise SizeLimitError(f"mm_isomorphic is limited to {max_points} points")
+    if sx.n > ISOMORPHISM_MAX_POINTS or sy.n > ISOMORPHISM_MAX_POINTS:
+        raise SizeLimitError(f"mm_isomorphic is limited to {ISOMORPHISM_MAX_POINTS} points")
     n = sx.n
     if n != sy.n:
         return False
-    if abs(sx.diam() - sy.diam()) > tol:
+    if abs(sx.diam() - sy.diam()) > REAL_TOL:
         return False
     # Candidate targets must match mass and the multiset of incident distances.
-    def profile(sp, i):
-        return (sp.mass[i], np.sort(sp.dist[i]))
-
     cand = []
     for i in range(n):
-        mi, di = profile(sx, i)
+        di = np.sort(sx.dist[i])
         row = [
             j
             for j in range(n)
-            if abs(sy.mass[j] - mi) <= tol and np.max(np.abs(np.sort(sy.dist[j]) - di)) <= tol
+            if abs(sy.mass[j] - sx.mass[i]) <= REAL_TOL
+            and np.max(np.abs(np.sort(sy.dist[j]) - di)) <= REAL_TOL
         ]
         if not row:
             return False
@@ -295,27 +298,21 @@ def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace, tol=REAL_TOL, max_points
     used = [False] * n
     assign = [-1] * n
     order = sorted(range(n), key=lambda i: len(cand[i]))
+    dx, dy = sx.dist.tolist(), sy.dist.tolist()
 
     def rec(k):
         if k == n:
             return True
         i = order[k]
         for j in cand[i]:
-            if used[j]:
+            if used[j] or any(abs(dx[i][i2] - dy[j][assign[i2]]) > REAL_TOL for i2 in order[:k]):
                 continue
-            ok = True
-            for kk in range(k):
-                i2 = order[kk]
-                if abs(sx.dist[i, i2] - sy.dist[j, assign[i2]]) > tol:
-                    ok = False
-                    break
-            if ok:
-                used[j] = True
-                assign[i] = j
-                if rec(k + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
+            used[j] = True
+            assign[i] = j
+            if rec(k + 1):
+                return True
+            used[j] = False
+            assign[i] = -1
         return False
 
     return rec(0)
@@ -330,7 +327,7 @@ def total_variation(mass_a, mass_b):
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def prokhorov(sp: FinitePmSpace, mass_a, mass_b, max_points=20):
+def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
     """Exact Prokhorov distance between two probability vectors on ``sp``.
 
     The feasibility condition b(A) <= a(closed eps-ball of A) + eps is checked
@@ -338,8 +335,10 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b, max_points=20):
     pairwise distances, so the infimum lies on a finite candidate set.
     """
     n = sp.n
-    if n > max_points:
-        raise SizeLimitError(f"prokhorov subset enumeration is limited to {max_points} points")
+    if n > PROKHOROV_MAX_POINTS:
+        raise SizeLimitError(
+            f"prokhorov subset enumeration is limited to {PROKHOROV_MAX_POINTS} points"
+        )
     a = np.asarray(mass_a, dtype=float)
     b = np.asarray(mass_b, dtype=float)
     if a.shape != (n,) or b.shape != (n,):

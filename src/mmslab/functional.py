@@ -21,6 +21,8 @@ from ._scipy import ndtri, solve_banded
 from .core import FinitePmSpace, InputError, entropy_weighted
 
 GRID_NORMALIZATION_TOL = 1e-10
+# gaussian_grid truncates the normal density at this many deviations.
+GAUSSIAN_CUTOFF = 8.0
 
 
 class ConvergenceError(RuntimeError):
@@ -96,17 +98,18 @@ def unit_interval_grid(m, length=1.0):
     return _normalize(nodes, np.ones(m + 1), "interval")
 
 
-def gaussian_grid(m, sigma=1.0, cutoff=8.0):
-    """Centred normal density of deviation sigma truncated at +-cutoff*sigma.
+def gaussian_grid(m, sigma=1.0):
+    """Centred normal density of deviation sigma truncated at
+    +-GAUSSIAN_CUTOFF*sigma.
 
-    The truncated tail mass is below 1e-14 for the default cutoff, negligible
-    against every tolerance used here.
+    The truncated tail mass is below 1e-14, negligible against every
+    tolerance used here.
     """
     if m < 2:
         raise InputError("gaussian grid needs m >= 2 subintervals")
     if not sigma > 0:
         raise InputError("sigma must be positive")
-    nodes = np.linspace(-cutoff * sigma, cutoff * sigma, m + 1)
+    nodes = np.linspace(-GAUSSIAN_CUTOFF * sigma, GAUSSIAN_CUTOFF * sigma, m + 1)
     w = np.exp(-(nodes**2) / (2.0 * sigma**2))
     return _normalize(nodes, w, "gaussian-truncated")
 

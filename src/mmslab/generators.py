@@ -22,6 +22,8 @@ from .functional import GridSpace1D, gaussian_grid, unit_interval_grid  # noqa: 
 from .order import DominationWitness
 
 _VALIDATE_LIMIT = 300
+# product_tower refuses towers whose top level has more points than this.
+TOWER_MAX_POINTS = 10_000
 
 
 def _finish(points, dist, mass, mass_rational=None, coords=None):
@@ -158,28 +160,24 @@ def dissipation_projection(alpha: AtomVector, delta, n):
         mapping.append(j % half if half else 0)
     for i in range(atoms):
         mapping.append((diffuse // 2) + i)
-    push = np.zeros(small.n)
-    for i, v in enumerate(mapping):
-        push[v] += big.mass[i]
+    push = np.bincount(mapping, weights=big.mass, minlength=small.n)
     return big, small, DominationWitness(tuple(mapping), tuple(push))
 
 
-def product_tower(base: FinitePmSpace, p, levels, max_total=10_000):
+def product_tower(base: FinitePmSpace, p, levels):
     """Monotone tower base, base^2, ... with projection witnesses onto the
     previous level."""
     if levels < 1:
         raise InputError("levels must be >= 1")
-    if base.n**levels > max_total:
-        raise InputError(f"tower would exceed {max_total} points")
+    if base.n**levels > TOWER_MAX_POINTS:
+        raise InputError(f"tower would exceed {TOWER_MAX_POINTS} points")
     towers = [base]
     witnesses = []
     for _ in range(1, levels):
         nxt = product(towers[-1], base, p)
         prev = towers[-1]
         mapping = tuple(i // base.n for i in range(nxt.n))
-        push = np.zeros(prev.n)
-        for i, v in enumerate(mapping):
-            push[v] += nxt.mass[i]
+        push = np.bincount(mapping, weights=nxt.mass, minlength=prev.n)
         witnesses.append(DominationWitness(mapping, tuple(push)))
         towers.append(nxt)
     return towers, witnesses

@@ -27,7 +27,13 @@ from .core import (
     VALIDATION_TOL,
 )
 
+# Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
 EXACT_MAX_POINTS = 6
+SEPARATION_MAX_POINTS = 20
+SEPARATION_MAX_POSITIVE = 12
+
+# Smallest slack gaussian_vs_uniform_crossover reports as a crossover.
+CROSSOVER_MIN_SLACK = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +98,17 @@ def partial_diameter(values, masses, kappa):
     return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
 
 
-def obs_diam_projection_estimate(sp: FinitePmSpace, kappa, projections=None):
+def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
     """Lower estimate of the observable diameter from coordinate projections.
 
     Projections are 1-Lipschitz for Euclidean sample spaces; the estimate is
     the largest partial diameter among them.  Certificate: estimate.
     """
-    if projections is None:
-        if sp.coords is None:
-            raise InputError("space carries no coordinates; pass projections explicitly")
-        projections = np.atleast_2d(sp.coords).reshape(sp.n, -1).T
+    if sp.coords is None:
+        raise InputError("space carries no coordinates")
     kappa = _kappa_fraction(kappa)
     best = 0.0
-    for proj in projections:
+    for proj in np.atleast_2d(sp.coords).reshape(sp.n, -1).T:
         best = max(best, partial_diameter(proj, sp.mass, kappa))
     return best
 
@@ -294,54 +298,26 @@ def gaussian_obs_diam(sigma, kappa):
     return 2.0 * sigma * math.sqrt(2.0) * float(erfinv(2.0 * y))
 
 
-def gaussian_vs_uniform_crossover(sigma, slack_tol=1e-3):
+def gaussian_vs_uniform_crossover(sigma):
     """Find kappa in (0,1) where the Gaussian observable diameter drops below
     the uniform one, i.e. 2 sigma PsiInv((1-kappa)/2) < 1 - kappa.
 
-    Returns (kappa, slack) maximising the gap via bisection for the sign
-    change followed by a ternary-search refinement.  Only exists when
-    sigma < 1/sqrt(2 pi).
+    Returns (kappa, slack) at the kappa maximising the slack.  With
+    y = 1 - kappa the slack y - 2 sigma sqrt(2) erfinv(y) is concave, and its
+    derivative vanishes where erfinv(y)^2 = -log(sigma sqrt(2 pi)), so the
+    maximiser is kappa = erfc(sqrt(-log(sigma sqrt(2 pi)))).  A crossover
+    exists only when sigma < 1/sqrt(2 pi), and the slack must reach
+    ``CROSSOVER_MIN_SLACK``.
     """
     if not 0 < sigma:
         raise InputError("sigma must be positive")
-
-    def gap(k):
-        return (1.0 - k) - gaussian_obs_diam(sigma, k)
-
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if gap(hi) <= 0 and gap(0.5) <= 0:
-        # scan for any positive gap
-        ks = np.linspace(1e-6, 1 - 1e-6, 4097)
-        vals = [gap(k) for k in ks]
-        i = int(np.argmax(vals))
-        if vals[i] <= 0:
-            raise InputError(f"no crossover: sigma={sigma} >= 1/sqrt(2 pi)")
-        lo, hi = ks[max(0, i - 1)], ks[min(len(ks) - 1, i + 1)]
-    else:
-        # gap is negative near 0 and positive somewhere; bisect for the root
-        a, b = lo, hi
-        if gap(b) <= 0:
-            b = 0.5
-        while gap(a) > 0:
-            a /= 2
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if gap(mid) > 0:
-                b = mid
-            else:
-                a = mid
-        lo, hi = b, 1.0 - 1e-12
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if gap(m1) < gap(m2):
-            lo = m1
-        else:
-            hi = m2
-    k = 0.5 * (lo + hi)
-    g = gap(k)
-    if g < slack_tol:
-        raise InputError(f"crossover slack {g} below {slack_tol}")
+    if sigma * math.sqrt(2.0 * math.pi) >= 1.0:
+        raise InputError(f"no crossover: sigma={sigma} >= 1/sqrt(2 pi)")
+    # below machine epsilon 1 - kappa would round to 1, where erfinv is infinite
+    k = max(math.erfc(math.sqrt(-math.log(sigma * math.sqrt(2.0 * math.pi)))), 2.0**-52)
+    g = (1.0 - k) - gaussian_obs_diam(sigma, k)
+    if g < CROSSOVER_MIN_SLACK:
+        raise InputError(f"crossover slack {g} below {CROSSOVER_MIN_SLACK}")
     return k, g
 
 
@@ -357,7 +333,7 @@ class SeparationConfig:
     groups: tuple = ()
 
 
-def separation(sp: FinitePmSpace, kappa, max_positive=12, max_points=20):
+def separation(sp: FinitePmSpace, kappa):
     """Exact separation distance for a general threshold sequence.
 
     Nonpositive entries are dropped (their sets may be empty and empty sets
@@ -372,8 +348,10 @@ def separation(sp: FinitePmSpace, kappa, max_positive=12, max_points=20):
     if not all(math.isfinite(k) for k in kappa.entries):
         raise InputError("kappa entries must be finite")
     pos = sorted(kappa.positive(), reverse=True)
-    if len(pos) > max_positive:
-        raise SizeLimitError(f"separation is limited to {max_positive} positive entries")
+    if len(pos) > SEPARATION_MAX_POSITIVE:
+        raise SizeLimitError(
+            f"separation is limited to {SEPARATION_MAX_POSITIVE} positive entries"
+        )
     if len(pos) <= 1:
         if pos and pos[0] > 1.0 + VALIDATION_TOL:
             return 0.0  # no admissible family at all
@@ -381,8 +359,8 @@ def separation(sp: FinitePmSpace, kappa, max_positive=12, max_points=20):
     if sum(pos) > 1.0 + VALIDATION_TOL:
         return 0.0
     n = sp.n
-    if n > max_points:
-        raise SizeLimitError(f"separation is limited to {max_points} points")
+    if n > SEPARATION_MAX_POINTS:
+        raise SizeLimitError(f"separation is limited to {SEPARATION_MAX_POINTS} points")
     cands = np.unique(sp.dist[np.triu_indices(n, 1)]) if n > 1 else np.array([])
     for delta in cands[::-1]:
         if _separation_feasible(sp, pos, float(delta)):
@@ -556,7 +534,7 @@ def p_variance(sp: FinitePmSpace, values, p):
     return float(np.dot(sp.mass, np.abs(f - mean) ** p))
 
 
-def lipschitz_vertices(sp: FinitePmSpace, max_points=EXACT_MAX_POINTS):
+def lipschitz_vertices(sp: FinitePmSpace):
     """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}.
 
     Every vertex has a spanning tree of tight signed constraints, so all
@@ -564,8 +542,8 @@ def lipschitz_vertices(sp: FinitePmSpace, max_points=EXACT_MAX_POINTS):
     filtered and duplicates removed (the first copy in tree order is kept).
     """
     n = sp.n
-    if n > max_points:
-        raise SizeLimitError(f"vertex enumeration is limited to {max_points} points")
+    if n > EXACT_MAX_POINTS:
+        raise SizeLimitError(f"vertex enumeration is limited to {EXACT_MAX_POINTS} points")
     D = sp.dist
     if n == 1:
         return np.zeros((1, 1))

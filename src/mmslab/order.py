@@ -52,33 +52,28 @@ def check_witness(sx: FinitePmSpace, sy: FinitePmSpace, mapping, tol=VALIDATION_
     mapping = tuple(int(v) for v in mapping)
     if len(mapping) != sx.n or any(not 0 <= v < sy.n for v in mapping):
         raise InputError("mapping shape does not match the spaces")
-    for i in range(sx.n):
-        for j in range(i + 1, sx.n):
-            if sy.dist[mapping[i], mapping[j]] > sx.dist[i, j] + tol:
-                return False
-    push = np.zeros(sy.n)
-    for i, v in enumerate(mapping):
-        push[v] += sx.mass[i]
+    if np.triu(sy.dist[np.ix_(mapping, mapping)] > sx.dist + tol, 1).any():
+        return False
+    push = np.bincount(mapping, weights=sx.mass, minlength=sy.n)
     return bool(np.abs(push - sy.mass).max() <= max(tol, 1e-12))
 
 
-def dominates(sx: FinitePmSpace, sy: FinitePmSpace, max_source=MAX_SOURCE, max_target=MAX_TARGET):
+def dominates(sx: FinitePmSpace, sy: FinitePmSpace):
     """Search for a 1-Lipschitz measure-preserving map from X onto Y.
 
     Returns a DominationWitness or a Refusal (a proven negative).  Points are
     processed by decreasing mass with deterministic tie-breaking, so the
     returned witness does not depend on scheduling.
     """
-    if sx.n > max_source or sy.n > max_target:
+    if sx.n > MAX_SOURCE or sy.n > MAX_TARGET:
         raise SizeLimitError(
-            f"dominates is limited to |X| <= {max_source}, |Y| <= {max_target}"
+            f"dominates is limited to |X| <= {MAX_SOURCE}, |Y| <= {MAX_TARGET}"
         )
     exact = sx.mass_rational is not None and sy.mass_rational is not None
     if exact:
         src_mass = list(sx.mass_rational)
         need = list(sy.mass_rational)
-        zero = Fraction(0)
-        tol = zero
+        tol = Fraction(0)
     else:
         src_mass = [float(v) for v in sx.mass]
         need = [float(v) for v in sy.mass]
@@ -93,43 +88,6 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace, max_source=MAX_SOURCE, max_t
 
     suffix_mass = [sum(src_mass[i] for i in order[k:]) for k in range(nx + 1)]
 
-    def feasible_targets(k):
-        i = order[k]
-        out = []
-        for j in y_order:
-            if need[j] < src_mass[i] - tol:
-                continue
-            ok = True
-            for kk in range(k):
-                i2 = order[kk]
-                if dy[j, assign[i2]] > dx[i, i2] + 1e-12:
-                    ok = False
-                    break
-            if ok:
-                out.append(j)
-        return out
-
-    def mass_prune(k):
-        # every remaining target deficit must be coverable by points that can
-        # still reach it under the distance constraints
-        remaining = [i2 for i2 in order[k:]]
-        for j in range(ny):
-            if need[j] <= tol:
-                continue
-            cover = 0 if exact else 0.0
-            for i in remaining:
-                ok = True
-                for kk in range(k):
-                    i2 = order[kk]
-                    if dy[j, assign[i2]] > dx[i, i2] + 1e-12:
-                        ok = False
-                        break
-                if ok:
-                    cover += src_mass[i]
-            if cover < need[j] - tol:
-                return False
-        return True
-
     def rec(k):
         nonlocal nodes
         nodes += 1
@@ -137,10 +95,19 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace, max_source=MAX_SOURCE, max_t
             return all(abs(v) <= tol for v in need)
         if suffix_mass[k] < sum(v for v in need if v > tol) - (0 if exact else 1e-9):
             return False
-        if not mass_prune(k):
-            return False
+        # fits[i][j]: sending source i to target j stretches no distance to a
+        # point already placed
+        placed = order[:k]
+        targets = [assign[i] for i in placed]
+        fits = (dy[None, :, targets] <= dx[:, None, placed] + 1e-12).all(axis=2).tolist()
+        # every remaining target deficit must be coverable by points that can
+        # still reach it under the distance constraints
+        rest = order[k:]
+        for j in range(ny):
+            if need[j] > tol and sum(src_mass[i] for i in rest if fits[i][j]) < need[j] - tol:
+                return False
         i = order[k]
-        for j in feasible_targets(k):
+        for j in [j for j in y_order if need[j] >= src_mass[i] - tol and fits[i][j]]:
             assign[i] = j
             need[j] -= src_mass[i]
             if rec(k + 1):
@@ -150,9 +117,7 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace, max_source=MAX_SOURCE, max_t
         return False
 
     if rec(0):
-        push = np.zeros(ny)
-        for i, v in enumerate(assign):
-            push[v] += sx.mass[i]
+        push = np.bincount(assign, weights=sx.mass, minlength=ny)
         return DominationWitness(tuple(assign), tuple(push), nodes)
     return Refusal(nodes)
 
@@ -166,12 +131,12 @@ def antisymmetry_check(sx: FinitePmSpace, sy: FinitePmSpace):
     return mm_isomorphic(sx, sy)
 
 
-def generator_idempotent(generators, p, skip_oversize=True):
+def generator_idempotent(generators, p):
     """A finite surrogate of closure under products: every pairwise product of
     generators must be dominated by some generator.
 
-    Pairs whose product exceeds the exact-search size are skipped when
-    ``skip_oversize`` (truncation-level semantics), otherwise raised.
+    Pairs whose product exceeds the exact-search size are skipped
+    (truncation-level semantics).
     """
     generators = list(generators)
     if not generators:
@@ -180,9 +145,7 @@ def generator_idempotent(generators, p, skip_oversize=True):
         for gb in generators:
             prod = product(ga, gb, p)
             if prod.n > MAX_TARGET:
-                if skip_oversize:
-                    continue
-                raise SizeLimitError("product exceeds the domination search limit")
+                continue
             if not any(
                 g.n <= MAX_SOURCE and isinstance(dominates(g, prod), DominationWitness)
                 for g in generators

@@ -84,6 +84,7 @@ OUT_OF_RANGE = [
     ({"kind": "pvar", "p": 0.5}, "p must satisfy p >= 1"),
     ({"kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": 0},
      "sigma must be positive"),
+    ({"kind": "gauss_obsdiam_formula", "kappa": 0}, "kappa must lie in (0, 1)"),
     ({"kind": "ls_check", "constant": -0.3}, "the candidate constant must be positive"),
     ({"kind": "ls_check", "constant": 0.3, "trials": 0}, "trials must be at least 1, got 0"),
 ]
@@ -98,7 +99,8 @@ def test_malformed_plan_is_input_error(doc):
 
 
 @pytest.mark.parametrize("row,message", OUT_OF_RANGE,
-                         ids=["kappa", "kappa_list", "p", "sigma", "constant", "trials"])
+                         ids=["kappa", "kappa_list", "p", "sigma", "kappa_formula", "constant",
+                              "trials"])
 def test_out_of_range_plan_fails_before_any_space_is_built(monkeypatch, row, message):
     def no_build(*args, **kwargs):
         raise AssertionError("make_space called for a plan that is out of range")

@@ -284,9 +284,23 @@ class TestGaussianFormula:
         assert gap >= 1e-3
         assert (1 - kappa) - obs.gaussian_obs_diam(0.35, kappa) == pytest.approx(gap)
 
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.2, 0.35, 0.39])
+    def test_crossover_maximises_slack(self, sigma):
+        def slack(k):
+            return (1 - k) - obs.gaussian_obs_diam(sigma, k)
+
+        kappa, gap = obs.gaussian_vs_uniform_crossover(sigma)
+        assert 0 < kappa < 1 and gap >= 1e-3
+        assert slack(kappa) == gap
+        assert gap >= slack(kappa - 1e-4) and gap >= slack(kappa + 1e-4)
+
     def test_crossover_absent_above_threshold(self):
         with pytest.raises(core.InputError):
             obs.gaussian_vs_uniform_crossover(1.0 / math.sqrt(2 * math.pi) + 1e-3)
+
+    def test_crossover_slack_too_small(self):
+        with pytest.raises(core.InputError, match="slack"):
+            obs.gaussian_vs_uniform_crossover(0.398)
 
 
 class TestSeparation:
