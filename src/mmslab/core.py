@@ -17,6 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._scipy import pdist, squareform
+
 # Global tolerance knobs: structural validation vs. equality of derived reals.
 VALIDATION_TOL = 1e-12
 REAL_TOL = 1e-9
@@ -66,26 +68,39 @@ class FinitePmSpace:
 
     ``mass_rational`` optionally carries the masses as exact fractions (used by
     the order-search module for exact pushforward matching).  ``coords``
-    optionally carries sample coordinates for spaces produced by samplers; the
-    metric data never depends on it.
+    optionally carries sample coordinates, one row per point.  A space built
+    with ``dist=None`` takes the Euclidean distances of its ``coords`` rows,
+    ``squareform(pdist(coords))``, as its metric; they are computed on the
+    first read of ``dist`` and kept, so code that only reads ``coords`` never
+    builds the n x n matrix.
     """
 
     points: tuple
-    dist: np.ndarray
+    _dist: np.ndarray | None
     mass: np.ndarray
     mass_rational: tuple | None = None
     coords: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        object.__setattr__(self, "dist", _freeze(self.dist))
         object.__setattr__(self, "mass", _freeze(self.mass))
         if self.coords is not None:
             object.__setattr__(self, "coords", _freeze(self.coords))
+        if self._dist is not None:
+            object.__setattr__(self, "_dist", _freeze(self._dist))
+        elif self.coords is None or self.coords.ndim != 2 or len(self.coords) != self.n:
+            raise InputError("a space without dist needs one row of coords per point")
         if self.mass_rational is not None:
             object.__setattr__(
                 self, "mass_rational", tuple(Fraction(r) for r in self.mass_rational)
             )
+
+    @property
+    def dist(self):
+        """The read-only n x n distance matrix."""
+        if self._dist is None:
+            object.__setattr__(self, "_dist", _freeze(squareform(pdist(self.coords))))
+        return self._dist
 
     @property
     def n(self):
@@ -135,13 +150,21 @@ def validate(sp: FinitePmSpace):
             )
     tri = _triangle_violation(D)
     if tri is not None:
-        i, j, k = tri
+        i, j, k, gap = tri
         return Violation(
             "triangle",
-            tri,
-            f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by "
-            f"{D[i, k] - D[i, j] - D[j, k]:.3e}",
+            (i, j, k),
+            f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}",
         )
+    return _mass_violation(sp)
+
+
+def _mass_violation(sp: FinitePmSpace):
+    """The first violated mass invariant of ``sp`` (the mass checks of
+    ``validate``) or None; reads no distances."""
+    n, m = sp.n, sp.mass
+    if m.shape != (n,):
+        return Violation("shape", m.shape, f"mass must have length {n}")
     if np.any(m <= 0):
         i = int(np.argmin(m))
         return Violation("mass_positive", (i,), f"mass[{i}] = {m[i]} <= 0 (support-only storage)")
@@ -160,6 +183,8 @@ def validate(sp: FinitePmSpace):
 
 
 def _triangle_violation(D):
+    """(i, j, k, gap) for the first found D[i, k] - (D[i, j] + D[j, k]) above
+    the tolerance, with the gap as measured, or None."""
     n = D.shape[0]
     if n <= 2:
         return None
@@ -168,12 +193,12 @@ def _triangle_violation(D):
         if gap.max() <= VALIDATION_TOL:
             return None
         i, j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        return int(i), int(j), int(k)
+        return int(i), int(j), int(k), float(gap[i, j, k])
     for j in range(n):
         gap = D - (D[:, j][:, None] + D[j][None, :])
         if gap.max() > VALIDATION_TOL:
             i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            return int(i), j, int(k)
+            return int(i), j, int(k), float(gap[i, k])
     return None
 
 
@@ -239,10 +264,13 @@ class Coupling:
 
 
 def scale(sp: FinitePmSpace, t):
-    """Metric scale change: multiply all distances by t > 0, masses unchanged."""
+    """Metric scale change: multiply all distances, and any coordinates, by
+    t > 0; masses unchanged."""
     if not t > 0:
         raise InputError(f"scale factor must be positive, got {t}")
-    return sp.with_dist(sp.dist * float(t))
+    t = float(t)
+    coords = None if sp.coords is None else sp.coords * t
+    return FinitePmSpace(sp.points, sp.dist * t, sp.mass, sp.mass_rational, coords)
 
 
 def _combine_lp(a, b, p):

@@ -3,9 +3,11 @@ experiments and tests: interval grids, sampled Gaussian and sphere spaces,
 atom spaces on a line segment, equidistant dissipation families, and product
 towers with their projection witnesses.
 
-Sampled generators require a seed and are bit-reproducible; every constructed
-space satisfies the structural invariants (validated eagerly up to a size
-threshold, above which validity holds by construction).
+Sampled generators require a seed and are bit-reproducible, and their spaces
+compute the distance matrix from ``coords`` on first use.  Every constructed
+space satisfies the structural invariants: up to ``_VALIDATE_LIMIT`` points it
+is checked whole by ``validate``; above it its masses are checked and its
+distances are metric by construction (see ``_coords_violation``).
 """
 
 from __future__ import annotations
@@ -15,21 +17,52 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scipy import pdist, squareform
 from .atoms import AtomVector
-from .core import FinitePmSpace, InputError, check_valid, product
+from .core import (
+    FinitePmSpace,
+    InputError,
+    InvalidSpaceError,
+    _mass_violation,
+    check_valid,
+    product,
+)
 from .functional import GridSpace1D, gaussian_grid, unit_interval_grid  # noqa: F401
 from .order import DominationWitness
 
+# Above this many points ``_finish`` skips the cubic triangle sweep and checks
+# only what it can without the distance matrix.
 _VALIDATE_LIMIT = 300
 # product_tower refuses towers whose top level has more points than this.
 TOWER_MAX_POINTS = 10_000
 
 
+def _coords_violation(coords):
+    """Why the Euclidean distances between these rows could fail to be a
+    metric in floating point (a coordinate that is not finite, a squared
+    difference that overflows, two equal rows or a positive difference whose
+    square underflows to 0), or None; builds no distance matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        widest = np.sum(np.ptp(coords, axis=0) ** 2)  # inf or nan unless all finite
+    if not np.isfinite(widest):
+        return "coords are not finite or too far apart: a squared distance overflows"
+    if len(np.unique(coords, axis=0)) < len(coords):
+        return "two points have equal coords"
+    for col in coords.T:
+        gaps = np.diff(np.unique(col))
+        if gaps.size and gaps.min() ** 2 == 0:
+            return "coords are too close: a squared difference underflows to 0"
+    return None
+
+
 def _finish(points, dist, mass, mass_rational=None, coords=None):
     sp = FinitePmSpace(points, dist, mass, mass_rational, coords)
     if sp.n <= _VALIDATE_LIMIT:
-        check_valid(sp)
+        return check_valid(sp)
+    v = _mass_violation(sp)
+    if v is None and sp.coords is not None:
+        v = _coords_violation(sp.coords)
+    if v is not None:
+        raise InvalidSpaceError(str(v))
     return sp
 
 
@@ -69,10 +102,9 @@ def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
         raise InputError("gaussian_sample needs n_points, dim >= 1 and sigma > 0")
     rng = np.random.default_rng(seed)
     pts = sigma * rng.standard_normal((n_points, dim))
-    dist = squareform(pdist(pts))
     return _finish(
         tuple(f"g{k}" for k in range(n_points)),
-        dist,
+        None,
         np.full(n_points, 1.0 / n_points),
         coords=pts,
     )
@@ -89,10 +121,9 @@ def sphere_sample(n_dim, radius, n_points, seed=None):
     raw = rng.standard_normal((n_points, n_dim + 1))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     pts = radius * raw
-    dist = squareform(pdist(pts))
     return _finish(
         tuple(f"s{k}" for k in range(n_points)),
-        dist,
+        None,
         np.full(n_points, 1.0 / n_points),
         coords=pts,
     )
@@ -125,8 +156,8 @@ def atom_space(alpha: AtomVector, m_diffuse=8):
 def dissipation_family(alpha: AtomVector, delta, n):
     """Equidistant space with 2^n uniform points sharing the non-atomic mass
     plus the atom points, every pairwise distance equal to delta."""
-    if not delta > 0:
-        raise InputError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise InputError("delta must be positive and finite")
     if not 0 <= n <= 16:
         raise InputError("dissipation_family needs 0 <= n <= 16")
     atoms = [float(e) for e in alpha.entries if e > 0]

@@ -74,6 +74,13 @@ BAD_PLANS = [
     ("zero_constant", {"spaces": [LINE], "invariants": [{**LS_CHECK, "constant": 0}]}),
     ("negative_sigma", {"spaces": [GRID], "invariants": [
         {"space": "a", "kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": -1.0}]}),
+    # samples whose distances are not a metric in floating point (squares that
+    # overflow, coordinates that overflow, squares that underflow to 0), on
+    # both sides of generators._VALIDATE_LIMIT
+    *[(f"sample_sigma_{sigma:g}_n{n}", {"spaces": [{
+        "id": "a", "kind": "gaussian_sample",
+        "params": {"n_points": n, "dim": 1, "sigma": sigma, "seed": 1}}]})
+      for sigma in (1e160, 1e308, 1e-170) for n in (300, 301)],
 ]
 
 # one plan per range check, with the message the library itself raises

@@ -22,7 +22,7 @@ import scipy.spatial.distance
 import scipy.special
 
 import mmslab
-from mmslab import atoms, functional, generators, observables as obs
+from mmslab import atoms, core, functional, observables as obs
 
 from conftest import random_embedded_space
 
@@ -97,10 +97,10 @@ def test_ndtri_shim(x):
 
 def test_pdist_and_squareform_shims():
     pts = np.random.default_rng(3).normal(size=(7, 2))
-    condensed = generators.pdist(pts)
+    condensed = core.pdist(pts)
     _same(condensed, scipy.spatial.distance.pdist(pts))
-    _same(generators.squareform(condensed), scipy.spatial.distance.squareform(condensed))
-    _same(generators.pdist(pts, "cityblock"),
+    _same(core.squareform(condensed), scipy.spatial.distance.squareform(condensed))
+    _same(core.pdist(pts, "cityblock"),
           scipy.spatial.distance.pdist(pts, metric="cityblock"))
 
 
