@@ -1,0 +1,190 @@
+"""The small numeric kernels shared by several invariants give the values
+recorded before each was reduced to one copy: threshold sequences
+(separation, its witness and property report, dissipation evidence), the
+central moment (variance, p-variance, p-deviation, (p, q) trial bounds, the
+disconnected-space witness), the fixed-point threshold scan (Prokhorov, Ky
+Fan), the cell-pair discrepancy block (l_p products, exact and searched box
+distances) and the max-flow orientation of the exact box distance on both
+sides of |X| = |Y|.  Floats compare by ``float.hex`` and arrays by a digest
+of their bytes, so a change in any bit fails."""
+
+import hashlib
+import math
+
+import numpy as np
+
+from mmslab import atoms, boxmetric, core, functional, generators, observables as obs
+from conftest import random_embedded_space, random_shortest_path_space
+
+
+def pin(x):
+    """float.hex of a float, a short digest of an array's bytes, and the same
+    item by item inside tuples, lists and dicts."""
+    if isinstance(x, np.ndarray):
+        return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()[:16]
+    if isinstance(x, dict):
+        return {k: pin(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [pin(v) for v in x]
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return float(x).hex()
+
+
+def test_threshold_sequences_unchanged():
+    rng = np.random.default_rng(2029)
+    spaces = [random_embedded_space(rng, n) for n in (4, 7, 10)]
+    spaces.append(random_shortest_path_space(rng, 6))
+    kappas = [0.3, (0.2, 0.2), (0.3, -0.1, 0.25), (0.15,) * 3, (0.1,) * 4, (0.5, 0.6), [0.45]]
+    got = []
+    for sp in spaces:
+        for kappa in kappas:
+            val, config = obs.separation_witness(sp, kappa)
+            got.append(pin((val, config.threshold, config.groups)))
+        for kappa, lam in (((0.2, 0.1, 0.3), (0.1, 0.05)), (0.25, (0.2, 0.2, 0.1))):
+            got.append(pin(obs.separation_properties_report(
+                sp, kappa, lam, np.random.default_rng(3))))
+    for alpha, scale, delta in (([0.4, 0.2, 0.2], 2.0, 2.0), ([0.4, 0.2], 2.0, 2.0),
+                                ([0.25, 0.125, 0.125], 3.0, 3.0),
+                                ([0.25, 0.125, 0.125], 3.0, 4.0), ([0.5, 0.25, 0.25], 2.0, 2.0)):
+        alpha = atoms.sort_atoms(alpha)
+        seq = [core.scale(generators.dissipation_family(alpha, 1.0, n), scale)
+               for n in range(1, 7)]
+        ev = atoms.detect_dissipation(seq, alpha, delta)
+        got.append(pin((ev.accepted, ev.sep_checked, ev.atom_error, ev.reason)))
+    assert got == SEQUENCES_RECORDED
+
+
+def test_central_moments_unchanged():
+    rng = np.random.default_rng(2030)
+    got = []
+    for sp in (random_embedded_space(rng, 6), random_shortest_path_space(rng, 5)):
+        f = sp.dist[0] * rng.uniform(0.5, 1.0, sp.n)
+        got.append(pin([obs.variance_of(sp, f)]
+                       + [obs.p_variance(sp, f, p) for p in (1, 2, 2.0, 1.5, 3, math.inf)]))
+        got.append(pin([obs.variance(sp, mode="exact")]
+                       + [obs.p_deviation(sp, p, mode="exact") for p in (1, 2, 3, math.inf)]))
+        got.append(pin(functional.mm_disconnected_constant(sp).witness_variance))
+    sp = random_embedded_space(rng, 12)
+    got.append(pin([obs.variance(sp, mode="heuristic", starts=4),
+                    obs.p_deviation(sp, 3, mode="heuristic", starts=4)]))
+    for grid in (functional.unit_interval_grid(64), functional.gaussian_grid(96, 0.7)):
+        got.append(pin([functional.poincare_pq_lower(grid, p, q, trials=12, seed=1)
+                        for p, q in ((2, 2), (1, 2), (3, 1.5))]))
+    assert got == MOMENTS_RECORDED
+
+
+def test_threshold_scans_unchanged():
+    rng = np.random.default_rng(2031)
+    got = []
+    for n in (1, 3, 5, 8, 12):
+        sp = random_embedded_space(rng, n)
+        other = rng.dirichlet(np.ones(n))
+        f = core.LipschitzFunction(sp.dist[0], 1.0)
+        g = core.LipschitzFunction(sp.dist[-1] * 0.5, 1.0)
+        got.append(pin([core.prokhorov(sp, sp.mass, other), core.prokhorov(sp, other, sp.mass),
+                        core.prokhorov(sp, sp.mass, sp.mass),
+                        core.ky_fan(sp, f, g), core.ky_fan(sp, f, f)]))
+    assert got == SCANS_RECORDED
+
+
+def test_cell_blocks_unchanged():
+    rng = np.random.default_rng(2032)
+    got = []
+    sx, sy = random_embedded_space(rng, 4), random_shortest_path_space(rng, 3)
+    for p in (1, 2, 1.5, math.inf):
+        prod = core.product(sx, sy, p)
+        got.append(pin([prod.dist, prod.mass]))
+    for nx, ny in ((2, 6), (6, 2), (3, 4), (4, 3), (2, 5), (3, 3), (1, 7)):
+        a, b = random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)
+        est = boxmetric.box_exact_small(a, b)
+        got.append(pin([est.upper, None if est.witness_coupling is None
+                        else est.witness_coupling.joint]))
+    for nx, ny in ((70, 5), (12, 12), (24, 20)):
+        a, b = random_embedded_space(rng, nx), random_embedded_space(rng, ny, dim=2)
+        est = boxmetric.box_upper(a, b, restarts=4, seed=1)
+        got.append(pin([est.upper, est.witness_coupling.joint]))
+    assert got == BLOCKS_RECORDED
+
+
+# recorded before each kernel was reduced to one copy
+SEQUENCES_RECORDED = [['inf', 'inf', [[0, 1, 2, 3]]], ['0x1.039ab1004b45dp-1', '0x1.039ab1004b45dp-1', [[1], [2]]],
+ ['0x1.00e5a30bc5294p-1', '0x1.00e5a30bc5294p-1', [[0], [1]]],
+ ['0x1.cee67bfddd253p-2', '0x1.cee67bfddd253p-2', [[0], [1], [2]]],
+ ['0x0.0p+0', '0x0.0p+0', []], ['0x0.0p+0', '0x0.0p+0', []], ['inf', 'inf', [[0, 1, 2, 3]]],
+ {'ok': True, 'violations': []}, {'ok': True, 'violations': []},
+ ['inf', 'inf', [[0, 1, 2, 3, 4, 5, 6]]],
+ ['0x1.7ef06e99a63e0p-1', '0x1.7ef06e99a63e0p-1', [[0], [2]]],
+ ['0x1.7ef06e99a63e0p-1', '0x1.7ef06e99a63e0p-1', [[0, 4], [1, 2]]],
+ ['0x1.05763506f9926p-1', '0x1.05763506f9926p-1', [[0], [2], [1, 3]]],
+ ['0x1.591454ca2a483p-2', '0x1.591454ca2a483p-2', [[0], [6], [2], [3]]],
+ ['0x0.0p+0', '0x0.0p+0', []], ['inf', 'inf', [[0, 1, 2, 3, 4, 5, 6]]],
+ {'ok': True, 'violations': []}, {'ok': True, 'violations': []},
+ ['inf', 'inf', [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]],
+ ['0x1.6a62574bd9864p-1', '0x1.6a62574bd9864p-1', [[2, 3, 4], [5, 9]]],
+ ['0x1.51cc650f670b6p-1', '0x1.51cc650f670b6p-1', [[1], [4, 8, 9]]],
+ ['0x1.4d96c45a42586p-1', '0x1.4d96c45a42586p-1', [[1], [3, 4], [8, 9]]],
+ ['0x1.f0d8fed09fa66p-2', '0x1.f0d8fed09fa66p-2', [[1], [3], [5], [2, 6]]],
+ ['0x0.0p+0', '0x0.0p+0', []], ['inf', 'inf', [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]],
+ {'ok': True, 'violations': []}, {'ok': True, 'violations': []},
+ ['inf', 'inf', [[0, 1, 2, 3, 4, 5]]],
+ ['0x1.3c2f1e999a974p-1', '0x1.3c2f1e999a974p-1', [[2], [3, 5]]],
+ ['0x1.2a8adbcb40d71p-1', '0x1.2a8adbcb40d71p-1', [[0], [3, 5]]],
+ ['0x1.95fa746a8e906p-2', '0x1.95fa746a8e906p-2', [[0], [2], [3, 5]]],
+ ['0x1.95fa746a8e906p-2', '0x1.95fa746a8e906p-2', [[0], [2], [5], [3]]],
+ ['0x0.0p+0', '0x0.0p+0', []], ['inf', 'inf', [[0, 1, 2, 3, 4, 5]]],
+ {'ok': True, 'violations': []}, {'ok': True, 'violations': []},
+ [True,
+  [[3, 0, '0x1.47ae147ae147bp-7'], [3, 1, '0x1.47ae147ae147bp-7'],
+   [3, 2, '0x1.47ae147ae147bp-7']],
+  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'], ''],
+ [True,
+  [[3, 0, '0x1.47ae147ae147bp-7'], [3, 1, '0x1.47ae147ae147bp-7'],
+   [3, 2, '0x1.47ae147ae147bp-7']],
+  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'], ''],
+ [True,
+  [[3, 0, '0x1.47ae147ae147bp-7'], [3, 1, '0x1.47ae147ae147bp-7'],
+   [3, 2, '0x1.47ae147ae147bp-7']],
+  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'], ''],
+ [False, [[3, 0, 'inf'], [3, 1, 'inf'], [3, 2, 'inf']],
+  ['0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1',
+   '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1'],
+  'atom mismatch 0.5000 above 0.05; largest small bin 1.0000 above 0.05; separation never '
+  'reaches delta at index 3 (kappa length 0); separation never reaches delta at index 3 (kappa '
+  'length 1); separation never reaches delta at index 3 (kappa length 2)'],
+ [True,
+  [[3, 0, '0x1.47ae147ae147bp-7'], [4, 0, '0x1.47ae147ae147bp-7'],
+   [5, 0, '0x1.47ae147ae147bp-7']],
+  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'], '']]
+MOMENTS_RECORDED = [['0x1.e1538fda8bcd2p-5', '0x1.6dfe452e1dbbdp-3', '0x1.e1538fda8bcd2p-5',
+  '0x1.e1538fda8bcd2p-5', '0x1.951ebeb952561p-4', '0x1.82b844b4babaep-6',
+  '0x1.151b3d1946bbfp-1'],
+ ['0x1.48480d8a1a0a5p-4', '0x1.efc32a7055aa0p-3', '0x1.21e5892ead2fap-2',
+  '0x1.61f7efa1224ecp-2', '0x1.65e17bf346becp-1'],
+ '0x1.0ecd4aa67ef35p-4',
+ ['0x1.bcbb4af031804p-7', '0x1.67ec21206cc68p-4', '0x1.bcbb4af031804p-7',
+  '0x1.bcbb4af031804p-7', '0x1.0f5a91f21ffcdp-5', '0x1.4bdab0679cb4ap-9',
+  '0x1.b9eca287f7101p-3'],
+ ['0x1.171ba358aeb01p-4', '0x1.fe5098732054bp-3', '0x1.0b4deca523c28p-2',
+  '0x1.2548ef28bebfdp-2', '0x1.e9cc28b0cbaacp-2'],
+ '0x1.ea31c7f77ced0p-6', ['0x1.63214e3643c40p-3', '0x1.d9660d13b93d4p-2'],
+ ['0x1.45fb67ac4f28cp-2', '0x1.256d93b0d13fdp-2', '0x1.6a1ed3b6fb420p-2'],
+ ['0x1.66694a51b5cecp-1', '0x1.1f55fcea91c39p-1', '0x1.2ba50a6281612p+1']]
+SCANS_RECORDED = [['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+ ['0x1.66a6c2e0552bcp-1', '0x1.66a6c2e0552bcp-1', '0x0.0p+0', '0x1.9e8ff0162a45cp-2',
+  '0x0.0p+0'],
+ ['0x1.4f91501dcf41ep-2', '0x1.4f91501dcf422p-2', '0x0.0p+0', '0x1.977b086d59e6cp-2',
+  '0x0.0p+0'],
+ ['0x1.7905208c64652p-2', '0x1.7905208c64653p-2', '0x0.0p+0', '0x1.ddd044d2b7261p-2',
+  '0x0.0p+0'],
+ ['0x1.b2ba1fde699f3p-2', '0x1.b2ba1fde699f4p-2', '0x0.0p+0', '0x1.5b2cd1635c3c6p-2',
+  '0x0.0p+0']]
+BLOCKS_RECORDED = [['464d8a2308951220', '0a46a02b279caf13'], ['1f7156eb546361a5', '0a46a02b279caf13'],
+ ['e1a74bfc8d3ef6b3', '0a46a02b279caf13'], ['70d027f6f06f2c78', '0a46a02b279caf13'],
+ ['0x1.12f0a7ab271e0p-1', 'cc82f52d11009297'], ['0x1.b6f694ec307cbp-2', '4a77ccaed902707a'],
+ ['0x1.6878472646d50p-3', 'fcef3ad565b05246'], ['0x1.04ef692ae354ap-2', 'eb28bdb32cfb232d'],
+ ['0x1.97e754189eecfp-2', 'da1956f5cee06f75'], ['0x1.9392634025454p-2', 'e21027596c78b371'],
+ ['0x1.14dd83561f7e3p-1', 'f13999700c4919aa'], ['0x1.3c84b184413dap-1', 'cb5b31cdd594e285'],
+ ['0x1.e337cde2117f4p-2', 'c9fa9821756af10d'], ['0x1.07b0eba440301p-1', '7c34700820892785']]
