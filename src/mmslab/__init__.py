@@ -27,7 +27,6 @@ from .core import (
     validate,
 )
 from .observables import (
-    KappaSequence,
     gaussian_obs_diam,
     obs_diam,
     obs_diam_projection_estimate,

@@ -22,10 +22,13 @@ import numpy as np
 
 from ._scipy import connected_components
 from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL
-from .observables import KappaSequence, interleave, separation
+from .observables import separation
 
 MAX_CONTRACTION = 16
 MAX_PACKING = 20
+
+# detect_dissipation's bound on the last member's atom mismatch and small bins
+_FINAL_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,10 @@ def _pack(items, caps, tol, fill):
     """Exhaustive packing of nonincreasing ``items`` into slots of residual
     capacity ``caps``: an item fits a slot whose residual is at least the item
     minus ``tol``, slots are tried in index order and slots with equal
-    residuals once (exactly when ``tol`` is zero, else to 12 digits).  With
-    ``fill`` every residual must end within ``tol`` of zero.
+    residuals once (exactly when ``tol`` is zero, else to 12 digits).  An item
+    equal to the previous one starts at its slot, which skips reorderings of
+    equal items and keeps the first packing in slot order.  With ``fill``
+    every residual must end within ``tol`` of zero.
 
     Returns the slot of each item, or None when no packing exists.
     """
@@ -123,7 +128,9 @@ def _pack(items, caps, tol, fill):
         # items are sorted descending, so once an item fails everywhere the
         # branch is dead
         tried = set()
-        for j, cap in enumerate(caps):
+        start = slot[i - 1] if i and items[i] == items[i - 1] else 0
+        for j in range(start, len(caps)):
+            cap = caps[j]
             key = round(float(cap), 12) if tol else cap
             if key in tried:
                 continue
@@ -267,14 +274,14 @@ def _greedy_families(sp: FinitePmSpace, targets, delta):
     return atom_bins, small
 
 
-def detect_dissipation(sequence, alpha: AtomVector, delta, final_tol=0.05):
+def detect_dissipation(sequence, alpha: AtomVector, delta):
     """Detect whether a finite sequence of spaces spreads its mass apart at
     scale delta while retaining atoms alpha.
 
     For each space, components of the strict sub-delta graph are matched to
     the atom targets and the rest become small bins; acceptance requires, over
     the last half of the sequence, (a) nonincreasing atom-mass mismatch ending
-    below ``final_tol``, (b) nonincreasing largest small bin, vanishing when
+    below 0.05, (b) nonincreasing largest small bin, vanishing when
     diffuse mass exists, (c) nondecreasing small-bin counts when diffuse mass
     exists.  A separation cross-check at the prescribed thresholds runs on the
     members within the exact-search size limits and must reach delta.
@@ -302,15 +309,15 @@ def detect_dissipation(sequence, alpha: AtomVector, delta, final_tol=0.05):
     half = len(spaces) // 2
     tail = slice(half, None)
     reasons = []
-    if errs[-1] > final_tol:
-        reasons.append(f"atom mismatch {errs[-1]:.4f} above {final_tol}")
+    if errs[-1] > _FINAL_TOL:
+        reasons.append(f"atom mismatch {errs[-1]:.4f} above {_FINAL_TOL}")
     if _slope(errs[tail]) > 1e-9:
         reasons.append("atom mismatch not decreasing")
-    if covered[-1] < 1.0 - final_tol:
-        reasons.append(f"covered mass {covered[-1]:.4f} below {1 - final_tol}")
-    if diffuse > final_tol:
-        if max_small[-1] > final_tol:
-            reasons.append(f"largest small bin {max_small[-1]:.4f} above {final_tol}")
+    if covered[-1] < 1.0 - _FINAL_TOL:
+        reasons.append(f"covered mass {covered[-1]:.4f} below {1 - _FINAL_TOL}")
+    if diffuse > _FINAL_TOL:
+        if max_small[-1] > _FINAL_TOL:
+            reasons.append(f"largest small bin {max_small[-1]:.4f} above {_FINAL_TOL}")
         if _slope(max_small[tail]) > 1e-9:
             reasons.append("largest small bin not decreasing")
         if _slope(counts[tail]) < -1e-9:
@@ -322,14 +329,13 @@ def detect_dissipation(sequence, alpha: AtomVector, delta, final_tol=0.05):
     # which the prescribed separation is reached; it must exist at the last
     # checkable member and must not grow along the sequence.
     sep_rows = []
-    kappas = [KappaSequence(())]
+    kappas = [()]
     if diffuse > 2 * VALIDATION_TOL:
-        kappas.append(KappaSequence((diffuse,)))
-        kappas.append(KappaSequence((diffuse / 2, diffuse / 2)))
+        kappas += [(diffuse,), (diffuse / 2, diffuse / 2)]
     checked = [i for i in range(half, len(spaces)) if spaces[i].n <= 20]
     for kap in kappas:
-        entries = tuple(targets) + kap.entries
-        cap = min(entries) / 2 if entries else 0.1
+        merged = tuple(targets) + kap
+        cap = min(merged) / 2 if merged else 0.1
         eps_grid = [e for e in (0.01, 0.02, 0.05, 0.1) if e < cap] or (
             [cap / 2] if cap > VALIDATION_TOL else []
         )
@@ -337,11 +343,10 @@ def detect_dissipation(sequence, alpha: AtomVector, delta, final_tol=0.05):
             continue
         min_eps = {}
         for idx in checked:
-            merged = interleave(KappaSequence(tuple(targets)), kap)
             passing = math.inf
             for eps in eps_grid:
-                reduced = merged.minus(eps)
-                if sum(k for k in reduced.entries if k > 0) > 1.0:
+                reduced = tuple(k - eps for k in merged)
+                if sum(k for k in reduced if k > 0) > 1.0:
                     continue
                 try:
                     val = separation(spaces[idx], reduced)
@@ -351,15 +356,15 @@ def detect_dissipation(sequence, alpha: AtomVector, delta, final_tol=0.05):
                     passing = eps
                     break
             min_eps[idx] = passing
-            sep_rows.append((idx, len(kap.entries), passing))
+            sep_rows.append((idx, len(kap), passing))
         last = checked[-1]
         if math.isinf(min_eps[last]):
             reasons.append(
-                f"separation never reaches delta at index {last} (kappa length {len(kap.entries)})"
+                f"separation never reaches delta at index {last} (kappa length {len(kap)})"
             )
         elif min_eps[checked[0]] < min_eps[last] - 1e-12:
             reasons.append(
-                f"separation slack grows along the sequence (kappa length {len(kap.entries)})"
+                f"separation slack grows along the sequence (kappa length {len(kap)})"
             )
 
     return DissipationEvidence(

@@ -43,12 +43,11 @@ class BoxEstimate:
             raise InputError("exact estimates must have lower == upper")
 
 
-def _cell_discrepancy(sx, sy):
-    """|d_X(x,x') - d_Y(y,y')| indexed by flattened cells (x,y)."""
-    nx, ny = sx.n, sy.n
-    dx = np.repeat(np.repeat(sx.dist, ny, axis=0), ny, axis=1)
-    dy = np.tile(sy.dist, (nx, nx))
-    return np.abs(dx - dy)
+def _cell_discrepancy(sx, sy, cells):
+    """|d_X(x,x') - d_Y(y,y')| between the flattened coupling cells ``cells``,
+    where cell c is (x, y) = divmod(c, |Y|)."""
+    cx, cy = divmod(cells, sy.n)
+    return np.abs(sx.dist[np.ix_(cx, cx)] - sy.dist[np.ix_(cy, cy)])
 
 
 def _maxflow_coupling(kept_cells, mass_x, mass_y):
@@ -126,32 +125,21 @@ def _all_maxdisc(disc, ncells):
 def _all_maxflow(masks_count, nx, ny, mass_x, mass_y):
     """Vectorised maximal kept mass per cell mask via min vertex covers.
 
-    Enumerates uncut subsets of the smaller side; the reached neighbours on
-    the other side are computed with integer bit tricks over all masks."""
-    all_masks = np.arange(masks_count, dtype=np.int64)
-    if nx <= ny:
-        side, other = nx, ny
-        own_mass, other_mass = mass_x, mass_y
-        rowbits = [(all_masks >> (i * ny)) & ((1 << ny) - 1) for i in range(nx)]
-    else:
-        side, other = ny, nx
-        own_mass, other_mass = mass_y, mass_x
-        colbits = []
-        for j in range(ny):
-            bits = np.zeros(masks_count, dtype=np.int64)
-            for i in range(nx):
-                bit = (all_masks >> (i * ny + j)) & 1
-                bits |= bit << i
-            colbits.append(bits)
-        rowbits = colbits
-    other_sum = _subset_fold(np.add, other_mass)
+    Enumerates uncut subsets of the smaller side; the neighbours each of its
+    points reaches on the other side are one bitmask per cell mask."""
+    masks = np.arange(masks_count, dtype=np.int64)
+    kept = ((masks[:, None] >> np.arange(nx * ny)) & 1).reshape(-1, nx, ny)
+    if nx > ny:
+        kept, nx, ny, mass_x, mass_y = kept.transpose(0, 2, 1), ny, nx, mass_y, mass_x
+    reached = (kept @ (1 << np.arange(ny))).T  # reached[i][mask]: bits of the kept (i, y)
+    other_sum = _subset_fold(np.add, mass_y)
     best = np.full(masks_count, np.inf)
-    for a_mask in range(1 << side):
-        cut = sum(own_mass[i] for i in range(side) if not a_mask >> i & 1)
+    for a_mask in range(1 << nx):
+        cut = sum(mass_x[i] for i in range(nx) if not a_mask >> i & 1)
         reach = np.zeros(masks_count, dtype=np.int64)
-        for i in range(side):
+        for i in range(nx):
             if a_mask >> i & 1:
-                reach |= rowbits[i]
+                reach |= reached[i]
         best = np.minimum(best, cut + other_sum[reach])
     return np.minimum(best, 1.0)
 
@@ -163,7 +151,7 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
     ncells = nx * ny
     if ncells > EXACT_MAX_CELLS:
         raise SizeLimitError(f"exact box distance is limited to {EXACT_MAX_CELLS} cells")
-    disc = _cell_discrepancy(sx, sy)
+    disc = _cell_discrepancy(sx, sy, np.arange(ncells))
     size = 1 << ncells
     maxdisc = _all_maxdisc(disc, ncells)
     kept = _all_maxflow(size, nx, ny, sx.mass, sy.mass)
@@ -282,21 +270,14 @@ def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed)
             # keeping every cell needs no search and must be scored before
             # trimming, or a perfect coupling would look lossy
             if nz.size <= 4096:
-                cx, cy = nz // sy.n, nz % sy.n
-                full = float(
-                    np.abs(sx.dist[np.ix_(cx, cx)] - sy.dist[np.ix_(cy, cy)]).max()
-                )
+                full = float(_cell_discrepancy(sx, sy, nz).max())
                 kept = float(plan.ravel()[nz].sum())
                 val_full = max(full, 1.0 - kept)
                 if val_full < best:
                     best, best_plan = val_full, plan
             heavy = np.argsort(-plan.ravel()[nz], kind="stable")[:MAX_SELECTION_CELLS]
             nz = np.sort(nz[heavy])
-        cells_x = nz // sy.n
-        cells_y = nz % sy.n
-        disc_sub = np.abs(
-            sx.dist[np.ix_(cells_x, cells_x)] - sy.dist[np.ix_(cells_y, cells_y)]
-        )
+        disc_sub = _cell_discrepancy(sx, sy, nz)
         masses = plan.ravel()[nz]
         local_restarts = max(2, restarts * 64 // max(64, nz.size))
         val = _optimize_selection(disc_sub, masses, rng, local_restarts)

@@ -84,25 +84,40 @@ def _parse_alpha(text):
 
 
 # generator kind -> (space it builds: finite or grid, parameters it cannot do
-# without, build(params, seed)); builders look generators up at call time
+# without, parameters with a default, build(params, seed)); builders look
+# generators up at call time
 _SPACE_KINDS = {
-    "two_point": ("finite", (), lambda p, seed: generators.two_point(
+    "two_point": ("finite", (), ("d", "first_mass"), lambda p, seed: generators.two_point(
         p.get("d", 1.0), p.get("first_mass", 0.5))),
-    "interval_grid": ("finite", ("m",), lambda p, seed: generators.interval_grid(
+    "interval_grid": ("finite", ("m",), ("r",), lambda p, seed: generators.interval_grid(
         int(p["m"]), p.get("r", 1.0))),
-    "gaussian_sample": ("finite", ("n_points",), lambda p, seed: generators.gaussian_sample(
+    "gaussian_sample": ("finite", ("n_points",), ("dim", "sigma", "seed"),
+                        lambda p, seed: generators.gaussian_sample(
         int(p["n_points"]), int(p.get("dim", 1)), p.get("sigma", 1.0), p.get("seed", seed))),
-    "sphere_sample": ("finite", ("n_dim", "n_points"), lambda p, seed: generators.sphere_sample(
+    "sphere_sample": ("finite", ("n_dim", "n_points"), ("radius", "seed"),
+                      lambda p, seed: generators.sphere_sample(
         int(p["n_dim"]), p.get("radius", 1.0), int(p["n_points"]), p.get("seed", seed))),
-    "atom_space": ("finite", ("alpha",), lambda p, seed: generators.atom_space(
+    "atom_space": ("finite", ("alpha",), ("m_diffuse",), lambda p, seed: generators.atom_space(
         atoms_mod.sort_atoms(p["alpha"]), int(p.get("m_diffuse", 8)))),
-    "dissipation_family": ("finite", ("alpha", "n"), lambda p, seed: generators.dissipation_family(
+    "dissipation_family": ("finite", ("alpha", "n"), ("delta",),
+                           lambda p, seed: generators.dissipation_family(
         atoms_mod.sort_atoms(p["alpha"]), p.get("delta", 1.0), int(p["n"]))),
-    "grid_interval": ("grid", (), lambda p, seed: functional.unit_interval_grid(
+    "grid_interval": ("grid", (), ("m", "length"), lambda p, seed: functional.unit_interval_grid(
         int(p.get("m", 512)), p.get("length", 1.0))),
-    "grid_gaussian": ("grid", (), lambda p, seed: functional.gaussian_grid(
+    "grid_gaussian": ("grid", (), ("m", "sigma"), lambda p, seed: functional.gaussian_grid(
         int(p.get("m", 512)), p.get("sigma", 1.0))),
 }
+
+
+def _check_fields(doc, required, optional, what):
+    """Reject a plan object that lacks a required field or holds a field that
+    nothing reads, naming the field."""
+    for key in required:
+        if key not in doc:
+            raise core.InputError(f"{what} needs {key!r}")
+    for key in doc:
+        if key not in required + optional:
+            raise core.InputError(f"{what} has no field {key!r}")
 
 
 def _is_real(x):
@@ -119,9 +134,8 @@ def _check_params(kind, params):
         raise core.InputError(f"unknown generator kind {kind!r}")
     if not isinstance(params, dict):
         raise core.InputError("generator params must be a JSON object")
-    for key in _SPACE_KINDS[kind][1]:
-        if key not in params:
-            raise core.InputError(f"{kind} needs the parameter {key!r}")
+    _, required, optional, _ = _SPACE_KINDS[kind]
+    _check_fields(params, required, optional, f"{kind} params")
     for key, v in params.items():
         if key == "alpha":
             ok = isinstance(v, list) and all(map(_is_finite, v))
@@ -135,7 +149,7 @@ def _check_params(kind, params):
 
 def make_space(kind, params, seed=0):
     _check_params(kind, params)
-    return _SPACE_KINDS[kind][2](params, seed)
+    return _SPACE_KINDS[kind][3](params, seed)
 
 
 def _cmd_gen(args):
@@ -182,28 +196,28 @@ def _separation(sp, spec, seed):
 
 
 # invariant kind -> (space it needs: finite, grid or either, fields it needs,
-# evaluate(space, spec, seed) -> (value, certificate)); rows look the library
-# functions up at call time
+# fields with a default, evaluate(space, spec, seed) -> (value, certificate));
+# rows look the library functions up at call time
 _INVARIANTS = {
-    "diam": ("finite", (), lambda sp, spec, seed: (sp.diam(), "exact")),
-    "var": ("finite", (), lambda sp, spec, seed: (
+    "diam": ("finite", (), (), lambda sp, spec, seed: (sp.diam(), "exact")),
+    "var": ("finite", (), ("exact",), lambda sp, spec, seed: (
         observables.variance(sp, mode=_mode(spec), seed=seed), _mode_certificate(spec))),
-    "pvar": ("finite", (), lambda sp, spec, seed: (
+    "pvar": ("finite", (), ("p", "exact"), lambda sp, spec, seed: (
         observables.p_deviation(sp, spec.get("p", 2.0), mode=_mode(spec), seed=seed),
         _mode_certificate(spec))),
-    "obsdiam": ("finite", (), lambda sp, spec, seed: (
+    "obsdiam": ("finite", (), ("kappa", "exact"), lambda sp, spec, seed: (
         observables.obs_diam(sp, _first_kappa(spec), mode=_mode(spec), seed=seed),
         _mode_certificate(spec))),
-    "obsdiam_projection": ("finite", (), lambda sp, spec, seed: (
+    "obsdiam_projection": ("finite", (), ("kappa",), lambda sp, spec, seed: (
         observables.obs_diam_projection_estimate(sp, _first_kappa(spec)), "estimate")),
-    "sep": ("finite", ("kappa",), _separation),
-    "c22": ("grid", (), lambda grid, spec, seed: (functional.poincare_c22(grid), "estimate")),
-    "ls_check": ("grid", ("constant",), lambda grid, spec, seed: (functional.log_sobolev_check(
-        grid, spec["constant"], trials=spec.get("trials", 1000), seed=seed).max_violation,
-        "bound")),
-    "gauss_domination_scale": ("grid", (), lambda grid, spec, seed: (
+    "sep": ("finite", ("kappa",), (), _separation),
+    "c22": ("grid", (), (), lambda grid, spec, seed: (functional.poincare_c22(grid), "estimate")),
+    "ls_check": ("grid", ("constant",), ("trials",), lambda grid, spec, seed: (
+        functional.log_sobolev_check(grid, spec["constant"], trials=spec.get("trials", 1000),
+                                     seed=seed).max_violation, "bound")),
+    "gauss_domination_scale": ("grid", (), (), lambda grid, spec, seed: (
         functional.gaussian_domination_scale(grid), "estimate")),
-    "gauss_obsdiam_formula": ("either", ("kappa",), lambda sp, spec, seed: (
+    "gauss_obsdiam_formula": ("either", ("kappa",), ("sigma",), lambda sp, spec, seed: (
         observables.gaussian_obs_diam(spec.get("sigma", 1.0), spec["kappa"]), "exact")),
 }
 
@@ -215,7 +229,7 @@ def _cmd_invariant(args):
         raise core.InputError(f"--kappa must be comma-separated numbers: {e}") from e
     sp = core.load_space(args.file)
     spec = {"kappa": kappa, "p": args.p, "exact": args.exact}
-    value, cert = _INVARIANTS[args.kind][2](sp, spec, args.seed)
+    value, cert = _INVARIANTS[args.kind][3](sp, spec, args.seed)
     _print_json({"kind": args.kind, "value": value, "certificate": cert}, args.format)
     return EXIT_OK
 
@@ -387,6 +401,7 @@ class ExperimentPlan:
     def from_dict(d):
         if not isinstance(d, dict):
             raise core.InputError("a plan must be a JSON object")
+        _check_fields(d, (), ("name", "seed", "spaces", "invariants", "assertions"), "a plan")
         seed = d.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise core.InputError(f"plan seed must be an integer >= 0, got {seed!r}")
@@ -398,23 +413,22 @@ class ExperimentPlan:
 
 
 def _row_key(spec):
-    extras = {
-        k: v
-        for k, v in spec.items()
-        if k not in ("space", "kind") and v is not None
-    }
-    blob = ",".join(f"{k}={_fmt_value(v)}" for k, v in sorted(extras.items()))
+    extras = sorted((k, v) for k, v in spec.items() if k not in ("space", "kind"))
+    blob = ",".join(f"{k}={_fmt_value(v)}" for k, v in extras)
     return f"{spec['space']}:{spec['kind']}" + (f":{blob}" if blob else "")
 
 
-# assertion op -> (fields it needs, holds(lhs, assertion, values by row key))
+# assertion op -> (fields it needs, fields with a default,
+# holds(lhs, assertion, values by row key))
 _ASSERTIONS = {
-    "close": (("target",), lambda lhs, a, values: abs(lhs - a["target"])
+    "close": (("target",), ("atol", "rtol"), lambda lhs, a, values: abs(lhs - a["target"])
               <= a.get("atol", 0.0) + a.get("rtol", 0.0) * abs(a["target"])),
-    "gap_gt": (("other", "threshold"),
+    "gap_gt": (("other", "threshold"), (),
                lambda lhs, a, values: abs(lhs - values[a["other"]]) > a["threshold"]),
-    "le": (("target",), lambda lhs, a, values: lhs <= a["target"] + a.get("atol", 0.0)),
-    "ge": (("target",), lambda lhs, a, values: lhs >= a["target"] - a.get("atol", 0.0)),
+    "le": (("target",), ("atol",),
+           lambda lhs, a, values: lhs <= a["target"] + a.get("atol", 0.0)),
+    "ge": (("target",), ("atol",),
+           lambda lhs, a, values: lhs >= a["target"] - a.get("atol", 0.0)),
 }
 
 
@@ -435,22 +449,26 @@ def _check_plan(plan):
         raise core.InputError(f"plan name must be a string, got {plan.name!r}")
     grids = {}
     for spec in plan.spaces:
-        if not isinstance(spec.get("id"), str):
+        path = "path" in spec
+        _check_fields(spec, ("id", "path" if path else "kind"), () if path else ("params",),
+                      f"space entry {spec!r}")
+        if not isinstance(spec["id"], str):
             raise core.InputError(f"space entry {spec!r} needs a string id")
-        if "path" in spec:
+        if path:
             if not isinstance(spec["path"], str):
                 raise core.InputError(f"space path {spec['path']!r} is not a string")
         else:
-            _check_params(spec.get("kind"), spec.get("params", {}))
-        grids[spec["id"]] = "finite" if "path" in spec else _SPACE_KINDS[spec["kind"]][0]
+            _check_params(spec["kind"], spec.get("params", {}))
+        grids[spec["id"]] = "finite" if path else _SPACE_KINDS[spec["kind"]][0]
     for spec in plan.invariants:
         space, kind = spec.get("space"), spec.get("kind")
         if not (isinstance(space, str) and space in grids and isinstance(kind, str)
                 and kind in _INVARIANTS):
             raise core.InputError(f"invariant {spec!r} needs a known kind and space id")
-        needs, fields, _ = _INVARIANTS[kind]
+        needs, required, optional, _ = _INVARIANTS[kind]
         if needs not in ("either", grids[space]):
             raise core.InputError(f"invariant {kind!r} needs a {needs} space, not {space!r}")
+        _check_fields(spec, ("space", "kind") + required, optional, f"invariant {kind!r}")
         kappa = spec.get("kappa", 0.0)
         listed = isinstance(kappa, list) and all(map(_is_real, kappa))
         if not (_is_real(kappa) or listed and kind != "gauss_obsdiam_formula"):
@@ -464,13 +482,10 @@ def _check_plan(plan):
             for v in values if isinstance(values, list) else [values]:
                 if not (key == "kappa" and kind == "sep" or in_range(v)):
                     raise core.InputError(f"invariant {spec!r}: {message.format(v)}")
-        if kind == "gauss_obsdiam_formula" and "kappa" in spec and not 0.0 < kappa:
+        if kind == "gauss_obsdiam_formula" and not 0.0 < kappa:
             raise core.InputError(f"invariant {spec!r}: kappa must lie in (0, 1)")
         if not isinstance(spec.get("exact", False), bool):
             raise core.InputError(f"invariant {spec!r}: exact must be true or false")
-        missing = [key for key in fields if key not in spec]
-        if missing:
-            raise core.InputError(f"invariant {spec!r} needs {missing[0]!r}")
     keys = {_row_key(spec) for spec in plan.invariants}
     for a in plan.assertions:
         op = a.get("op")
@@ -479,10 +494,10 @@ def _check_plan(plan):
         for row in [a.get("row")] + ([a["other"]] if "other" in a else []):
             if not (isinstance(row, str) and row in keys):
                 raise core.InputError(f"assertion names unknown row {row!r}")
-        numbers = [k for k in ("target", "atol", "rtol", "threshold") if k in a]
-        fields = _ASSERTIONS[op][0]
-        if not all(_is_real(a[k]) for k in numbers) or any(k not in a for k in fields):
-            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(fields)}")
+        required, optional, _ = _ASSERTIONS[op]
+        _check_fields(a, ("row", "op") + required, optional, f"assertion {op!r}")
+        if not all(_is_real(a[k]) for k in a if k not in ("row", "op", "other")):
+            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(required)}")
 
 
 def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
@@ -500,12 +515,12 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
     rows = []
     values = {}
     for spec in plan.invariants:
-        value, cert = _INVARIANTS[spec["kind"]][2](built[spec["space"]], spec, plan.seed)
+        value, cert = _INVARIANTS[spec["kind"]][3](built[spec["space"]], spec, plan.seed)
         key = _row_key(spec)
         values[key] = value
         rows.append((spec["space"], spec["kind"], key, value, cert))
     failures = [{"assertion": a, "value": values[a["row"]]} for a in plan.assertions
-                if not _ASSERTIONS[a["op"]][1](values[a["row"]], a, values)]
+                if not _ASSERTIONS[a["op"]][2](values[a["row"]], a, values)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -109,9 +109,6 @@ class FinitePmSpace:
     def diam(self):
         return float(self.dist.max()) if self.n else 0.0
 
-    def with_dist(self, dist):
-        return FinitePmSpace(self.points, dist, self.mass, self.mass_rational, self.coords)
-
 
 def space(points, dist, mass, mass_rational=None, coords=None):
     """Build a space and reject it if any invariant fails."""
@@ -218,7 +215,7 @@ class LipschitzFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
-        if self.lip_bound < 0:
+        if not self.lip_bound >= 0:
             raise InputError("lip_bound must be >= 0")
 
 
@@ -276,19 +273,16 @@ def scale(sp: FinitePmSpace, t):
 def _combine_lp(a, b, p):
     if p == math.inf:
         return np.maximum(a, b)
-    if p == 1:
-        return a + b
     return (a**p + b**p) ** (1.0 / p)
 
 
 def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
     """l_p product: Cartesian points, l_p-combined distances, tensor masses."""
-    if p < 1:
+    if not p >= 1:
         raise InputError(f"product exponent must satisfy p >= 1, got {p}")
     pts = tuple((a, b) for a in sx.points for b in sy.points)
-    dx = np.repeat(np.repeat(sx.dist, sy.n, axis=0), sy.n, axis=1)
-    dy = np.tile(sy.dist, (sx.n, sx.n))
-    D = _combine_lp(dx, dy, p)
+    cx, cy = divmod(np.arange(sx.n * sy.n), sy.n)
+    D = _combine_lp(sx.dist[np.ix_(cx, cx)], sy.dist[np.ix_(cy, cy)], p)
     m = np.outer(sx.mass, sy.mass).ravel()
     mr = None
     if sx.mass_rational is not None and sy.mass_rational is not None:
@@ -374,19 +368,26 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
 
     amass = _subset_fold(np.add, a)
     bmass = _subset_fold(np.add, b)
-    thresholds = np.unique(np.concatenate(([0.0], sp.dist.ravel())))
 
-    for idx, t in enumerate(thresholds):
-        nxt = thresholds[idx + 1] if idx + 1 < len(thresholds) else math.inf
-        # ball bitmasks at radius t (closed balls)
-        within = sp.dist <= t + VALIDATION_TOL
-        balls = [int(sum(1 << j for j in range(n) if within[i, j])) for i in range(n)]
+    def gap(t):
+        # bitmask of each closed ball of radius t, then of the ball of every subset
+        balls = (sp.dist <= t + VALIDATION_TOL).astype(np.int64) @ (1 << np.arange(n))
         union = _subset_fold(np.bitwise_or, balls, np.int64)
-        gap = float(np.max(bmass - amass[union]))
-        cand = max(t, gap)
+        return float(np.max(bmass - amass[union]))
+
+    return max(0.0, min(1.0, _smallest_fixed_point(sp.dist.ravel(), gap)))
+
+
+def _smallest_fixed_point(values, excess):
+    """Smallest eps >= 0 with excess(eps) <= eps for an ``excess`` that is
+    nonincreasing and constant between the thresholds 0 and ``values``: the
+    first max(t, excess(t)) below the next threshold, scanning t upward."""
+    thresholds = np.unique(np.concatenate(([0.0], values))).tolist()
+    for t, nxt in zip(thresholds, thresholds[1:] + [math.inf]):
+        cand = max(t, excess(t))
         if cand < nxt:
-            return max(0.0, min(1.0, cand))
-    return 1.0  # unreachable: the last interval always yields a candidate
+            return cand
+    return 1.0  # unreachable: the last threshold always yields a candidate
 
 
 def _subset_fold(ufunc, values, dtype=float):
@@ -406,14 +407,17 @@ def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     d = np.abs(f.values - g.values)
     if d.shape != (sp.n,):
         raise InputError("functions must live on the given space")
-    thresholds = np.unique(np.concatenate(([0.0], d)))
-    for idx, t in enumerate(thresholds):
-        nxt = thresholds[idx + 1] if idx + 1 < len(thresholds) else math.inf
-        exceed = float(sp.mass[d > t + VALIDATION_TOL].sum())
-        cand = max(t, exceed)
-        if cand < nxt or nxt is math.inf:
-            return cand
-    return 1.0
+    return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t + VALIDATION_TOL].sum()))
+
+
+def _central_moment(weights, values, p=2):
+    """sum of w |f - mean|^p about the w-weighted mean of f, or the largest
+    deviation |f - mean| when p is infinite."""
+    f = np.asarray(values, dtype=float)
+    mean = float(np.dot(weights, f))
+    if p == math.inf:
+        return float(np.abs(f - mean).max())
+    return float(np.dot(weights, np.abs(f - mean) ** p))
 
 
 def entropy(sp: FinitePmSpace, f):

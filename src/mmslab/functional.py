@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import ndtri, solve_banded
-from .core import FinitePmSpace, InputError, entropy_weighted
+from .core import FinitePmSpace, InputError, _central_moment, entropy_weighted
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
@@ -46,6 +46,8 @@ class GridSpace1D:
         object.__setattr__(self, "weight", weight)
         if nodes.ndim != 1 or nodes.size < 3:
             raise InputError("grid needs at least 3 nodes")
+        if not (np.isfinite(nodes).all() and np.isfinite(weight).all()):
+            raise InputError("grid nodes and weights must be finite")
         steps = np.diff(nodes)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.mean():
             raise InputError("grid nodes must be strictly increasing and uniform")
@@ -94,6 +96,8 @@ def unit_interval_grid(m, length=1.0):
     """Uniformly weighted interval [0, length] on m+1 nodes."""
     if m < 2:
         raise InputError("interval grid needs m >= 2 subintervals")
+    if not 0 < length < math.inf:
+        raise InputError("length must be positive and finite")
     nodes = np.linspace(0.0, length, m + 1)
     return _normalize(nodes, np.ones(m + 1), "interval")
 
@@ -107,8 +111,8 @@ def gaussian_grid(m, sigma=1.0):
     """
     if m < 2:
         raise InputError("gaussian grid needs m >= 2 subintervals")
-    if not sigma > 0:
-        raise InputError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise InputError("sigma must be positive and finite")
     nodes = np.linspace(-GAUSSIAN_CUTOFF * sigma, GAUSSIAN_CUTOFF * sigma, m + 1)
     w = np.exp(-(nodes**2) / (2.0 * sigma**2))
     return _normalize(nodes, w, "gaussian-truncated")
@@ -116,8 +120,8 @@ def gaussian_grid(m, sigma=1.0):
 
 def scale_grid(grid: GridSpace1D, r):
     """Metric scale change of the grid space."""
-    if r <= 0:
-        raise InputError("scale factor must be positive")
+    if not 0 < r < math.inf:
+        raise InputError("scale factor must be positive and finite")
     return GridSpace1D(grid.nodes * r, grid.weight / r, grid.kind)
 
 
@@ -184,21 +188,14 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     raise ConvergenceError(f"inverse iteration did not reach {tol} in {max_iter} steps")
 
 
-def poincare_c22(grid: GridSpace1D, tol=1e-10):
+def poincare_c22(grid: GridSpace1D):
     """(2,2) constant: variance versus squared-slope energy, spectrally."""
     if grid.nodes.size < 65:
         raise InputError("poincare_c22 expects a grid with at least 64 subintervals")
-    lam, _ = second_eigenvalue(grid, tol=tol)
+    lam, _ = second_eigenvalue(grid)
     if lam <= 0:
         raise ConvergenceError(f"nonpositive spectral gap {lam}")
     return 1.0 / math.sqrt(lam)
-
-
-def grid_variance(grid: GridSpace1D, values, p=2):
-    mu = grid.node_mass()
-    f = np.asarray(values, dtype=float)
-    mean = float(np.dot(mu, f))
-    return float(np.dot(mu, np.abs(f - mean) ** p))
 
 
 def _trial_functions(grid: GridSpace1D, trials, seed):
@@ -241,7 +238,7 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
         energy = edge_energy(grid, f, q) ** (1.0 / q)
         if energy <= 1e-14:
             continue
-        dev = grid_variance(grid, f, p) ** (1.0 / p)
+        dev = _central_moment(grid.node_mass(), f, p) ** (1.0 / p)
         best = max(best, dev / energy)
     return best
 
@@ -306,9 +303,7 @@ def mm_disconnected_constant(sp: FinitePmSpace):
     if sp.n < 2:
         return DisconnectedReport(False, False, None, 0.0)
     f = sp.dist[0]
-    mean = float(np.dot(sp.mass, f))
-    var = float(np.dot(sp.mass, (f - mean) ** 2))
-    return DisconnectedReport(True, True, tuple(f), var)
+    return DisconnectedReport(True, True, tuple(f), _central_moment(sp.mass, f))
 
 
 def gaussian_domination_scale(grid: GridSpace1D):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
     SizeLimitError,
     REAL_TOL,
     VALIDATION_TOL,
+    _central_moment,
 )
 
 # Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
@@ -34,45 +36,6 @@ SEPARATION_MAX_POSITIVE = 12
 
 # Smallest slack gaussian_vs_uniform_crossover reports as a crossover.
 CROSSOVER_MIN_SLACK = 1e-3
-
-
-# ---------------------------------------------------------------------------
-# kappa sequences
-
-
-@dataclass(frozen=True)
-class KappaSequence:
-    """Finite stored prefix of a real sequence with an implicit zero tail."""
-
-    entries: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(float(k) for k in self.entries))
-
-    def __getitem__(self, i):
-        return self.entries[i] if 0 <= i < len(self.entries) else 0.0
-
-    def positive(self):
-        return tuple(k for k in self.entries if k > 0)
-
-    def shuffled(self, perm):
-        return KappaSequence(tuple(self.entries[p] for p in perm))
-
-    def minus(self, eps):
-        return KappaSequence(tuple(k - eps for k in self.entries))
-
-
-def interleave(kappa: KappaSequence, lam: KappaSequence):
-    """Merge two sequences into one; the order is irrelevant for separation."""
-    return KappaSequence(kappa.entries + lam.entries)
-
-
-def _as_kappa(kappa):
-    if isinstance(kappa, KappaSequence):
-        return kappa
-    if isinstance(kappa, (int, float)):
-        return KappaSequence((float(kappa),))
-    return KappaSequence(tuple(kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +296,14 @@ class SeparationConfig:
     groups: tuple = ()
 
 
+def _as_kappa(kappa):
+    """A threshold sequence as a tuple of floats; one number is a 1-tuple.
+    Entries past the end read as zero."""
+    if isinstance(kappa, (int, float)):
+        return (float(kappa),)
+    return tuple(float(k) for k in kappa)
+
+
 def separation(sp: FinitePmSpace, kappa):
     """Exact separation distance for a general threshold sequence.
 
@@ -345,9 +316,9 @@ def separation(sp: FinitePmSpace, kappa):
     union of connected components of the sub-threshold graph.
     """
     kappa = _as_kappa(kappa)
-    if not all(math.isfinite(k) for k in kappa.entries):
+    if not all(math.isfinite(k) for k in kappa):
         raise InputError("kappa entries must be finite")
-    pos = sorted(kappa.positive(), reverse=True)
+    pos = sorted((k for k in kappa if k > 0), reverse=True)
     if len(pos) > SEPARATION_MAX_POSITIVE:
         raise SizeLimitError(
             f"separation is limited to {SEPARATION_MAX_POSITIVE} positive entries"
@@ -372,7 +343,7 @@ def separation_witness(sp: FinitePmSpace, kappa):
     """Separation value together with a witnessing configuration (threshold
     plus the point groups realising each positive requirement)."""
     val = separation(sp, kappa)
-    pos = sorted(_as_kappa(kappa).positive(), reverse=True)
+    pos = sorted((k for k in _as_kappa(kappa) if k > 0), reverse=True)
     if math.isinf(val):
         return val, SeparationConfig(val, (tuple(range(sp.n)),) if pos else ())
     if val <= 0.0:
@@ -479,19 +450,14 @@ def separation_properties_report(sp: FinitePmSpace, kappa, lam, rng=None):
     rng = rng or np.random.default_rng(0)
     report = {"violations": []}
     base = separation(sp, kappa)
-    perm = rng.permutation(len(kappa.entries))
-    shuffled = separation(sp, kappa.shuffled(perm))
+    shuffled = separation(sp, tuple(kappa[p] for p in rng.permutation(len(kappa))))
     if not _close_or_both_inf(base, shuffled):
         report["violations"].append(("shuffle", base, shuffled))
-    bigger = KappaSequence(tuple(k + abs(k) * 0.1 + 0.01 for k in kappa.entries))
-    mono = separation(sp, bigger)
+    mono = separation(sp, tuple(k + abs(k) * 0.1 + 0.01 for k in kappa))
     if _gt(mono, base):
         report["violations"].append(("monotone", base, mono))
-    lhs = separation(sp, interleave(kappa, lam))
-    ksum = KappaSequence(
-        tuple(kappa[i] + lam[i] for i in range(max(len(kappa.entries), len(lam.entries))))
-    )
-    rhs = separation(sp, ksum)
+    lhs = separation(sp, kappa + lam)
+    rhs = separation(sp, tuple(a + b for a, b in zip_longest(kappa, lam, fillvalue=0.0)))
     if _gt(lhs, rhs):
         report["violations"].append(("interleave_sum", lhs, rhs))
     report["ok"] = not report["violations"]
@@ -518,20 +484,14 @@ def _gt(a, b):
 
 def variance_of(sp: FinitePmSpace, values):
     """Variance of one observable over the space."""
-    f = np.asarray(values, dtype=float)
-    mean = float(np.dot(sp.mass, f))
-    return float(np.dot(sp.mass, (f - mean) ** 2))
+    return _central_moment(sp.mass, values)
 
 
 def p_variance(sp: FinitePmSpace, values, p):
     """p-th absolute central moment of one observable."""
-    if p < 1:
+    if not p >= 1:
         raise InputError("p must satisfy p >= 1")
-    f = np.asarray(values, dtype=float)
-    mean = float(np.dot(sp.mass, f))
-    if p == math.inf:
-        return float(np.abs(f - mean).max())
-    return float(np.dot(sp.mass, np.abs(f - mean) ** p))
+    return _central_moment(sp.mass, values, p)
 
 
 def lipschitz_vertices(sp: FinitePmSpace):

@@ -2,6 +2,7 @@
 packing membership, the l1 distance bound, and dissipation detection."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,20 @@ class TestMembership:
             sp = gen.atom_space(a, m_diffuse=4)
             res = atoms.member(sp, a)
             assert res is not None and res.verify(sp, a)
+
+    def test_refusal_with_equal_atoms_is_fast(self):
+        # 7 points hold 9 atoms of 0.05 between them and 13 hold none, so 12
+        # atoms are refused; trying every order of the equal atoms took
+        # seconds, one order per packing takes milliseconds
+        rng = np.random.default_rng(1)
+        pts = rng.uniform(0.0, 1.0, size=(20, 3))
+        dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        big = rng.uniform(0.05, 0.12, size=7)
+        sp = core.space(range(20), dist, np.concatenate([big, [(1.0 - big.sum()) / 13] * 13]))
+        start = time.perf_counter()
+        assert atoms.member(sp, AtomVector((0.05,) * 12)) is None
+        assert time.perf_counter() - start < 1.0
+        assert atoms.member(sp, AtomVector((0.05,) * 9)) is not None
 
 
 class TestDistanceBound:

@@ -44,6 +44,18 @@ def write_json(d, name, doc):
 GRID = {"id": "a", "kind": "interval_grid", "params": {"m": 4}}
 LINE = {"id": "g", "kind": "grid_interval", "params": {"m": 64}}
 LS_CHECK = {"space": "g", "kind": "ls_check", "constant": 0.3}
+UNKNOWN_KEYS = [
+    ("plan", {"spaces": [GRID], "invariant": [{"space": "a", "kind": "diam"}]}, "invariant"),
+    ("space", {"spaces": [{"id": "a", "kind": "two_point", "param": {"d": 5.0}}]}, "param"),
+    ("param", {"spaces": [{"id": "a", "kind": "gaussian_sample",
+                           "params": {"n_points": 8, "dims": 3}}]}, "dims"),
+    ("invariant", {"spaces": [GRID],
+                   "invariants": [{"space": "a", "kind": "sep", "kappa": 0.1, "kapa": 0.4}]},
+     "kapa"),
+    ("assertion", {"spaces": [GRID], "invariants": [{"space": "a", "kind": "diam"}],
+                   "assertions": [{"row": "a:diam", "op": "close", "target": 3.1,
+                                   "tolerance": 0.2}]}, "tolerance"),
+]
 BAD_PLANS = [
     ("space_without_kind", {"spaces": [{"id": "a", "params": {"m": 4}}]}),
     ("non_numeric_param", {"spaces": [{**GRID, "params": {"m": "x"}}]}),
@@ -74,6 +86,8 @@ BAD_PLANS = [
     ("zero_constant", {"spaces": [LINE], "invariants": [{**LS_CHECK, "constant": 0}]}),
     ("negative_sigma", {"spaces": [GRID], "invariants": [
         {"space": "a", "kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": -1.0}]}),
+    # a misspelt or unread key at each level of a plan
+    *[(f"unknown_{level}_key", doc) for level, doc, _ in UNKNOWN_KEYS],
     # samples whose distances are not a metric in floating point (squares that
     # overflow, coordinates that overflow, squares that underflow to 0), on
     # both sides of generators._VALIDATE_LIMIT
@@ -103,6 +117,15 @@ def test_malformed_plan_is_input_error(doc):
         code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
     assert code == 2
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("doc,key", [case[1:] for case in UNKNOWN_KEYS],
+                         ids=[case[0] for case in UNKNOWN_KEYS])
+def test_unknown_plan_key_is_named(doc, key):
+    with workdir() as d:
+        code, out, err = run_main(["run", write_json(d, "plan.json", doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and err.strip().endswith(repr(key))
 
 
 @pytest.mark.parametrize("row,message", OUT_OF_RANGE,
@@ -177,7 +200,24 @@ def test_library_rejects_nan_and_out_of_range():
         atoms.member(sp, atoms.sort_atoms([0.25]), NAN)
     with pytest.raises(core.InputError):
         atoms.sort_atoms([0.2, NAN])
+    with pytest.raises(core.InputError):
+        obs.p_variance(sp, sp.dist[0], NAN)
+    with pytest.raises(core.InputError):
+        core.product(sp, sp, NAN)
+    with pytest.raises(core.InputError):
+        core.LipschitzFunction(sp.dist[0], NAN)
     grid = functional.unit_interval_grid(64)
+    for bad in (NAN, INF):
+        with pytest.raises(core.InputError):
+            functional.unit_interval_grid(64, bad)
+        with pytest.raises(core.InputError):
+            functional.gaussian_grid(64, bad)
+        with pytest.raises(core.InputError):
+            functional.scale_grid(grid, bad)
+        with pytest.raises(core.InputError):
+            functional.GridSpace1D([0.0, 0.5, bad], [1.0, 1.0, 1.0])
+        with pytest.raises(core.InputError):
+            functional.GridSpace1D([0.0, 0.5, 1.0], [1.0, bad, 1.0])
     for trials in (0, -2):
         with pytest.raises(core.InputError):
             functional.log_sobolev_check(grid, 0.3, trials=trials)
