@@ -135,7 +135,7 @@ def _check_params(kind, params):
     if not isinstance(params, dict):
         raise core.InputError("generator params must be a JSON object")
     _, required, optional, _ = _SPACE_KINDS[kind]
-    _check_fields(params, required, optional, f"{kind} params")
+    _check_fields(params, required, optional, kind)
     for key, v in params.items():
         if key == "alpha":
             ok = isinstance(v, list) and all(map(_is_finite, v))

@@ -260,8 +260,8 @@ class TestMembership:
 
     def test_refusal_with_equal_atoms_is_fast(self):
         # 7 points hold 9 atoms of 0.05 between them and 13 hold none, so 12
-        # atoms are refused; trying every order of the equal atoms took
-        # seconds, one order per packing takes milliseconds
+        # atoms are refused; a search that tries every order of the equal
+        # atoms takes seconds here, one order per packing takes milliseconds
         rng = np.random.default_rng(1)
         pts = rng.uniform(0.0, 1.0, size=(20, 3))
         dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
