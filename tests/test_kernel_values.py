@@ -2,7 +2,8 @@
 recorded before each was reduced to one copy: threshold sequences
 (separation, its witness and property report, dissipation evidence), the
 central moment (variance, p-variance, p-deviation, (p, q) trial bounds, the
-disconnected-space witness), the fixed-point threshold scan (Prokhorov, Ky
+disconnected-space witness), the smooth trial family of the (p, q) bounds
+and the log-Sobolev check, the fixed-point threshold scan (Prokhorov, Ky
 Fan), the cell-pair discrepancy block (l_p products, exact and searched box
 distances) and the max-flow orientation of the exact box distance on both
 sides of |X| = |Y|.  Floats compare by ``float.hex`` and arrays by a digest
@@ -109,6 +110,25 @@ def test_cell_blocks_unchanged():
     assert got == BLOCKS_RECORDED
 
 
+def test_trial_family_unchanged():
+    got = []
+    for grid in (functional.unit_interval_grid(512), functional.gaussian_grid(384, 0.7)):
+        for seed in (0, 4):
+            for trials in (1, 3, 6, 12, 200):
+                rep = functional.log_sobolev_check(grid, 0.3, trials=trials, seed=seed)
+                got.append(pin([rep.max_violation, rep.lower_bound, rep.trials]))
+            got.append(pin([functional.poincare_pq_lower(grid, p, q, trials=trials, seed=seed)
+                            for trials in (1, 7, 64) for p, q in ((2, 2), (3, 1.5))]))
+            got.append(pin(np.array(list(functional._trial_functions(grid, 40, seed)))))
+    assert got == TRIALS_RECORDED
+
+
+def test_trial_family_has_the_requested_size():
+    grid = functional.unit_interval_grid(128)
+    for k in range(1, 11):
+        assert len(list(functional._trial_functions(grid, k, 3))) == k
+
+
 # recorded before each kernel was reduced to one copy
 SEQUENCES_RECORDED = [['inf', 'inf', [[0, 1, 2, 3]]], ['0x1.039ab1004b45dp-1', '0x1.039ab1004b45dp-1', [[1], [2]]],
  ['0x1.00e5a30bc5294p-1', '0x1.00e5a30bc5294p-1', [[0], [1]]],
@@ -188,3 +208,33 @@ BLOCKS_RECORDED = [['464d8a2308951220', '0a46a02b279caf13'], ['1f7156eb546361a5'
  ['0x1.97e754189eecfp-2', 'da1956f5cee06f75'], ['0x1.9392634025454p-2', 'e21027596c78b371'],
  ['0x1.14dd83561f7e3p-1', 'f13999700c4919aa'], ['0x1.3c84b184413dap-1', 'cb5b31cdd594e285'],
  ['0x1.e337cde2117f4p-2', 'c9fa9821756af10d'], ['0x1.07b0eba440301p-1', '7c34700820892785']]
+# recorded before the trial family was streamed
+TRIALS_RECORDED = [['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
+ ['0x1.a5312397dec30p-14', '0x1.45f37a80f8fedp-2', 3],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 6],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 12],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 200],
+ ['0x1.45f3285f41233p-2', '0x1.6a16481e04b0bp-2', '0x1.45f3285f41233p-2',
+  '0x1.6a16481e04b0bp-2', '0x1.45f3285f4361ep-2', '0x1.6a16481e0be13p-2'],
+ 'b4189f1127f8567c', ['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
+ ['0x1.a5312397dec30p-14', '0x1.45f37a80f8fedp-2', 3],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 6],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 12],
+ ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 200],
+ ['0x1.45f3285f41233p-2', '0x1.6a16481e04b0bp-2', '0x1.45f3285f41233p-2',
+  '0x1.6a16481e04b0bp-2', '0x1.45f3285f4361ep-2', '0x1.6a16481e0be13p-2'],
+ '22f37415404118f4', ['0x1.031a3921ef29ep-22', '0x1.6666687502640p-1', 1],
+ ['0x1.94d80b03d3da8p-16', '0x1.6666687502640p-1', 3],
+ ['0x1.854c73725cffcp-8', '0x1.6666687502640p-1', 6],
+ ['0x1.a7a858ce835d0p-6', '0x1.6666687502640p-1', 12],
+ ['0x1.e9ef53071c550p-4', '0x1.6666687502640p-1', 200],
+ ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
+  '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
+ '9e3dad1e93a80390', ['0x1.031a3921ef29ep-22', '0x1.6666687502640p-1', 1],
+ ['0x1.94d80b03d3da8p-16', '0x1.6666687502640p-1', 3],
+ ['0x1.854c73725cffcp-8', '0x1.6666687502640p-1', 6],
+ ['0x1.5b5dfd69d5b0ep-5', '0x1.6666687502640p-1', 12],
+ ['0x1.04290fe5fb6e3p-3', '0x1.6666687502640p-1', 200],
+ ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
+  '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
+ '0cbb90eac3edcb72']
