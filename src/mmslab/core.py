@@ -217,6 +217,8 @@ class LipschitzFunction:
         object.__setattr__(self, "values", _freeze(self.values))
         if not self.lip_bound >= 0:
             raise InputError("lip_bound must be >= 0")
+        if not np.isfinite(self.values).all():
+            raise InputError("function values must be finite")
 
 
 def lipschitz_constant(sp: FinitePmSpace, values):
@@ -344,8 +346,8 @@ def total_variation(mass_a, mass_b):
     """Half-sum total variation between probability vectors on a common space."""
     a = np.asarray(mass_a, dtype=float)
     b = np.asarray(mass_b, dtype=float)
-    if a.shape != b.shape:
-        raise InputError("total_variation requires vectors of the same length")
+    if a.shape != b.shape or not np.isfinite([a, b]).all():
+        raise InputError("total_variation requires finite vectors of the same length")
     return 0.5 * float(np.abs(a - b).sum())
 
 
@@ -363,8 +365,8 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
         )
     a = np.asarray(mass_a, dtype=float)
     b = np.asarray(mass_b, dtype=float)
-    if a.shape != (n,) or b.shape != (n,):
-        raise InputError("mass vectors must match the space")
+    if a.shape != (n,) or b.shape != (n,) or not np.isfinite([a, b]).all():
+        raise InputError("mass vectors must be finite and match the space")
 
     amass = _subset_fold(np.add, a)
     bmass = _subset_fold(np.add, b)

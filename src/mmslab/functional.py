@@ -5,13 +5,16 @@ normalisation, so node masses are w_i h with half weight at the endpoints and
 integrals, spectra and quantile maps are all second-order accurate.  The
 (2,2) constant is 1/sqrt of the first nonzero eigenvalue of the weighted
 Neumann second-difference operator, computed by inverse iteration with
-deflation of constants.  The smooth-space slope of a grid function is the
-central difference (one-sided at the ends); trial families are kept smooth so
-this surrogate stays faithful.
+deflation of constants.  The (p,q) trial bounds measure slopes on edge
+midpoints, the quadrature of that operator; the log-Sobolev check takes the
+central difference (one-sided at the ends) for a block of trials at once.
+The trial family is smooth so both surrogates stay faithful, and it is
+generated one function at a time from cosine modes built once per call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +26,8 @@ from .core import FinitePmSpace, InputError, _central_moment, entropy_weighted
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
 GAUSSIAN_CUTOFF = 8.0
+# log_sobolev_check takes the slopes of this many trial functions at a time.
+SLOPE_BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -69,13 +74,6 @@ class GridSpace1D:
 
     def total_mass(self):
         return float(self.node_mass().sum())
-
-    def integrate(self, values):
-        return float(np.dot(self.node_mass(), values))
-
-    def gradient(self, values):
-        """Central differences, one-sided at the endpoints."""
-        return np.gradient(np.asarray(values, dtype=float), self.nodes)
 
     def cdf_midpoints(self):
         """CDF values at the nodes via cumulative midpoint masses."""
@@ -135,14 +133,6 @@ def _edge_conductances(grid: GridSpace1D):
     return 0.5 * (w[:-1] + w[1:]) * grid.h
 
 
-def edge_energy(grid: GridSpace1D, values, q=2):
-    """Slope norm over edge midpoints: the quadratic form of the spectral
-    operator at q = 2, a second-order quadrature of the slope integral."""
-    f = np.asarray(values, dtype=float)
-    slopes = np.abs(np.diff(f)) / grid.h
-    return float(np.dot(_edge_conductances(grid), slopes**q))
-
-
 def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
@@ -199,46 +189,50 @@ def poincare_c22(grid: GridSpace1D):
 
 
 def _trial_functions(grid: GridSpace1D, trials, seed):
-    """Smooth seeded trial family: the spectral eigenfunction, centred
-    polynomials, and low-frequency cosine mixtures, amplitude-normalised.
-    Smoothness keeps the central-difference slope faithful."""
-    rng = np.random.default_rng(seed)
+    """Yield the first ``trials`` functions of a smooth seeded family: the
+    spectral eigenfunction, centred polynomials, and low-frequency cosine
+    mixtures, amplitude-normalised.  Smoothness keeps the central-difference
+    slope faithful."""
     x = grid.nodes
-    span = x[-1] - x[0]
-    t = (x - x[0]) / span
+    t = (x - x[0]) / (x[-1] - x[0])
     _, eig = second_eigenvalue(grid)
-    out = [eig / np.abs(eig).max(), t - 0.5]
-    for deg in range(2, 7):
-        out.append((t - 0.5) ** deg)
-    while len(out) < trials:
-        k = rng.integers(1, 13)
-        coeff = rng.standard_normal(k)
+    head = [eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)]
+    yield from head[:trials]
+    rng = np.random.default_rng(seed)
+    modes = [np.cos((j + 1) * math.pi * t) for j in range(12)]
+    made = len(head)
+    while made < trials:
+        coeff = rng.standard_normal(rng.integers(1, 13))
         f = np.zeros_like(t)
-        for j, c in enumerate(coeff):
-            f = f + c * np.cos((j + 1) * math.pi * t)
+        for c, mode in zip(coeff, modes):
+            f = f + c * mode
         peak = np.abs(f).max()
         if peak > 0:
-            out.append(f / peak)
-    return out[:trials]
+            made += 1
+            yield f / peak
 
 
 def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     """Lower bound on the (p,q) constant by maximising the deviation-to-slope
     ratio over the smooth trial family.
 
-    The slope norm is the edge-midpoint quadrature, matching the spectral
-    quadratic form at q = 2 so that no trial beats the spectral supremum.
+    The slope norm is the edge-midpoint quadrature, a second-order
+    quadrature of the slope integral that equals the spectral quadratic form
+    at q = 2, so that no trial beats the spectral supremum.
     """
     if not (1 <= p < math.inf and 1 <= q < math.inf):
         raise InputError("p and q must lie in [1, inf)")
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
+    mu = grid.node_mass()
+    cond = _edge_conductances(grid)
     best = 0.0
     for f in _trial_functions(grid, trials, seed):
-        energy = edge_energy(grid, f, q) ** (1.0 / q)
+        slopes = np.abs(np.diff(f)) / grid.h
+        energy = float(np.dot(cond, slopes**q)) ** (1.0 / q)
         if energy <= 1e-14:
             continue
-        dev = _central_moment(grid.node_mass(), f, p) ** (1.0 / p)
+        dev = _central_moment(mu, f, p) ** (1.0 / p)
         best = max(best, dev / energy)
     return best
 
@@ -268,20 +262,24 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     mu = grid.node_mass()
+    # 4 + max(trials - 4, 1) >= trials functions, so exactly trials are checked
     trial = _trial_functions(grid, max(trials - 4, 1), seed)
-    eig = trial[0]  # the normalised spectral eigenfunction
-    funcs = [1.0 + eps * eig for eps in (0.003, 0.01, 0.03, 0.1)] + trial
+    eig = next(trial)  # the normalised spectral eigenfunction
+    perturbed = [1.0 + eps * eig for eps in (0.003, 0.01, 0.03, 0.1)]
+    funcs = itertools.islice(itertools.chain(perturbed, [eig], trial), trials)
 
     worst = -math.inf
     lower = 0.0
-    for f in funcs[:trials]:
-        g = grid.gradient(f)
-        energy = float(np.dot(mu, g * g))
-        ent = entropy_weighted(mu, np.asarray(f) ** 2)
-        worst = max(worst, ent - 2.0 * constant**2 * energy)
-        if energy > 1e-14 and ent > 0:
-            lower = max(lower, math.sqrt(ent / (2.0 * energy)))
-    return LogSobolevReport(float(constant), worst, lower, min(trials, len(funcs)))
+    while block := list(itertools.islice(funcs, SLOPE_BLOCK)):
+        block = np.array(block)
+        slopes = np.gradient(block, grid.nodes, axis=1)
+        for f, g in zip(block, slopes):
+            energy = float(np.dot(mu, g * g))
+            ent = entropy_weighted(mu, f**2)
+            worst = max(worst, ent - 2.0 * constant**2 * energy)
+            if energy > 1e-14 and ent > 0:
+                lower = max(lower, math.sqrt(ent / (2.0 * energy)))
+    return LogSobolevReport(float(constant), worst, lower, trials)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_library_rejects_nan_and_out_of_range():
         core.product(sp, sp, NAN)
     with pytest.raises(core.InputError):
         core.LipschitzFunction(sp.dist[0], NAN)
+    for bad in (NAN, INF):
+        with pytest.raises(core.InputError):
+            core.LipschitzFunction([bad, 0.0, 0.5, 1.0], 1.0)
+        masses = [bad, 0.0, 0.5, 0.5]
+        for a, b in ((masses, sp.mass), (sp.mass, masses)):
+            with pytest.raises(core.InputError):
+                core.prokhorov(sp, a, b)
+            with pytest.raises(core.InputError):
+                core.total_variation(a, b)
     grid = functional.unit_interval_grid(64)
     for bad in (NAN, INF):
         with pytest.raises(core.InputError):

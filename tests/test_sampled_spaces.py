@@ -70,12 +70,16 @@ def test_save_and_load_round_trip():
 
 
 OBSDIAM_PLAN = """
-import contextlib, hashlib, io, resource, sys
+import contextlib, hashlib, io, sys
 from mmslab import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["run", "gaussian_obsdiam"])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024,
+# VmHWM is this process's own peak; ru_maxrss would carry over the parent's
+# peak across exec and so measure the test runner
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(code, hwm_kb // 1024,
       "scipy.spatial" in sys.modules, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
