@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Coupling, FinitePmSpace, InputError, SizeLimitError, _subset_fold
+from .core import Coupling, FinitePmSpace, InputError, SizeLimitError, _check_effort, _subset_fold
 
 EXACT_MAX_CELLS = 12
 
@@ -233,28 +233,28 @@ def _optimize_selection(disc_sub, masses, rng, restarts=32):
                 key = peak[idx] + jitter
             _drop_cell(disc_sub, peak, keep, idx[int(np.argmax(key))])
             best = min(best, _kept_value(peak, masses, keep))
-        # 2-opt: single add + single drop moves from the greedy endpoint path
-        keep = np.ones(m, dtype=bool)
-        peak = full_peak.copy()
-        val = _kept_value(peak, masses, keep)
-        for _ in range(4 * m):
-            improved = False
-            for c in itertools.chain(np.nonzero(keep)[0], np.nonzero(~keep)[0]):
-                trial = peak.copy()
-                if keep[c]:
-                    _drop_cell(disc_sub, trial, keep, c)
-                else:
-                    np.maximum(trial, disc_sub[:, c], out=trial)
-                    keep[c] = True
-                    trial[c] = disc_sub[c, keep].max()
-                v = _kept_value(trial, masses, keep)
-                if v < val - 1e-15:
-                    val, peak, improved = v, trial, True
-                    break
-                keep[c] = not keep[c]
-            best = min(best, val)
-            if not improved:
+    # 2-opt from the full selection reads no order and no RNG: one run serves every restart
+    keep = np.ones(m, dtype=bool)
+    peak = full_peak.copy()
+    val = _kept_value(peak, masses, keep)
+    for _ in range(4 * m):
+        improved = False
+        for c in itertools.chain(np.nonzero(keep)[0], np.nonzero(~keep)[0]):
+            trial = peak.copy()
+            if keep[c]:
+                _drop_cell(disc_sub, trial, keep, c)
+            else:
+                np.maximum(trial, disc_sub[:, c], out=trial)
+                keep[c] = True
+                trial[c] = disc_sub[c, keep].max()
+            v = _kept_value(trial, masses, keep)
+            if v < val - 1e-15:
+                val, peak, improved = v, trial, True
                 break
+            keep[c] = not keep[c]
+        best = min(best, val)
+        if not improved:
+            break
     return best
 
 
@@ -292,6 +292,7 @@ def box_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts=32, seed=0):
     Every candidate coupling and kept-cell selection realises admissible
     interval parameters, so the reported value is always attainable.
     """
+    _check_effort("restarts", restarts, seed)
     if sx.n * sy.n <= EXACT_MAX_CELLS:
         est = box_exact_small(sx, sy)
         return BoxEstimate(0.0, est.upper, est.witness_coupling, "bound")
@@ -362,6 +363,8 @@ def box_converges(sequence, limit: FinitePmSpace, tol, seed=0):
     sequence = list(sequence)
     if not sequence:
         raise InputError("box_converges needs a non-empty sequence")
+    if not 0 < tol < np.inf:
+        raise InputError(f"tol must be finite and positive, got {tol!r}")
     uppers = [box_upper(sp, limit, seed=seed).upper for sp in sequence]
     k = max(1, len(uppers) // 3)
     tail = uppers[-k:]

@@ -27,9 +27,10 @@ REAL_TOL = 1e-9
 ISOMORPHISM_MAX_POINTS = 10
 PROKHOROV_MAX_POINTS = 20
 
-# Above this size the cubic triangle-inequality sweep loops one index to keep
-# memory linear instead of materialising an n^3 tensor.
+# Above this size the triangle-inequality sweep takes blocks of rows against
+# one j at a time in a reused, cache-sized buffer instead of an n^3 tensor.
 _TRIANGLE_BLOCK_LIMIT = 48
+_TRIANGLE_BLOCK_ELEMENTS = 65536
 
 
 class InputError(ValueError):
@@ -191,12 +192,28 @@ def _triangle_violation(D):
             return None
         i, j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
         return int(i), int(j), int(k), float(gap[i, j, k])
+    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
+    buf = np.empty((rows, n))
+    for start, j in itertools.product(range(0, n, rows), range(n)):
+        block = D[start:start + rows]
+        out = np.add(block[:, j, None], D[j], out=buf[:len(block)])
+        if np.subtract(block, out, out=out).max() > VALIDATION_TOL:
+            break
+    else:
+        return None
+    # report the smallest violating j, then the largest gap over (i, k)
     for j in range(n):
         gap = D - (D[:, j][:, None] + D[j][None, :])
         if gap.max() > VALIDATION_TOL:
             i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
             return int(i), j, int(k), float(gap[i, k])
-    return None
+
+
+def _check_effort(name, count, seed):
+    """InputError unless ``count`` >= 1 and ``seed`` >= 0 are integers."""
+    for what, value, low in ((name, count, 1), ("seed", seed, 0)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+            raise InputError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
 def check_valid(sp: FinitePmSpace):

@@ -27,6 +27,7 @@ from .core import (
     REAL_TOL,
     VALIDATION_TOL,
     _central_moment,
+    _check_effort,
 )
 
 # Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
@@ -126,7 +127,7 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
             raise SizeLimitError(f"exact obs_diam is limited to {EXACT_MAX_POINTS} points")
         return _obs_diam_exact(sp, kappa)
     if mode == "heuristic":
-        starts, _ = _effort_budget(sp.n, starts)
+        starts, _ = _effort_budget(sp.n, starts, seed)
         return _coordinate_ascent(sp, starts, seed, 50, 1e-13,
                                   *_recompute(lambda f: partial_diameter(f, sp.mass, kappa)))
     raise InputError(f"unknown mode {mode!r}")
@@ -191,10 +192,11 @@ def _anchor_starts(sp, rng, starts):
     return pool
 
 
-def _effort_budget(n, starts):
+def _effort_budget(n, starts, seed):
     """Multi-start budgets that keep the quadratic sweeps tractable: beyond a
     few hundred points the start count shrinks so a call stays near the cost
     of the reference 64-start search on 256 points."""
+    _check_effort("starts", starts, seed)
     if n <= 256:
         return starts, 200
     scale = max(1, (n * n) // (256 * 256))
@@ -563,7 +565,7 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
             Q = Q - mi * fi ** 2 + mi * c * c
             return Q - E * E, (E, Q)
 
-        starts, sweeps = _effort_budget(sp.n, starts)
+        starts, sweeps = _effort_budget(sp.n, starts, seed)
         return _coordinate_ascent(sp, starts, seed, sweeps, 1e-14, start, move)
     raise InputError(f"unknown mode {mode!r}")
 
@@ -583,7 +585,7 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
         verts = lipschitz_vertices(sp)
         val = max(objective(f) for f in verts)
     elif mode == "heuristic":
-        starts, sweeps = _effort_budget(sp.n, starts)
+        starts, sweeps = _effort_budget(sp.n, starts, seed)
         val = _coordinate_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
                                  *_recompute(objective))
     else:

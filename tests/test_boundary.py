@@ -14,7 +14,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmslab import atoms, cli, core, functional, generators, observables as obs
+from mmslab import atoms, boxmetric, cli, core, functional, generators, observables as obs
 
 NAN, INF = math.nan, math.inf
 
@@ -232,6 +232,21 @@ def test_library_rejects_nan_and_out_of_range():
             functional.log_sobolev_check(grid, 0.3, trials=trials)
         with pytest.raises(core.InputError):
             functional.poincare_pq_lower(grid, 2, 2, trials=trials)
+    # a search with no starts would return 0.0 without looking
+    pair = (generators.interval_grid(3), generators.interval_grid(4))
+    for effort in ({"starts": 0}, {"starts": -2}, {"starts": 2.5}, {"starts": True},
+                   {"seed": -1}, {"seed": 1.0}):
+        for call in (lambda: obs.obs_diam(sp, 0.2, mode="heuristic", **effort),
+                     lambda: obs.variance(sp, mode="heuristic", **effort),
+                     lambda: obs.p_deviation(sp, 2, mode="heuristic", **effort)):
+            with pytest.raises(core.InputError):
+                call()
+        restarts = {"restarts": effort["starts"]} if "starts" in effort else effort
+        with pytest.raises(core.InputError):
+            boxmetric.box_upper(*pair, **restarts)
+    for tol in (NAN, INF, 0.0, -0.1):
+        with pytest.raises(core.InputError):
+            boxmetric.box_converges([pair[0]], pair[1], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,32 @@ class TestSearchKernelsPinned:
             assert got == want
             assert gen_got.bit_generator.state == gen_want.bit_generator.state
 
+    @pytest.mark.parametrize("m", [5, 39, 256])
+    def test_two_opt_runs_once_per_coupling(self, m, monkeypatch):
+        # each greedy restart drops exactly m cells; the 2-opt search reads
+        # neither the restart order nor the RNG, so extra restarts add no 2-opt
+        rng = np.random.default_rng(m)
+        raw = rng.random((m, m))
+        disc = np.triu(raw, 1) + np.triu(raw, 1).T
+        masses = rng.dirichlet(np.ones(m))
+        calls = []
+        drop = boxmetric._drop_cell
+
+        def counted(*args):
+            calls.append(1)
+            drop(*args)
+
+        monkeypatch.setattr(boxmetric, "_drop_cell", counted)
+
+        def drops(restarts):
+            calls.clear()
+            boxmetric._optimize_selection(disc, masses, np.random.default_rng(0), restarts)
+            return len(calls)
+
+        one = drops(1)
+        for r in (2, 8):
+            assert drops(r) - one == (r - 1) * m
+
     # box_upper(restarts=8) and box_lower on pairs drawn from default_rng(2024),
     # recorded before the search kernels were vectorised
     RECORDED = [

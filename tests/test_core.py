@@ -50,6 +50,52 @@ class TestValidate:
             core.space(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]], [1 / 3] * 3)
 
 
+def first_triangle_violation(D):
+    """Reference report: the smallest j with any gap above the tolerance,
+    then the argmax of that gap over (i, k)."""
+    for j in range(len(D)):
+        gap = D - (D[:, j][:, None] + D[j][None, :])
+        if gap.max() > core.VALIDATION_TOL:
+            i, k = (int(t) for t in np.unravel_index(int(np.argmax(gap)), gap.shape))
+            msg = f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap[i, k]:.3e}"
+            return core.Violation("triangle", (i, j, k), msg)
+    return None
+
+
+def planted(n, seed, shortcuts, rise=0.0):
+    """Distances in [1, 1.2], which satisfy the triangle inequality, with each
+    (i, j, k) in ``shortcuts`` given d(i,j) = d(j,k) = 0.55 and d(i,k) =
+    1.1 + rise, a violation of gap ``rise`` through j.  A sum with one short
+    edge is at least 1.55 > 1.4, so every violation runs through a planted j."""
+    rng = np.random.default_rng(seed)
+    raw = 1.0 + 0.2 * rng.random((n, n))
+    D = np.triu(raw, 1) + np.triu(raw, 1).T
+    for i, j, k in shortcuts:
+        D[i, j] = D[j, i] = D[j, k] = D[k, j] = 0.55
+        D[i, k] = D[k, i] = 1.1 + rise
+    return core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("n", [49, 64, 109, 110, 200, 601])
+def test_blocked_triangle_sweep_reports_the_first_j(n):
+    assert core.validate(planted(n, n, [])) is None
+    # a gap of half the tolerance passes, twice the tolerance fails
+    assert core.validate(planted(n, n, [(4, n // 2, n - 5)], 5e-13)) is None
+    cases = [
+        [(4, n // 2, n - 5)],
+        # the violation at j = 3 lives in the last rows, the one at j = n - 1
+        # in the first rows, which a sweep over row blocks meets first
+        [(1, n - 1, 2), (n - 3, 3, n - 2)],
+        [(n - 1, 0, 7), (9, 0, 30), (20, 40, 41)],
+    ]
+    for shortcuts in cases:
+        for rise in (2e-12, 0.3):
+            D = planted(n, n, shortcuts, rise)
+            want = first_triangle_violation(D.dist)
+            assert want is not None and want.indices[1] == min(j for _, j, _ in shortcuts)
+            assert core.validate(D) == want
+
+
 class TestScale:
     def test_identity(self):
         sp = two_point()
