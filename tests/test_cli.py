@@ -76,6 +76,23 @@ class TestSubcommands:
         code, stdout, _ = run_cli("atoms", "member", "--alpha", "0.5,0.3", "--space", str(sp_path))
         assert code == 0 and json.loads(stdout)["member"] is True
 
+    @pytest.mark.parametrize("family,alpha,delta", [
+        ("dissipation", "0.4,0.2", "2"), ("atom", "0.3,0.2", "0.6"), ("atom", "0.3,0.2", "0.15"),
+    ], ids=["accepted", "refused_large_bin", "refused_slack"])
+    def test_atoms_dissipate_json_unchanged(self, tmp_path, family, alpha, delta):
+        a = cli.atoms_mod.sort_atoms([float(t) for t in alpha.split(",")])
+        if family == "dissipation":
+            spaces = [gen.dissipation_family(a, 2.0, n) for n in range(1, 6)]
+        else:
+            spaces = [gen.atom_space(a, m) for m in (2, 3, 4, 5, 7)]
+        paths = [str(tmp_path / f"s{k}.json") for k in range(len(spaces))]
+        for sp, path in zip(spaces, paths):
+            core.save_space(sp, path)
+        code, stdout, _ = run_cli("atoms", "dissipate", "--alpha", alpha, "--delta", delta,
+                                  "--spaces", *paths)
+        assert code == 0
+        assert json.loads(stdout) == DISSIPATE_RECORDED[f"{family}:{delta}"]
+
     def test_spectral(self):
         code, stdout, _ = run_cli("spectral", "--space", "interval", "--size", "128")
         assert code == 0
@@ -114,6 +131,28 @@ class TestSubcommands:
         assert code == 0
         data = json.loads(stdout)
         assert set(data["invariants"]) == {"A", "B"}
+
+
+# recorded before the dissipation detector dropped its unread outputs
+DISSIPATE_RECORDED = {
+    "dissipation:2": {
+        "accepted": True, "delta": 2.0, "atom_error": [0.0] * 5,
+        "max_small_bin": [0.19999999999999996, 0.09999999999999998, 0.04999999999999999,
+                          0.024999999999999994, 0.012499999999999997],
+        "bin_counts": [2, 4, 8, 16, 32], "reason": ""},
+    "atom:0.6": {
+        "accepted": False, "delta": 0.6, "atom_error": [0.04999999999999999] + [0.0] * 4,
+        "max_small_bin": [0.25, 0.5, 0.5, 0.5, 0.4999999999999999],
+        "bin_counts": [2, 1, 1, 1, 1],
+        "reason": "largest small bin 0.5000 above 0.05; separation never reaches delta at "
+                  "index 4 (kappa length 2)"},
+    "atom:0.15": {
+        "accepted": False, "delta": 0.15, "atom_error": [0.04999999999999999] + [0.0] * 4,
+        "max_small_bin": [0.25, 0.16666666666666666, 0.125, 0.1, 0.07142857142857142],
+        "bin_counts": [2, 3, 4, 5, 7],
+        "reason": "largest small bin 0.0714 above 0.05; separation slack grows along the "
+                  "sequence (kappa length 2)"},
+}
 
 
 class TestExitCodes:

@@ -5,9 +5,11 @@ central moment (variance, p-variance, p-deviation, (p, q) trial bounds, the
 disconnected-space witness), the smooth trial family of the (p, q) bounds
 and the log-Sobolev check, the fixed-point threshold scan (Prokhorov, Ky
 Fan), the cell-pair discrepancy block (l_p products, exact and searched box
-distances) and the max-flow orientation of the exact box distance on both
-sides of |X| = |Y|.  Floats compare by ``float.hex`` and arrays by a digest
-of their bytes, so a change in any bit fails."""
+distances), the max-flow orientation of the exact box distance on both
+sides of |X| = |Y|, the vertices of the Lipschitz polytope (their order
+included) and the bins of the dissipation detector.  Floats compare by
+``float.hex`` and arrays by a digest of their bytes, so a change in any bit
+fails."""
 
 import hashlib
 import math
@@ -121,6 +123,65 @@ def test_trial_family_unchanged():
                             for trials in (1, 7, 64) for p, q in ((2, 2), (3, 1.5))]))
             got.append(pin(np.array(list(functional._trial_functions(grid, 40, seed)))))
     assert got == TRIALS_RECORDED
+
+
+def _vertex_spaces():
+    """Generic spaces (one vertex per tree and sign) and collinear or
+    equidistant ones, where many trees reach the same vertex."""
+    rng = np.random.default_rng(2033)
+    out = []
+    for n in (2, 3, 4, 5, 6):
+        out.append(random_embedded_space(rng, n))
+        out.append(random_shortest_path_space(rng, n))
+        out.append(generators.interval_grid(n, 0.7))
+    out.append(generators.atom_space(atoms.sort_atoms([0.3, 0.2]), 3))
+    out.append(generators.dissipation_family(atoms.sort_atoms([0.4]), 1.5, 2))
+    return out
+
+
+def test_lipschitz_vertices_unchanged():
+    got = [[[len(V), pin(V)] for V in (obs.lipschitz_vertices(core.scale(sp, t))
+                                       for sp in _vertex_spaces())]
+           for t in (1e-3, 1.0, 30.0, 1000.0)]
+    assert got == VERTICES_RECORDED
+
+
+def _equidistant_member(alpha, n):
+    """n diffuse points and the atoms of ``alpha``, every distance n."""
+    ats = [float(e) for e in alpha.entries]
+    masses = [(1.0 - sum(ats)) / n] * n + ats
+    dist = np.full((len(masses),) * 2, float(n))
+    np.fill_diagonal(dist, 0.0)
+    return core.space([f"p{i}" for i in range(len(masses))], dist, masses)
+
+
+def dissipation_cases():
+    """(sequence, alpha, delta) triples, accepted and refused, with and
+    without diffuse mass."""
+    cases = []
+    for alpha, scale, delta in (([0.4, 0.2, 0.2], 2.0, 2.0), ([0.4, 0.2], 2.0, 2.0),
+                                ([0.25, 0.125, 0.125], 3.0, 4.0), ([0.5, 0.25, 0.25], 2.0, 2.0)):
+        alpha = atoms.sort_atoms(alpha)
+        cases.append(([core.scale(generators.dissipation_family(alpha, 1.0, n), scale)
+                       for n in range(1, 7)], alpha, delta))
+    for trunc in (1, 3):
+        alpha = atoms.truncate(atoms.sort_atoms([0.3, 0.2, 0.1, 0.05]), trunc, "collapse")
+        cases.append(([_equidistant_member(alpha, n) for n in range(2, 9)], alpha, 2.0))
+    alpha = atoms.sort_atoms([0.3, 0.2])
+    for delta in (0.15, 0.6):
+        cases.append(([generators.atom_space(alpha, m) for m in (2, 3, 4, 5, 7)], alpha, delta))
+    cases.append(([generators.interval_grid(m) for m in (4, 6, 8, 10)],
+                  atoms.sort_atoms([0.25]), 0.3))
+    return cases
+
+
+def test_dissipation_bins_unchanged():
+    got = []
+    for seq, alpha, delta in dissipation_cases():
+        ev = atoms.detect_dissipation(seq, alpha, delta)
+        got.append(pin((ev.accepted, ev.max_small, ev.bin_counts, ev.atom_error,
+                        ev.sep_checked, ev.reason)))
+    assert got == BINS_RECORDED
 
 
 def test_trial_family_has_the_requested_size():
@@ -238,3 +299,128 @@ TRIALS_RECORDED = [['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
  ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
   '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
  '0cbb90eac3edcb72']
+# recorded before the vertex dedup moved to numpy and the dissipation
+# detector dropped its unread outputs
+VERTICES_RECORDED = [[[2, '2192687a095d398f'], [2, '65d733ff583c8e3e'], [2, '0d1c3978a31f1f04'],
+                      [6, 'f9a1a8f3ffb4b79f'], [6, 'e471652a4793d27a'], [4, '2a94f2f2e94bd3e5'],
+                      [20, 'ffdd57104da51fcf'], [20, '555115df1ca3d603'], [8, 'b6aa15997106e9fc'],
+                      [70, 'd6b715ece89da6b5'], [70, '44b24fb16381bfce'], [16, '93ab6b6f3a9412f3'],
+                      [252, '14f9811125254dc0'], [252, 'b3c680ada614605a'],
+                      [32, '9d1d810282ca8db2'], [16, 'e972a9f0769663b2'],
+                      [30, '65c3bf497adf96ca']],
+                     [[2, 'f1ef72f37a701f79'], [2, '373e4c13e50d9a20'], [2, '45b5946f7ae27184'],
+                      [6, '210ee88e4cd767bf'], [6, '1d7d448cfcb6f0d8'], [4, '33b7351f71705e16'],
+                      [20, 'f20e6bc5eed04048'], [20, '3d41e1dcf44c688a'], [8, 'ba5423d84a9b2dc3'],
+                      [70, '4b9a28887b5d78a4'], [70, '9d584fe9de1ebbbd'], [16, 'c17a51bdb76a2032'],
+                      [252, '11350df9a035c5ea'], [252, '4c0e970a5b1a681e'],
+                      [32, '023521509a6468ca'], [16, 'fd553efa39ce59c3'],
+                      [30, 'd0c5ec4cd1e51765']],
+                     [[2, '37809f1c45f5ec71'], [2, 'ad3f19556ccb7904'], [2, '6e4c03fd6b29de9f'],
+                      [6, 'c502e4e1fca672e8'], [6, 'ad150e3ba1d26e95'], [4, '190a69dd10406b51'],
+                      [20, 'a878a4e4a6f31b81'], [20, 'f37b6767abe0ce00'], [8, '893e65c6abfad1db'],
+                      [70, '5645ae3aab0ca66b'], [70, 'bab5b09010dad294'], [16, 'a4ea0fb6def73161'],
+                      [252, 'db4ce95e772c6929'], [252, 'bb11135de2ef4e6e'],
+                      [32, '61e23d6f8447adde'], [16, '76eaa19b348713ad'],
+                      [30, '798f43836831322d']],
+                     [[2, 'd01713b448b3f90c'], [2, '491fb094c0d97ad7'], [2, 'e8bffbb6641b2949'],
+                      [6, 'daa0b7b8cb99b903'], [6, '7815cd25a2c38e9c'], [4, '0bc4c9627484a8d5'],
+                      [20, '47c3d47d9756d98a'], [20, '9267f4c27f46e757'], [8, '435489ea15a5398e'],
+                      [70, '90d7beadad6613bb'], [70, '4a745e93be067c25'], [16, '5b63a1846debd0fc'],
+                      [252, '0e9f0b1c00c8dc0f'], [252, '75dbe57834bdd78d'],
+                      [32, 'eb9d44158b78a1bd'], [16, '6656324b0bb35cf8'],
+                      [30, '3ea4b9b03d681052']]]
+BINS_RECORDED = [[True,
+                  ['0x1.9999999999998p-4', '0x1.9999999999998p-5', '0x1.9999999999998p-6',
+                   '0x1.9999999999998p-7', '0x1.9999999999998p-8', '0x1.9999999999998p-9'],
+                  [2, 4, 8, 16, 32, 64],
+                  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [[3, 0, '0x1.47ae147ae147bp-7'], [3, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 2, '0x1.47ae147ae147bp-7']],
+                  ''],
+                 [True,
+                  ['0x1.9999999999998p-3', '0x1.9999999999998p-4', '0x1.9999999999998p-5',
+                   '0x1.9999999999998p-6', '0x1.9999999999998p-7', '0x1.9999999999998p-8'],
+                  [2, 4, 8, 16, 32, 64],
+                  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [[3, 0, '0x1.47ae147ae147bp-7'], [3, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 2, '0x1.47ae147ae147bp-7']],
+                  ''],
+                 [False,
+                  ['0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+                   '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p+0'],
+                  [1, 1, 1, 1, 1, 1],
+                  ['0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1',
+                   '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1'],
+                  [[3, 0, 'inf'], [3, 1, 'inf'], [3, 2, 'inf']],
+                  'atom mismatch 0.5000 above 0.05; largest small bin 1.0000 above 0.05; '
+                  'separation never reaches delta at index 3 (kappa length 0); separation never '
+                  'reaches delta at index 3 (kappa length 1); separation never reaches delta at '
+                  'index 3 (kappa length 2)'],
+                 [True, ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [0, 0, 0, 0, 0, 0],
+                  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [[3, 0, '0x1.47ae147ae147bp-7'], [4, 0, '0x1.47ae147ae147bp-7'],
+                   [5, 0, '0x1.47ae147ae147bp-7']],
+                  ''],
+                 [True,
+                  ['0x1.6666666666666p-3', '0x1.dddddddddddddp-4', '0x1.6666666666666p-4',
+                   '0x1.1eb851eb851ebp-4', '0x1.dddddddddddddp-5', '0x1.9999999999999p-5',
+                   '0x1.6666666666666p-5'],
+                  [2, 3, 4, 5, 6, 7, 8],
+                  ['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+                   '0x0.0p+0'],
+                  [[3, 0, '0x1.47ae147ae147bp-7'], [4, 0, '0x1.47ae147ae147bp-7'],
+                   [5, 0, '0x1.47ae147ae147bp-7'], [6, 0, '0x1.47ae147ae147bp-7'],
+                   [3, 1, '0x1.47ae147ae147bp-7'], [4, 1, '0x1.47ae147ae147bp-7'],
+                   [5, 1, '0x1.47ae147ae147bp-7'], [6, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 2, '0x1.999999999999ap-5'], [4, 2, '0x1.47ae147ae147bp-7'],
+                   [5, 2, '0x1.999999999999ap-5'], [6, 2, '0x1.47ae147ae147bp-7']],
+                  ''],
+                 [True,
+                  ['0x1.6666666666666p-3', '0x1.dddddddddddddp-4', '0x1.6666666666666p-4',
+                   '0x1.1eb851eb851ebp-4', '0x1.dddddddddddddp-5', '0x1.9999999999999p-5',
+                   '0x1.6666666666666p-5'],
+                  [2, 3, 4, 5, 6, 7, 8],
+                  ['0x1.9999999999990p-6', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+                   '0x0.0p+0', '0x0.0p+0'],
+                  [[3, 0, '0x1.47ae147ae147bp-7'], [4, 0, '0x1.47ae147ae147bp-7'],
+                   [5, 0, '0x1.47ae147ae147bp-7'], [6, 0, '0x1.47ae147ae147bp-7'],
+                   [3, 1, '0x1.47ae147ae147bp-7'], [4, 1, '0x1.47ae147ae147bp-7'],
+                   [5, 1, '0x1.47ae147ae147bp-7'], [6, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 2, '0x1.999999999999ap-5'], [4, 2, '0x1.47ae147ae147bp-7'],
+                   [5, 2, '0x1.999999999999ap-5'], [6, 2, '0x1.47ae147ae147bp-7']],
+                  ''],
+                 [False,
+                  ['0x1.0000000000000p-2', '0x1.5555555555555p-3', '0x1.0000000000000p-3',
+                   '0x1.999999999999ap-4', '0x1.2492492492492p-4'],
+                  [2, 3, 4, 5, 7],
+                  ['0x1.9999999999998p-5', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [[2, 0, '0x1.47ae147ae147bp-7'], [3, 0, '0x1.47ae147ae147bp-7'],
+                   [4, 0, '0x1.47ae147ae147bp-7'], [2, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 1, '0x1.47ae147ae147bp-7'], [4, 1, '0x1.47ae147ae147bp-7'],
+                   [2, 2, '0x1.47ae147ae147bp-7'], [3, 2, '0x1.999999999999ap-5'],
+                   [4, 2, '0x1.999999999999ap-5']],
+                  'largest small bin 0.0714 above 0.05; separation slack grows along the sequence '
+                  '(kappa length 2)'],
+                 [False,
+                  ['0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x1.0000000000000p-1',
+                   '0x1.0000000000000p-1', '0x1.ffffffffffffep-2'],
+                  [2, 1, 1, 1, 1],
+                  ['0x1.9999999999998p-5', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
+                  [[2, 0, '0x1.47ae147ae147bp-7'], [3, 0, '0x1.47ae147ae147bp-7'],
+                   [4, 0, '0x1.47ae147ae147bp-7'], [2, 1, '0x1.47ae147ae147bp-7'],
+                   [3, 1, '0x1.47ae147ae147bp-7'], [4, 1, '0x1.47ae147ae147bp-7'], [2, 2, 'inf'],
+                   [3, 2, 'inf'], [4, 2, 'inf']],
+                  'largest small bin 0.5000 above 0.05; separation never reaches delta at index 4 '
+                  '(kappa length 2)'],
+                 [False,
+                  ['0x1.0000000000000p-2', '0x1.fffffffffffffp-1', '0x1.0000000000000p+0',
+                   '0x1.fffffffffffffp-1'],
+                  [3, 1, 1, 1],
+                  ['0x0.0p+0', '0x1.0000000000000p-2', '0x1.0000000000000p-2',
+                   '0x1.0000000000000p-2'],
+                  [[2, 0, '0x1.47ae147ae147bp-7'], [3, 0, '0x1.47ae147ae147bp-7'], [2, 1, 'inf'],
+                   [3, 1, 'inf'], [2, 2, 'inf'], [3, 2, 'inf']],
+                  'atom mismatch 0.2500 above 0.05; largest small bin 1.0000 above 0.05; '
+                  'separation never reaches delta at index 3 (kappa length 1); separation never '
+                  'reaches delta at index 3 (kappa length 2)']]
