@@ -2,50 +2,29 @@
 
 Importing scipy's subpackages costs about 0.6 s (2-vCPU machine), which most
 commands never need, so no mmslab module imports scipy at module level.  Each
-shim here has the name of the function it wraps and forwards every argument;
-the modules that use one import it by that name (``observables.linprog`` and
-so on), so it stays a module global that can be replaced from outside.  A new
-use of scipy gets a shim of the same form.
+name here is a plain function made by ``_shim`` that imports its subpackage
+on each call and forwards every argument; the modules that use one import it
+by that name (``observables.linprog`` and so on), so it stays a module global
+that can be replaced from outside.  A new use of scipy adds one line here.
 """
 
-
-def linprog(*args, **kwargs):
-    from scipy.optimize import linprog
-
-    return linprog(*args, **kwargs)
+import importlib
 
 
-def erfinv(*args, **kwargs):
-    from scipy.special import erfinv
+def _shim(module, name):
+    """A function that calls ``module.name``, importing ``module`` when called."""
 
-    return erfinv(*args, **kwargs)
+    def forward(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
 
-
-def ndtri(*args, **kwargs):
-    from scipy.special import ndtri
-
-    return ndtri(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
 
 
-def solve_banded(*args, **kwargs):
-    from scipy.linalg import solve_banded
-
-    return solve_banded(*args, **kwargs)
-
-
-def pdist(*args, **kwargs):
-    from scipy.spatial.distance import pdist
-
-    return pdist(*args, **kwargs)
-
-
-def squareform(*args, **kwargs):
-    from scipy.spatial.distance import squareform
-
-    return squareform(*args, **kwargs)
-
-
-def connected_components(*args, **kwargs):
-    from scipy.sparse.csgraph import connected_components
-
-    return connected_components(*args, **kwargs)
+linprog = _shim("scipy.optimize", "linprog")
+erfinv = _shim("scipy.special", "erfinv")
+ndtri = _shim("scipy.special", "ndtri")
+solve_banded = _shim("scipy.linalg", "solve_banded")
+pdist = _shim("scipy.spatial.distance", "pdist")
+squareform = _shim("scipy.spatial.distance", "squareform")
+connected_components = _shim("scipy.sparse.csgraph", "connected_components")

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._scipy import connected_components
 from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL
-from .observables import separation
+from .observables import SEPARATION_MAX_POINTS, separation
 
 MAX_CONTRACTION = 16
 MAX_PACKING = 20
@@ -238,9 +238,6 @@ def pyramid_distance_upper(alpha: AtomVector, beta: AtomVector):
 class DissipationEvidence:
     accepted: bool
     delta: float
-    atom_bins: tuple          # per space: tuple of atom-bin masses
-    small_bins: tuple         # per space: tuple of leftover-bin masses
-    covered: tuple            # per space: covered mass (always 1 here)
     atom_error: tuple         # per space: sum |bin mass - target|
     max_small: tuple          # per space: largest leftover bin
     bin_counts: tuple         # per space: number of leftover bins
@@ -296,15 +293,12 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
         raise InputError("the single-full-atom vector dissipates vacuously")
     diffuse = 1.0 - alpha.norm1()
 
-    atom_bins, small_bins, counts, errs, max_small, covered = [], [], [], [], [], []
+    counts, errs, max_small = [], [], []
     for sp in spaces:
         ab, sm = _greedy_families(sp, targets, delta)
-        atom_bins.append(tuple(ab))
-        small_bins.append(tuple(sm))
         counts.append(len(sm))
         errs.append(math.fsum(abs(a - t) for a, t in zip(ab, targets)))
         max_small.append(max(sm) if sm else 0.0)
-        covered.append(math.fsum(ab) + math.fsum(sm))
 
     half = len(spaces) // 2
     tail = slice(half, None)
@@ -313,8 +307,6 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
         reasons.append(f"atom mismatch {errs[-1]:.4f} above {_FINAL_TOL}")
     if _slope(errs[tail]) > 1e-9:
         reasons.append("atom mismatch not decreasing")
-    if covered[-1] < 1.0 - _FINAL_TOL:
-        reasons.append(f"covered mass {covered[-1]:.4f} below {1 - _FINAL_TOL}")
     if diffuse > _FINAL_TOL:
         if max_small[-1] > _FINAL_TOL:
             reasons.append(f"largest small bin {max_small[-1]:.4f} above {_FINAL_TOL}")
@@ -332,7 +324,7 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
     kappas = [()]
     if diffuse > 2 * VALIDATION_TOL:
         kappas += [(diffuse,), (diffuse / 2, diffuse / 2)]
-    checked = [i for i in range(half, len(spaces)) if spaces[i].n <= 20]
+    checked = [i for i in range(half, len(spaces)) if spaces[i].n <= SEPARATION_MAX_POINTS]
     for kap in kappas:
         merged = tuple(targets) + kap
         cap = min(merged) / 2 if merged else 0.1
@@ -341,28 +333,13 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
         )
         if not eps_grid or not checked:
             continue
-        min_eps = {}
-        for idx in checked:
-            passing = math.inf
-            for eps in eps_grid:
-                reduced = tuple(k - eps for k in merged)
-                if sum(k for k in reduced if k > 0) > 1.0:
-                    continue
-                try:
-                    val = separation(spaces[idx], reduced)
-                except SizeLimitError:
-                    val = None
-                if val is not None and val >= delta - 1e-9:
-                    passing = eps
-                    break
-            min_eps[idx] = passing
-            sep_rows.append((idx, len(kap), passing))
-        last = checked[-1]
-        if math.isinf(min_eps[last]):
+        slack = [_smallest_slack(spaces[idx], merged, eps_grid, delta) for idx in checked]
+        sep_rows += [(idx, len(kap), eps) for idx, eps in zip(checked, slack)]
+        if math.isinf(slack[-1]):
             reasons.append(
-                f"separation never reaches delta at index {last} (kappa length {len(kap)})"
+                f"separation never reaches delta at index {checked[-1]} (kappa length {len(kap)})"
             )
-        elif min_eps[checked[0]] < min_eps[last] - 1e-12:
+        elif slack[0] < slack[-1] - 1e-12:
             reasons.append(
                 f"separation slack grows along the sequence (kappa length {len(kap)})"
             )
@@ -370,15 +347,27 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
     return DissipationEvidence(
         accepted=not reasons,
         delta=float(delta),
-        atom_bins=tuple(atom_bins),
-        small_bins=tuple(small_bins),
-        covered=tuple(covered),
         atom_error=tuple(errs),
         max_small=tuple(max_small),
         bin_counts=tuple(counts),
         sep_checked=tuple(sep_rows),
         reason="; ".join(reasons),
     )
+
+
+def _smallest_slack(sp, kappa, eps_grid, delta):
+    """The first slack in ``eps_grid`` at which the separation of ``sp`` at
+    thresholds ``kappa`` minus the slack reaches delta, or inf."""
+    for eps in eps_grid:
+        reduced = tuple(k - eps for k in kappa)
+        if sum(k for k in reduced if k > 0) > 1.0:
+            continue
+        try:
+            if separation(sp, reduced) >= delta - 1e-9:
+                return eps
+        except SizeLimitError:
+            pass
+    return math.inf
 
 
 def _slope(values):
@@ -402,7 +391,7 @@ def algebra_consistency_report(alpha: AtomVector, beta: AtomVector, p, samples=N
     product of members at truncation level."""
     from .core import product as space_product
     from .generators import atom_space, dissipation_family
-    from .order import DominationWitness, dominates
+    from .order import MAX_SOURCE, MAX_TARGET, DominationWitness, dominates
 
     report = {"violations": [], "checked": 0}
     prod = atom_product(alpha, beta)
@@ -423,7 +412,7 @@ def algebra_consistency_report(alpha: AtomVector, beta: AtomVector, p, samples=N
     a_big = dissipation_family(alpha, 1.0, 1)
     b_big = dissipation_family(beta, 1.0, 1)
     prod_space = space_product(a_big, b_big, p if p != math.inf else math.inf)
-    if prod_space.n <= 12 and gen.n <= 8:
+    if prod_space.n <= MAX_SOURCE and gen.n <= MAX_TARGET:
         w = dominates(prod_space, gen)
         report["generator_dominated"] = isinstance(w, DominationWitness)
         if not report["generator_dominated"]:

@@ -244,10 +244,6 @@ class LogSobolevReport:
     lower_bound: float
     trials: int
 
-    @property
-    def violated(self):
-        return self.max_violation > 0
-
 
 def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """Evaluate the entropy-energy inequality at a candidate constant.

@@ -26,7 +26,6 @@ from .core import (
     check_valid,
     product,
 )
-from .functional import GridSpace1D, gaussian_grid, unit_interval_grid  # noqa: F401
 from .order import DominationWitness
 
 # Above this many points ``_finish`` skips the cubic triangle sweep and checks

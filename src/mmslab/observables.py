@@ -511,21 +511,19 @@ def lipschitz_vertices(sp: FinitePmSpace):
         return np.zeros((1, 1))
     scale = max(1.0, float(D.max()))
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
-    out = []
-    seen = set()
+    feasible = []
     for parent in _rooted_trees(n):
         # n - 1 sweeps settle every depth: f[v] = f[parent[v]] + s_v d(parent[v], v)
         step = signs * D[parent[1:], np.arange(1, n)]
         F = np.zeros((len(signs), n))
         for _ in range(n - 1):
             F[:, 1:] = F[:, parent[1:]] + step
-        F = F[(np.abs(F[:, :, None] - F[:, None, :]) - D).max(axis=(1, 2)) <= 1e-10 * scale]
-        for f, key in zip(F, np.round(F / scale, 10)):
-            key = tuple(key)
-            if key not in seen:
-                seen.add(key)
-                out.append(f)
-    return np.array(out)
+        feasible.append(F[(np.abs(F[:, :, None] - F[:, None, :]) - D).max(axis=(1, 2))
+                          <= 1e-10 * scale])
+    F = np.concatenate(feasible)
+    # adding 0.0 turns a key's -0.0 into 0.0, so the two count as one vertex
+    _, first = np.unique(np.round(F / scale, 10) + 0.0, axis=0, return_index=True)
+    return F[np.sort(first)]
 
 
 def _rooted_trees(n):
