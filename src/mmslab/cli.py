@@ -1,9 +1,10 @@
 """Command-line front end and experiment runner.
 
 Subcommands: gen, invariant, box, dominates, atoms, spectral, compare, run.
-Exit codes: 0 ok, 1 embedded assertion failed, 2 input error, 3 size limit.
-Every reported number carries a certificate tag (exact | bound | estimate) and
-infinities are printed as the string "inf".  Plans run their steps in order
+Exit codes: 0 ok, 1 embedded assertion failed, 2 input error, 3 size limit
+(an exact search's limit, or memory running out).  Every reported number
+carries a certificate tag (exact | bound | estimate) and infinities are
+printed as the string "inf".  Plans run their steps in order
 and their CSV output is byte-identical across runs for a fixed seed.
 """
 
@@ -128,6 +129,10 @@ def _is_finite(x):
     return _is_real(x) and math.isfinite(x)
 
 
+# generator parameters that count points or dimensions (4 and 4.0 pass, 3.9 not)
+_INTEGER_PARAMS = ("m", "n_points", "dim", "n_dim", "n", "m_diffuse")
+
+
 def _check_params(kind, params):
     """Reject a generator kind or parameters that make_space cannot use."""
     if kind not in _SPACE_KINDS:
@@ -142,7 +147,7 @@ def _check_params(kind, params):
         elif key == "seed":
             ok = isinstance(v, int) and not isinstance(v, bool) and v >= 0
         else:
-            ok = _is_finite(v)
+            ok = _is_finite(v) and (key not in _INTEGER_PARAMS or v == int(v))
         if not ok:
             raise core.InputError(f"parameter {key!r} of {kind} cannot be {v!r}")
 
@@ -325,7 +330,7 @@ def _cmd_spectral(args):
         if args.constant != "c22":
             raise core.InputError("--convergence-table tabulates c22 only, not --constant ls")
         rows = [["size", "c22"]]
-        m = 64
+        m = min(64, args.size)  # below 64 poincare_c22 rejects the size itself
         while m <= args.size:
             rows.append([m, functional.poincare_c22(grid(m))])
             m *= 2
@@ -688,8 +693,8 @@ def main(argv=None):
         if args.seed is not None and args.seed < 0:
             raise core.InputError("--seed must be >= 0")
         return args.func(args)
-    except core.SizeLimitError as e:
-        print(f"size limit: {e}", file=sys.stderr)
+    except (core.SizeLimitError, MemoryError) as e:
+        print(f"size limit: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE
     except core.InputError as e:
         print(f"input error: {e}", file=sys.stderr)

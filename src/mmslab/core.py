@@ -69,7 +69,8 @@ class FinitePmSpace:
 
     ``mass_rational`` optionally carries the masses as exact fractions (used by
     the order-search module for exact pushforward matching).  ``coords``
-    optionally carries sample coordinates, one row per point.  A space built
+    optionally carries sample coordinates, one row per point, whose columns
+    ``validate`` requires to be 1-Lipschitz for the metric.  A space built
     with ``dist=None`` takes the Euclidean distances of its ``coords`` rows,
     ``squareform(pdist(coords))``, as its metric; they are computed on the
     first read of ``dist`` and kept, so code that only reads ``coords`` never
@@ -89,8 +90,11 @@ class FinitePmSpace:
             object.__setattr__(self, "coords", _freeze(self.coords))
         if self._dist is not None:
             object.__setattr__(self, "_dist", _freeze(self._dist))
-        elif self.coords is None or self.coords.ndim != 2 or len(self.coords) != self.n:
-            raise InputError("a space without dist needs one row of coords per point")
+        if self.coords is not None or self._dist is None:
+            if self.coords is None or self.coords.ndim != 2 or len(self.coords) != self.n:
+                raise InvalidSpaceError(
+                    "coords need one row per point (a space without dist needs coords)"
+                )
         if self.mass_rational is not None:
             object.__setattr__(
                 self, "mass_rational", tuple(Fraction(r) for r in self.mass_rational)
@@ -154,7 +158,8 @@ def validate(sp: FinitePmSpace):
             (i, j, k),
             f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}",
         )
-    return _mass_violation(sp)
+    v = _mass_violation(sp)
+    return v if v is not None else _projection_violation(sp.coords, D)
 
 
 def _mass_violation(sp: FinitePmSpace):
@@ -177,6 +182,28 @@ def _mass_violation(sp: FinitePmSpace):
         for i, r in enumerate(sp.mass_rational):
             if abs(float(r) - m[i]) > 1e-9:
                 return Violation("mass_rational", (i,), f"mass_rational[{i}] != mass[{i}]")
+    return None
+
+
+def _projection_violation(coords, D):
+    """The first coordinate that is not finite, or the first coordinate
+    column that is not 1-Lipschitz for ``D`` within the validation tolerance
+    relative to the diameter, as a ``coords`` Violation; None without coords."""
+    if coords is None:
+        return None
+    if not np.all(np.isfinite(coords)):
+        i, c = np.argwhere(~np.isfinite(coords))[0]
+        return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
+    tol = VALIDATION_TOL * max(1.0, float(D.max()))
+    for c, col in enumerate(coords.T):
+        gap = np.abs(col[:, None] - col[None, :]) - D
+        if gap.max() > tol:
+            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            return Violation(
+                "coords",
+                (int(i), int(j), c),
+                f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
+            )
     return None
 
 
@@ -491,7 +518,7 @@ def to_json_dict(sp: FinitePmSpace):
     if sp.mass_rational is not None:
         d["mass_rational"] = [f"{r.numerator}/{r.denominator}" for r in sp.mass_rational]
     if sp.coords is not None:
-        d["coords"] = [[float(x) for x in row] for row in np.atleast_2d(sp.coords)]
+        d["coords"] = [[float(x) for x in row] for row in sp.coords]
     return d
 
 

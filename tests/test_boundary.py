@@ -182,6 +182,62 @@ def test_bad_argument_is_input_error(argv):
     assert err.startswith("input error:")
 
 
+# coordinates that do not belong to the points or to the metric of the file
+PATH_DOC = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+            "mass": [0.25, 0.5, 0.25]}
+BAD_COORDS = [
+    ("two_rows_for_three_points", [[0.0], [1.0]]),
+    ("column_not_lipschitz", [[0.0], [500.0], [1000.0]]),
+    ("nan_coordinate", [[0.0], [NAN], [2.0]]),
+]
+
+
+@pytest.mark.parametrize("coords", [c[1] for c in BAD_COORDS], ids=[c[0] for c in BAD_COORDS])
+def test_space_file_with_bad_coords_is_invalid(coords):
+    with workdir() as d:
+        assert core.load_space(write_json(d, "good.json", {**PATH_DOC, "coords": [[0], [1], [2]]}))
+        path = write_json(d, "coords.json", {**PATH_DOC, "coords": coords})
+        with pytest.raises(core.InvalidSpaceError):
+            core.load_space(path)
+        code, out, err = run_main(["invariant", path, "--kind", "obsdiam_projection"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("kind,params,key", [
+    ("interval_grid", {"m": 3.9}, "m"),
+    ("gaussian_sample", {"n_points": 5, "dim": 2.5}, "dim"),
+    ("gaussian_sample", {"n_points": 4.5}, "n_points"),
+    ("sphere_sample", {"n_dim": 1.5, "n_points": 4}, "n_dim"),
+    ("atom_space", {"alpha": [0.3], "m_diffuse": 2.2}, "m_diffuse"),
+    ("dissipation_family", {"alpha": [0.3], "n": 1.5}, "n"),
+    ("grid_interval", {"m": 64.5}, "m"),
+])
+def test_fractional_count_parameter_is_input_error(kind, params, key):
+    with pytest.raises(core.InputError, match=f"parameter {key!r} of {kind} cannot be"):
+        cli.make_space(kind, params)
+    cli.make_space(kind, {**params, key: 64.0 if kind == "grid_interval" else 4.0})
+    with workdir() as d:
+        code, out, err = run_main(["gen", kind, "--params", json.dumps(params),
+                                   "-o", os.path.join(d, "out.json")])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize("message,shown", [("Unable to allocate 298. GiB",) * 2,
+                                           ("", "out of memory")], ids=["numpy", "bare"])
+def test_out_of_memory_is_size_limit(monkeypatch, message, shown):
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    with workdir() as d:
+        monkeypatch.setattr(generators, "interval_grid", no_memory)
+        code, out, err = run_main(["gen", "interval_grid", "--params", '{"m": 200000}',
+                                   "-o", os.path.join(d, "out.json")])
+    assert code == 3 and out == ""
+    assert err.strip() == f"size limit: {shown}"
+
+
 def test_library_rejects_nan_and_out_of_range():
     sp = generators.interval_grid(4)
     for kappa in (NAN, INF, -0.1, 1.0, 1.5):

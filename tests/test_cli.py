@@ -107,6 +107,17 @@ class TestSubcommands:
         assert lines[0] == "size,c22"
         assert len(lines) == 4  # 64, 128, 256
 
+    @pytest.mark.parametrize("size", ["32", "63"])
+    def test_convergence_table_below_64_is_input_error(self, capsys, size):
+        single = cli.main(["spectral", "--space", "interval", "--size", size])
+        single_err = capsys.readouterr().err
+        table = cli.main(["spectral", "--space", "interval", "--size", size,
+                          "--convergence-table"])
+        out, err = capsys.readouterr()
+        assert single == table == 2 and out == ""
+        assert err == single_err
+        assert err.startswith("input error:") and "at least 64 subintervals" in err
+
     def test_convergence_table_is_c22_only(self):
         code, stdout, stderr = run_cli(
             "spectral", "--space", "interval", "--size", "128", "--constant", "ls",

@@ -9,6 +9,8 @@ import pytest
 from mmslab import atoms, core, generators as gen, observables as obs, order
 from mmslab.atoms import sort_atoms
 
+from conftest import random_embedded_space
+
 
 class TestValidity:
     def test_all_generators_validate(self):
@@ -23,6 +25,24 @@ class TestValidity:
         ]
         for sp in spaces:
             assert core.validate(sp) is None
+
+    def test_coordinates_stay_lipschitz_under_scaling(self):
+        # the coords rule of validate holds at every scale; the triangle
+        # sweep's tolerance is absolute, so it is not checked here
+        rng = np.random.default_rng(4)
+        spaces = [
+            gen.interval_grid(7, 2.0),
+            gen.interval_grid(301, 1e3),
+            gen.gaussian_sample(40, 1, 1.0, seed=0),
+            gen.gaussian_sample(300, 5, 1e-3, seed=1),
+            gen.sphere_sample(2, 1.5, 40, seed=0),
+            gen.atom_space(sort_atoms([0.4, 0.3]), 5),
+            *(random_embedded_space(rng, n, dim) for n, dim in ((3, 1), (20, 3), (64, 8))),
+        ]
+        for sp in spaces:
+            for t in (1e-3, 1.0, 30.0, 1e5):
+                scaled = core.scale(sp, t)
+                assert core._projection_violation(scaled.coords, scaled.dist) is None
 
     def test_interval_grid_two_points(self):
         sp = gen.interval_grid(2, 1.0)
