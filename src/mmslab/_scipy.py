@@ -17,7 +17,6 @@ def _shim(module, name):
     def forward(*args, **kwargs):
         return getattr(importlib.import_module(module), name)(*args, **kwargs)
 
-    forward.__name__ = forward.__qualname__ = name
     return forward
 
 

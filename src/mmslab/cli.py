@@ -4,8 +4,8 @@ Subcommands: gen, invariant, box, dominates, atoms, spectral, compare, run.
 Exit codes: 0 ok, 1 embedded assertion failed, 2 input error, 3 size limit
 (an exact search's limit, or memory running out).  Every reported number
 carries a certificate tag (exact | bound | estimate) and infinities are
-printed as the string "inf".  Plans run their steps in order
-and their CSV output is byte-identical across runs for a fixed seed.
+printed as the string "inf".  Plans run their steps in order and their CSV
+output is byte-identical across runs for a fixed seed.
 """
 
 from __future__ import annotations
