@@ -195,9 +195,10 @@ def _projection_violation(coords, D):
         i, c = np.argwhere(~np.isfinite(coords))[0]
         return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
     tol = VALIDATION_TOL * max(1.0, float(D.max()))
+    gap = np.empty_like(D)  # one buffer for every column: |c_i - c_j| - D[i, j]
     for c, col in enumerate(coords.T):
-        gap = np.abs(col[:, None] - col[None, :]) - D
-        if gap.max() > tol:
+        np.abs(np.subtract.outer(col, col, out=gap), out=gap)
+        if np.subtract(gap, D, out=gap).max() > tol:
             i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
             return Violation(
                 "coords",
