@@ -183,8 +183,8 @@ def test_bad_argument_is_input_error(argv):
 
 
 # coordinates that do not belong to the points or to the metric of the file
-PATH_DOC = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
-            "mass": [0.25, 0.5, 0.25]}
+THREE_POINT_DOC = {"points": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                   "mass": [0.25, 0.5, 0.25]}
 BAD_COORDS = [
     ("two_rows_for_three_points", [[0.0], [1.0]]),
     ("column_not_lipschitz", [[0.0], [500.0], [1000.0]]),
@@ -195,8 +195,9 @@ BAD_COORDS = [
 @pytest.mark.parametrize("coords", [c[1] for c in BAD_COORDS], ids=[c[0] for c in BAD_COORDS])
 def test_space_file_with_bad_coords_is_invalid(coords):
     with workdir() as d:
-        assert core.load_space(write_json(d, "good.json", {**PATH_DOC, "coords": [[0], [1], [2]]}))
-        path = write_json(d, "coords.json", {**PATH_DOC, "coords": coords})
+        good = {**THREE_POINT_DOC, "coords": [[0], [1], [2]]}
+        assert core.load_space(write_json(d, "good.json", good))
+        path = write_json(d, "coords.json", {**THREE_POINT_DOC, "coords": coords})
         with pytest.raises(core.InvalidSpaceError):
             core.load_space(path)
         code, out, err = run_main(["invariant", path, "--kind", "obsdiam_projection"])

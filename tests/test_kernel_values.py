@@ -155,7 +155,7 @@ def _equidistant_member(alpha, n):
     return core.space([f"p{i}" for i in range(len(masses))], dist, masses)
 
 
-def dissipation_cases():
+def _dissipation_cases():
     """(sequence, alpha, delta) triples, accepted and refused, with and
     without diffuse mass."""
     cases = []
@@ -177,7 +177,7 @@ def dissipation_cases():
 
 def test_dissipation_bins_unchanged():
     got = []
-    for seq, alpha, delta in dissipation_cases():
+    for seq, alpha, delta in _dissipation_cases():
         ev = atoms.detect_dissipation(seq, alpha, delta)
         got.append(pin((ev.accepted, ev.max_small, ev.bin_counts, ev.atom_error,
                         ev.sep_checked, ev.reason)))
