@@ -7,7 +7,9 @@ computed exactly by maximising, over each value ordering, the smallest
 admissible-window width with a linear program; variance-type functionals are
 convex in the observable, so their exact mode enumerates the vertices of the
 1-Lipschitz polytope.  Heuristic modes run seeded multi-start coordinate
-ascent and always return feasible (hence lower) values.
+ascent and always return feasible (hence lower) values; all starts climb in
+lockstep as the rows of one matrix, each row exactly as it would alone, so the
+values are those of running the starts one after another, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,20 +48,67 @@ CROSSOVER_MIN_SLACK = 1e-3
 def partial_diameter(values, masses, kappa):
     """Smallest diameter of a value set carrying mass >= 1 - kappa.
 
-    Exact: sort the values and slide a two-pointer window; an optimal set can
-    always be taken as a contiguous run of sorted support values.
+    Exact: an optimal set can always be taken as a contiguous run of sorted
+    support values (see ``_partial_diameters``).  Values, masses and kappa
+    must be finite and the masses nonnegative.
     """
-    need = 1.0 - float(kappa)
-    if need <= VALIDATION_TOL:
-        return 0.0
+    kappa = float(kappa)
     v = np.asarray(values, dtype=float)
     w = np.asarray(masses, dtype=float)
-    if v.shape != w.shape:
-        raise InputError("values and masses must have the same length")
-    order = np.argsort(v, kind="stable")
-    wins = _minimal_windows(w[order], need)
-    v = v[order].tolist()
-    return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
+    if v.ndim != 1 or v.shape != w.shape:
+        raise InputError("values and masses must be 1-D and have the same length")
+    if not len(v):
+        raise InputError("partial_diameter needs at least one value")
+    if not (math.isfinite(kappa) and np.isfinite(v).all() and np.isfinite(w).all()):
+        raise InputError("values, masses and kappa must be finite")
+    if (w < 0).any():
+        raise InputError("masses must be nonnegative")
+    if 1.0 - kappa <= VALIDATION_TOL:
+        return 0.0
+    return float(_partial_diameters(v[None, :], w, kappa)[0])
+
+
+def _partial_diameters(G, w, kappa):
+    """Partial diameter of every row of G under the masses w, for a kappa
+    with 1 - kappa > VALIDATION_TOL.
+
+    Each row is sorted once.  The window starting at sorted index i ends
+    before the first k whose prefix sums pass the exact test
+    ``csum[k] - csum[i] >= need - VALIDATION_TOL``; a searchsorted on
+    ``csum[i] + short`` finds k up to rounding, and the exact test moves it
+    onto that first k.  Subtraction rounds monotonically, so a window never
+    reads narrower than one it contains, and the smallest width over these
+    windows is the smallest over the inclusion-minimal ones.
+    """
+    rows, n = G.shape
+    r = np.arange(rows)[:, None]
+    order = np.argsort(G, axis=1, kind="stable")
+    v = G[r, order]
+    csum = np.zeros((rows, n + 1))
+    np.cumsum(w[order], axis=1, out=csum[:, 1:])
+    left = csum[:, :-1]
+    short = (1.0 - kappa) - VALIDATION_TOL
+    # complex keys sort by real part first, so one search stays inside each
+    # row without an offset that would round the sums; ``ends`` indexes the
+    # flattened csum, where row r spans first[r] .. first[r] + n, and an
+    # infinite sentinel closes the last row
+    ends = np.searchsorted((r + 1j * csum).ravel(), (r + 1j * (left + short)).ravel())
+    ends = ends.reshape(rows, n)
+    first = (n + 1) * r
+    flat = np.append(csum, math.inf)
+
+    def passes(k):
+        return flat[k] - left >= short
+
+    while (back := (ends > first) & passes(ends - 1)).any():
+        ends -= back
+    while (ahead := (ends <= first + n) & ~passes(ends)).any():
+        ends += ahead
+    found = ends <= first + n
+    # the window from sorted index i ends at v[row, ends - first - 1]
+    width = v.ravel()[np.minimum(ends - r - 1, v.size - 1)] - v
+    width = np.where(found, width, math.inf).min(axis=1)
+    return np.where(found.any(axis=1), width, v[:, -1] - v[:, 0])
 
 
 def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
@@ -117,7 +166,9 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
     diameter is the minimum of the linear widths of admissible windows, so the
     supremum over the order region is a linear program; the result is the
     maximum over orderings.  Heuristic mode: seeded multi-start coordinate
-    ascent from distance anchors; always a valid lower value.
+    ascent from distance anchors, every start in lockstep, with all
+    candidates of a coordinate scored by one batched window scan
+    (``_partial_diameters``); always a valid lower value.
     """
     kappa = _kappa_fraction(kappa)
     if sp.n == 1 or 1.0 - kappa <= VALIDATION_TOL:
@@ -129,7 +180,7 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
     if mode == "heuristic":
         starts, _ = _effort_budget(sp.n, starts, seed)
         return _coordinate_ascent(sp, starts, seed, 50, 1e-13,
-                                  *_recompute(lambda f: partial_diameter(f, sp.mass, kappa)))
+                                  *_rescoring(lambda G: _partial_diameters(G, sp.mass, kappa)))
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -164,32 +215,22 @@ def _obs_diam_exact(sp, kappa):
     return best
 
 
-def _lip_interval(D, f, i):
-    """Feasible range for f[i] with the other coordinates fixed."""
-    lo = f - D[i]
-    hi = f + D[i]
-    lo[i], hi[i] = -math.inf, math.inf
-    return float(lo.max()), float(hi.min())
-
-
 def _anchor_starts(sp, rng, starts):
-    n = sp.n
-    pool = []
-    for i in range(n):
-        if len(pool) >= starts:
-            return pool
-        pool.append(sp.dist[i].copy())
-    for i in range(n):
-        if len(pool) >= starts:
-            return pool
-        pool.append(-sp.dist[i])
-    while len(pool) < starts:
-        # random Lipschitz function: min-extension of random anchor values
+    """Start rows: the distance functions of the points, their negatives, then
+    random Lipschitz functions."""
+    n, D = sp.n, sp.dist
+    F = np.empty((starts, n))
+    head = min(starts, n)
+    F[:head] = D[:head]
+    F[head:2 * n] = -D[:min(starts, 2 * n) - head]
+    diam = sp.diam()
+    for f in F[2 * n:]:
+        # min-extension of random anchor values
         k = int(rng.integers(1, min(n, 8) + 1))
         idx = rng.choice(n, size=k, replace=False)
-        vals = rng.uniform(-sp.diam(), sp.diam(), size=k)
-        pool.append(np.min(vals[None, :] + sp.dist[:, idx], axis=1))
-    return pool
+        vals = rng.uniform(-diam, diam, size=k)
+        f[:] = np.min(vals[None, :] + D[:, idx], axis=1)
+    return F
 
 
 def _effort_budget(n, starts, seed):
@@ -206,46 +247,69 @@ def _effort_budget(n, starts, seed):
 def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
     """Best value of seeded multi-start coordinate ascent over 1-Lipschitz f.
 
-    ``start(f)`` returns ``(value, state)`` for a start f and
-    ``move(state, f, i, c)`` the pair for f with f[i] moved to c, leaving f as
-    it was.  Each sweep tries, per coordinate, the low then the high end of
-    its feasible interval and keeps a candidate only when it beats the best
-    so far by more than ``tol``; a move whose pick equals f[i] changes
-    nothing, so rounding in an incremental ``move`` never counts as progress.
+    All starts run in lockstep as the rows of one matrix F.  ``start(F)``
+    returns ``(values, state)`` for the rows, where ``state`` is a tuple of
+    per-row arrays, and ``move(state, F, i, C)`` scores every row with f[i]
+    moved to each column of ``C``, returning the values and the states
+    shaped like ``C``, and leaving F as it was.  Each sweep tries, per
+    coordinate, the low then the high end of the row's feasible interval and
+    keeps a candidate only when it beats the best so far by more than
+    ``tol``; a move whose pick equals f[i] changes nothing, so rounding in an
+    incremental ``move`` never counts as progress.  A row whose sweep changed
+    nothing is done, and keeps its value.
     """
-    rng = np.random.default_rng(seed)
     D = sp.dist
-    best = 0.0
-    for f in _anchor_starts(sp, rng, starts):
-        cur, state = start(f)
-        for _ in range(sweeps):
-            improved = False
-            for i in range(sp.n):
-                pick, pick_val, pick_state = f[i], cur, state
-                for cand in _lip_interval(D, f, i):
-                    val, st = move(state, f, i, cand)
-                    if val > pick_val + tol:
-                        pick, pick_val, pick_state = cand, val, st
-                if pick != f[i]:
-                    f[i], cur, state = pick, pick_val, pick_state
-                    improved = True
-            if not improved:
+    F = _anchor_starts(sp, np.random.default_rng(seed), starts)
+    cur, state = start(F)
+    done = []
+    buf = np.empty_like(F)
+    C = np.empty((len(F), 2))
+    for _ in range(sweeps):
+        moved = np.zeros(len(F), dtype=bool)
+        for i in range(sp.n):
+            # feasible interval (C[:, 0], C[:, 1]) of f[i] in every row
+            np.subtract(F, D[i], out=buf)
+            buf[:, i] = -math.inf
+            buf.max(axis=1, out=C[:, 0])
+            np.add(F, D[i], out=buf)
+            buf[:, i] = math.inf
+            buf.min(axis=1, out=C[:, 1])
+            vals, states = move(state, F, i, C)
+            lo_wins = vals[:, 0] > cur + tol
+            hi_wins = vals[:, 1] > np.where(lo_wins, vals[:, 0], cur) + tol
+            rows = np.nonzero(lo_wins | hi_wins)[0]
+            if not len(rows):
+                continue
+            end = hi_wins[rows].astype(np.intp)
+            pick = C[rows, end]
+            change = pick != F[rows, i]
+            rows, end = rows[change], end[change]
+            F[rows, i] = pick[change]
+            cur[rows] = vals[rows, end]
+            for s, cand in zip(state, states):
+                s[rows] = cand[rows, end]
+            moved[rows] = True
+        if not moved.all():
+            done.append(cur[~moved])
+            F, cur = F[moved], cur[moved]
+            state = tuple(s[moved] for s in state)
+            buf, C = buf[:len(F)], C[:len(F)]
+            if not len(F):
                 break
-        best = max(best, cur)
-    return float(best)
+    return max(0.0, float(np.concatenate(done + [cur]).max()))
 
 
-def _recompute(objective):
-    """``start`` and ``move`` for ``_coordinate_ascent`` that evaluate
-    ``objective`` in full at every candidate."""
+def _rescoring(score):
+    """``start`` and ``move`` for ``_coordinate_ascent`` from ``score``, which
+    maps a matrix to the objective value of each row: a move scores copies of
+    F with column i set to each end."""
 
-    def move(state, f, i, c):
-        old, f[i] = f[i], c
-        val = objective(f)
-        f[i] = old
-        return val, None
+    def move(state, F, i, C):
+        G = np.repeat(F, 2, axis=0)
+        G[:, i] = C.ravel()
+        return score(G).reshape(-1, 2), ()
 
-    return (lambda f: (objective(f), None)), move
+    return (lambda F: (score(F), ())), move
 
 
 def gaussian_obs_diam(sigma, kappa):
@@ -541,7 +605,9 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
 
     The objective is convex in f, so the exact mode takes the maximum over
     polytope vertices.  The heuristic mode moves each coordinate to the better
-    endpoint of its feasible interval (optimal for a convex objective).
+    endpoint of its feasible interval (optimal for a convex objective), with
+    every start in lockstep and the first two moments of each row updated in
+    O(1) per candidate.
     """
     if sp.n == 1:
         return 0.0
@@ -551,16 +617,19 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
     if mode == "heuristic":
         m = sp.mass
 
-        def start(f):
-            E, Q = float(np.dot(m, f)), float(np.dot(m, f * f))
+        def start(F):
+            E = np.array([np.dot(m, f) for f in F])
+            Q = np.array([np.dot(m, f * f) for f in F])
             return Q - E * E, (E, Q)
 
-        def move(state, f, i, c):
-            # O(1) update of the first two moments
+        def move(state, F, i, C):
+            # O(1) update of the first two moments; f[i] is squared by libm's
+            # pow (np.float_power), as the pinned values were, since numpy's
+            # array square rounds differently in the last bit
             E, Q = state
-            mi, fi = m[i], f[i]
-            E = E - mi * fi + mi * c
-            Q = Q - mi * fi ** 2 + mi * c * c
+            mi, fi = m[i], F[:, i, None]
+            E = E[:, None] - mi * fi + mi * C
+            Q = Q[:, None] - mi * np.float_power(fi, 2) + mi * C * C
             return Q - E * E, (E, Q)
 
         starts, sweeps = _effort_budget(sp.n, starts, seed)
@@ -583,9 +652,12 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
         verts = lipschitz_vertices(sp)
         val = max(objective(f) for f in verts)
     elif mode == "heuristic":
+        def moments(G):
+            return np.array([_central_moment(sp.mass, g, p) for g in G])
+
         starts, sweeps = _effort_budget(sp.n, starts, seed)
         val = _coordinate_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
-                                 *_recompute(objective))
+                                 *_rescoring(moments))
     else:
         raise InputError(f"unknown mode {mode!r}")
     return val ** (1.0 / p) if p != math.inf else val

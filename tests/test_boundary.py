@@ -306,6 +306,24 @@ def test_library_rejects_nan_and_out_of_range():
             boxmetric.box_converges([pair[0]], pair[1], tol)
 
 
+@pytest.mark.parametrize("values,masses,kappa", [
+    ([], [], 0.5),
+    ([0.0, NAN], [0.5, 0.5], 0.2),
+    ([0.0, INF], [0.5, 0.5], 0.2),
+    ([0.0, 1.0], [0.5, NAN], 0.2),
+    ([0.0, 1.0], [0.5, INF], 0.2),
+    ([0.0, 1.0], [1.5, -0.5], 0.2),
+    ([0.0, 1.0], [0.5, 0.5], NAN),
+    ([0.0, 1.0], [0.5, 0.5], -INF),
+    ([0.0, 1.0], [1.0], 0.2),
+    ([[0.0, 1.0]], [[0.5, 0.5]], 0.2),
+], ids=["empty", "nan_value", "inf_value", "nan_mass", "inf_mass", "negative_mass",
+        "nan_kappa", "infinite_kappa", "length_mismatch", "two_dimensional"])
+def test_partial_diameter_rejects_empty_and_non_finite(values, masses, kappa):
+    with pytest.raises(core.InputError):
+        obs.partial_diameter(values, masses, kappa)
+
+
 # ---------------------------------------------------------------------------
 # fuzzing through cli.main
 

@@ -621,3 +621,184 @@ class TestTwoPointerScan:
             minimal = [(i, j) for i, j in windows
                        if i == j or not (feasible(i + 1, j) or feasible(i, j - 1))]
             assert obs._minimal_windows(ws, need) == minimal
+
+
+# ---------------------------------------------------------------------------
+# the lockstep coordinate ascent against the per-start loop
+
+
+def per_start_anchors(sp, rng, starts):
+    """The start functions, built one at a time."""
+    n = sp.n
+    pool = [sp.dist[i].copy() for i in range(min(starts, n))]
+    pool += [-sp.dist[i] for i in range(min(starts, 2 * n) - len(pool))]
+    while len(pool) < starts:
+        k = int(rng.integers(1, min(n, 8) + 1))
+        idx = rng.choice(n, size=k, replace=False)
+        vals = rng.uniform(-sp.diam(), sp.diam(), size=k)
+        pool.append(np.min(vals[None, :] + sp.dist[:, idx], axis=1))
+    return pool
+
+
+def per_start_ascent(sp, starts, seed, sweeps, tol, start, move):
+    """Reference: each start climbs alone, with two scalar moves per coordinate."""
+    rng = np.random.default_rng(seed)
+    D = sp.dist
+    best = 0.0
+    for f in per_start_anchors(sp, rng, starts):
+        cur, state = start(f)
+        for _ in range(sweeps):
+            improved = False
+            for i in range(sp.n):
+                lo, hi = f - D[i], f + D[i]
+                lo[i], hi[i] = -math.inf, math.inf
+                pick, pick_val, pick_state = f[i], cur, state
+                for cand in (float(lo.max()), float(hi.min())):
+                    val, st = move(state, f, i, cand)
+                    if val > pick_val + tol:
+                        pick, pick_val, pick_state = cand, val, st
+                if pick != f[i]:
+                    f[i], cur, state = pick, pick_val, pick_state
+                    improved = True
+            if not improved:
+                break
+        best = max(best, cur)
+    return float(best)
+
+
+def per_start_recompute(objective):
+    def move(state, f, i, c):
+        old, f[i] = f[i], c
+        val = objective(f)
+        f[i] = old
+        return val, None
+
+    return (lambda f: (objective(f), None)), move
+
+
+def per_start_obs_diam(sp, kappa, starts, seed):
+    if sp.n == 1 or 1.0 - kappa <= core.VALIDATION_TOL:
+        return 0.0
+
+    def objective(f):
+        order = np.argsort(f, kind="stable")
+        wins = obs._minimal_windows(sp.mass[order], 1.0 - kappa)
+        v = f[order].tolist()
+        return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
+
+    starts, _ = obs._effort_budget(sp.n, starts, seed)
+    return per_start_ascent(sp, starts, seed, 50, 1e-13, *per_start_recompute(objective))
+
+
+def per_start_variance(sp, starts, seed):
+    m = sp.mass
+
+    def start(f):
+        E, Q = float(np.dot(m, f)), float(np.dot(m, f * f))
+        return Q - E * E, (E, Q)
+
+    def move(state, f, i, c):
+        E, Q = state
+        mi, fi = m[i], f[i]
+        E = E - mi * fi + mi * c
+        Q = Q - mi * fi ** 2 + mi * c * c
+        return Q - E * E, (E, Q)
+
+    starts, sweeps = obs._effort_budget(sp.n, starts, seed)
+    return per_start_ascent(sp, starts, seed, sweeps, 1e-14, start, move)
+
+
+def per_start_p_deviation(sp, p, starts, seed):
+    starts, sweeps = obs._effort_budget(sp.n, starts, seed)
+    val = per_start_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
+                           *per_start_recompute(lambda f: obs.p_variance(sp, f, p)))
+    return val ** (1.0 / p) if p != math.inf else val
+
+
+def integer_space(rng, n, scale=1.0):
+    """Shortest paths over integer weights: many tied distances and values."""
+    raw = rng.integers(1, 4, size=(n, n)).astype(float)
+    raw = np.minimum(raw, raw.T)
+    np.fill_diagonal(raw, 0.0)
+    for k in range(n):
+        raw = np.minimum(raw, raw[:, k][:, None] + raw[k][None, :])
+    return core.space([f"z{i}" for i in range(n)], raw * scale, np.full(n, 1.0 / n))
+
+
+def tiny_mass_space(rng, n, scale=1.0):
+    """An embedded space where a third of the points carry mass about 1e-12."""
+    sp = random_embedded_space(rng, n, scale=scale)
+    m = sp.mass.copy()
+    m[rng.random(n) < 0.35] = 1e-12
+    return core.space(sp.points, sp.dist, m / m.sum())
+
+
+def all_windows_width(v, w, need):
+    """O(n^2) oracle: the smallest width over every window of sorted values
+    whose mass reaches need within VALIDATION_TOL."""
+    order = np.argsort(v, kind="stable")
+    vs = v[order]
+    csum = np.concatenate(([0.0], np.cumsum(w[order])))
+    n = len(v)
+    widths = [vs[j] - vs[i] for i in range(n) for j in range(i, n)
+              if csum[j + 1] - csum[i] >= need - core.VALIDATION_TOL]
+    return min(widths, default=vs[-1] - vs[0])
+
+
+class TestLockstepAscent:
+    """Every start climbs in one matrix; the values equal those of the
+    per-start loop bit for bit."""
+
+    @staticmethod
+    def spaces():
+        rng = np.random.default_rng(31337)
+        builders = (random_embedded_space, random_shortest_path_space,
+                    integer_space, tiny_mass_space)
+        for k, n in enumerate((2, 3, 4, 5, 7, 9, 12, 16, 23, 31, 40, 2, 6, 11)):
+            scale = (1e-3, 1.0, 1e3)[k % 3]
+            yield builders[k % 4](rng, n, scale=scale)
+
+    def test_values_equal_the_per_start_loop(self):
+        for k, sp in enumerate(self.spaces()):
+            big = sp.n > 20
+            for starts in ((1, 3, 8) if big else (1, 3, 8, 64)):
+                seed = (k + starts) % 3
+                kappa = (0.0, 0.2, 0.5)[(k + starts) % 3]
+                assert (obs.obs_diam(sp, kappa, "heuristic", starts, seed)
+                        == per_start_obs_diam(sp, kappa, starts, seed))
+                assert (obs.variance(sp, "heuristic", starts, seed)
+                        == per_start_variance(sp, starts, seed))
+                for p in ((2, math.inf) if big else (1, 2, 3, math.inf)):
+                    assert (obs.p_deviation(sp, p, "heuristic", starts, seed)
+                            == per_start_p_deviation(sp, p, starts, seed))
+
+    def test_batched_scan_matches_all_windows(self):
+        rng = np.random.default_rng(505)
+        for v, w, kappa in TestTwoPointerScan.cases():
+            need = 1.0 - kappa
+            if need <= core.VALIDATION_TOL:
+                continue
+            # rows of one batch share the masses: reorderings, ties and a constant
+            batch = np.array([v, v[::-1], rng.permutation(v), -v, np.floor(v),
+                              np.zeros_like(v), rng.permutation(np.round(v, 1))])
+            got = obs._partial_diameters(batch, w, kappa)
+            assert got.tolist() == [all_windows_width(row, w, need) for row in batch]
+
+    def test_batched_scan_on_the_tolerance_edge(self):
+        # kappa is set so that need - VALIDATION_TOL equals one window's mass
+        # as the exact test computes it; csum[i] + short can then round to
+        # the other side of csum[j + 1], which only the exact test corrects
+        rng = np.random.default_rng(606)
+        for _ in range(4000):
+            n = int(rng.integers(3, 12))
+            v, w = rng.normal(size=n), rng.dirichlet(np.ones(n))
+            csum = np.concatenate(([0.0], np.cumsum(w[np.argsort(v, kind="stable")])))
+            i = int(rng.integers(0, n))
+            mass = csum[int(rng.integers(i, n)) + 1] - csum[i]
+            k0 = 1.0 - (mass + core.VALIDATION_TOL)
+            for kappa in k0 + np.arange(-4, 5) * np.spacing(k0):
+                if (1.0 - kappa) - core.VALIDATION_TOL != mass:
+                    continue
+                batch = np.array([v, -v, rng.permutation(v)])
+                got = obs._partial_diameters(batch, w, kappa)
+                assert got.tolist() == [all_windows_width(row, w, 1.0 - kappa) for row in batch]
