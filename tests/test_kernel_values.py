@@ -7,7 +7,9 @@ and the log-Sobolev check, the fixed-point threshold scan (Prokhorov, Ky
 Fan), the cell-pair discrepancy block (l_p products, exact and searched box
 distances), the max-flow orientation of the exact box distance on both
 sides of |X| = |Y|, the vertices of the Lipschitz polytope (their order
-included) and the bins of the dissipation detector.  Floats compare by
+included) and the bins of the dissipation detector.  The inverse iteration
+of the spectral gap gives the eigenvalue and eigenvector it gave when each
+step solved the tridiagonal system from scratch.  Floats compare by
 ``float.hex`` and arrays by a digest of their bytes, so a change in any bit
 fails."""
 
@@ -188,6 +190,14 @@ def test_trial_family_has_the_requested_size():
     grid = functional.unit_interval_grid(128)
     for k in range(1, 11):
         assert len(list(functional._trial_functions(grid, k, 3))) == k
+
+
+def test_second_eigenvalue_unchanged():
+    grids = [g for m in (64, 512, 4096, 131072)
+             for g in (functional.unit_interval_grid(m), functional.gaussian_grid(m))]
+    # the grid whose symmetrised Rayleigh quotient once never converged
+    grids.append(functional.unit_interval_grid(65768, 0.9855584598921796))
+    assert [pin(functional.second_eigenvalue(g)) for g in grids] == EIGEN_RECORDED
 
 
 # recorded before each kernel was reduced to one copy
@@ -424,3 +434,9 @@ BINS_RECORDED = [[True,
                   'atom mismatch 0.2500 above 0.05; largest small bin 1.0000 above 0.05; '
                   'separation never reaches delta at index 3 (kappa length 1); separation never '
                   'reaches delta at index 3 (kappa length 2)']]
+# recorded while each inverse-iteration step still factored the operator anew
+EIGEN_RECORDED = [['0x1.3bc390d258106p+3', '02700ba1991b9d4e'], ['0x1.ffd73481084e0p-1', '4b991281b0847b12'],
+ ['0x1.3bd38bab71ee7p+3', 'd3321d4c451d87b7'], ['0x1.fffffd55eb1b4p-1', 'dc102e648e6ea79b'],
+ ['0x1.3bd3cb9823aa6p+3', '1cc6d0ff735a11c5'], ['0x1.0000000007215p+0', '29b0405760b7850c'],
+ ['0x1.3bd3cc9ba6a98p+3', 'fb64508f7739eec9'], ['0x1.000000000a9f2p+0', 'a88c2aed4dd209e3'],
+ ['0x1.4526a0893a908p+3', '271493f01078beba']]
