@@ -23,7 +23,8 @@ def _shim(module, name):
 linprog = _shim("scipy.optimize", "linprog")
 erfinv = _shim("scipy.special", "erfinv")
 ndtri = _shim("scipy.special", "ndtri")
-solve_banded = _shim("scipy.linalg", "solve_banded")
+dgttrf = _shim("scipy.linalg.lapack", "dgttrf")
+dgttrs = _shim("scipy.linalg.lapack", "dgttrs")
 pdist = _shim("scipy.spatial.distance", "pdist")
 squareform = _shim("scipy.spatial.distance", "squareform")
 connected_components = _shim("scipy.sparse.csgraph", "connected_components")

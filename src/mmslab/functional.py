@@ -7,9 +7,10 @@ integrals, spectra and quantile maps are all second-order accurate.  The
 Neumann second-difference operator, computed by inverse iteration with
 deflation of constants.  The (p,q) trial bounds measure slopes on edge
 midpoints, the quadrature of that operator; the log-Sobolev check takes the
-central difference (one-sided at the ends) for a block of trials at once.
-The trial family is smooth so both surrogates stay faithful, and it is
-generated one function at a time from cosine modes built once per call.
+central difference (one-sided at the ends).  The trial family is smooth so
+both surrogates stay faithful.  It comes in row blocks of at most
+TRIAL_BLOCK_ELEMENTS values, and slopes, powers and entropies are taken a
+block at a time; every sum that is a dot product stays one dot per row.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import ndtri, solve_banded
-from .core import FinitePmSpace, InputError, _central_moment, entropy_weighted
+from ._scipy import dgttrf, dgttrs, ndtri
+from .core import (FinitePmSpace, InputError, _central_moment, _check_effort,
+                   entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
 GAUSSIAN_CUTOFF = 8.0
-# log_sobolev_check takes the slopes of this many trial functions at a time.
-SLOPE_BLOCK = 64
+# Trial functions come in blocks of at most this many values (0.5 MB).
+TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -136,7 +138,8 @@ def _edge_conductances(grid: GridSpace1D):
 def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
-    the constant mode."""
+    the constant mode.  The shifted operator is factored once (LAPACK
+    ``gttrf``) and each step is one solve with that factor (``gttrs``)."""
     mu = grid.node_mass()
     cond = _edge_conductances(grid) / grid.h**2
     n = mu.size
@@ -147,10 +150,10 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     sq = np.sqrt(mu)
 
     shift = 1e-10 * float(np.max(diag / mu))  # regularises the deflated solve
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off / (sq[:-1] * sq[1:])
-    ab[1] = diag / mu + shift
-    ab[2, :-1] = ab[0, 1:]
+    side = off / (sq[:-1] * sq[1:])
+    *factor, info = dgttrf(side, diag / mu + shift, side)
+    if info > 0:
+        raise ConvergenceError("the shifted operator has a singular factor")
 
     def deflate(v):
         return v - np.dot(v, sq) / np.dot(sq, sq) * sq
@@ -160,7 +163,7 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     v /= np.linalg.norm(v)
     lam_old = math.inf
     for _ in range(max_iter):
-        u = solve_banded((1, 1), ab, v)
+        u = dgttrs(*factor, v)[0]
         u = deflate(u)
         norm = np.linalg.norm(u)
         if norm == 0:
@@ -188,28 +191,46 @@ def poincare_c22(grid: GridSpace1D):
     return 1.0 / math.sqrt(lam)
 
 
-def _trial_functions(grid: GridSpace1D, trials, seed):
-    """Yield the first ``trials`` functions of a smooth seeded family: the
-    spectral eigenfunction, centred polynomials, and low-frequency cosine
-    mixtures, amplitude-normalised.  Smoothness keeps the central-difference
-    slope faithful."""
+def _trial_blocks(grid: GridSpace1D, trials, seed):
+    """Yield the first ``trials`` functions of a smooth seeded family as the
+    rows of matrices of at most TRIAL_BLOCK_ELEMENTS values (one row when a
+    row alone is longer): the spectral eigenfunction and centred polynomials,
+    then low-frequency cosine mixtures, amplitude-normalised.  Smoothness
+    keeps the central-difference slope faithful."""
     x = grid.nodes
     t = (x - x[0]) / (x[-1] - x[0])
+    rows = max(1, TRIAL_BLOCK_ELEMENTS // t.size)
     _, eig = second_eigenvalue(grid)
-    head = [eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)]
-    yield from head[:trials]
+    head = ([eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)])[:trials]
+    for start in range(0, len(head), rows):
+        yield np.array(head[start:start + rows])
     rng = np.random.default_rng(seed)
     modes = [np.cos((j + 1) * math.pi * t) for j in range(12)]
     made = len(head)
     while made < trials:
-        coeff = rng.standard_normal(rng.integers(1, 13))
-        f = np.zeros_like(t)
-        for c, mode in zip(coeff, modes):
-            f = f + c * mode
-        peak = np.abs(f).max()
-        if peak > 0:
-            made += 1
-            yield f / peak
+        # one trial draws its term count, then its coefficients
+        draws = [rng.standard_normal(rng.integers(1, 13)) for _ in range(min(rows, trials - made))]
+        # each row sums c * mode left to right from zeros; with the rows
+        # longest first, the rows that take mode j are a leading slice
+        order = sorted(range(len(draws)), key=lambda i: -draws[i].size)
+        f = np.zeros((len(draws), t.size))
+        term = np.empty_like(f)
+        for j, mode in enumerate(modes):
+            coeff = [draws[i][j] for i in order if draws[i].size > j]
+            live = len(coeff)
+            np.multiply(np.array(coeff)[:, None], mode, out=term[:live])
+            f[:live] += term[:live]
+        peak = np.abs(f).max(axis=1)
+        back = np.argsort(order)
+        back = back[peak[back] > 0]  # a zero mixture is dropped and drawing goes on
+        made += back.size
+        yield f[back] / peak[back, None]
+
+
+def _trial_functions(grid: GridSpace1D, trials, seed):
+    """The rows of ``_trial_blocks`` one at a time."""
+    for block in _trial_blocks(grid, trials, seed):
+        yield from block
 
 
 def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
@@ -222,18 +243,18 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     """
     if not (1 <= p < math.inf and 1 <= q < math.inf):
         raise InputError("p and q must lie in [1, inf)")
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
+    _check_effort("trials", trials, seed)
     mu = grid.node_mass()
     cond = _edge_conductances(grid)
     best = 0.0
-    for f in _trial_functions(grid, trials, seed):
-        slopes = np.abs(np.diff(f)) / grid.h
-        energy = float(np.dot(cond, slopes**q)) ** (1.0 / q)
-        if energy <= 1e-14:
-            continue
-        dev = _central_moment(mu, f, p) ** (1.0 / p)
-        best = max(best, dev / energy)
+    for block in _trial_blocks(grid, trials, seed):
+        powered = (np.abs(np.diff(block, axis=1)) / grid.h) ** q
+        for f, slope_q in zip(block, powered):
+            energy = float(np.dot(cond, slope_q)) ** (1.0 / q)
+            if energy <= 1e-14:
+                continue
+            dev = _central_moment(mu, f, p) ** (1.0 / p)
+            best = max(best, dev / energy)
     return best
 
 
@@ -245,6 +266,22 @@ class LogSobolevReport:
     trials: int
 
 
+def _entropies(mu, squares):
+    """``entropy_weighted(mu, v)`` for each row v of ``squares``.  The rows
+    positive everywhere take both sums in one pass over the block; any other
+    row (a polynomial vanishes at the midpoint node) goes through
+    ``entropy_weighted``, which leaves out its zeros."""
+    full = (squares > 0).all(axis=1)
+    weighted = mu * squares  # w * v * log v in entropy_weighted's order
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with a zero are not read
+        s1 = np.sum(weighted * np.log(squares), axis=1)
+    for v, whole, s, mean in zip(squares, full, s1.tolist(), np.sum(weighted, axis=1).tolist()):
+        if whole:
+            yield s - (mean * math.log(mean) if mean > 0 else 0.0)
+        else:
+            yield entropy_weighted(mu, v)
+
+
 def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """Evaluate the entropy-energy inequality at a candidate constant.
 
@@ -253,25 +290,21 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     bound on the optimal constant.  Near-constant perturbations along the
     spectral eigenfunction drive the lower bound up to the (2,2) constant.
     """
-    if not constant > 0:
-        raise InputError("the candidate constant must be positive")
-    if trials < 1:
-        raise InputError(f"trials must be at least 1, got {trials}")
+    if not 0 < constant < math.inf:
+        raise InputError("the candidate constant must be positive and finite")
+    _check_effort("trials", trials, seed)
     mu = grid.node_mass()
     # 4 + max(trials - 4, 1) >= trials functions, so exactly trials are checked
-    trial = _trial_functions(grid, max(trials - 4, 1), seed)
-    eig = next(trial)  # the normalised spectral eigenfunction
-    perturbed = [1.0 + eps * eig for eps in (0.003, 0.01, 0.03, 0.1)]
-    funcs = itertools.islice(itertools.chain(perturbed, [eig], trial), trials)
+    blocks = _trial_blocks(grid, max(trials - 4, 1), seed)
+    first = next(blocks)  # its first row is the normalised spectral eigenfunction
+    perturbed = 1.0 + np.array([0.003, 0.01, 0.03, 0.1])[:, None] * first[0]
 
     worst = -math.inf
     lower = 0.0
-    while block := list(itertools.islice(funcs, SLOPE_BLOCK)):
-        block = np.array(block)
+    for block in itertools.chain([np.vstack((perturbed, first))[:trials]], blocks):
         slopes = np.gradient(block, grid.nodes, axis=1)
-        for f, g in zip(block, slopes):
-            energy = float(np.dot(mu, g * g))
-            ent = entropy_weighted(mu, f**2)
+        for g2, ent in zip(slopes * slopes, _entropies(mu, block**2)):
+            energy = float(np.dot(mu, g2))
             worst = max(worst, ent - 2.0 * constant**2 * energy)
             if energy > 1e-14 and ent > 0:
                 lower = max(lower, math.sqrt(ent / (2.0 * energy)))

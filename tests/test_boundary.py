@@ -11,6 +11,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -284,11 +285,20 @@ def test_library_rejects_nan_and_out_of_range():
             functional.GridSpace1D([0.0, 0.5, bad], [1.0, 1.0, 1.0])
         with pytest.raises(core.InputError):
             functional.GridSpace1D([0.0, 0.5, 1.0], [1.0, bad, 1.0])
-    for trials in (0, -2):
+    # a fractional, NaN or boolean count or a bad seed is an input error, not
+    # an error from deep inside the trial loop or a count copied into a report
+    for effort in ({"trials": 0}, {"trials": -2}, {"trials": 2.5}, {"trials": NAN},
+                   {"trials": True}, {"trials": 20, "seed": -1}, {"trials": 20, "seed": 1.0},
+                   {"trials": 5, "seed": True}):
         with pytest.raises(core.InputError):
-            functional.log_sobolev_check(grid, 0.3, trials=trials)
+            functional.log_sobolev_check(grid, 0.3, **effort)
         with pytest.raises(core.InputError):
-            functional.poincare_pq_lower(grid, 2, 2, trials=trials)
+            functional.poincare_pq_lower(grid, 2, 2, **effort)
+    assert functional.log_sobolev_check(grid, 0.3, trials=np.int64(5)).trials == 5
+    # an infinite constant would report max_violation = -inf
+    for constant in (INF, NAN, 0.0, -0.3):
+        with pytest.raises(core.InputError):
+            functional.log_sobolev_check(grid, constant, trials=5)
     # a search with no starts would return 0.0 without looking
     pair = (generators.interval_grid(3), generators.interval_grid(4))
     for effort in ({"starts": 0}, {"starts": -2}, {"starts": 2.5}, {"starts": True},

@@ -1,6 +1,8 @@
 """Spectral constants on 1-D grids: reference values, convergence order,
-trial-family bounds, entropy positivity, and the quantile coupling scale."""
+trial-family bounds, entropy positivity, the row blocks of the trial family
+against the per-row loops, and the quantile coupling scale."""
 
+import itertools
 import math
 
 import numpy as np
@@ -148,6 +150,112 @@ class TestLogSobolev:
         mu = g.node_mass()
         for f in fn._trial_functions(g, 64, seed=5):
             assert core.entropy_weighted(mu, np.asarray(f) ** 2) >= -1e-12
+
+
+def _per_row_trials(grid, trials, seed):
+    """The trial family one function at a time, as it was generated before
+    it came in row blocks."""
+    x = grid.nodes
+    t = (x - x[0]) / (x[-1] - x[0])
+    _, eig = fn.second_eigenvalue(grid)
+    head = [eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)]
+    yield from head[:trials]
+    rng = np.random.default_rng(seed)
+    modes = [np.cos((j + 1) * math.pi * t) for j in range(12)]
+    made = len(head)
+    while made < trials:
+        coeff = rng.standard_normal(rng.integers(1, 13))
+        f = np.zeros_like(t)
+        for c, mode in zip(coeff, modes):
+            f = f + c * mode
+        peak = np.abs(f).max()
+        if peak > 0:
+            made += 1
+            yield f / peak
+
+
+def _per_row_pq_lower(grid, p, q, trials, seed):
+    mu = grid.node_mass()
+    cond = fn._edge_conductances(grid)
+    best = 0.0
+    for f in _per_row_trials(grid, trials, seed):
+        slopes = np.abs(np.diff(f)) / grid.h
+        energy = float(np.dot(cond, slopes**q)) ** (1.0 / q)
+        if energy <= 1e-14:
+            continue
+        dev = core._central_moment(mu, f, p) ** (1.0 / p)
+        best = max(best, dev / energy)
+    return best
+
+
+def _per_row_log_sobolev(grid, constant, trials, seed):
+    mu = grid.node_mass()
+    trial = _per_row_trials(grid, max(trials - 4, 1), seed)
+    eig = next(trial)
+    perturbed = [1.0 + eps * eig for eps in (0.003, 0.01, 0.03, 0.1)]
+    worst = -math.inf
+    lower = 0.0
+    for f in itertools.islice(itertools.chain(perturbed, [eig], trial), trials):
+        g = np.gradient(f, grid.nodes)
+        energy = float(np.dot(mu, g * g))
+        ent = core.entropy_weighted(mu, f**2)
+        worst = max(worst, ent - 2.0 * constant**2 * energy)
+        if energy > 1e-14 and ent > 0:
+            lower = max(lower, math.sqrt(ent / (2.0 * energy)))
+    return fn.LogSobolevReport(float(constant), worst, lower, trials)
+
+
+def _as_bytes(rows):
+    return [np.asarray(f, dtype=float).tobytes() for f in rows]
+
+
+# 513, 2048 and 16,385 points; the 2048-point grids hold 32 rows per block
+BLOCK_GRIDS = [make(m) for m in (512, 2047, 16384)
+               for make in (fn.unit_interval_grid, lambda m: fn.gaussian_grid(m, 0.8))]
+# after 7 head rows the 2048-point blocks end at 39 and 71 trials; the
+# log-Sobolev check puts 4 perturbed rows before them, so its first block of
+# mixtures ends at 43
+PQ_EDGES = (38, 39, 40, 70, 71, 72)
+LS_EDGES = (42, 43, 44)
+
+
+class TestTrialBlocks:
+    """The row blocks give the functions, bounds and reports of the per-row
+    loops bit for bit, on both sides of each block edge."""
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.kind}-{g.nodes.size}")
+    @pytest.mark.parametrize("seed", (0, 3))
+    def test_same_as_per_row_loops(self, grid, seed):
+        edges = grid.nodes.size == 2048
+        for trials in (1, 5, 7, 300) + (PQ_EDGES if edges else ()):
+            assert (_as_bytes(fn._trial_functions(grid, trials, seed))
+                    == _as_bytes(_per_row_trials(grid, trials, seed)))
+            for p, q in ((2, 2), (3, 1.5), (1, 1)):
+                assert (fn.poincare_pq_lower(grid, p, q, trials=trials, seed=seed)
+                        == _per_row_pq_lower(grid, p, q, trials, seed))
+        for trials in (1, 5, 7, 300) + (LS_EDGES if edges else ()):
+            assert (fn.log_sobolev_check(grid, 0.3, trials=trials, seed=seed)
+                    == _per_row_log_sobolev(grid, 0.3, trials, seed))
+
+    def test_block_shapes(self):
+        grid = fn.unit_interval_grid(2047)
+        assert [len(b) for b in fn._trial_blocks(grid, 80, 0)] == [7, 32, 32, 9]
+        assert [len(b) for b in fn._trial_blocks(grid, 5, 0)] == [5]
+        for grid in BLOCK_GRIDS:
+            for block in fn._trial_blocks(grid, 100, 1):
+                assert block.size <= fn.TRIAL_BLOCK_ELEMENTS or len(block) == 1
+
+    def test_rows_with_a_zero_square(self):
+        # the polynomials vanish at the midpoint node, so their entropies
+        # leave that node out
+        grid = fn.unit_interval_grid(2048)
+        mu = grid.node_mass()
+        squares = next(fn._trial_blocks(grid, 7, 0)) ** 2
+        assert (squares == 0).sum(axis=1).tolist() == [0, 1, 1, 1, 1, 1, 1]
+        assert (list(fn._entropies(mu, squares))
+                == [core.entropy_weighted(mu, v) for v in squares])
+        assert (fn.log_sobolev_check(grid, 0.3, trials=6, seed=0)
+                == _per_row_log_sobolev(grid, 0.3, 6, 0))
 
 
 class TestDisconnected:

@@ -104,14 +104,24 @@ def test_pdist_and_squareform_shims():
           scipy.spatial.distance.pdist(pts, metric="cityblock"))
 
 
-def test_solve_banded_shim():
+def test_tridiagonal_factor_and_solve_shims():
     n = 6
-    ab = np.vstack([np.r_[0.0, -np.ones(n - 1)], 3.0 * np.ones(n), np.r_[-np.ones(n - 1), 0.0]])
-    rhs = np.arange(1.0, n + 1.0)
-    x = functional.solve_banded((1, 1), ab, rhs)
-    _same(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
-    dense = np.diag(3.0 * np.ones(n)) - np.eye(n, k=1) - np.eye(n, k=-1)
-    np.testing.assert_allclose(dense @ x, rhs)
+    side, diag = -np.ones(n - 1), 3.0 * np.ones(n)
+    factor = functional.dgttrf(side, diag, side)
+    want = scipy.linalg.lapack.dgttrf(side, diag, side)
+    assert len(factor) == len(want) == 6
+    for got, ref in zip(factor, want):
+        _same(got, ref)
+    ab = np.vstack([np.r_[0.0, side], diag, np.r_[side, 0.0]])
+    dense = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
+    # one factor serves every right-hand side, each bit for bit as a fresh solve
+    for rhs in (np.arange(1.0, n + 1.0), np.array([0.5, -2.0, 1e-3, 7.0, 0.0, -1.25])):
+        x, info = functional.dgttrs(*factor[:5], rhs)
+        want_x, want_info = scipy.linalg.lapack.dgttrs(*want[:5], rhs)
+        _same(x, want_x)
+        assert info == want_info == 0
+        _same(x, scipy.linalg.solve_banded((1, 1), ab, rhs))
+        np.testing.assert_allclose(dense @ x, rhs)
 
 
 def test_connected_components_shim():
