@@ -214,14 +214,11 @@ def _trial_blocks(grid: GridSpace1D, trials, seed):
         # longest first, the rows that take mode j are a leading slice
         order = sorted(range(len(draws)), key=lambda i: -draws[i].size)
         f = np.zeros((len(draws), t.size))
-        term = np.empty_like(f)
         for j, mode in enumerate(modes):
             coeff = [draws[i][j] for i in order if draws[i].size > j]
-            live = len(coeff)
-            np.multiply(np.array(coeff)[:, None], mode, out=term[:live])
-            f[:live] += term[:live]
+            f[:len(coeff)] += np.array(coeff)[:, None] * mode
         peak = np.abs(f).max(axis=1)
-        back = np.argsort(order)
+        back = np.argsort(order)  # the rows in draw order
         back = back[peak[back] > 0]  # a zero mixture is dropped and drawing goes on
         made += back.size
         yield f[back] / peak[back, None]
