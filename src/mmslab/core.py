@@ -28,7 +28,8 @@ ISOMORPHISM_MAX_POINTS = 10
 PROKHOROV_MAX_POINTS = 20
 
 # Above this size the triangle-inequality sweep takes blocks of rows against
-# one j at a time in a reused, cache-sized buffer instead of an n^3 tensor.
+# one j at a time in a reused, cache-sized buffer instead of an n^3 tensor;
+# the Euclidean certificate takes its rows in blocks of the same size.
 _TRIANGLE_BLOCK_LIMIT = 48
 _TRIANGLE_BLOCK_ELEMENTS = 65536
 
@@ -150,7 +151,7 @@ def validate(sp: FinitePmSpace):
             return Violation(
                 "positivity", (int(i), int(j)), f"dist[{i}][{j}] = {D[i, j]} <= 0 for i != j"
             )
-    tri = _triangle_violation(D)
+    tri = None if _euclidean_certified(sp.coords, D) else _triangle_violation(D)
     if tri is not None:
         i, j, k, gap = tri
         return Violation(
@@ -206,6 +207,65 @@ def _projection_violation(coords, D):
                 f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
             )
     return None
+
+
+def _euclidean_certified(coords, D):
+    """True when no triangle excess ``_triangle_violation(D)`` computes can
+    exceed the tolerance, proved in O(n^2 d) from the distance of ``D`` to
+    the Euclidean metric of ``coords``; False when it cannot be proved this
+    way (no coords, coords of another metric, or NaN or inf anywhere), and
+    then the sweep decides.
+
+    With u = 2^-53, E the exact Euclidean metric of the n x d coordinate
+    rows and Ê its evaluation here, per row block, as sqrt of the sum over
+    columns (left to right from 0) of the squared differences:
+
+    - Each square carries three roundings and each of d - 1 additions one, so
+      the computed sum is S(1 + t) with |t| <= g = (d+2)u / (1 - (d+2)u), and
+      with the square root Ê = E(1 + e), |e| <= g/2 + g^2/2 + u(1 + g) <=
+      (d+4)/2 u + (d+4)^2 u^2 < rho = (d+5)/2 u while d <= 2^20.  Squares that
+      underflow add at most 2^-1075 each, so the sum moves by at most
+      d 2^-1074 and Ê by at most sqrt(d) 2^-537 (a difference that
+      underflows is exact).  Hence |Ê - E| <= rho M (1 + rho) + sqrt(d)
+      2^-535, where M = max(max D, max Ê).
+    - The differences Ê - D are rounded once, so max |D - Ê| is at most the
+      computed one times 1 + 2u, and eps = max|D - Ê| (1 + 2u) + rho M
+      (1 + rho) + sqrt(d) 2^-535 bounds |D - E| entrywise.
+    - E is a metric, so in real arithmetic D[i,k] - D[i,j] - D[j,k] <= 3 eps.
+      The sweep computes (a - b) - c for n <= _TRIANGLE_BLOCK_LIMIT and
+      a - (b + c) above; with a, b, c in [0, M] the first rounding moves the
+      result by at most u|a - b| <= u M or u(b + c) <= 2u M, and the second
+      scales a positive result by at most 1 + u.  Every computed excess is
+      therefore at most B = (3 eps + 2u M)(1 + 2u).
+
+    B is evaluated with its last factor widened to 1 + 16u, which covers the
+    at most eight roundings of evaluating it (every term is nonnegative; if
+    M < 1e-300 every computed excess is below M anyway).  NaN or inf in Ê
+    or in the error makes the bound NaN or inf, which fails the comparison.
+    Row blocks of at most _TRIANGLE_BLOCK_ELEMENTS values hold Ê, so no
+    n x n buffer is made.
+    """
+    if coords is None or coords.shape[1] > 1 << 20:
+        return False
+    n, d = coords.shape
+    u = 2.0 ** -53
+    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
+    acc, term = np.empty((rows, n)), np.empty((rows, n))
+    far = err = 0.0  # max Ê and max |Ê - D|, with NaN kept by np.maximum
+    with np.errstate(all="ignore"):
+        for start in range(0, n, rows):
+            block = coords[start:start + rows]
+            s, t = acc[:len(block)], term[:len(block)]
+            s.fill(0.0)
+            for part, col in zip(block.T, coords.T):
+                np.subtract.outer(part, col, out=t)
+                s += np.multiply(t, t, out=t)
+            far = np.maximum(far, np.sqrt(s, out=s).max())
+            err = np.maximum(err, np.abs(np.subtract(s, D[start:start + rows], out=s), out=s).max())
+        M = np.maximum(far, D.max())
+        rho = (d + 5) / 2 * u
+        eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
+        return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL)
 
 
 def _triangle_violation(D):

@@ -236,7 +236,8 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
 
     The slope norm is the edge-midpoint quadrature, a second-order
     quadrature of the slope integral that equals the spectral quadratic form
-    at q = 2, so that no trial beats the spectral supremum.
+    at q = 2, so that no trial beats the spectral supremum.  A trial whose
+    slope norm, deviation or ratio is not finite raises ConvergenceError.
     """
     if not (1 <= p < math.inf and 1 <= q < math.inf):
         raise InputError("p and q must lie in [1, inf)")
@@ -247,12 +248,20 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     for block in _trial_blocks(grid, trials, seed):
         powered = (np.abs(np.diff(block, axis=1)) / grid.h) ** q
         for f, slope_q in zip(block, powered):
-            energy = float(np.dot(cond, slope_q)) ** (1.0 / q)
+            energy = _finite(float(np.dot(cond, slope_q)) ** (1.0 / q))
             if energy <= 1e-14:
                 continue
             dev = _central_moment(mu, f, p) ** (1.0 / p)
-            best = max(best, dev / energy)
+            best = max(best, _finite(dev / energy))
     return best
+
+
+def _finite(x):
+    """``x`` when it is finite, else ConvergenceError: a NaN would drop out
+    of the max folds, which keep their old value."""
+    if not math.isfinite(x):
+        raise ConvergenceError("a trial function gave a value that is not finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -286,6 +295,8 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     family (positive means a counterexample) and the best certified lower
     bound on the optimal constant.  Near-constant perturbations along the
     spectral eigenfunction drive the lower bound up to the (2,2) constant.
+    A trial whose entropy, energy or ratio is not finite raises
+    ConvergenceError.
     """
     if not 0 < constant < math.inf:
         raise InputError("the candidate constant must be positive and finite")
@@ -301,10 +312,10 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     for block in itertools.chain([np.vstack((perturbed, first))[:trials]], blocks):
         slopes = np.gradient(block, grid.nodes, axis=1)
         for g2, ent in zip(slopes * slopes, _entropies(mu, block**2)):
-            energy = float(np.dot(mu, g2))
+            ent, energy = _finite(ent), _finite(float(np.dot(mu, g2)))
             worst = max(worst, ent - 2.0 * constant**2 * energy)
             if energy > 1e-14 and ent > 0:
-                lower = max(lower, math.sqrt(ent / (2.0 * energy)))
+                lower = max(lower, math.sqrt(_finite(ent / (2.0 * energy))))
     return LogSobolevReport(float(constant), worst, lower, trials)
 
 

@@ -6,8 +6,9 @@ towers with their projection witnesses.
 Sampled generators require a seed and are bit-reproducible, and their spaces
 compute the distance matrix from ``coords`` on first use.  Every constructed
 space satisfies the structural invariants: up to ``_VALIDATE_LIMIT`` points it
-is checked whole by ``validate``; above it its masses are checked and its
-distances are metric by construction (see ``_coords_violation``).
+is checked whole by ``validate``; above it, where the distance matrix is
+not built, its masses are checked and its distances are metric by
+construction (see ``_coords_violation``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .core import (
 )
 from .order import DominationWitness
 
-# Above this many points ``_finish`` skips the cubic triangle sweep and checks
-# only what it can without the distance matrix.
+# Above this many points ``_finish`` does not call ``validate``, which would
+# build the n x n distance matrix (the Euclidean certificate makes the
+# triangle check itself O(n^2 d)), and checks only what it can without it.
 _VALIDATE_LIMIT = 300
 # product_tower refuses towers whose top level has more points than this.
 TOWER_MAX_POINTS = 10_000

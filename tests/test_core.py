@@ -1,13 +1,16 @@
 """Core space machinery: validation, scaling, products, isomorphism,
 measure distances, Ky Fan, entropy and the Lipschitz extension."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from mmslab import core
-from conftest import corpus, random_embedded_space
+from mmslab import core, generators
+from mmslab.atoms import AtomVector
+from conftest import corpus, random_embedded_space, random_shortest_path_space
 
 
 def two_point(d=1.0, p=0.5):
@@ -94,6 +97,151 @@ def test_blocked_triangle_sweep_reports_the_first_j(n):
             want = first_triangle_violation(D.dist)
             assert want is not None and want.indices[1] == min(j for _, j, _ in shortcuts)
             assert core.validate(D) == want
+
+
+def sweep_only_validate(sp):
+    """``validate`` with the Euclidean certificate switched off, so that every
+    space goes through the triangle sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_euclidean_certified", lambda coords, D: False)
+        return core.validate(sp)
+
+
+def euclidean(pts):
+    return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+
+
+def with_excess(sp, delta):
+    """A copy of ``sp`` whose most nearly collinear triple (i, j, k) gets
+    dist[i][k] = dist[i][j] + dist[j][k] + delta, coords kept."""
+    D = np.array(sp.dist)
+    slack = D[:, :, None] + D[None, :, :] - D[:, None, :]  # [i, j, k]
+    n = len(D)
+    idx = np.arange(n)
+    slack[idx, idx, :] = slack[:, idx, idx] = slack[idx, :, idx] = np.inf
+    i, j, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    D[i, k] = D[k, i] = D[i, j] + D[j, k] + delta
+    return core.FinitePmSpace(sp.points, D, sp.mass, coords=sp.coords)
+
+
+def certificate_corpus():
+    """Spaces with coords: explicit numpy-Euclidean distances, distances
+    left to ``dist`` (dist=None), the conftest corpus and generator outputs,
+    at scales 1e-3 to 1e5 in dimensions 1 to 5; then a copy of most of them
+    with one triangle excess injected at each of five sizes; then
+    shortest-path metrics whose coords are only 1-Lipschitz projections."""
+    rng = np.random.default_rng(16)
+    base = []
+    for scale, dim, n in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6),
+                                           (3, 8, 21, 50)):
+        pts = rng.uniform(0.0, scale, size=(n, dim))
+        if n == 8:
+            pts = np.outer(rng.uniform(0.0, scale, n), rng.uniform(0.5, 1.0, dim))  # on a line
+        mass = np.full(n, 1.0 / n)
+        base.append(core.FinitePmSpace(tuple(range(n)), euclidean(pts), mass, coords=pts))
+        base.append(core.FinitePmSpace(tuple(range(n)), None, mass, coords=pts))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_VALIDATE_LIMIT", 0)  # build without validating
+        for scale, dim in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6)):
+            base.append(generators.gaussian_sample(12, dim, scale, seed=[dim, 1]))
+            base.append(generators.sphere_sample(dim, scale, 9, seed=[dim, 2]))
+        for scale, m in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), (3, 10, 49)):
+            base.append(generators.interval_grid(m, scale))
+        for entries in ((0.5,), (0.4, 0.3), (0.25, 0.25, 0.25, 0.25)):
+            base.append(generators.atom_space(AtomVector(entries), m_diffuse=6))
+    base += corpus(7, 120)
+    injected = [with_excess(sp, delta) for sp in base if sp.n >= 3
+                for delta in (0.0, 1e-13, 9e-13, 1.1e-12, 2e-12)]
+    projected = []
+    for k in range(120):
+        sp = random_shortest_path_space(rng, 3 + k % 20, scale=10.0 ** (k % 7 - 3))
+        cols = sp.dist[:, : 1 + k % 3] * (0.5 if k % 2 else 1.0)
+        projected.append(core.FinitePmSpace(sp.points, sp.dist, sp.mass, coords=cols))
+    return base + injected + projected
+
+
+class TestEuclideanCertificate:
+    def test_same_verdict_as_the_sweep(self):
+        spaces = certificate_corpus()
+        assert len(spaces) >= 1000
+        certified = rejected = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp in spaces:
+                want = sweep_only_validate(sp)
+                assert core.validate(sp) == want
+                if core._euclidean_certified(sp.coords, sp.dist):
+                    certified += 1
+                    assert core._triangle_violation(sp.dist) is None
+                rejected += want is not None
+        # both sides of the certificate, and rejections, are exercised
+        assert certified >= 300 and rejected >= 300 and len(spaces) - certified >= 300
+
+    def test_only_true_euclidean_coords_are_certified(self, rng):
+        sp = random_embedded_space(rng, 30)
+        assert core._euclidean_certified(sp.coords, sp.dist)
+        assert not core._euclidean_certified(None, sp.dist)
+        assert not core._euclidean_certified(sp.coords * 1.001, sp.dist)
+        assert not core._euclidean_certified(sp.coords[:, :2], sp.dist)
+
+    @pytest.mark.parametrize("n", [3, 60])
+    def test_the_excess_bound_keeps_its_factor_three(self, n):
+        # on collinear points lowering dist[i][j] and dist[j][k] and raising
+        # dist[i][k] by delta moves each entry delta from the Euclidean
+        # metric but the excess through j by 3 delta
+        x = np.arange(n) / 64.0
+        i, j, k = (0, 1, 2) if n == 3 else (3, 20, 41)
+        for three_delta, rejected in ((0.99e-12, False), (1.02e-12, True)):
+            D = np.abs(x[:, None] - x[None, :])
+            delta = three_delta / 3
+            D[i, k] = D[k, i] = D[i, k] + delta
+            D[i, j] = D[j, i] = D[i, j] - delta
+            D[j, k] = D[k, j] = D[j, k] - delta
+            sp = core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1.0 / n),
+                                    coords=x[:, None])
+            assert core._euclidean_certified(sp.coords, D) is not rejected
+            v = core.validate(sp)
+            assert v == first_triangle_violation(D)
+            assert (v is not None and v.code == "triangle"
+                    and v.indices == (min(i, k), j, max(i, k))) is rejected
+
+    def test_the_rounding_of_the_euclidean_metric_counts(self):
+        # three nearly collinear points in R^5 whose Euclidean distances, as
+        # computed, break the triangle inequality by 1.36e-12 through rounding
+        pts = np.array([
+            [387.7141745612483, -1043.150897030914, 363.6461769773352, 2995.593093556978,
+             -537.6411048177647],
+            [379.3367189096429, -1416.1359598454512, 243.2861840106521, 3008.7335504147445,
+             -441.530159491722],
+            [321.17039926396956, -4005.8444929577186, -592.3968818984504, 3099.9703227314744,
+             225.78700693352403]])
+        squares = np.zeros((3, 3))
+        for col in pts.T:
+            squares += np.subtract.outer(col, col) ** 2
+        sp = core.FinitePmSpace((0, 1, 2), np.sqrt(squares), np.full(3, 1 / 3), coords=pts)
+        assert not core._euclidean_certified(sp.coords, sp.dist)
+        v = core.validate(sp)
+        assert v == first_triangle_violation(sp.dist) and v.indices == (0, 1, 2)
+
+    def test_huge_and_infinite_coords_take_the_sweep_without_warnings(self):
+        x = np.array([0.0, 1e200, 3e200])
+        D = np.abs(x[:, None] - x[None, :])
+        mass = np.full(3, 1 / 3)
+        cases = [core.FinitePmSpace((0, 1, 2), D, mass, coords=x[:, None])]
+        for bad in (np.inf, -np.inf, np.nan):
+            coords = np.array([[0.0], [bad], [2.0]])
+            cases.append(core.FinitePmSpace((0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]], mass,
+                                            coords=coords))
+            cases.append(core.FinitePmSpace((0, 1, 2), [[0, 1, 3], [1, 0, 1], [3, 1, 0]], mass,
+                                            coords=coords))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp in cases:
+                assert not core._euclidean_certified(sp.coords, sp.dist)
+                assert core.validate(sp) == sweep_only_validate(sp)
+        assert core.validate(cases[0]) is None
+        assert core.validate(cases[1]).code == "coords"
+        assert core.validate(cases[2]).code == "triangle"
 
 
 class TestScale:

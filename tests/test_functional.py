@@ -152,6 +152,42 @@ class TestLogSobolev:
             assert core.entropy_weighted(mu, np.asarray(f) ** 2) >= -1e-12
 
 
+class TestNonFiniteTrials:
+    """A trial whose entropy, slope energy or deviation is NaN fails the call
+    instead of dropping out of the max folds."""
+
+    def test_log_sobolev_nan_entropy(self, monkeypatch):
+        entropies = fn._entropies
+
+        def last_row_nan(mu, squares):  # the last row of every block
+            return [*list(entropies(mu, squares))[:-1], math.nan]
+
+        monkeypatch.setattr(fn, "_entropies", last_row_nan)
+        for grid, trials in ((fn.unit_interval_grid(256), 20), (fn.gaussian_grid(2048), 90)):
+            with pytest.raises(fn.ConvergenceError):
+                fn.log_sobolev_check(grid, 0.3, trials=trials)
+
+    def test_pq_nan_energy(self, monkeypatch):
+        grid = fn.unit_interval_grid(256)
+        cond = fn._edge_conductances(grid).copy()
+        cond[len(cond) // 3] = math.nan
+        blocks = list(fn._trial_blocks(grid, 20, 0))  # the eigenvector sees the true weights
+        monkeypatch.setattr(fn, "_trial_blocks", lambda grid, trials, seed: iter(blocks))
+        monkeypatch.setattr(fn, "_edge_conductances", lambda grid: cond)
+        with pytest.raises(fn.ConvergenceError):
+            fn.poincare_pq_lower(grid, 2, 2, trials=20)
+
+    def test_pq_nan_deviation(self, monkeypatch):
+        calls = itertools.count()
+
+        def every_fifth_nan(weights, values, p=2):
+            return math.nan if next(calls) % 5 == 4 else core._central_moment(weights, values, p)
+
+        monkeypatch.setattr(fn, "_central_moment", every_fifth_nan)
+        with pytest.raises(fn.ConvergenceError):
+            fn.poincare_pq_lower(fn.unit_interval_grid(256), 3, 1.5, trials=20)
+
+
 def _per_row_trials(grid, trials, seed):
     """The trial family one function at a time, as it was generated before
     it came in row blocks."""

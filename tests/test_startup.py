@@ -4,7 +4,8 @@ Each scipy function mmslab uses is reached through a shim in
 ``mmslab._scipy`` that imports it on the first call.  These tests pin that no
 module imports scipy at module level, that a fresh process running
 ``mmslab --help`` loads no scipy module while an exact observable diameter
-loads ``scipy.optimize``, and that the shims return what scipy returns.
+loads ``scipy.optimize``, that validating a space given by distances and
+coords loads none, and that the shims return what scipy returns.
 """
 
 import ast
@@ -78,6 +79,25 @@ def test_fresh_process_loads_scipy_only_when_it_needs_it():
     before, after = proc.stdout.splitlines()
     assert before == "[]"
     assert after == "True"
+
+
+VALIDATE_PROCESS = """
+import sys
+import numpy as np
+from mmslab import core
+pts = np.random.default_rng(0).uniform(size=(60, 3))
+dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+sp = core.space(list(range(60)), dist, np.full(60, 1 / 60), coords=pts)
+print(core._euclidean_certified(sp.coords, sp.dist))
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+
+def test_certified_validation_loads_no_scipy():
+    proc = subprocess.run([sys.executable, "-c", VALIDATE_PROCESS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True", "[]"]
 
 
 def _same(a, b):
