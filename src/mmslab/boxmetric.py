@@ -19,12 +19,12 @@ distributions (a provable consequence of a small box distance).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Coupling, FinitePmSpace, InputError, SizeLimitError, _check_effort, _subset_fold
+from .core import (_TRIANGLE_BLOCK_ELEMENTS, Coupling, FinitePmSpace, InputError, SizeLimitError,
+                   _check_effort, _subset_fold)
 
 EXACT_MAX_CELLS = 12
 
@@ -43,11 +43,20 @@ class BoxEstimate:
             raise InputError("exact estimates must have lower == upper")
 
 
-def _cell_discrepancy(sx, sy, cells):
-    """|d_X(x,x') - d_Y(y,y')| between the flattened coupling cells ``cells``,
-    where cell c is (x, y) = divmod(c, |Y|)."""
+def _cell_discrepancy(sx, sy, cells, cols=None):
+    """|d_X(x,x') - d_Y(y,y')| between the flattened coupling cells ``cells``
+    and ``cols`` (default: ``cells``), where cell c is (x, y) = divmod(c, |Y|)."""
     cx, cy = divmod(cells, sy.n)
-    return np.abs(sx.dist[np.ix_(cx, cx)] - sy.dist[np.ix_(cy, cy)])
+    kx, ky = (cx, cy) if cols is None else divmod(cols, sy.n)
+    return np.abs(sx.dist[np.ix_(cx, kx)] - sy.dist[np.ix_(cy, ky)])
+
+
+def _max_discrepancy(sx, sy, cells):
+    """``_cell_discrepancy(sx, sy, cells).max()`` from row blocks of at most
+    _TRIANGLE_BLOCK_ELEMENTS values, so no |cells| x |cells| matrix is made."""
+    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // cells.size)
+    return max(float(_cell_discrepancy(sx, sy, cells[s:s + rows], cells).max())
+               for s in range(0, cells.size, rows))
 
 
 def _maxflow_coupling(kept_cells, mass_x, mass_y):
@@ -167,9 +176,11 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
 # upper bounds
 
 
-# Selection search is cubic in the number of coupling cells; couplings are
-# trimmed to this many heaviest cells, which keeps the bound certified (the
-# trimmed cells just count as excluded mass).
+# Selection search takes O(restarts * m^2 log m + m^3) time for m coupling
+# cells (m - 1 lockstep greedy steps, up to 4m 2-opt rounds of O(m^2)), more
+# when many discrepancies tie; couplings are trimmed to this many heaviest
+# cells, which keeps the bound certified (the trimmed cells just count as
+# excluded mass).
 MAX_SELECTION_CELLS = 256
 
 
@@ -198,64 +209,88 @@ def _candidate_couplings(sx, sy):
         yield plan
 
 
-def _kept_value(peak, masses, keep):
-    """Selection value; peak[k] is the largest discrepancy of kept cell k."""
-    return max(float(peak[keep].max()), 1.0 - float(masses[keep].sum())) if keep.any() else 1.0
+def _greedy_best(disc_sub, masses, orders):
+    """Best value met by greedy removal by violation magnitude, one restart per
+    row: row 0 drops the cell of largest discrepancy, small mass first, and
+    row r > 0 breaks ties by ``orders[r - 1]``.  Every row drops one cell per
+    step, so all rows run in lockstep; peak[r, k] is the largest discrepancy
+    of kept cell k within row r's kept cells."""
+    m = len(masses)
+    rows = np.arange(len(orders) + 1)
+    keep = np.ones((rows.size, m), dtype=bool)
+    peak = np.tile(disc_sub.max(axis=1), (rows.size, 1))
+    kept = np.tile(np.arange(m), (rows.size, 1))
+    kept_peak = peak.copy()
+    best = 1.0
+    block = max(1, _TRIANGLE_BLOCK_ELEMENTS // m)
+    for _ in range(m - 1):
+        key = np.empty(kept.shape)
+        key[0] = kept_peak[0] * 1e6 - masses[kept[0]] * 1e-6
+        ranks = np.argsort(orders[rows[:-1, None], kept[1:]], axis=1)
+        key[1:] = kept_peak[1:] + ranks.astype(float) * 1e-9
+        drop = kept[rows, np.argmax(key, axis=1)]
+        keep[rows, drop] = False
+        # only peaks attained at the dropped cell are recomputed
+        stale_r, stale_k = np.nonzero(keep & (disc_sub[:, drop].T == peak))
+        for s in range(0, stale_r.size, block):
+            r, k = stale_r[s:s + block], stale_k[s:s + block]
+            peak[r, k] = np.where(keep[r], disc_sub[k], -np.inf).max(axis=1)
+        kept = np.nonzero(keep)[1].reshape(rows.size, -1)
+        kept_peak = peak[rows[:, None], kept]
+        vals = np.maximum(kept_peak.max(axis=1), 1.0 - masses[kept].sum(axis=1))
+        best = min(best, float(vals.min()))
+    return best
 
 
-def _drop_cell(disc_sub, peak, keep, d):
-    """Unkeep cell d; only rows whose peak was attained at d are recomputed."""
-    keep[d] = False
-    stale = np.flatnonzero(keep & (disc_sub[:, d] == peak))
-    if stale.size:
-        peak[stale] = disc_sub[np.ix_(stale, keep)].max(axis=1)
+def _flip_values(disc_sub, masses, keep):
+    """Selection value after flipping each single cell of ``keep``: the kept
+    cells in ascending order, then the unkept ones."""
+    kept, unkept = np.flatnonzero(keep), np.flatnonzero(~keep)
+    k = kept.size
+    rows = disc_sub[kept]
+    sub = rows[:, kept]
+    if k >= 2:
+        # without cell c, row j of the kept submatrix peaks at its second
+        # largest entry if c holds its largest, else at its largest
+        top = np.partition(sub, k - 2, axis=1)[:, -2:]
+        rest = np.where(sub == top[:, 1:], top[:, :1], top[:, 1:])
+        np.fill_diagonal(rest, -np.inf)
+        others = np.broadcast_to(masses[kept], (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+        drops = np.maximum(rest.max(axis=0), 1.0 - others.sum(axis=1))
+    else:
+        drops = np.ones(k)
+    # with cell u added, the peak is the kept peak, column u or row u
+    grown = np.maximum(disc_sub[unkept, unkept], sub.max() if k else -np.inf)
+    if k:
+        grown = np.maximum(grown, np.maximum(rows[:, unkept].max(axis=0),
+                                             disc_sub[unkept][:, kept].max(axis=1)))
+    wider = np.sort(np.column_stack([np.broadcast_to(kept, (unkept.size, k)), unkept]), axis=1)
+    adds = np.maximum(grown, 1.0 - masses[wider].sum(axis=1))
+    return np.concatenate([drops, adds])
 
 
 def _optimize_selection(disc_sub, masses, rng, restarts=32):
     """Greedy removal by violation magnitude plus 2-opt moves; returns best value.
-    Each flip updates the running peaks in O(m) instead of rebuilding the kept
-    submatrix."""
+
+    The greedy restarts run in lockstep (``_greedy_best``), in m - 1 steps
+    of O(restarts * m log m).  A 2-opt round scores every single flip of its
+    state at once (``_flip_values``, O(m^2)) and takes the first that
+    improves, kept cells first; the search starts from the full selection
+    and reads no order and no RNG, so one run serves every restart."""
     m = len(masses)
-    best = 1.0
-    full_peak = disc_sub.max(axis=1)
-    orders = [None] + [rng.permutation(m) for _ in range(restarts - 1)]
-    for order in orders:
-        keep = np.ones(m, dtype=bool)
-        peak = full_peak.copy()
-        best = min(best, _kept_value(peak, masses, keep))
-        while keep.any():
-            idx = np.nonzero(keep)[0]
-            if order is None:
-                # remove the cell with the largest discrepancy, small mass first
-                key = peak[idx] * 1e6 - masses[idx] * 1e-6
-            else:
-                jitter = np.argsort(order[idx]).astype(float) * 1e-9
-                key = peak[idx] + jitter
-            _drop_cell(disc_sub, peak, keep, idx[int(np.argmax(key))])
-            best = min(best, _kept_value(peak, masses, keep))
-    # 2-opt from the full selection reads no order and no RNG: one run serves every restart
+    orders = np.array([rng.permutation(m) for _ in range(restarts - 1)], dtype=np.intp)
+    best = _greedy_best(disc_sub, masses, orders.reshape(-1, m))
     keep = np.ones(m, dtype=bool)
-    peak = full_peak.copy()
-    val = _kept_value(peak, masses, keep)
+    val = max(float(disc_sub.max()), 1.0 - float(masses.sum()))
     for _ in range(4 * m):
-        improved = False
-        for c in itertools.chain(np.nonzero(keep)[0], np.nonzero(~keep)[0]):
-            trial = peak.copy()
-            if keep[c]:
-                _drop_cell(disc_sub, trial, keep, c)
-            else:
-                np.maximum(trial, disc_sub[:, c], out=trial)
-                keep[c] = True
-                trial[c] = disc_sub[c, keep].max()
-            v = _kept_value(trial, masses, keep)
-            if v < val - 1e-15:
-                val, peak, improved = v, trial, True
-                break
-            keep[c] = not keep[c]
-        best = min(best, val)
-        if not improved:
+        vals = _flip_values(disc_sub, masses, keep)
+        better = np.flatnonzero(vals < val - 1e-15)
+        if not better.size:
             break
-    return best
+        val = float(vals[better[0]])
+        cells = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
+        keep[cells[better[0]]] ^= True
+    return min(best, val)
 
 
 def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed):
@@ -270,9 +305,8 @@ def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed)
             # keeping every cell needs no search and must be scored before
             # trimming, or a perfect coupling would look lossy
             if nz.size <= 4096:
-                full = float(_cell_discrepancy(sx, sy, nz).max())
                 kept = float(plan.ravel()[nz].sum())
-                val_full = max(full, 1.0 - kept)
+                val_full = max(_max_discrepancy(sx, sy, nz), 1.0 - kept)
                 if val_full < best:
                     best, best_plan = val_full, plan
             heavy = np.argsort(-plan.ravel()[nz], kind="stable")[:MAX_SELECTION_CELLS]

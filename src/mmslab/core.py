@@ -517,14 +517,23 @@ def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t + VALIDATION_TOL].sum()))
 
 
+def _row_dots(F, w):
+    """np.dot(F[r], w) for every row r of F, bit for bit: np.matmul makes one
+    dot call per row of the stack, the call np.dot makes, where ``F @ w``
+    rounds differently."""
+    return np.matmul(F[:, None, :], w[:, None])[:, 0, 0]
+
+
 def _central_moment(weights, values, p=2):
     """sum of w |f - mean|^p about the w-weighted mean of f, or the largest
-    deviation |f - mean| when p is infinite."""
+    deviation |f - mean| when p is infinite; one value per row when
+    ``values`` is a matrix of rows f."""
+    w = np.asarray(weights, dtype=float)
     f = np.asarray(values, dtype=float)
-    mean = float(np.dot(weights, f))
-    if p == math.inf:
-        return float(np.abs(f - mean).max())
-    return float(np.dot(weights, np.abs(f - mean) ** p))
+    F = f.reshape(-1, f.shape[-1])
+    dev = np.abs(F - _row_dots(F, w)[:, None])
+    out = dev.max(axis=1) if p == math.inf else _row_dots(dev ** p, w)
+    return out if f.ndim == 2 else float(out[0])
 
 
 def entropy(sp: FinitePmSpace, f):

@@ -247,12 +247,11 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     best = 0.0
     for block in _trial_blocks(grid, trials, seed):
         powered = (np.abs(np.diff(block, axis=1)) / grid.h) ** q
-        for f, slope_q in zip(block, powered):
+        for moment, slope_q in zip(_central_moment(mu, block, p), powered):
             energy = _finite(float(np.dot(cond, slope_q)) ** (1.0 / q))
             if energy <= 1e-14:
                 continue
-            dev = _central_moment(mu, f, p) ** (1.0 / p)
-            best = max(best, _finite(dev / energy))
+            best = max(best, _finite(float(moment) ** (1.0 / p) / energy))
     return best
 
 

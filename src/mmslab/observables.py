@@ -30,6 +30,7 @@ from .core import (
     VALIDATION_TOL,
     _central_moment,
     _check_effort,
+    _row_dots,
 )
 
 # Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
@@ -612,14 +613,12 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
     if sp.n == 1:
         return 0.0
     if mode == "exact":
-        verts = lipschitz_vertices(sp)
-        return max(variance_of(sp, f) for f in verts)
+        return float(_central_moment(sp.mass, lipschitz_vertices(sp)).max())
     if mode == "heuristic":
         m = sp.mass
 
         def start(F):
-            E = np.array([np.dot(m, f) for f in F])
-            Q = np.array([np.dot(m, f * f) for f in F])
+            E, Q = _row_dots(F, m), _row_dots(F * F, m)
             return Q - E * E, (E, Q)
 
         def move(state, F, i, C):
@@ -645,19 +644,12 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
     if sp.n == 1:
         return 0.0
 
-    def objective(f):
-        return p_variance(sp, f, p)
-
     if mode == "exact":
-        verts = lipschitz_vertices(sp)
-        val = max(objective(f) for f in verts)
+        val = float(_central_moment(sp.mass, lipschitz_vertices(sp), p).max())
     elif mode == "heuristic":
-        def moments(G):
-            return np.array([_central_moment(sp.mass, g, p) for g in G])
-
         starts, sweeps = _effort_budget(sp.n, starts, seed)
         val = _coordinate_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
-                                 *_rescoring(moments))
+                                 *_rescoring(lambda G: _central_moment(sp.mass, G, p)))
     else:
         raise InputError(f"unknown mode {mode!r}")
     return val ** (1.0 / p) if p != math.inf else val

@@ -3,6 +3,8 @@ pseudometric axioms, and the direct interval-parameter oracle that justifies
 the coupling reduction."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +314,18 @@ def submatrix_selection(disc_sub, masses, rng, restarts):
     return best
 
 
+BOX_UPPER_64 = """
+from mmslab import boxmetric, generators
+sx = generators.gaussian_sample(64, 3, 1.0, seed=1)
+sy = generators.gaussian_sample(64, 2, 1.0, seed=2)
+upper = boxmetric.box_upper(sx, sy, restarts=8).upper
+# VmHWM is this process's own peak; ru_maxrss would carry over the parent's
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(hwm_kb // 1024, repr(upper))
+"""
+
+
 class TestSearchKernelsPinned:
     """The vectorised kernels return the very floats of their reference loops."""
 
@@ -333,45 +347,102 @@ class TestSearchKernelsPinned:
 
     @pytest.mark.parametrize("ties", [True, False])
     def test_selection_matches_submatrix_reference(self, ties):
+        # the reference repeats the 2-opt search per restart, which takes
+        # seconds at m = 256 without ties, so the large m get a few restarts
+        big = {79: range(1, 9), 128: (2, 5), 256: (1, 8) if ties else (1,)}
         rng = np.random.default_rng(5 if ties else 6)
-        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 70):
+        for m in (1, 2, 3, 5, 8, 13, 21, 34, 55, 70, 79, 128, 256):
             raw = rng.integers(0, 4, size=(m, m)).astype(float) if ties else rng.random((m, m))
             disc = np.triu(raw, 1) + np.triu(raw, 1).T
             masses = np.full(m, 1.0 / m) if ties else rng.dirichlet(np.ones(m))
             if ties:
                 disc *= 0.125
-            restarts = 3 if m > 30 else 6
-            gen_got, gen_want = np.random.default_rng(m), np.random.default_rng(m)
-            got = boxmetric._optimize_selection(disc, masses, gen_got, restarts)
-            want = submatrix_selection(disc, masses, gen_want, restarts)
+            for restarts in big.get(m, (3 if m > 30 else 6,)):
+                gen_got, gen_want = np.random.default_rng(m), np.random.default_rng(m)
+                got = boxmetric._optimize_selection(disc, masses, gen_got, restarts)
+                want = submatrix_selection(disc, masses, gen_want, restarts)
+                assert got == want
+                assert gen_got.bit_generator.state == gen_want.bit_generator.state
+
+    def test_selection_matches_reference_on_skewed_masses(self):
+        # skewed masses and discrepancies that grow with the gap between two
+        # positions make 2-opt moves that add a cell win by the last bit of
+        # the kept mass, which must be summed in ascending index order
+        rng = np.random.default_rng(7)
+        for case in range(240):
+            m = int(rng.integers(3, 24))
+            if case % 2:
+                raw = rng.random((m, m)) ** 4
+            else:
+                pts = rng.random(m)
+                raw = np.abs(pts[:, None] - pts) * rng.uniform(0.5, 1.5)
+            disc = np.triu(raw, 1) + np.triu(raw, 1).T
+            masses = rng.dirichlet(np.full(m, (0.05, 0.3, 1.0, 5.0)[case % 4]))
+            gen_got, gen_want = np.random.default_rng(case), np.random.default_rng(case)
+            got = boxmetric._optimize_selection(disc, masses, gen_got, 2)
+            want = submatrix_selection(disc, masses, gen_want, 2)
             assert got == want
             assert gen_got.bit_generator.state == gen_want.bit_generator.state
 
     @pytest.mark.parametrize("m", [5, 39, 256])
-    def test_two_opt_runs_once_per_coupling(self, m, monkeypatch):
-        # each greedy restart drops exactly m cells; the 2-opt search reads
-        # neither the restart order nor the RNG, so extra restarts add no 2-opt
+    def test_two_opt_work_independent_of_restarts(self, m, monkeypatch):
+        # the 2-opt search reads neither the restart order nor the RNG, so
+        # extra restarts add no 2-opt round
         rng = np.random.default_rng(m)
         raw = rng.random((m, m))
         disc = np.triu(raw, 1) + np.triu(raw, 1).T
         masses = rng.dirichlet(np.ones(m))
         calls = []
-        drop = boxmetric._drop_cell
+        flips = boxmetric._flip_values
 
         def counted(*args):
             calls.append(1)
-            drop(*args)
+            return flips(*args)
 
-        monkeypatch.setattr(boxmetric, "_drop_cell", counted)
+        monkeypatch.setattr(boxmetric, "_flip_values", counted)
 
-        def drops(restarts):
+        def rounds(restarts):
             calls.clear()
             boxmetric._optimize_selection(disc, masses, np.random.default_rng(0), restarts)
             return len(calls)
 
-        one = drops(1)
-        for r in (2, 8):
-            assert drops(r) - one == (r - 1) * m
+        one = rounds(1)
+        assert one >= 1
+        assert rounds(2) == rounds(8) == one
+
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_blocked_full_score_matches_one_matrix(self, ties):
+        rng = np.random.default_rng(41)
+
+        def line(n):  # integer distances: many equal discrepancies
+            return core.space([f"p{i}" for i in range(n)],
+                              np.abs(np.arange(n)[:, None] - np.arange(n)).astype(float),
+                              rng.dirichlet(np.ones(n)))
+
+        make = line if ties else (lambda n: random_embedded_space(rng, n))
+        # product couplings of 17 x 16 (one partial last block) and 64 x 64
+        # cells, then sparse couplings on 64 x 64 cells
+        cases = [(make(17), make(16), np.arange(272)), (make(64), make(64), np.arange(4096))]
+        cases += [(*cases[1][:2], np.sort(rng.choice(4096, size, replace=False)))
+                  for size in (257, 300, 1000, 2000)]
+        for sx, sy, nz in cases:
+            disc = boxmetric._cell_discrepancy(sx, sy, nz)
+            assert boxmetric._max_discrepancy(sx, sy, nz) == disc.max()
+            # the largest pair moved into the last block
+            pair = list(np.unravel_index(np.argmax(disc), disc.shape))
+            moved = np.concatenate([np.delete(nz, pair), nz[pair]])
+            assert boxmetric._max_discrepancy(sx, sy, moved) == disc.max()
+
+    def test_full_score_builds_no_cell_matrix(self):
+        """Two 64-point samples have a 4096-cell product coupling; scoring it
+        from one 4096 x 4096 discrepancy matrix and its two gathers peaked at
+        322 MB."""
+        proc = subprocess.run([sys.executable, "-c", BOX_UPPER_64], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rss_mb, upper = proc.stdout.split()
+        assert int(rss_mb) < 100
+        assert upper == "0.8004490274623502"  # the value of the one-matrix score
 
     # box_upper(restarts=8) and box_lower on pairs drawn from default_rng(2024),
     # recorded before the search kernels were vectorised

@@ -465,6 +465,38 @@ class TestKyFan:
         assert core.ky_fan(sp, f, h) <= core.ky_fan(sp, f, g) + core.ky_fan(sp, g, h) + 1e-9
 
 
+def per_row_moment(weights, f, p):
+    """The central moment of one row with two np.dot calls, as it was
+    computed one row at a time."""
+    mean = float(np.dot(weights, f))
+    if p == math.inf:
+        return float(np.abs(f - mean).max())
+    return float(np.dot(weights, np.abs(f - mean) ** p))
+
+
+class TestCentralMoment:
+    def test_batched_rows_match_per_row_dots(self):
+        # perturbed distance rows of 64-point Gaussian samples, on which a
+        # matrix product G @ w rounds differently from per-row np.dot, plus
+        # random rows of other lengths and scales
+        rng = np.random.default_rng(2040)
+        blocks = []
+        for seed in range(8):
+            sp = generators.gaussian_sample(64, 3, 1.0, seed=seed)
+            rows = sp.dist[rng.integers(0, 64, 100)] * rng.uniform(0.9, 1.1, (100, 64))
+            blocks.append((sp.mass, rows))
+        for n in (3, 7, 20, 129, 600):
+            scale = 10.0 ** rng.uniform(-3, 3, (60, 1))
+            blocks.append((rng.dirichlet(np.ones(n)), rng.standard_normal((60, n)) * scale))
+        assert sum(len(rows) for _, rows in blocks) >= 1000
+        for weights, rows in blocks:
+            for p in (1, 1.5, 2, 3, math.inf):
+                got = core._central_moment(weights, rows, p)
+                assert got.tolist() == [per_row_moment(weights, f, p) for f in rows]
+                assert core._central_moment(weights, rows[0], p) == got[0]
+            assert core._row_dots(rows, weights).tolist() == [np.dot(weights, f) for f in rows]
+
+
 class TestEntropy:
     def test_constant_is_zero(self, rng):
         sp = random_embedded_space(rng, 4)

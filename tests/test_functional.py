@@ -181,7 +181,9 @@ class TestNonFiniteTrials:
         calls = itertools.count()
 
         def every_fifth_nan(weights, values, p=2):
-            return math.nan if next(calls) % 5 == 4 else core._central_moment(weights, values, p)
+            out = core._central_moment(weights, values, p)
+            # one moment per trial row: every fifth row of the family is NaN
+            return np.array([math.nan if next(calls) % 5 == 4 else x for x in out])
 
         monkeypatch.setattr(fn, "_central_moment", every_fifth_nan)
         with pytest.raises(fn.ConvergenceError):
