@@ -205,24 +205,6 @@ def member(sp: FinitePmSpace, alpha: AtomVector, delta=math.inf):
     return None if slot is None else AtomAssignment(tuple(slot))
 
 
-def membership_intersection_report(sp: FinitePmSpace, alpha: AtomVector, ns):
-    """Membership must be equivalent to membership of every truncation at or
-    beyond the support size, with a monotone implication chain below it."""
-    full = member(sp, alpha) is not None
-    rows = []
-    ok = True
-    prev_accept = None
-    for n in sorted(ns):
-        acc = member(sp, truncate(alpha, n, "zero")) is not None
-        rows.append((n, acc))
-        if n >= alpha.support_size() and acc != full:
-            ok = False
-        if prev_accept is not None and prev_accept is False and acc:
-            ok = False  # more constraints cannot rescue a refused prefix
-        prev_accept = acc
-    return {"ok": ok, "full": full, "truncations": rows}
-
-
 def pyramid_distance_upper(alpha: AtomVector, beta: AtomVector):
     """l1 distance between the vectors: a certified upper bound on the distance
     between the corresponding atom-generated families."""

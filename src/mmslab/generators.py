@@ -179,23 +179,6 @@ def dissipation_family(alpha: AtomVector, delta, n):
     return _finish(tuple(labels), dist, masses)
 
 
-def dissipation_projection(alpha: AtomVector, delta, n):
-    """The mod-2^(n-1) projection witnessing that the level-(n-1) member is
-    dominated by the level-n member."""
-    big = dissipation_family(alpha, delta, n)
-    small = dissipation_family(alpha, delta, n - 1)
-    atoms = sum(1 for e in alpha.entries if e > 0)
-    diffuse = big.n - atoms
-    half = diffuse // 2
-    mapping = []
-    for j in range(diffuse):
-        mapping.append(j % half if half else 0)
-    for i in range(atoms):
-        mapping.append((diffuse // 2) + i)
-    push = np.bincount(mapping, weights=big.mass, minlength=small.n)
-    return big, small, DominationWitness(tuple(mapping), tuple(push))
-
-
 def product_tower(base: FinitePmSpace, p, levels):
     """Monotone tower base, base^2, ... with projection witnesses onto the
     previous level."""

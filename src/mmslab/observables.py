@@ -9,7 +9,10 @@ convex in the observable, so their exact mode enumerates the vertices of the
 1-Lipschitz polytope.  Heuristic modes run seeded multi-start coordinate
 ascent and always return feasible (hence lower) values; all starts climb in
 lockstep as the rows of one matrix, each row exactly as it would alone, so the
-values are those of running the starts one after another, bit for bit.
+values are those of running the starts one after another, bit for bit.  The
+ascent skips only work whose outcome it knows: a row retires once every
+coordinate in a row left it unchanged, and an objective scored row by row
+does not score a candidate equal to the row itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -169,7 +171,11 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
     maximum over orderings.  Heuristic mode: seeded multi-start coordinate
     ascent from distance anchors, every start in lockstep, with all
     candidates of a coordinate scored by one batched window scan
-    (``_partial_diameters``); always a valid lower value.
+    (``_partial_diameters``); always a valid lower value.  The scan works row
+    by row, so a candidate equal to the current f[i] (one end of each
+    interval on a distance anchor d(x, .)) is the row itself and is not
+    scored; a start retires once n coordinates in a row left it unchanged,
+    since any further try would repeat one on the same f.
     """
     kappa = _kappa_fraction(kappa)
     if sp.n == 1 or 1.0 - kappa <= VALIDATION_TOL:
@@ -236,13 +242,14 @@ def _anchor_starts(sp, rng, starts):
 
 def _effort_budget(n, starts, seed):
     """Multi-start budgets that keep the quadratic sweeps tractable: beyond a
-    few hundred points the start count shrinks so a call stays near the cost
-    of the reference 64-start search on 256 points."""
+    few hundred points the start count shrinks, to no fewer than two starts
+    unless fewer were asked for, so a call stays near the cost of the
+    reference 64-start search on 256 points."""
     _check_effort("starts", starts, seed)
     if n <= 256:
         return starts, 200
     scale = max(1, (n * n) // (256 * 256))
-    return max(2, starts // scale), max(8, 200 // scale)
+    return min(starts, max(2, starts // scale)), max(8, 200 // scale)
 
 
 def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
@@ -256,31 +263,43 @@ def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
     coordinate, the low then the high end of the row's feasible interval and
     keeps a candidate only when it beats the best so far by more than
     ``tol``; a move whose pick equals f[i] changes nothing, so rounding in an
-    incremental ``move`` never counts as progress.  A row whose sweep changed
-    nothing is done, and keeps its value.
+    incremental ``move`` never counts as progress.  When such a candidate's
+    value is at most the row's own, it neither wins nor decides whether the
+    other end wins, since a winner must beat the row's value by more than
+    ``tol`` >= 0; ``move`` may then report any value up to the row's own,
+    and ``_rescoring`` leaves such candidates unscored.
+
+    A row retires with its value once n coordinates in a row, across sweep
+    boundaries too, left it unchanged, rather than after a whole sweep
+    without a move.  This is exact: each of them was tried on the state the
+    row still has, and ``move`` depends on nothing else, so every later try
+    would repeat one of them and change nothing.
     """
-    D = sp.dist
+    n = sp.n
     F = _anchor_starts(sp, np.random.default_rng(seed), starts)
     cur, state = start(F)
-    done = []
+    # an infinite diagonal keeps f[i] itself out of its own interval
+    D = sp.dist.copy()
+    np.fill_diagonal(D, math.inf)
+    best = 0.0
     buf = np.empty_like(F)
     C = np.empty((len(F), 2))
-    for _ in range(sweeps):
-        moved = np.zeros(len(F), dtype=bool)
-        for i in range(sp.n):
-            # feasible interval (C[:, 0], C[:, 1]) of f[i] in every row
-            np.subtract(F, D[i], out=buf)
-            buf[:, i] = -math.inf
-            buf.max(axis=1, out=C[:, 0])
-            np.add(F, D[i], out=buf)
-            buf[:, i] = math.inf
-            buf.min(axis=1, out=C[:, 1])
-            vals, states = move(state, F, i, C)
-            lo_wins = vals[:, 0] > cur + tol
-            hi_wins = vals[:, 1] > np.where(lo_wins, vals[:, 0], cur) + tol
-            rows = np.nonzero(lo_wins | hi_wins)[0]
-            if not len(rows):
-                continue
+    # the step at which each row last changed; a row retires at a step at
+    # least n past it, and none can before ``due``, since last only grows
+    last = np.full(len(F), -1)
+    due = n - 1
+    for step in range(sweeps * n):
+        i = step % n
+        # feasible interval (C[:, 0], C[:, 1]) of f[i] in every row
+        np.subtract(F, D[i], out=buf)
+        buf.max(axis=1, out=C[:, 0])
+        np.add(F, D[i], out=buf)
+        buf.min(axis=1, out=C[:, 1])
+        vals, states = move(state, F, i, C)
+        lo_wins = vals[:, 0] > cur + tol
+        hi_wins = vals[:, 1] > np.where(lo_wins, vals[:, 0], cur) + tol
+        rows = np.nonzero(lo_wins | hi_wins)[0]
+        if len(rows):
             end = hi_wins[rows].astype(np.intp)
             pick = C[rows, end]
             change = pick != F[rows, i]
@@ -289,26 +308,44 @@ def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
             cur[rows] = vals[rows, end]
             for s, cand in zip(state, states):
                 s[rows] = cand[rows, end]
-            moved[rows] = True
-        if not moved.all():
-            done.append(cur[~moved])
-            F, cur = F[moved], cur[moved]
-            state = tuple(s[moved] for s in state)
-            buf, C = buf[:len(F)], C[:len(F)]
-            if not len(F):
-                break
-    return max(0.0, float(np.concatenate(done + [cur]).max()))
+            last[rows] = step
+        if step < due:
+            continue
+        due = int(last.min()) + n
+        if due > step:
+            continue
+        # a row's value only rises: the best now is a lower value of the
+        # answer, and it covers the rows that retire here
+        best = max(best, cur.max())
+        keep = last > step - n
+        F, cur, last = F[keep], cur[keep], last[keep]
+        state = tuple(s[keep] for s in state)
+        buf, C = buf[:len(F)], C[:len(F)]
+        if not len(F):
+            break
+    return float(max(best, cur.max(initial=0.0)))
 
 
 def _rescoring(score):
     """``start`` and ``move`` for ``_coordinate_ascent`` from ``score``, which
-    maps a matrix to the objective value of each row: a move scores copies of
-    F with column i set to each end."""
+    maps a matrix to the objective value of each row, scoring each row
+    independently of the others.  A move scores copies of F with column i
+    set to each end, except where the end equals f[i]: that copy is the row
+    itself, so it would score exactly the row's value, and it reads -inf
+    instead, unscored.  An incremental ``move`` (``variance``) may not skip
+    it, since there its value can round above the row's and so decide
+    whether the other end wins.  Rows that no coordinate changes any more
+    retire in ``_coordinate_ascent``, whatever their ``move``."""
 
     def move(state, F, i, C):
-        G = np.repeat(F, 2, axis=0)
-        G[:, i] = C.ravel()
-        return score(G).reshape(-1, 2), ()
+        vals = np.full(C.size, -math.inf)
+        # the ends that move f[i]; flat index 2 r + e is end e of row r
+        moved = (C != F[:, i, None]).ravel().nonzero()[0]
+        if len(moved):
+            G = F.take(moved >> 1, axis=0)
+            G[:, i] = C.take(moved)
+            vals[moved] = score(G)
+        return vals.reshape(-1, 2), ()
 
     return (lambda F: (score(F), ())), move
 
@@ -510,41 +547,6 @@ def _bins_feasible(comp_mass, needs):
     return rec(0, total)
 
 
-def separation_properties_report(sp: FinitePmSpace, kappa, lam, rng=None):
-    """Check shuffle invariance, monotonicity in kappa and the interleaving-sum
-    inequality on one instance; returns a dict with any violations."""
-    kappa, lam = _as_kappa(kappa), _as_kappa(lam)
-    rng = rng or np.random.default_rng(0)
-    report = {"violations": []}
-    base = separation(sp, kappa)
-    shuffled = separation(sp, tuple(kappa[p] for p in rng.permutation(len(kappa))))
-    if not _close_or_both_inf(base, shuffled):
-        report["violations"].append(("shuffle", base, shuffled))
-    mono = separation(sp, tuple(k + abs(k) * 0.1 + 0.01 for k in kappa))
-    if _gt(mono, base):
-        report["violations"].append(("monotone", base, mono))
-    lhs = separation(sp, kappa + lam)
-    rhs = separation(sp, tuple(a + b for a, b in zip_longest(kappa, lam, fillvalue=0.0)))
-    if _gt(lhs, rhs):
-        report["violations"].append(("interleave_sum", lhs, rhs))
-    report["ok"] = not report["violations"]
-    return report
-
-
-def _close_or_both_inf(a, b):
-    if math.isinf(a) or math.isinf(b):
-        return math.isinf(a) and math.isinf(b)
-    return abs(a - b) <= REAL_TOL
-
-
-def _gt(a, b):
-    if math.isinf(a):
-        return not math.isinf(b)
-    if math.isinf(b):
-        return False
-    return a > b + REAL_TOL
-
-
 # ---------------------------------------------------------------------------
 # variance family
 
@@ -608,7 +610,8 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
     polytope vertices.  The heuristic mode moves each coordinate to the better
     endpoint of its feasible interval (optimal for a convex objective), with
     every start in lockstep and the first two moments of each row updated in
-    O(1) per candidate.
+    O(1) per candidate.  An end equal to f[i] is scored too: its O(1) value
+    can round away from the row's own.
     """
     if sp.n == 1:
         return 0.0

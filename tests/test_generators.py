@@ -12,6 +12,23 @@ from mmslab.atoms import sort_atoms
 from conftest import random_embedded_space
 
 
+def dissipation_projection(alpha, delta, n):
+    """The mod-2^(n-1) projection witnessing that the level-(n-1) member is
+    dominated by the level-n member."""
+    big = gen.dissipation_family(alpha, delta, n)
+    small = gen.dissipation_family(alpha, delta, n - 1)
+    n_atoms = sum(1 for e in alpha.entries if e > 0)
+    diffuse = big.n - n_atoms
+    half = diffuse // 2
+    mapping = []
+    for j in range(diffuse):
+        mapping.append(j % half if half else 0)
+    for i in range(n_atoms):
+        mapping.append((diffuse // 2) + i)
+    push = np.bincount(mapping, weights=big.mass, minlength=small.n)
+    return big, small, order.DominationWitness(tuple(mapping), tuple(push))
+
+
 class TestValidity:
     def test_all_generators_validate(self):
         alpha = sort_atoms([0.4, 0.3])
@@ -126,7 +143,7 @@ class TestAtomSpaces:
 
     def test_projection_witness(self):
         alpha = sort_atoms([0.4, 0.1])
-        big, small, w = gen.dissipation_projection(alpha, 1.0, 3)
+        big, small, w = dissipation_projection(alpha, 1.0, 3)
         assert order.check_witness(big, small, w.map)
 
 

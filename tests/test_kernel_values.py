@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from mmslab import atoms, boxmetric, core, functional, generators, observables as obs
-from conftest import random_embedded_space, random_shortest_path_space
+from conftest import (random_embedded_space, random_shortest_path_space,
+                      separation_properties_report)
 
 
 def pin(x):
@@ -49,7 +50,7 @@ def test_threshold_sequences_unchanged():
             val, config = obs.separation_witness(sp, kappa)
             got.append(pin((val, config.threshold, config.groups)))
         for kappa, lam in (((0.2, 0.1, 0.3), (0.1, 0.05)), (0.25, (0.2, 0.2, 0.1))):
-            got.append(pin(obs.separation_properties_report(
+            got.append(pin(separation_properties_report(
                 sp, kappa, lam, np.random.default_rng(3))))
     for alpha, scale, delta in (([0.4, 0.2, 0.2], 2.0, 2.0), ([0.4, 0.2], 2.0, 2.0),
                                 ([0.25, 0.125, 0.125], 3.0, 3.0),

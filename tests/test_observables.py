@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from mmslab import core, observables as obs
-from conftest import corpus, random_embedded_space, random_shortest_path_space
+from conftest import (corpus, random_embedded_space, random_shortest_path_space,
+                      separation_properties_report)
 
 
 def two_point(d=1.0, p=0.5):
@@ -327,7 +328,7 @@ class TestSeparation:
         for sp in corpus(51, 5, sizes=(5,)):
             kappa = tuple(rng.uniform(0.05, 0.3, size=3))
             lam = tuple(rng.uniform(0.05, 0.2, size=2))
-            rep = obs.separation_properties_report(sp, kappa, lam, rng)
+            rep = separation_properties_report(sp, kappa, lam, rng)
             assert rep["ok"], rep["violations"]
 
     def test_exhaustive_family_oracle(self, rng):
@@ -676,9 +677,8 @@ def per_start_recompute(objective):
     return (lambda f: (objective(f), None)), move
 
 
-def per_start_obs_diam(sp, kappa, starts, seed):
-    if sp.n == 1 or 1.0 - kappa <= core.VALIDATION_TOL:
-        return 0.0
+def per_start_width(sp, kappa):
+    """The partial diameter of one observable, from its minimal windows."""
 
     def objective(f):
         order = np.argsort(f, kind="stable")
@@ -686,11 +686,20 @@ def per_start_obs_diam(sp, kappa, starts, seed):
         v = f[order].tolist()
         return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
 
+    return objective
+
+
+def per_start_obs_diam(sp, kappa, starts, seed):
+    if sp.n == 1 or 1.0 - kappa <= core.VALIDATION_TOL:
+        return 0.0
     starts, _ = obs._effort_budget(sp.n, starts, seed)
-    return per_start_ascent(sp, starts, seed, 50, 1e-13, *per_start_recompute(objective))
+    return per_start_ascent(sp, starts, seed, 50, 1e-13,
+                            *per_start_recompute(per_start_width(sp, kappa)))
 
 
-def per_start_variance(sp, starts, seed):
+def per_start_moments(sp):
+    """``start`` and ``move`` of the variance, with its two moments updated
+    in O(1) per candidate."""
     m = sp.mass
 
     def start(f):
@@ -704,8 +713,12 @@ def per_start_variance(sp, starts, seed):
         Q = Q - mi * fi ** 2 + mi * c * c
         return Q - E * E, (E, Q)
 
+    return start, move
+
+
+def per_start_variance(sp, starts, seed):
     starts, sweeps = obs._effort_budget(sp.n, starts, seed)
-    return per_start_ascent(sp, starts, seed, sweeps, 1e-14, start, move)
+    return per_start_ascent(sp, starts, seed, sweeps, 1e-14, *per_start_moments(sp))
 
 
 def per_start_p_deviation(sp, p, starts, seed):
@@ -771,6 +784,102 @@ class TestLockstepAscent:
                 for p in ((2, math.inf) if big else (1, 2, 3, math.inf)):
                     assert (obs.p_deviation(sp, p, "heuristic", starts, seed)
                             == per_start_p_deviation(sp, p, starts, seed))
+
+    @pytest.mark.parametrize("sweeps", [1, 2, 3])
+    def test_values_equal_the_per_start_loop_under_a_sweep_cap(self, sweeps, monkeypatch):
+        # the cap stops rows that still move; obs_diam's 50 sweeps are capped
+        # through the engine, the others through their budget
+        monkeypatch.setattr(obs, "_effort_budget", lambda n, starts, seed: (starts, sweeps))
+        binds = 0
+        for k, sp in enumerate(self.spaces()):
+            starts, seed, kappa = 8, k % 3, (0.0, 0.2, 0.5)[k % 3]
+            steps = []
+            start, move = obs._rescoring(
+                lambda G: obs._partial_diameters(G, sp.mass, kappa))
+
+            def watched(state, F, i, C):
+                steps.append(i)
+                return move(state, F, i, C)
+
+            got = obs._coordinate_ascent(sp, starts, seed, sweeps, 1e-13, start, watched)
+            assert got == per_start_ascent(sp, starts, seed, sweeps, 1e-13,
+                                           *per_start_recompute(per_start_width(sp, kappa)))
+            # some row changed in the last sweep and was still climbing
+            binds += len(steps) == sweeps * sp.n
+            assert (obs.variance(sp, "heuristic", starts, seed)
+                    == per_start_variance(sp, starts, seed))
+            for p in (1, 3, math.inf):
+                assert (obs.p_deviation(sp, p, "heuristic", starts, seed)
+                        == per_start_p_deviation(sp, p, starts, seed))
+        assert binds
+
+    def test_rows_retire_mid_sweep_with_their_values(self):
+        # a row leaves once n coordinates in a row left it unchanged, which
+        # can fall inside a sweep; the values stay those of the per-start loop
+        mid_sweep = 0
+        for k, sp in enumerate(self.spaces()):
+            for starts in (3, 8):
+                seed, kappa = (k + starts) % 3, 0.2
+                rows = []
+                start, move = obs._rescoring(
+                    lambda G: obs._partial_diameters(G, sp.mass, kappa))
+
+                def watched(state, F, i, C):
+                    rows.append(len(F))
+                    return move(state, F, i, C)
+
+                got = obs._coordinate_ascent(sp, starts, seed, 50, 1e-13, start, watched)
+                assert got == per_start_ascent(sp, starts, seed, 50, 1e-13,
+                                               *per_start_recompute(per_start_width(sp, kappa)))
+                mid_sweep += sum(rows[s] < rows[s - 1] for s in range(1, len(rows))
+                                 if s % sp.n)
+        assert mid_sweep
+
+    @pytest.mark.parametrize("seed, n", [(195, 7), (25, 11)])
+    def test_variance_scores_unchanged_candidates(self, seed, n):
+        # at this scale an end equal to f[i] gets an O(1) variance that
+        # differs from the row's own; it still decides whether the other end
+        # wins, so variance must score it, as the per-start loop does
+        sp = integer_space(np.random.default_rng(seed), n, scale=1e3)
+        start, move = per_start_moments(sp)
+        differs = []
+
+        def watched(state, f, i, c):
+            val, st = move(state, f, i, c)
+            if c == f[i]:
+                differs.append(val != state[1] - state[0] * state[0])
+            return val, st
+
+        assert (obs.variance(sp, "heuristic", 1, 0)
+                == per_start_ascent(sp, 1, 0, 200, 1e-14, start, watched))
+        assert any(differs)
+
+    def test_unchanged_candidates_are_not_scored(self):
+        # on the distance anchors d(x, .) and -d(x, .) of an integer-valued
+        # space, one end of every row's first interval is f[0] itself
+        sp = integer_space(np.random.default_rng(8), 24)
+        offered, scored = [], []
+
+        def score(G):
+            scored.append(len(G))
+            return obs._partial_diameters(G, sp.mass, 0.2)
+
+        start, move = obs._rescoring(score)
+
+        def watched(state, F, i, C):
+            offered.append(len(F))
+            return move(state, F, i, C)
+
+        obs._coordinate_ascent(sp, 2 * sp.n, 0, 1, 1e-13, start, watched)
+        assert len(offered) == sp.n and offered[0] == 2 * sp.n
+        assert scored[1] <= offered[0]
+        assert sum(scored[1:]) < 2 * sum(offered)
+
+    @pytest.mark.parametrize("n", [257, 300, 600, 1000])
+    def test_effort_budget_never_raises_the_start_count(self, n):
+        assert obs._effort_budget(n, 1, 0)[0] == 1
+        assert obs._effort_budget(n, 2, 0)[0] == 2
+        assert obs._effort_budget(n, 64, 0)[0] == max(2, 64 // (n * n // 65536))
 
     def test_batched_scan_matches_all_windows(self):
         rng = np.random.default_rng(505)
