@@ -11,10 +11,13 @@ included) and the bins of the dissipation detector.  The inverse iteration
 of the spectral gap gives the eigenvalue and eigenvector it gave when each
 step solved the tridiagonal system from scratch.  Floats compare by
 ``float.hex`` and arrays by a digest of their bytes, so a change in any bit
-fails."""
+fails.  The linear programs of the exact observable diameter are pinned by
+their inputs: every ordering's constraint rows, in the order they are
+solved."""
 
 import hashlib
 import math
+import types
 
 import numpy as np
 
@@ -191,6 +194,58 @@ def test_trial_family_has_the_requested_size():
     grid = functional.unit_interval_grid(128)
     for k in range(1, 11):
         assert len(list(functional._trial_functions(grid, k, 3))) == k
+
+
+def _lp_spaces():
+    """Spaces of 2-6 points, embedded, shortest-path and uniform grids, each
+    at three scales."""
+    rng = np.random.default_rng(2039)
+    bases = [random_embedded_space(rng, 2), random_shortest_path_space(rng, 3),
+             random_embedded_space(rng, 4), generators.interval_grid(4),
+             random_shortest_path_space(rng, 5), random_embedded_space(rng, 6),
+             generators.interval_grid(6, 0.7)]
+    return [core.scale(sp, t) for sp in bases for t in (1e-3, 1.0, 1e3)]
+
+
+def _edge_kappa(sp):
+    """A kappa whose need - VALIDATION_TOL equals, as the exact test
+    computes it, the mass of a window of the identity ordering: the first
+    such window, longest first, that a kappa reaches exactly."""
+    csum = np.concatenate(([0.0], np.cumsum(sp.mass)))
+    for size in range(sp.n - 1, 0, -1):
+        for i in range(sp.n - size + 1):
+            mass = csum[i + size] - csum[i]
+            k0 = 1.0 - (mass + core.VALIDATION_TOL)
+            for kappa in k0 + np.arange(-4, 5) * np.spacing(k0):
+                if (1.0 - kappa) - core.VALIDATION_TOL == mass:
+                    return float(kappa)
+    raise AssertionError("no window of the identity ordering is on the edge")
+
+
+def test_exact_lp_inputs_unchanged(monkeypatch):
+    """Every linprog call of exact obs_diam gets the inputs it got when each
+    ordering's windows came from a two-pointer loop of its own.  The stub
+    solves nothing and reports failure, so only the inputs are compared."""
+    digest = None
+    calls = 0
+
+    def stub(c, A_ub, b_ub, A_eq, b_eq, bounds, method):
+        nonlocal calls
+        calls += 1
+        for a in (c, A_ub, b_ub, A_eq, b_eq):
+            a = np.ascontiguousarray(a, dtype=float)
+            digest.update(repr(a.shape).encode() + a.tobytes())
+        digest.update(repr((bounds, method)).encode())
+        return types.SimpleNamespace(status=2, fun=None)
+
+    monkeypatch.setattr(obs, "linprog", stub)
+    got = []
+    for sp in _lp_spaces():
+        digest, calls = hashlib.sha256(), 0
+        for kappa in (1.0 / sp.n, 1.0 - 1.0 / sp.n, _edge_kappa(sp)):
+            assert obs.obs_diam(sp, kappa, mode="exact") == 0.0
+        got.append([calls, digest.hexdigest()[:16]])
+    assert got == LP_INPUTS_RECORDED
 
 
 def test_second_eigenvalue_unchanged():
@@ -441,3 +496,28 @@ EIGEN_RECORDED = [['0x1.3bc390d258106p+3', '02700ba1991b9d4e'], ['0x1.ffd7348108
  ['0x1.3bd3cb9823aa6p+3', '1cc6d0ff735a11c5'], ['0x1.0000000007215p+0', '29b0405760b7850c'],
  ['0x1.3bd3cc9ba6a98p+3', 'fb64508f7739eec9'], ['0x1.000000000a9f2p+0', 'a88c2aed4dd209e3'],
  ['0x1.4526a0893a908p+3', '271493f01078beba']]
+
+
+
+# recorded when each exact ordering found its windows with a two-pointer loop
+LP_INPUTS_RECORDED = [[3, '9e6dd08b2e2a5bec'],
+ [3, '83923c45a95712b6'],
+ [3, '9d9094efbf07b5ce'],
+ [9, '5784033cf83e71cc'],
+ [9, '6d35794102aeaa4f'],
+ [9, '6554ff15e7b6e9c1'],
+ [36, '60277078eebf9c53'],
+ [36, '3564950541edf0d7'],
+ [36, 'ea4ce453e8ebd511'],
+ [36, '953d2094ba5be889'],
+ [36, '1757f0202f2bc55b'],
+ [36, '770f43bcf2b75aad'],
+ [180, '0a18075c1fd807ce'],
+ [180, '6ea07e5e66f64548'],
+ [180, 'e3099dd41bc6837a'],
+ [1080, '88e6cab244b0553a'],
+ [1080, '6b18809107c59f31'],
+ [1080, 'de363ea5a628b29e'],
+ [1080, '1abb7a38626155c6'],
+ [1080, '38f65a7cbe12ab96'],
+ [1080, '3aeafe9a267d6c60']]
