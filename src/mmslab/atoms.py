@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._scipy import connected_components
-from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL
+from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL, _check_count
 from .observables import SEPARATION_MAX_POINTS, separation
 
 MAX_CONTRACTION = 16
@@ -91,8 +91,7 @@ def atom_product(alpha: AtomVector, beta: AtomVector):
 def truncate(alpha: AtomVector, n, kind="zero"):
     """Keep the first n entries; ``collapse`` folds the tail into slot n and
     re-sorts, producing a contraction of the input."""
-    if n < 1:
-        raise InputError("truncation length must be >= 1")
+    _check_count("truncation length", n)
     if kind == "zero":
         return AtomVector(alpha.entries[:n])
     if kind == "collapse":

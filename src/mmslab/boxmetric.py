@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_TRIANGLE_BLOCK_ELEMENTS, Coupling, FinitePmSpace, InputError, SizeLimitError,
-                   _check_effort, _subset_fold)
+                   _check_count, _subset_fold)
 
 EXACT_MAX_CELLS = 12
 
@@ -326,7 +326,8 @@ def box_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts=32, seed=0):
     Every candidate coupling and kept-cell selection realises admissible
     interval parameters, so the reported value is always attainable.
     """
-    _check_effort("restarts", restarts, seed)
+    _check_count("restarts", restarts)
+    _check_count("seed", seed, 0)
     if sx.n * sy.n <= EXACT_MAX_CELLS:
         est = box_exact_small(sx, sy)
         return BoxEstimate(0.0, est.upper, est.witness_coupling, "bound")

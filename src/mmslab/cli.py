@@ -408,8 +408,7 @@ class ExperimentPlan:
             raise core.InputError("a plan must be a JSON object")
         _check_fields(d, (), ("name", "seed", "spaces", "invariants", "assertions"), "a plan")
         seed = d.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise core.InputError(f"plan seed must be an integer >= 0, got {seed!r}")
+        core._check_count("plan seed", seed, 0)
         parts = {k: d.get(k, []) for k in ("spaces", "invariants", "assertions")}
         for key, items in parts.items():
             if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):

@@ -17,8 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scipy import pdist, squareform
-
 # Global tolerance knobs: structural validation vs. equality of derived reals.
 VALIDATION_TOL = 1e-12
 REAL_TOL = 1e-9
@@ -29,7 +27,7 @@ PROKHOROV_MAX_POINTS = 20
 
 # Above this size the triangle-inequality sweep takes blocks of rows against
 # one j at a time in a reused, cache-sized buffer instead of an n^3 tensor;
-# the Euclidean certificate takes its rows in blocks of the same size.
+# the Euclidean metric of coords is evaluated in row blocks of the same size.
 _TRIANGLE_BLOCK_LIMIT = 48
 _TRIANGLE_BLOCK_ELEMENTS = 65536
 
@@ -72,10 +70,10 @@ class FinitePmSpace:
     the order-search module for exact pushforward matching).  ``coords``
     optionally carries sample coordinates, one row per point, whose columns
     ``validate`` requires to be 1-Lipschitz for the metric.  A space built
-    with ``dist=None`` takes the Euclidean distances of its ``coords`` rows,
-    ``squareform(pdist(coords))``, as its metric; they are computed on the
-    first read of ``dist`` and kept, so code that only reads ``coords`` never
-    builds the n x n matrix.
+    with ``dist=None`` takes the Euclidean distances of its ``coords`` rows
+    (``_euclidean_rows``) as its metric; they are computed on the first read
+    of ``dist`` and kept, so code that only reads ``coords`` never builds the
+    n x n matrix.
     """
 
     points: tuple
@@ -105,7 +103,12 @@ class FinitePmSpace:
     def dist(self):
         """The read-only n x n distance matrix."""
         if self._dist is None:
-            object.__setattr__(self, "_dist", _freeze(squareform(pdist(self.coords))))
+            c, D = self.coords, np.empty((self.n, self.n))
+            rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // max(1, self.n))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, self.n, rows):
+                    D[start:start + rows] = _euclidean_rows(c[start:start + rows], c)
+            object.__setattr__(self, "_dist", _freeze(D))
         return self._dist
 
     @property
@@ -242,30 +245,36 @@ def _euclidean_certified(coords, D):
     at most eight roundings of evaluating it (every term is nonnegative; if
     M < 1e-300 every computed excess is below M anyway).  NaN or inf in Ê
     or in the error makes the bound NaN or inf, which fails the comparison.
-    Row blocks of at most _TRIANGLE_BLOCK_ELEMENTS values hold Ê, so no
-    n x n buffer is made.
+    Row blocks of at most _TRIANGLE_BLOCK_ELEMENTS values hold Ê, which
+    ``_euclidean_rows`` evaluates, so no n x n buffer is made.
     """
     if coords is None or coords.shape[1] > 1 << 20:
         return False
     n, d = coords.shape
     u = 2.0 ** -53
     rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
-    acc, term = np.empty((rows, n)), np.empty((rows, n))
     far = err = 0.0  # max Ê and max |Ê - D|, with NaN kept by np.maximum
     with np.errstate(all="ignore"):
         for start in range(0, n, rows):
-            block = coords[start:start + rows]
-            s, t = acc[:len(block)], term[:len(block)]
-            s.fill(0.0)
-            for part, col in zip(block.T, coords.T):
-                np.subtract.outer(part, col, out=t)
-                s += np.multiply(t, t, out=t)
-            far = np.maximum(far, np.sqrt(s, out=s).max())
+            s = _euclidean_rows(coords[start:start + rows], coords)
+            far = np.maximum(far, s.max())
             err = np.maximum(err, np.abs(np.subtract(s, D[start:start + rows], out=s), out=s).max())
         M = np.maximum(far, D.max())
         rho = (d + 5) / 2 * u
         eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
         return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL)
+
+
+def _euclidean_rows(block, coords):
+    """Euclidean distances from each row of ``block`` to every row of
+    ``coords``: the square root of the squared column differences summed
+    left to right from 0, as scipy's ``pdist`` sums them."""
+    s = np.zeros((len(block), len(coords)))
+    t = np.empty_like(s)
+    for part, col in zip(block.T, coords.T):
+        np.subtract.outer(part, col, out=t)
+        s += np.multiply(t, t, out=t)
+    return np.sqrt(s, out=s)
 
 
 def _triangle_violation(D):
@@ -297,11 +306,10 @@ def _triangle_violation(D):
             return int(i), j, int(k), float(gap[i, k])
 
 
-def _check_effort(name, count, seed):
-    """InputError unless ``count`` >= 1 and ``seed`` >= 0 are integers."""
-    for what, value, low in ((name, count, 1), ("seed", seed, 0)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-            raise InputError(f"{what} must be an integer >= {low}, got {value!r}")
+def _check_count(name, value, low=1):
+    """InputError unless ``value`` is an integer >= ``low``; a bool is not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def check_valid(sp: FinitePmSpace):

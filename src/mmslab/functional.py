@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import dgttrf, dgttrs, ndtri
-from .core import (FinitePmSpace, InputError, _central_moment, _check_effort,
+from .core import (FinitePmSpace, InputError, _central_moment, _check_count,
                    entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
@@ -94,8 +94,7 @@ def _normalize(nodes, weight, kind):
 
 def unit_interval_grid(m, length=1.0):
     """Uniformly weighted interval [0, length] on m+1 nodes."""
-    if m < 2:
-        raise InputError("interval grid needs m >= 2 subintervals")
+    _check_count("m", m, 2)
     if not 0 < length < math.inf:
         raise InputError("length must be positive and finite")
     nodes = np.linspace(0.0, length, m + 1)
@@ -109,8 +108,7 @@ def gaussian_grid(m, sigma=1.0):
     The truncated tail mass is below 1e-14, negligible against every
     tolerance used here.
     """
-    if m < 2:
-        raise InputError("gaussian grid needs m >= 2 subintervals")
+    _check_count("m", m, 2)
     if not 0 < sigma < math.inf:
         raise InputError("sigma must be positive and finite")
     nodes = np.linspace(-GAUSSIAN_CUTOFF * sigma, GAUSSIAN_CUTOFF * sigma, m + 1)
@@ -241,7 +239,8 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     """
     if not (1 <= p < math.inf and 1 <= q < math.inf):
         raise InputError("p and q must lie in [1, inf)")
-    _check_effort("trials", trials, seed)
+    _check_count("trials", trials)
+    _check_count("seed", seed, 0)
     mu = grid.node_mass()
     cond = _edge_conductances(grid)
     best = 0.0
@@ -299,7 +298,8 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """
     if not 0 < constant < math.inf:
         raise InputError("the candidate constant must be positive and finite")
-    _check_effort("trials", trials, seed)
+    _check_count("trials", trials)
+    _check_count("seed", seed, 0)
     mu = grid.node_mass()
     # 4 + max(trials - 4, 1) >= trials functions, so exactly trials are checked
     blocks = _trial_blocks(grid, max(trials - 4, 1), seed)

@@ -23,6 +23,7 @@ from .core import (
     FinitePmSpace,
     InputError,
     InvalidSpaceError,
+    _check_count,
     _mass_violation,
     check_valid,
     product,
@@ -75,8 +76,7 @@ def two_point(d=1.0, first_mass=0.5):
 
 def interval_grid(m, r=1.0):
     """m equally spaced points spanning [0, r] with equal masses."""
-    if m < 2:
-        raise InputError("interval_grid needs m >= 2 points")
+    _check_count("m", m, 2)
     if r <= 0:
         raise InputError("interval_grid needs r > 0")
     xs = np.linspace(0.0, r, m)
@@ -99,8 +99,10 @@ def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
     """
     if seed is None:
         raise InputError("gaussian_sample requires a seed")
-    if n_points < 1 or dim < 1 or sigma <= 0:
-        raise InputError("gaussian_sample needs n_points, dim >= 1 and sigma > 0")
+    _check_count("n_points", n_points)
+    _check_count("dim", dim)
+    if sigma <= 0:
+        raise InputError("gaussian_sample needs sigma > 0")
     rng = np.random.default_rng(seed)
     pts = sigma * rng.standard_normal((n_points, dim))
     return _finish(
@@ -116,8 +118,10 @@ def sphere_sample(n_dim, radius, n_points, seed=None):
     (restricted Euclidean) distance."""
     if seed is None:
         raise InputError("sphere_sample requires a seed")
-    if n_dim < 1 or radius <= 0 or n_points < 1:
-        raise InputError("sphere_sample needs n_dim >= 1, radius > 0, n_points >= 1")
+    _check_count("n_dim", n_dim)
+    _check_count("n_points", n_points)
+    if radius <= 0:
+        raise InputError("sphere_sample needs radius > 0")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_points, n_dim + 1))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -137,8 +141,7 @@ def atom_space(alpha: AtomVector, m_diffuse=8):
     diffuse = 1.0 - math.fsum(atoms)
     xs, masses, labels = [], [], []
     if diffuse > 1e-12:
-        if m_diffuse < 1:
-            raise InputError("diffuse mass needs m_diffuse >= 1 grid points")
+        _check_count("m_diffuse", m_diffuse)
         grid = np.linspace(-1.0, 0.0, m_diffuse)
         xs.extend(grid.tolist())
         masses.extend([diffuse / m_diffuse] * m_diffuse)
@@ -159,8 +162,9 @@ def dissipation_family(alpha: AtomVector, delta, n):
     plus the atom points, every pairwise distance equal to delta."""
     if not 0 < delta < math.inf:
         raise InputError("delta must be positive and finite")
-    if not 0 <= n <= 16:
-        raise InputError("dissipation_family needs 0 <= n <= 16")
+    _check_count("n", n, 0)
+    if n > 16:
+        raise InputError("dissipation_family needs n <= 16")
     atoms = [float(e) for e in alpha.entries if e > 0]
     diffuse = 1.0 - math.fsum(atoms)
     masses, labels = [], []
@@ -182,8 +186,7 @@ def dissipation_family(alpha: AtomVector, delta, n):
 def product_tower(base: FinitePmSpace, p, levels):
     """Monotone tower base, base^2, ... with projection witnesses onto the
     previous level."""
-    if levels < 1:
-        raise InputError("levels must be >= 1")
+    _check_count("levels", levels)
     if base.n**levels > TOWER_MAX_POINTS:
         raise InputError(f"tower would exceed {TOWER_MAX_POINTS} points")
     towers = [base]

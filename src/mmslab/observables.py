@@ -4,15 +4,16 @@ zero-tailed) threshold sequences, and the variance family.
 
 Exact modes are reserved for small supports.  The observable diameter is
 computed exactly by maximising, over each value ordering, the smallest
-admissible-window width with a linear program; variance-type functionals are
-convex in the observable, so their exact mode enumerates the vertices of the
-1-Lipschitz polytope.  Heuristic modes run seeded multi-start coordinate
-ascent and always return feasible (hence lower) values; all starts climb in
-lockstep as the rows of one matrix, each row exactly as it would alone, so the
-values are those of running the starts one after another, bit for bit.  The
-ascent skips only work whose outcome it knows: a row retires once every
-coordinate in a row left it unchanged, and an objective scored row by row
-does not score a candidate equal to the row itself.
+admissible-window width with a linear program, whose windows come from the
+heuristic's scan; variance-type functionals are convex in the observable, so
+their exact mode enumerates the vertices of the 1-Lipschitz polytope.
+Heuristic modes run seeded multi-start coordinate ascent and always return
+feasible (hence lower) values; all starts climb in lockstep as the rows of one
+matrix, each row exactly as it would alone, so the values are those of running
+the starts one after another, bit for bit.  The ascent skips only work whose
+outcome it knows: a row retires once every coordinate in a row left it
+unchanged, and an objective scored row by row does not score a candidate equal
+to the row itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     REAL_TOL,
     VALIDATION_TOL,
     _central_moment,
-    _check_effort,
+    _check_count,
     _row_dots,
 )
 
@@ -73,24 +74,34 @@ def partial_diameter(values, masses, kappa):
 
 def _partial_diameters(G, w, kappa):
     """Partial diameter of every row of G under the masses w, for a kappa
-    with 1 - kappa > VALIDATION_TOL.
-
-    Each row is sorted once.  The window starting at sorted index i ends
-    before the first k whose prefix sums pass the exact test
-    ``csum[k] - csum[i] >= need - VALIDATION_TOL``; a searchsorted on
-    ``csum[i] + short`` finds k up to rounding, and the exact test moves it
-    onto that first k.  Subtraction rounds monotonically, so a window never
-    reads narrower than one it contains, and the smallest width over these
-    windows is the smallest over the inclusion-minimal ones.
+    with 1 - kappa > VALIDATION_TOL: the smallest width over the windows of
+    ``_window_ends``, which is the smallest over the inclusion-minimal ones,
+    since rounded subtraction never reads a window narrower than one inside it.
     """
     rows, n = G.shape
     r = np.arange(rows)[:, None]
     order = np.argsort(G, axis=1, kind="stable")
     v = G[r, order]
+    ends = _window_ends(w[order], (1.0 - kappa) - VALIDATION_TOL)
+    found = ends < n
+    # the window from sorted index i ends at v[row, ends], flat index n row + ends
+    width = v.ravel()[np.minimum(ends + n * r, v.size - 1)] - v
+    width = np.where(found, width, math.inf).min(axis=1)
+    return np.where(found.any(axis=1), width, v[:, -1] - v[:, 0])
+
+
+def _window_ends(W, short):
+    """The end of the shortest window from each start i of the rows W of
+    masses in value order: the first k with ``csum[k + 1] - csum[i] >=
+    short`` on the row's prefix sums, or n when none passes.  A searchsorted
+    on ``csum[i] + short`` finds k up to rounding, and the exact test moves
+    it onto the first passing k.  Ends never decrease along a row, since
+    rounded subtraction is monotone."""
+    rows, n = W.shape
+    r = np.arange(rows)[:, None]
     csum = np.zeros((rows, n + 1))
-    np.cumsum(w[order], axis=1, out=csum[:, 1:])
+    np.cumsum(W, axis=1, out=csum[:, 1:])
     left = csum[:, :-1]
-    short = (1.0 - kappa) - VALIDATION_TOL
     # complex keys sort by real part first, so one search stays inside each
     # row without an offset that would round the sums; ``ends`` indexes the
     # flattened csum, where row r spans first[r] .. first[r] + n, and an
@@ -107,11 +118,14 @@ def _partial_diameters(G, w, kappa):
         ends -= back
     while (ahead := (ends <= first + n) & ~passes(ends)).any():
         ends += ahead
-    found = ends <= first + n
-    # the window from sorted index i ends at v[row, ends - first - 1]
-    width = v.ravel()[np.minimum(ends - r - 1, v.size - 1)] - v
-    width = np.where(found, width, math.inf).min(axis=1)
-    return np.where(found.any(axis=1), width, v[:, -1] - v[:, 0])
+    return ends - first - 1
+
+
+def _minimal_starts(ends):
+    """Starts whose window exists and ends before the next start's, or is the last."""
+    minimal = ends < ends.shape[1]
+    minimal[:, :-1] &= ends[:, :-1] < ends[:, 1:]
+    return minimal
 
 
 def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
@@ -123,10 +137,7 @@ def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
     if sp.coords is None:
         raise InputError("space carries no coordinates")
     kappa = _kappa_fraction(kappa)
-    best = 0.0
-    for proj in np.atleast_2d(sp.coords).reshape(sp.n, -1).T:
-        best = max(best, partial_diameter(proj, sp.mass, kappa))
-    return best
+    return max((partial_diameter(proj, sp.mass, kappa) for proj in sp.coords.T), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +152,14 @@ def _kappa_fraction(kappa):
     return kappa
 
 
-def _minimal_windows(masses_sorted, need):
-    """Index pairs (l, r) of inclusion-minimal contiguous windows with mass >= need."""
-    n = len(masses_sorted)
-    csum = np.concatenate(([0.0], np.cumsum(masses_sorted))).tolist()
-    short = need - VALIDATION_TOL
-    out = []
-    j = 0
-    for i in range(n):
-        if j < i:
-            j = i
-        while j < n and csum[j + 1] - csum[i] < short:
-            j += 1
-        if j >= n:
-            break
-        if out and out[-1][1] == j:
-            out[-1] = (i, j)  # same right end, larger left end: strictly smaller window
-        else:
-            out.append((i, j))
-    return out
-
-
 def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
     """Observable diameter sup over 1-Lipschitz f of the partial diameter of f.
 
     Exact mode (n <= 6): for every ordering pi of the support, the partial
-    diameter is the minimum of the linear widths of admissible windows, so the
-    supremum over the order region is a linear program; the result is the
-    maximum over orderings.  Heuristic mode: seeded multi-start coordinate
+    diameter is the minimum of the linear widths of the inclusion-minimal
+    windows, all found by one call of the heuristic's scan, so the supremum
+    over the order region is a linear program; the result is the maximum
+    over orderings.  Heuristic mode: seeded multi-start coordinate
     ascent from distance anchors, every start in lockstep, with all
     candidates of a coordinate scored by one batched window scan
     (``_partial_diameters``); always a valid lower value.  The scan works row
@@ -193,8 +184,10 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
 
 def _obs_diam_exact(sp, kappa):
     n = sp.n
-    need = 1.0 - kappa
     best = 0.0
+    # f -> -f maps an ordering onto its reversal, so only pi[0] < pi[-1] count
+    orders = np.array([pi for pi in itertools.permutations(range(n)) if pi[0] < pi[-1]])
+    ends = _window_ends(sp.mass[orders], (1.0 - kappa) - VALIDATION_TOL)
     # Variables: f_0..f_{n-1}, t.  Maximise t subject to
     #   t <= f[pi[r]] - f[pi[l]] for each minimal admissible window,
     #   ordering constraints, Lipschitz constraints, f[pi[0]] = 0.
@@ -204,16 +197,12 @@ def _obs_diam_exact(sp, kappa):
     lip_b = np.repeat(sp.dist[i, j], 2)
     c = [0.0] * n + [-1.0]
     bounds = [(None, None)] * n + [(0.0, None)]
-    for pi in itertools.permutations(range(n)):
-        if pi[0] > pi[-1]:
-            continue  # f -> -f maps this ordering onto its reversal
-        wins = _minimal_windows(sp.mass[list(pi)], need)
-        if not wins:
+    for p, end, keep in zip(orders, ends, _minimal_starts(ends)):
+        l, r = keep.nonzero()[0], end[keep]
+        if not len(l):
             continue
-        p = np.array(pi)
-        l, r = np.array(wins).T
         A_ub = np.vstack([e[n] - e[p[r]] + e[p[l]], e[p[:-1]] - e[p[1:]], lip])
-        b_ub = np.concatenate([np.zeros(len(wins) + n - 1), lip_b])
+        b_ub = np.concatenate([np.zeros(len(l) + n - 1), lip_b])
         res = linprog(
             c, A_ub=A_ub, b_ub=b_ub, A_eq=e[p[:1]], b_eq=[0.0], bounds=bounds, method="highs"
         )
@@ -245,7 +234,8 @@ def _effort_budget(n, starts, seed):
     few hundred points the start count shrinks, to no fewer than two starts
     unless fewer were asked for, so a call stays near the cost of the
     reference 64-start search on 256 points."""
-    _check_effort("starts", starts, seed)
+    _check_count("starts", starts)
+    _check_count("seed", seed, 0)
     if n <= 256:
         return starts, 200
     scale = max(1, (n * n) // (256 * 256))

@@ -314,6 +314,24 @@ def test_library_rejects_nan_and_out_of_range():
     for tol in (NAN, INF, 0.0, -0.1):
         with pytest.raises(core.InputError):
             boxmetric.box_converges([pair[0]], pair[1], tol)
+    # a count that is not an integer is an input error, not a TypeError from
+    # numpy or range, and a boolean is not a count
+    alpha = atoms.sort_atoms([0.3])
+    for bad in (2.5, NAN, True):
+        for call in (lambda: generators.interval_grid(bad),
+                     lambda: generators.gaussian_sample(bad, 2, seed=0),
+                     lambda: generators.gaussian_sample(4, bad, seed=0),
+                     lambda: generators.sphere_sample(bad, 1.0, 4, seed=0),
+                     lambda: generators.sphere_sample(2, 1.0, bad, seed=0),
+                     lambda: generators.atom_space(alpha, bad),
+                     lambda: generators.dissipation_family(alpha, 1.0, bad),
+                     lambda: generators.product_tower(generators.two_point(), 2, bad),
+                     lambda: atoms.truncate(alpha, bad),
+                     lambda: functional.unit_interval_grid(bad),
+                     lambda: functional.gaussian_grid(bad)):
+            with pytest.raises(core.InputError):
+                call()
+    assert generators.interval_grid(np.int64(3)).n == 3
 
 
 @pytest.mark.parametrize("values,masses,kappa", [

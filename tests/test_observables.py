@@ -581,8 +581,36 @@ class TestExactKernels:
             assert g[1:] == pytest.approx(p[1:], rel=1e-15, abs=0.0)
 
 
+def two_pointer_windows(masses_sorted, need):
+    """Reference: index pairs (l, r) of the inclusion-minimal contiguous
+    windows with mass >= need, by a two-pointer loop."""
+    n = len(masses_sorted)
+    csum = np.concatenate(([0.0], np.cumsum(masses_sorted))).tolist()
+    short = need - core.VALIDATION_TOL
+    out = []
+    j = 0
+    for i in range(n):
+        if j < i:
+            j = i
+        while j < n and csum[j + 1] - csum[i] < short:
+            j += 1
+        if j >= n:
+            break
+        if out and out[-1][1] == j:
+            out[-1] = (i, j)  # same right end, larger left end: strictly smaller window
+        else:
+            out.append((i, j))
+    return out
+
+
+def exact_windows(masses_sorted, need):
+    """The (l, r) pairs the exact mode solves with, for one ordering."""
+    ends = obs._window_ends(np.asarray(masses_sorted)[None, :], need - core.VALIDATION_TOL)
+    return [(int(i), int(ends[0, i])) for i in obs._minimal_starts(ends)[0].nonzero()[0]]
+
+
 class TestTwoPointerScan:
-    """partial_diameter and the exact LP windows share one two-pointer scan."""
+    """partial_diameter and the exact LP windows share one window scan."""
 
     @staticmethod
     def cases():
@@ -621,7 +649,8 @@ class TestTwoPointerScan:
             assert obs.partial_diameter(v, w, kappa) == want
             minimal = [(i, j) for i, j in windows
                        if i == j or not (feasible(i + 1, j) or feasible(i, j - 1))]
-            assert obs._minimal_windows(ws, need) == minimal
+            assert exact_windows(ws, need) == minimal
+            assert two_pointer_windows(ws, need) == minimal
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +711,7 @@ def per_start_width(sp, kappa):
 
     def objective(f):
         order = np.argsort(f, kind="stable")
-        wins = obs._minimal_windows(sp.mass[order], 1.0 - kappa)
+        wins = two_pointer_windows(sp.mass[order], 1.0 - kappa)
         v = f[order].tolist()
         return min((v[j] - v[i] for i, j in wins), default=v[-1] - v[0])
 

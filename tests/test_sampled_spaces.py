@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +21,33 @@ from mmslab.atoms import sort_atoms
 
 
 @pytest.mark.parametrize("make", [lambda: gen.gaussian_sample(320, 3, seed=1),
-                                  lambda: gen.sphere_sample(2, 1.0, 320, seed=2)],
-                         ids=["gaussian", "sphere"])
+                                  lambda: gen.sphere_sample(2, 1.0, 320, seed=2),
+                                  lambda: gen.gaussian_sample(700, 40, 1e3, seed=3),
+                                  lambda: gen.sphere_sample(39, 1e-3, 500, seed=4)],
+                         ids=["gaussian", "sphere", "gaussian_d40", "sphere_d40"])
 def test_dist_is_built_on_first_read_frozen_and_kept(make):
     sp = make()  # above _VALIDATE_LIMIT, so the generator does not read it
     assert sp._dist is None
+    # more than one row block of at most core._TRIANGLE_BLOCK_ELEMENTS values
+    assert sp.n > core._TRIANGLE_BLOCK_ELEMENTS // sp.n
     d = sp.dist
     assert np.array_equal(d, squareform(pdist(sp.coords)))
     assert not d.flags.writeable
     assert sp.dist is d
+
+
+@pytest.mark.parametrize("scale, code", [(1e200, "finite"), (1e-170, "positivity")])
+def test_dist_of_extreme_coords_is_silent_and_rejected(scale, code):
+    """Squares that overflow give infinite distances and squares that
+    underflow give zeros, as pdist does, without a warning; validate then
+    rejects the space."""
+    pts = np.random.default_rng(8).normal(size=(50, 3)) * scale
+    sp = core.FinitePmSpace(tuple(range(50)), None, np.full(50, 1 / 50), coords=pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = sp.dist
+    assert np.array_equal(d, squareform(pdist(pts)))
+    assert core.validate(sp).code == code
 
 
 def test_space_without_dist_needs_a_row_of_coords_per_point():

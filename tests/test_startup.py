@@ -5,7 +5,8 @@ Each scipy function mmslab uses is reached through a shim in
 module imports scipy at module level, that a fresh process running
 ``mmslab --help`` loads no scipy module while an exact observable diameter
 loads ``scipy.optimize``, that validating a space given by distances and
-coords loads none, and that the shims return what scipy returns.
+coords and reading the distances of a sampled space load none, and that the
+shims return what scipy returns.
 """
 
 import ast
@@ -19,11 +20,10 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.spatial.distance
 import scipy.special
 
 import mmslab
-from mmslab import atoms, core, functional, observables as obs
+from mmslab import atoms, functional, observables as obs
 
 from conftest import random_embedded_space
 
@@ -84,11 +84,12 @@ def test_fresh_process_loads_scipy_only_when_it_needs_it():
 VALIDATE_PROCESS = """
 import sys
 import numpy as np
-from mmslab import core
+from mmslab import core, generators
 pts = np.random.default_rng(0).uniform(size=(60, 3))
 dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
 sp = core.space(list(range(60)), dist, np.full(60, 1 / 60), coords=pts)
 print(core._euclidean_certified(sp.coords, sp.dist))
+print(generators.gaussian_sample(400, 3, seed=1).dist.shape)
 print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """
 
@@ -97,7 +98,7 @@ def test_certified_validation_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", VALIDATE_PROCESS],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True", "[]"]
+    assert proc.stdout.splitlines() == ["True", "(400, 400)", "[]"]
 
 
 def _same(a, b):
@@ -113,15 +114,6 @@ def test_erfinv_shim(x):
 @pytest.mark.parametrize("x", [0.5, 1e-9, np.array([0.01, 0.3, 0.7, 0.99])])
 def test_ndtri_shim(x):
     _same(functional.ndtri(x), scipy.special.ndtri(x))
-
-
-def test_pdist_and_squareform_shims():
-    pts = np.random.default_rng(3).normal(size=(7, 2))
-    condensed = core.pdist(pts)
-    _same(condensed, scipy.spatial.distance.pdist(pts))
-    _same(core.squareform(condensed), scipy.spatial.distance.squareform(condensed))
-    _same(core.pdist(pts, "cityblock"),
-          scipy.spatial.distance.pdist(pts, metric="cityblock"))
 
 
 def test_tridiagonal_factor_and_solve_shims():
