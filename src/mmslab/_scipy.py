@@ -1,12 +1,11 @@
 """The scipy functions mmslab uses, each imported on its first call.
 
 Importing scipy's subpackages costs about 0.6 s (2-vCPU machine), which most
-commands never need, so no mmslab module imports scipy at module level
-(Euclidean distances are numpy's).  Each name here is a plain function made
-by ``_shim`` that imports its subpackage on each call and forwards every
-argument; the modules that use one import it by that name
-(``observables.linprog`` and so on), so it stays a module global that can be
-replaced from outside.  A new use of scipy adds one line here.
+commands never need, so no mmslab module imports scipy at module level.  Each
+name here is a plain function made by ``_shim`` that imports its subpackage
+on each call and forwards every argument; the modules that use one import it
+by that name (``observables.linprog`` and so on), so it stays a module global
+that can be replaced from outside.  A new use of scipy adds one line here.
 """
 
 import importlib

@@ -270,10 +270,9 @@ def _euclidean_rows(block, coords):
     ``coords``: the square root of the squared column differences summed
     left to right from 0, as scipy's ``pdist`` sums them."""
     s = np.zeros((len(block), len(coords)))
-    t = np.empty_like(s)
     for part, col in zip(block.T, coords.T):
-        np.subtract.outer(part, col, out=t)
-        s += np.multiply(t, t, out=t)
+        t = np.subtract.outer(part, col)
+        s += t * t
     return np.sqrt(s, out=s)
 
 

@@ -76,8 +76,7 @@ def _partial_diameters(G, w, kappa):
     """Partial diameter of every row of G under the masses w, for a kappa
     with 1 - kappa > VALIDATION_TOL: the smallest width over the windows of
     ``_window_ends``, which is the smallest over the inclusion-minimal ones,
-    since rounded subtraction never reads a window narrower than one inside it.
-    """
+    since rounded subtraction never reads a window narrower than one inside it."""
     rows, n = G.shape
     r = np.arange(rows)[:, None]
     order = np.argsort(G, axis=1, kind="stable")
@@ -137,7 +136,10 @@ def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
     if sp.coords is None:
         raise InputError("space carries no coordinates")
     kappa = _kappa_fraction(kappa)
-    return max((partial_diameter(proj, sp.mass, kappa) for proj in sp.coords.T), default=0.0)
+    best = 0.0
+    for proj in np.atleast_2d(sp.coords).reshape(sp.n, -1).T:
+        best = max(best, partial_diameter(proj, sp.mass, kappa))
+    return best
 
 
 # ---------------------------------------------------------------------------
