@@ -117,7 +117,7 @@ def _window_ends(W, short):
         ends -= back
     while (ahead := (ends <= first + n) & ~passes(ends)).any():
         ends += ahead
-    return ends - first - 1
+    return ends - (first + 1)
 
 
 def _minimal_starts(ends):
