@@ -498,7 +498,6 @@ EIGEN_RECORDED = [['0x1.3bc390d258106p+3', '02700ba1991b9d4e'], ['0x1.ffd7348108
  ['0x1.4526a0893a908p+3', '271493f01078beba']]
 
 
-
 # recorded when each exact ordering found its windows with a two-pointer loop
 LP_INPUTS_RECORDED = [[3, '9e6dd08b2e2a5bec'],
  [3, '83923c45a95712b6'],
