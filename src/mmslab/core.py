@@ -27,7 +27,8 @@ PROKHOROV_MAX_POINTS = 20
 
 # Above this size the triangle-inequality sweep takes blocks of rows against
 # one j at a time in a reused, cache-sized buffer instead of an n^3 tensor;
-# the Euclidean metric of coords is evaluated in row blocks of the same size.
+# the Euclidean metric of coords, the box metric's cell discrepancies and the
+# 1-D trial family come in row blocks of the same size.
 _TRIANGLE_BLOCK_LIMIT = 48
 _TRIANGLE_BLOCK_ELEMENTS = 65536
 

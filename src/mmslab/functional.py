@@ -9,8 +9,9 @@ deflation of constants.  The (p,q) trial bounds measure slopes on edge
 midpoints, the quadrature of that operator; the log-Sobolev check takes the
 central difference (one-sided at the ends).  The trial family is smooth so
 both surrogates stay faithful.  It comes in row blocks of at most
-TRIAL_BLOCK_ELEMENTS values, and slopes, powers and entropies are taken a
-block at a time; every sum that is a dot product stays one dot per row.
+core._TRIANGLE_BLOCK_ELEMENTS values, and slopes, powers and entropies are
+taken a block at a time; every sum that is a dot product stays one dot per
+row.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import dgttrf, dgttrs, ndtri
-from .core import (FinitePmSpace, InputError, _central_moment, _check_count,
-                   entropy_weighted)
+from .core import (_TRIANGLE_BLOCK_ELEMENTS, FinitePmSpace, InputError, _central_moment,
+                   _check_count, entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
 GAUSSIAN_CUTOFF = 8.0
-# Trial functions come in blocks of at most this many values (0.5 MB).
-TRIAL_BLOCK_ELEMENTS = 1 << 16
 
 
 class ConvergenceError(RuntimeError):
@@ -191,13 +190,13 @@ def poincare_c22(grid: GridSpace1D):
 
 def _trial_blocks(grid: GridSpace1D, trials, seed):
     """Yield the first ``trials`` functions of a smooth seeded family as the
-    rows of matrices of at most TRIAL_BLOCK_ELEMENTS values (one row when a
-    row alone is longer): the spectral eigenfunction and centred polynomials,
+    rows of matrices of at most _TRIANGLE_BLOCK_ELEMENTS values (one row when
+    a row alone is longer): the spectral eigenfunction and centred polynomials,
     then low-frequency cosine mixtures, amplitude-normalised.  Smoothness
     keeps the central-difference slope faithful."""
     x = grid.nodes
     t = (x - x[0]) / (x[-1] - x[0])
-    rows = max(1, TRIAL_BLOCK_ELEMENTS // t.size)
+    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // t.size)
     _, eig = second_eigenvalue(grid)
     head = ([eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)])[:trials]
     for start in range(0, len(head), rows):
@@ -220,12 +219,6 @@ def _trial_blocks(grid: GridSpace1D, trials, seed):
         back = back[peak[back] > 0]  # a zero mixture is dropped and drawing goes on
         made += back.size
         yield f[back] / peak[back, None]
-
-
-def _trial_functions(grid: GridSpace1D, trials, seed):
-    """The rows of ``_trial_blocks`` one at a time."""
-    for block in _trial_blocks(grid, trials, seed):
-        yield from block
 
 
 def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):

@@ -13,7 +13,10 @@ matrix, each row exactly as it would alone, so the values are those of running
 the starts one after another, bit for bit.  The ascent skips only work whose
 outcome it knows: a row retires once every coordinate in a row left it
 unchanged, and an objective scored row by row does not score a candidate equal
-to the row itself.
+to the row itself.  The separation distance scans the pairwise distances
+downward with one exact assignment search per threshold, which tries
+interchangeable points of equal mass once; one scan gives both the value and
+its witness.
 """
 
 from __future__ import annotations
@@ -405,12 +408,27 @@ def separation(sp: FinitePmSpace, kappa):
 
     Nonpositive entries are dropped (their sets may be empty and empty sets
     are infinitely far).  With at most one positive entry the value is
-    infinite.  Otherwise candidate thresholds are the pairwise distances,
-    scanned downward; feasibility at a threshold assigns every point to one
-    bin or to none, where pairs closer than the threshold may not straddle
-    two distinct bins.  Discarding points is essential: a bin need not be a
+    infinite.  Otherwise candidate thresholds are the positive pairwise
+    distances, scanned downward, and the value is the first one at which
+    ``_assignment_feasible`` fills every bin: each point joins one bin or
+    none, where pairs closer than the threshold may not straddle two
+    distinct bins.  Discarding points is essential: a bin need not be a
     union of connected components of the sub-threshold graph.
     """
+    return _separation_scan(sp, kappa)[0]
+
+
+def separation_witness(sp: FinitePmSpace, kappa):
+    """Separation value together with a witnessing configuration (threshold
+    plus the point groups realising each positive requirement)."""
+    val, groups = _separation_scan(sp, kappa)
+    return val, SeparationConfig(val, groups)
+
+
+def _separation_scan(sp: FinitePmSpace, kappa):
+    """The separation value and the groups that realise it: at a finite
+    positive value the bin memberships found at that threshold, at an
+    infinite one the whole support (when an entry is positive), else none."""
     kappa = _as_kappa(kappa)
     if not all(math.isfinite(k) for k in kappa):
         raise InputError("kappa entries must be finite")
@@ -421,53 +439,48 @@ def separation(sp: FinitePmSpace, kappa):
         )
     if len(pos) <= 1:
         if pos and pos[0] > 1.0 + VALIDATION_TOL:
-            return 0.0  # no admissible family at all
-        return math.inf
+            return 0.0, ()  # no admissible family at all
+        return math.inf, (tuple(range(sp.n)),) if pos else ()
     if sum(pos) > 1.0 + VALIDATION_TOL:
-        return 0.0
+        return 0.0, ()
     n = sp.n
     if n > SEPARATION_MAX_POINTS:
         raise SizeLimitError(f"separation is limited to {SEPARATION_MAX_POINTS} points")
-    cands = np.unique(sp.dist[np.triu_indices(n, 1)]) if n > 1 else np.array([])
-    for delta in cands[::-1]:
-        if _separation_feasible(sp, pos, float(delta)):
-            return float(delta)
-    return 0.0
-
-
-def separation_witness(sp: FinitePmSpace, kappa):
-    """Separation value together with a witnessing configuration (threshold
-    plus the point groups realising each positive requirement)."""
-    val = separation(sp, kappa)
-    pos = sorted((k for k in _as_kappa(kappa) if k > 0), reverse=True)
-    if math.isinf(val):
-        return val, SeparationConfig(val, (tuple(range(sp.n)),) if pos else ())
-    if val <= 0.0:
-        return val, SeparationConfig(0.0, ())
-    groups = _separation_feasible(sp, pos, val, want_members=True)
-    return val, SeparationConfig(val, tuple(tuple(g) for g in groups))
-
-
-def _separation_feasible(sp: FinitePmSpace, needs, delta, want_members=False):
-    conflict = sp.dist < delta - VALIDATION_TOL * max(1.0, delta)
-    np.fill_diagonal(conflict, False)
-    if not conflict.any() and not want_members:
-        return _bins_feasible(list(sp.mass), needs)
-    groups = _assignment_feasible(conflict, sp.mass, needs)
-    return groups if want_members else groups is not None
+    cands = np.unique(sp.dist[np.triu_indices(n, 1)])
+    for delta in cands[cands > 0][::-1]:
+        conflict = sp.dist < delta - VALIDATION_TOL * max(1.0, delta)
+        np.fill_diagonal(conflict, False)
+        groups = _assignment_feasible(conflict, sp.mass, pos)
+        if groups is not None:
+            return float(delta), tuple(tuple(g) for g in groups)
+    return 0.0, ()
 
 
 def _assignment_feasible(conflict, masses, needs):
     """Exact DFS: each point joins one bin or none; a conflict edge may not
     join two distinct bins.  Skipping satisfied bins and deduplicating empty
-    bins with equal residual need keeps the search sound and small.  Returns
-    the bin memberships on success, None on proven failure."""
-    k = len(needs)
-    n = len(masses)
-    order = sorted(range(n), key=lambda i: (-masses[i], i))
-    suffix = [0.0] * (n + 1)
-    for t in range(n - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + masses[order[t]]
+    bins with equal residual need keeps the search sound and small, and so
+    does trying twins once.  Twins sit next to each other in the search
+    order (mass descending, then index), have equal mass and the same
+    conflicts outside the pair; swapping them maps an assignment onto one
+    with the same fills and conflicts, so the later twin skips the choices
+    (the bins in index order, then discard) before the earlier one's.  The
+    first assignment found is then the one found without that rule.
+    Returns the bin memberships on success, None on proven failure."""
+    k, n = len(needs), len(masses)
+    order = np.argsort(-masses, kind="stable")  # mass descending, then index
+    m = masses[order]
+    # twin[t]: order[t - 1] and order[t] are twins.  With a false diagonal,
+    # the two rows differ in the pair's own two columns exactly when the pair
+    # conflicts, so they agree off the pair when they differ in 2 columns if
+    # the pair conflicts and in none otherwise
+    before, after = order[:-1], order[1:]
+    off_pair = (conflict[before] != conflict[after]).sum(axis=1) == 2 * conflict[before, after]
+    twin = [False] + ((m[1:] == m[:-1]) & off_pair).tolist()
+    # the DFS reads Python lists, which index faster than numpy scalars
+    order, m, near = order.tolist(), m.tolist(), conflict.tolist()
+    suffix = list(itertools.accumulate(reversed(m), initial=0.0))[::-1]  # sums of m[t:]
+    choice = [k] * n
     fill = [0.0] * k
     members = [[] for _ in range(k)]
     tol = VALIDATION_TOL
@@ -479,6 +492,7 @@ def _assignment_feasible(conflict, masses, needs):
         if t == n or suffix[t] + tol < deficit:
             return False
         i = order[t]
+        first = choice[t - 1] if twin[t] else 0
         tried_empty = set()
         for b in range(k):
             if fill[b] >= needs[b] - tol:
@@ -488,55 +502,23 @@ def _assignment_feasible(conflict, masses, needs):
                 if key in tried_empty:
                     continue
                 tried_empty.add(key)
-            if any(
-                conflict[i, q] for b2 in range(k) if b2 != b for q in members[b2]
+            # the twin test comes after the empty-bin key is taken, so the
+            # branches left are those of the search without twins, in order
+            if b < first or any(
+                near[i][q] for b2 in range(k) if b2 != b for q in members[b2]
             ):
                 continue
-            fill[b] += masses[i]
+            fill[b] += m[t]
             members[b].append(i)
+            choice[t] = b
             if rec(t + 1):
                 return True
             members[b].pop()
-            fill[b] -= masses[i]
+            fill[b] -= m[t]
+        choice[t] = k
         return rec(t + 1)  # discard the point
 
     return [sorted(g) for g in members] if rec(0) else None
-
-
-def _bins_feasible(comp_mass, needs):
-    """Can components (each used at most once) fill every bin to its need?"""
-    needs = list(needs)
-    comp = sorted(comp_mass, reverse=True)
-    total = sum(comp)
-    if total + VALIDATION_TOL < sum(needs):
-        return False
-    k = len(needs)
-    fill = [0.0] * k
-
-    def rec(ci, remaining):
-        deficit = sum(max(needs[b] - fill[b], 0.0) for b in range(k))
-        if deficit <= VALIDATION_TOL * (k + 1):
-            return True
-        if ci == len(comp) or remaining + VALIDATION_TOL < deficit:
-            return False
-        c = comp[ci]
-        tried = set()
-        for b in range(k):
-            key = (round(needs[b], 15), round(fill[b], 15))
-            if key in tried:
-                continue  # identical bins: assigning to either is symmetric
-            tried.add(key)
-            if fill[b] >= needs[b] - VALIDATION_TOL:
-                continue
-            fill[b] += c
-            if rec(ci + 1, remaining - c):
-                fill[b] -= c
-                return True
-            fill[b] -= c
-        # discard this component
-        return rec(ci + 1, remaining - c)
-
-    return rec(0, total)
 
 
 # ---------------------------------------------------------------------------

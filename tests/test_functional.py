@@ -13,6 +13,12 @@ from mmslab import core, functional as fn
 from conftest import random_embedded_space
 
 
+def _trial_functions(grid, trials, seed):
+    """The rows of ``functional._trial_blocks`` one at a time."""
+    for block in fn._trial_blocks(grid, trials, seed):
+        yield from block
+
+
 class TestGridSpaces:
     def test_interval_normalised(self):
         g = fn.unit_interval_grid(128)
@@ -148,7 +154,7 @@ class TestLogSobolev:
     def test_entropy_nonnegative_on_trials(self):
         g = fn.unit_interval_grid(256)
         mu = g.node_mass()
-        for f in fn._trial_functions(g, 64, seed=5):
+        for f in _trial_functions(g, 64, seed=5):
             assert core.entropy_weighted(mu, np.asarray(f) ** 2) >= -1e-12
 
 
@@ -266,7 +272,7 @@ class TestTrialBlocks:
     def test_same_as_per_row_loops(self, grid, seed):
         edges = grid.nodes.size == 2048
         for trials in (1, 5, 7, 300) + (PQ_EDGES if edges else ()):
-            assert (_as_bytes(fn._trial_functions(grid, trials, seed))
+            assert (_as_bytes(_trial_functions(grid, trials, seed))
                     == _as_bytes(_per_row_trials(grid, trials, seed)))
             for p, q in ((2, 2), (3, 1.5), (1, 1)):
                 assert (fn.poincare_pq_lower(grid, p, q, trials=trials, seed=seed)
@@ -281,7 +287,7 @@ class TestTrialBlocks:
         assert [len(b) for b in fn._trial_blocks(grid, 5, 0)] == [5]
         for grid in BLOCK_GRIDS:
             for block in fn._trial_blocks(grid, 100, 1):
-                assert block.size <= fn.TRIAL_BLOCK_ELEMENTS or len(block) == 1
+                assert block.size <= core._TRIANGLE_BLOCK_ELEMENTS or len(block) == 1
 
     def test_rows_with_a_zero_square(self):
         # the polynomials vanish at the midpoint node, so their entropies

@@ -24,6 +24,7 @@ import numpy as np
 from mmslab import atoms, boxmetric, core, functional, generators, observables as obs
 from conftest import (random_embedded_space, random_shortest_path_space,
                       separation_properties_report)
+from test_functional import _trial_functions
 
 
 def pin(x):
@@ -127,7 +128,7 @@ def test_trial_family_unchanged():
                 got.append(pin([rep.max_violation, rep.lower_bound, rep.trials]))
             got.append(pin([functional.poincare_pq_lower(grid, p, q, trials=trials, seed=seed)
                             for trials in (1, 7, 64) for p, q in ((2, 2), (3, 1.5))]))
-            got.append(pin(np.array(list(functional._trial_functions(grid, 40, seed)))))
+            got.append(pin(np.array(list(_trial_functions(grid, 40, seed)))))
     assert got == TRIALS_RECORDED
 
 
@@ -193,7 +194,7 @@ def test_dissipation_bins_unchanged():
 def test_trial_family_has_the_requested_size():
     grid = functional.unit_interval_grid(128)
     for k in range(1, 11):
-        assert len(list(functional._trial_functions(grid, k, 3))) == k
+        assert len(list(_trial_functions(grid, k, 3))) == k
 
 
 def _lp_spaces():

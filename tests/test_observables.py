@@ -10,11 +10,12 @@ sign-pattern oracle, and sampled feasible functions.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from mmslab import core, observables as obs
+from mmslab import atoms, core, generators, observables as obs
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
                       separation_properties_report)
 
@@ -51,6 +52,88 @@ def set_family_separation_oracle(sp, kappas):
         )
         best = max(best, val)
     return best
+
+
+def reference_assignment_feasible(conflict, masses, needs):
+    """The assignment search without the twin rule: each point joins one bin
+    or none, a conflict edge may not join two distinct bins, satisfied bins
+    are skipped and empty bins of equal need tried once.  Returns the bin
+    memberships, or None."""
+    tol = core.VALIDATION_TOL
+    k = len(needs)
+    n = len(masses)
+    order = sorted(range(n), key=lambda i: (-masses[i], i))
+    suffix = [0.0] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + masses[order[t]]
+    fill = [0.0] * k
+    members = [[] for _ in range(k)]
+
+    def rec(t):
+        deficit = sum(max(needs[b] - fill[b], 0.0) for b in range(k))
+        if deficit <= tol * (k + 1):
+            return True
+        if t == n or suffix[t] + tol < deficit:
+            return False
+        i = order[t]
+        tried_empty = set()
+        for b in range(k):
+            if fill[b] >= needs[b] - tol:
+                continue
+            if not members[b]:
+                key = round(needs[b], 15)
+                if key in tried_empty:
+                    continue
+                tried_empty.add(key)
+            if any(conflict[i, q] for b2 in range(k) if b2 != b for q in members[b2]):
+                continue
+            fill[b] += masses[i]
+            members[b].append(i)
+            if rec(t + 1):
+                return True
+            members[b].pop()
+            fill[b] -= masses[i]
+        return rec(t + 1)
+
+    return [sorted(g) for g in members] if rec(0) else None
+
+
+def reference_bins_feasible(comp_mass, needs):
+    """Bin packing without conflicts: can the masses, each used at most once,
+    fill every bin to its need?  Bins with the same need and fill are tried
+    once."""
+    tol = core.VALIDATION_TOL
+    needs = list(needs)
+    comp = sorted(comp_mass, reverse=True)
+    total = sum(comp)
+    if total + tol < sum(needs):
+        return False
+    k = len(needs)
+    fill = [0.0] * k
+
+    def rec(ci, remaining):
+        deficit = sum(max(needs[b] - fill[b], 0.0) for b in range(k))
+        if deficit <= tol * (k + 1):
+            return True
+        if ci == len(comp) or remaining + tol < deficit:
+            return False
+        c = comp[ci]
+        tried = set()
+        for b in range(k):
+            key = (round(needs[b], 15), round(fill[b], 15))
+            if key in tried:
+                continue
+            tried.add(key)
+            if fill[b] >= needs[b] - tol:
+                continue
+            fill[b] += c
+            if rec(ci + 1, remaining - c):
+                fill[b] -= c
+                return True
+            fill[b] -= c
+        return rec(ci + 1, remaining - c)
+
+    return rec(0, total)
 
 
 def basic_solution_obs_diam(sp, kappa):
@@ -370,6 +453,71 @@ class TestSeparation:
                 sp.dist[i, j] for i in groups[0] for j in groups[1]
             )
             assert cross >= val - 1e-9
+
+
+SEARCH_KAPPAS = ((0.3, 0.3), (0.2, 0.2, 0.2), (0.5, 0.25), (0.4, 0.3, 0.2), (0.25,) * 4,
+                 (0.1,) * 5, (0.45, 0.45))
+
+
+def search_decisions():
+    """(conflict, masses, needs) feasibility questions: the corpus, embedded
+    and equidistant spaces with uniform, pairwise equal and random masses, at
+    every pairwise distance and just above it (where that pair's conflict
+    starts), with fixed needs and needs at the edge of the masses' sums."""
+    tol = core.VALIDATION_TOL
+    rng = np.random.default_rng(2020)
+    spaces = [(sp.dist, sp.mass) for sp in corpus(3, 60)]
+    for n in [*range(4, 9)] * 8 + [9, 10, 12]:
+        sp = random_embedded_space(rng, n)
+        paired = np.repeat(rng.dirichlet(np.ones((n + 1) // 2)), 2)[:n]
+        equidistant = np.ones((n, n)) - np.eye(n)
+        for dist in (sp.dist, equidistant) if n <= 10 else (equidistant,):
+            spaces += [(dist, np.full(n, 1.0 / n)), (dist, paired / paired.sum()), (dist, sp.mass)]
+    for dist, mass in spaces:
+        n = len(mass)
+        m = np.sort(mass)[::-1]
+        edges = [(m[0] + m[1], m[2]), (m[0] + m[1] + tol, m[2] - tol / 2),
+                 (2.0 / n,) * (n // 2)] if n > 2 else []
+        for kappa in [*SEARCH_KAPPAS, *edges]:
+            needs = sorted(kappa, reverse=True)
+            for d in np.unique(dist[np.triu_indices(n, 1)]):
+                for delta in (d, d + 2 * tol * max(1.0, d)):
+                    conflict = dist < delta - tol * max(1.0, delta)
+                    np.fill_diagonal(conflict, False)
+                    yield conflict, mass, needs
+
+
+class TestSeparationSearch:
+    def test_same_groups_as_the_search_without_twins(self):
+        decisions = free = 0
+        for conflict, mass, needs in search_decisions():
+            groups = obs._assignment_feasible(conflict, mass, needs)
+            assert groups == reference_assignment_feasible(conflict, mass.tolist(), needs)
+            if not conflict.any():
+                free += 1
+                assert (groups is not None) == reference_bins_feasible(mass, needs)
+            decisions += 1
+        assert decisions >= 50_000 and free >= 2_000
+
+    def test_nineteen_equal_points_in_under_a_second(self):
+        sp = generators.dissipation_family(atoms.sort_atoms([0.2, 0.2, 0.1]), 1.0, 4)
+        start = time.perf_counter()
+        assert obs.separation(sp, (0.34, 0.34, 0.32)) == 0.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_sixteen_equal_points_refused_in_under_a_second(self):
+        sp = generators.dissipation_family(atoms.sort_atoms([]), 1.0, 4)
+        start = time.perf_counter()
+        assert obs._assignment_feasible(np.zeros((16, 16), bool), sp.mass, [0.1] * 9) is None
+        assert time.perf_counter() - start < 1.0
+        assert obs.separation(sp, (0.1,) * 9) == 0.0
+
+    def test_twins_need_the_same_conflicts(self):
+        # points 1 and 2 have equal mass, but only 1 is near 0: at threshold
+        # 2 the bins take {0} and {2}, a choice of 2 before 1's discard
+        sp = core.space(["c", "a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]], [0.5, 0.25, 0.25])
+        val, config = obs.separation_witness(sp, (0.5, 0.25))
+        assert (val, config.groups) == (2.0, ((0,), (2,)))
 
 
 class TestVariance:
