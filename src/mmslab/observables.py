@@ -6,17 +6,18 @@ Exact modes are reserved for small supports.  The observable diameter is
 computed exactly by maximising, over each value ordering, the smallest
 admissible-window width with a linear program, whose windows come from the
 heuristic's scan; variance-type functionals are convex in the observable, so
-their exact mode enumerates the vertices of the 1-Lipschitz polytope.
-Heuristic modes run seeded multi-start coordinate ascent and always return
-feasible (hence lower) values; all starts climb in lockstep as the rows of one
-matrix, each row exactly as it would alone, so the values are those of running
-the starts one after another, bit for bit.  The ascent skips only work whose
-outcome it knows: a row retires once every coordinate in a row left it
-unchanged, and an objective scored row by row does not score a candidate equal
-to the row itself.  The separation distance scans the pairwise distances
-downward with one exact assignment search per threshold, which tries
-interchangeable points of equal mass once; one scan gives both the value and
-its witness.
+their exact mode maximises over the vertices of the 1-Lipschitz polytope,
+grown one point at a time from f_0 = 0.  Heuristic modes run seeded
+multi-start coordinate ascent and always return feasible (hence lower)
+values; all starts climb in lockstep as the rows of one matrix, each row
+exactly as it would alone, so the values are those of running the starts one
+after another, bit for bit.  The ascent skips only work whose outcome it
+knows: a row retires once every coordinate in a row left it unchanged, and an
+objective scored row by row does not score a candidate equal to the row
+itself.  The separation distance bisects over the pairwise distances with one
+exact assignment search per threshold tried, which tries interchangeable
+points of equal mass once; one bisection gives both the value and its
+witness.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
 
 # Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
 EXACT_MAX_POINTS = 6
+VERTEX_MAX_POINTS = 9
 SEPARATION_MAX_POINTS = 20
 SEPARATION_MAX_POSITIVE = 12
 
@@ -409,11 +411,13 @@ def separation(sp: FinitePmSpace, kappa):
     Nonpositive entries are dropped (their sets may be empty and empty sets
     are infinitely far).  With at most one positive entry the value is
     infinite.  Otherwise candidate thresholds are the positive pairwise
-    distances, scanned downward, and the value is the first one at which
+    distances, and the value is the largest one at which
     ``_assignment_feasible`` fills every bin: each point joins one bin or
     none, where pairs closer than the threshold may not straddle two
-    distinct bins.  Discarding points is essential: a bin need not be a
-    union of connected components of the sub-threshold graph.
+    distinct bins.  A lower threshold only drops conflicts, so feasibility
+    is monotone and a bisection over the sorted candidates finds it.
+    Discarding points is essential: a bin need not be a union of connected
+    components of the sub-threshold graph.
     """
     return _separation_scan(sp, kappa)[0]
 
@@ -447,13 +451,24 @@ def _separation_scan(sp: FinitePmSpace, kappa):
     if n > SEPARATION_MAX_POINTS:
         raise SizeLimitError(f"separation is limited to {SEPARATION_MAX_POINTS} points")
     cands = np.unique(sp.dist[np.triu_indices(n, 1)])
-    for delta in cands[cands > 0][::-1]:
+    cands = cands[cands > 0].tolist()
+    # the conflict cut rises with delta, so a feasible threshold stays
+    # feasible below: bisect for the last feasible candidate, keeping the
+    # groups found there.  Candidates below lo are feasible, from hi on not.
+    lo, hi, found = 0, len(cands), None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        delta = cands[mid]
         conflict = sp.dist < delta - VALIDATION_TOL * max(1.0, delta)
         np.fill_diagonal(conflict, False)
         groups = _assignment_feasible(conflict, sp.mass, pos)
-        if groups is not None:
-            return float(delta), tuple(tuple(g) for g in groups)
-    return 0.0, ()
+        if groups is None:
+            hi = mid
+        else:
+            lo, found = mid + 1, groups
+    if found is None:
+        return 0.0, ()
+    return cands[lo - 1], tuple(tuple(g) for g in found)
 
 
 def _assignment_feasible(conflict, masses, needs):
@@ -538,53 +553,65 @@ def p_variance(sp: FinitePmSpace, values, p):
 
 
 def lipschitz_vertices(sp: FinitePmSpace):
-    """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}.
+    """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}, grown point by point.
 
-    Every vertex has a spanning tree of tight signed constraints, so all
-    (tree, sign) propagations cover the vertex set; infeasible candidates are
-    filtered and duplicates removed (the first copy in tree order is kept).
+    A feasible f is a vertex exactly when its tight constraints connect the
+    support.  Level k holds the vertices of the polytope restricted to each
+    k-point set S that contains 0; ``_grow_vertices`` places one more point
+    v at either end of its feasible interval on S, where it is tight to the
+    point that sets that end, so every child is again a vertex and, growing
+    along a spanning tree of its tight graph, every vertex is reached.  A
+    vertex's values are then its propagation f_v = f_u +- d_uv along the tree
+    it grew on.  Each level keeps one row per (S, values) after rounding to
+    1e-10 of max(1, diam); rows come sorted by the bytes of those keys.  A
+    generic metric has C(2n - 2, n - 1) vertices (Gordon and Petrov,
+    "Combinatorics of the Lipschitz polytope", 2017), so level k holds at
+    most C(n - 1, k - 1) C(2k - 2, k - 1) rows.
     """
     n = sp.n
-    if n > EXACT_MAX_POINTS:
-        raise SizeLimitError(f"vertex enumeration is limited to {EXACT_MAX_POINTS} points")
-    D = sp.dist
-    if n == 1:
-        return np.zeros((1, 1))
-    scale = max(1.0, float(D.max()))
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
-    feasible = []
-    for parent in _rooted_trees(n):
-        # n - 1 sweeps settle every depth: f[v] = f[parent[v]] + s_v d(parent[v], v)
-        step = signs * D[parent[1:], np.arange(1, n)]
-        F = np.zeros((len(signs), n))
-        for _ in range(n - 1):
-            F[:, 1:] = F[:, parent[1:]] + step
-        feasible.append(F[(np.abs(F[:, :, None] - F[:, None, :]) - D).max(axis=(1, 2))
-                          <= 1e-10 * scale])
-    F = np.concatenate(feasible)
-    # adding 0.0 turns a key's -0.0 into 0.0, so the two count as one vertex
-    _, first = np.unique(np.round(F / scale, 10) + 0.0, axis=0, return_index=True)
-    return F[np.sort(first)]
+    if n > VERTEX_MAX_POINTS:
+        raise SizeLimitError(f"vertex enumeration is limited to {VERTEX_MAX_POINTS} points")
+    F = np.full((1, n), math.nan)
+    F[0, 0] = 0.0
+    # column v of dist as a row, so that f_u +- d_uv reads d in the order (u, v)
+    to = np.ascontiguousarray(sp.dist.T)
+    scale = max(1.0, float(sp.dist.max()))
+    for _ in range(n - 1):
+        F = _grow_vertices(F, to, scale)
+    return F
 
 
-def _rooted_trees(n):
-    """Parent arrays of all n**(n-2) labelled spanning trees, rooted at node 0
-    (parent[0] = 0): the rows whose every ancestor chain reaches node 0."""
-    P = np.array([(0,) + t for t in itertools.product(range(n), repeat=n - 1)])
-    A = P
-    for _ in range(n):
-        A = np.take_along_axis(P, A, axis=1)
-    return P[(A == 0).all(axis=1)]
+def _grow_vertices(F, to, scale):
+    """The next level of ``lipschitz_vertices``: every row of F, whose NaN
+    entries are the unplaced points, with one unplaced point v set to each
+    end of its interval [max_u f_u - d_uv, min_u f_u + d_uv] over the placed
+    u, deduplicated by the rounded values, NaN included."""
+    r, v = np.isnan(F).nonzero()
+    P = F[r]
+    G = np.repeat(P, 2, axis=0)
+    # fmax and fmin skip the NaN of the unplaced points, v among them
+    ends = np.stack([np.fmax.reduce(P - to[v], axis=1),
+                     np.fmin.reduce(P + to[v], axis=1)], axis=1)
+    G[np.arange(len(G)), np.repeat(v, 2)] = ends.ravel()
+    # adding 0.0 turns a key's -0.0 into 0.0, so the two count as one vertex;
+    # an unplaced point keys as inf, which no placed value rounds to
+    key = np.round(G / scale, 10) + 0.0
+    key[np.isnan(key)] = math.inf
+    # equal keys are equal bytes; one void per row sorts far faster than rows
+    _, first = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1]))),
+                         return_index=True)
+    return G[first]
 
 
 def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
     """Variance invariant: sup of variance over 1-Lipschitz observables.
 
-    The objective is convex in f, so the exact mode takes the maximum over
-    polytope vertices.  The heuristic mode moves each coordinate to the better
-    endpoint of its feasible interval (optimal for a convex objective), with
-    every start in lockstep and the first two moments of each row updated in
-    O(1) per candidate.  An end equal to f[i] is scored too: its O(1) value
+    The objective is convex in f, so the exact mode (n <= 9) takes the
+    maximum over the polytope's vertices (``lipschitz_vertices``).  The
+    heuristic mode moves each coordinate to the better endpoint of its
+    feasible interval (optimal for a convex objective), with every start in
+    lockstep and the first two moments of each row updated in O(1) per
+    candidate.  An end equal to f[i] is scored too: its O(1) value
     can round away from the row's own.
     """
     if sp.n == 1:
@@ -615,7 +642,8 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
 
 def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
     """p-deviation: sup over 1-Lipschitz f of the p-th central moment^(1/p);
-    for p = inf, the sup of the maximal central deviation."""
+    for p = inf, the sup of the maximal central deviation.  The exact mode
+    (n <= 9) maximises over ``lipschitz_vertices``, as ``variance`` does."""
     if not p >= 1:
         raise InputError("p must satisfy p >= 1")
     if sp.n == 1:

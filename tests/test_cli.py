@@ -178,6 +178,15 @@ class TestExitCodes:
         code, _, err = run_cli("invariant", str(path), "--kind", "var", "--exact")
         assert code == 3
 
+    def test_vertex_limit_above_obsdiam_limit(self, tmp_path):
+        # nine points: within the exact variance's limit, beyond obs_diam's
+        path = tmp_path / "nine.json"
+        core.save_space(gen.gaussian_sample(9, 2, 1.0, seed=0), path)
+        code, out, _ = run_cli("invariant", str(path), "--kind", "var", "--exact")
+        assert code == 0 and json.loads(out)["certificate"] == "exact"
+        code, _, _ = run_cli("invariant", str(path), "--kind", "obsdiam", "--exact")
+        assert code == 3
+
     def test_assertion_failure_exit(self, tmp_path):
         plan = {
             "name": "failing",

@@ -366,36 +366,37 @@ TRIALS_RECORDED = [['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
  ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
   '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
  '0cbb90eac3edcb72']
-# recorded before the vertex dedup moved to numpy and the dissipation
-# detector dropped its unread outputs
-VERTICES_RECORDED = [[[2, '2192687a095d398f'], [2, '65d733ff583c8e3e'], [2, '0d1c3978a31f1f04'],
-                      [6, 'f9a1a8f3ffb4b79f'], [6, 'e471652a4793d27a'], [4, '2a94f2f2e94bd3e5'],
-                      [20, 'ffdd57104da51fcf'], [20, '555115df1ca3d603'], [8, 'b6aa15997106e9fc'],
-                      [70, 'd6b715ece89da6b5'], [70, '44b24fb16381bfce'], [16, '93ab6b6f3a9412f3'],
-                      [252, '14f9811125254dc0'], [252, 'b3c680ada614605a'],
-                      [32, '9d1d810282ca8db2'], [16, 'e972a9f0769663b2'],
-                      [30, '65c3bf497adf96ca']],
-                     [[2, 'f1ef72f37a701f79'], [2, '373e4c13e50d9a20'], [2, '45b5946f7ae27184'],
-                      [6, '210ee88e4cd767bf'], [6, '1d7d448cfcb6f0d8'], [4, '33b7351f71705e16'],
-                      [20, 'f20e6bc5eed04048'], [20, '3d41e1dcf44c688a'], [8, 'ba5423d84a9b2dc3'],
-                      [70, '4b9a28887b5d78a4'], [70, '9d584fe9de1ebbbd'], [16, 'c17a51bdb76a2032'],
-                      [252, '11350df9a035c5ea'], [252, '4c0e970a5b1a681e'],
-                      [32, '023521509a6468ca'], [16, 'fd553efa39ce59c3'],
-                      [30, 'd0c5ec4cd1e51765']],
-                     [[2, '37809f1c45f5ec71'], [2, 'ad3f19556ccb7904'], [2, '6e4c03fd6b29de9f'],
-                      [6, 'c502e4e1fca672e8'], [6, 'ad150e3ba1d26e95'], [4, '190a69dd10406b51'],
-                      [20, 'a878a4e4a6f31b81'], [20, 'f37b6767abe0ce00'], [8, '893e65c6abfad1db'],
-                      [70, '5645ae3aab0ca66b'], [70, 'bab5b09010dad294'], [16, 'a4ea0fb6def73161'],
-                      [252, 'db4ce95e772c6929'], [252, 'bb11135de2ef4e6e'],
-                      [32, '61e23d6f8447adde'], [16, '76eaa19b348713ad'],
-                      [30, '798f43836831322d']],
-                     [[2, 'd01713b448b3f90c'], [2, '491fb094c0d97ad7'], [2, 'e8bffbb6641b2949'],
-                      [6, 'daa0b7b8cb99b903'], [6, '7815cd25a2c38e9c'], [4, '0bc4c9627484a8d5'],
-                      [20, '47c3d47d9756d98a'], [20, '9267f4c27f46e757'], [8, '435489ea15a5398e'],
-                      [70, '90d7beadad6613bb'], [70, '4a745e93be067c25'], [16, '5b63a1846debd0fc'],
-                      [252, '0e9f0b1c00c8dc0f'], [252, '75dbe57834bdd78d'],
-                      [32, 'eb9d44158b78a1bd'], [16, '6656324b0bb35cf8'],
-                      [30, '3ea4b9b03d681052']]]
+# recorded when the vertices were first grown point by point, which
+# changed their order and, where a vertex has several tight trees, the
+# tree whose bits it keeps
+VERTICES_RECORDED = [[[2, '0a473d5c3a255acf'], [2, '279eefea564e297e'], [2, '42996a00edce23f9'],
+                      [6, 'ab31f16a6fdd3455'], [6, 'b3fce0aa2f878dd8'], [4, '1672a2b753f02ddd'],
+                      [20, '28d56a5195950bd0'], [20, '5018f61cf6a5c674'], [8, 'f74ec721664c7247'],
+                      [70, '75ba076e3faf9dc3'], [70, 'cf644f602007236e'], [16, '988e330f04268c00'],
+                      [252, 'e829d2794449b845'], [252, '8bbcbbdfd6e267f7'],
+                      [32, '912c34d92e968365'], [16, '22dde6236bec1fbd'],
+                      [30, '8f95bcb600560b6c']],
+                     [[2, 'e014caf2d6db1efb'], [2, '5c01a5020e97f3af'], [2, 'be3e9acef7198803'],
+                      [6, 'f058eb210a48bdd0'], [6, '021e93a36a6eeac4'], [4, 'c8814f08d226e04b'],
+                      [20, 'b89e668eb1eb5703'], [20, 'd340d9c7a8ffa0e0'], [8, 'a318fe317a1974d7'],
+                      [70, 'de83e4aa714fcbdb'], [70, '83fd5b0132768b0d'], [16, '3105aa7c21b73312'],
+                      [252, '0d1e1b2f1eeeb092'], [252, '07504a948fc56330'],
+                      [32, '149d93acd9a3ce07'], [16, '5811447eeec7ff98'],
+                      [30, '742f2b0be2b708b9']],
+                     [[2, '521c42fb0f5f5451'], [2, 'b627da2cfcb11e6f'], [2, 'eb573553cfb25f8e'],
+                      [6, '7249278926fa9bb2'], [6, 'd157e2e557707c22'], [4, '27ecad62b57f0864'],
+                      [20, 'e8f79f8baf3cd8eb'], [20, '82a9bbf209725a01'], [8, 'de2b1b6cdd0fce88'],
+                      [70, '490bec8c1e678ec1'], [70, 'def0b6b337488531'], [16, '04087d33d6bf8b2a'],
+                      [252, '801365d9b1a0cc69'], [252, 'b806f22d9697fa53'],
+                      [32, 'df2fe32b80279dbe'], [16, 'a5f6291a9e153860'],
+                      [30, '26f53fb9aea88593']],
+                     [[2, '2ac259ad449f322d'], [2, '7326cde481fb4891'], [2, '7d010ef24ab81406'],
+                      [6, '2b5505cc3dd143d7'], [6, 'ceeaa692082cb154'], [4, '774011d086f5d6c6'],
+                      [20, '11b12450d79d727e'], [20, '70174e8b0aabd300'], [8, '8170f27e0bbca6e1'],
+                      [70, 'bbd8f72efcfa132d'], [70, '66427b7de2b984c8'], [16, '82d818a748e57c94'],
+                      [252, '0eeb2d2b9488dbaa'], [252, '4bdbbca7320b3c77'],
+                      [32, 'c352c4f95883ee3e'], [16, '37553dadb9d13f57'],
+                      [30, 'c7bbed024e16c4ce']]]
 BINS_RECORDED = [[True,
                   ['0x1.9999999999998p-4', '0x1.9999999999998p-5', '0x1.9999999999998p-6',
                    '0x1.9999999999998p-7', '0x1.9999999999998p-8', '0x1.9999999999998p-9'],

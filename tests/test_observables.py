@@ -1,11 +1,13 @@
 """Observable diameter, separation distance and variance family.
 
-Separation is matched exactly against an exhaustive set-family oracle.  The
-exact observable diameter is verified two-sided: its optimiser re-evaluates to
-the reported value (achievability) and no member of a large independent
-Lipschitz family beats it.  Variance-type exact values are vertex maxima of a
-convex objective, checked against analytic two-point values, a path-space
-sign-pattern oracle, and sampled feasible functions.
+Separation is matched exactly against an exhaustive set-family oracle, and
+its bisection against a downward scan.  The exact observable diameter is
+verified two-sided: its optimiser re-evaluates to the reported value
+(achievability) and no member of a large independent Lipschitz family beats
+it.  Variance-type exact values are vertex maxima of a convex objective,
+checked against analytic two-point values, a path-space sign-pattern oracle,
+and sampled feasible functions; the grown vertices are checked against the
+tree enumeration they replaced and against the generic vertex count.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import pytest
 from mmslab import atoms, core, generators, observables as obs
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
                       separation_properties_report)
+from test_kernel_values import _vertex_spaces
 
 
 def two_point(d=1.0, p=0.5):
@@ -459,11 +462,10 @@ SEARCH_KAPPAS = ((0.3, 0.3), (0.2, 0.2, 0.2), (0.5, 0.25), (0.4, 0.3, 0.2), (0.2
                  (0.1,) * 5, (0.45, 0.45))
 
 
-def search_decisions():
-    """(conflict, masses, needs) feasibility questions: the corpus, embedded
-    and equidistant spaces with uniform, pairwise equal and random masses, at
-    every pairwise distance and just above it (where that pair's conflict
-    starts), with fixed needs and needs at the edge of the masses' sums."""
+def search_spaces():
+    """(dist, masses, kappas): the corpus, embedded and equidistant spaces
+    with uniform, pairwise equal and random masses, each with fixed kappas
+    and kappas at the edge of the masses' sums."""
     tol = core.VALIDATION_TOL
     rng = np.random.default_rng(2020)
     spaces = [(sp.dist, sp.mass) for sp in corpus(3, 60)]
@@ -478,7 +480,17 @@ def search_decisions():
         m = np.sort(mass)[::-1]
         edges = [(m[0] + m[1], m[2]), (m[0] + m[1] + tol, m[2] - tol / 2),
                  (2.0 / n,) * (n // 2)] if n > 2 else []
-        for kappa in [*SEARCH_KAPPAS, *edges]:
+        yield dist, mass, [*SEARCH_KAPPAS, *edges]
+
+
+def search_decisions():
+    """(conflict, masses, needs) feasibility questions: the spaces of
+    ``search_spaces`` at every pairwise distance and just above it (where
+    that pair's conflict starts)."""
+    tol = core.VALIDATION_TOL
+    for dist, mass, kappas in search_spaces():
+        n = len(mass)
+        for kappa in kappas:
             needs = sorted(kappa, reverse=True)
             for d in np.unique(dist[np.triu_indices(n, 1)]):
                 for delta in (d, d + 2 * tol * max(1.0, d)):
@@ -518,6 +530,35 @@ class TestSeparationSearch:
         sp = core.space(["c", "a", "b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]], [0.5, 0.25, 0.25])
         val, config = obs.separation_witness(sp, (0.5, 0.25))
         assert (val, config.groups) == (2.0, ((0,), (2,)))
+
+    def test_bisection_finds_the_downward_scan_threshold(self):
+        tol = core.VALIDATION_TOL
+        compared = finite = 0
+        for dist, mass, kappas in search_spaces():
+            sp = core.space([f"s{i}" for i in range(len(mass))], dist, mass)
+            for kappa in kappas:
+                pos = sorted(kappa, reverse=True)
+                if len(pos) < 2 or sum(pos) > 1.0 + tol:
+                    continue
+                val, config = obs.separation_witness(sp, kappa)
+                assert (val, config.groups) == downward_separation_scan(sp, pos)
+                compared += 1
+                finite += 0.0 < val < math.inf
+        assert compared >= 3_000 and finite >= 2_000
+
+
+def downward_separation_scan(sp, needs):
+    """Reference for two or more positive needs summing to at most one: the
+    first positive pairwise distance, from the top down, at which the
+    assignment search fills every bin, with the groups it found there."""
+    cands = np.unique(sp.dist[np.triu_indices(sp.n, 1)])
+    for delta in cands[cands > 0][::-1]:
+        conflict = sp.dist < delta - core.VALIDATION_TOL * max(1.0, delta)
+        np.fill_diagonal(conflict, False)
+        groups = obs._assignment_feasible(conflict, sp.mass, needs)
+        if groups is not None:
+            return float(delta), tuple(tuple(g) for g in groups)
+    return 0.0, ()
 
 
 class TestVariance:
@@ -678,18 +719,99 @@ def basic_solution_vertices(sp):
     return np.array(out)
 
 
+def tree_vertices(sp):
+    """Reference vertex enumeration: f propagated along every (spanning tree
+    rooted at 0, sign pattern) pair by f_v = f_parent + s_v d(parent, v),
+    infeasible rows dropped, duplicates merged under the rounded keys (the
+    first copy in tree order is kept)."""
+    n, D = sp.n, sp.dist
+    if n == 1:
+        return np.zeros((1, 1))
+    scale = max(1.0, float(D.max()))
+    P = np.array([(0,) + t for t in itertools.product(range(n), repeat=n - 1)])
+    A = P
+    for _ in range(n):
+        A = np.take_along_axis(P, A, axis=1)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+    feasible = []
+    for parent in P[(A == 0).all(axis=1)]:
+        step = signs * D[parent[1:], np.arange(1, n)]
+        F = np.zeros((len(signs), n))
+        for _ in range(n - 1):
+            F[:, 1:] = F[:, parent[1:]] + step
+        feasible.append(F[(np.abs(F[:, :, None] - F[:, None, :]) - D).max(axis=(1, 2))
+                          <= 1e-10 * scale])
+    F = np.concatenate(feasible)
+    _, first = np.unique(np.round(F / scale, 10) + 0.0, axis=0, return_index=True)
+    return F[np.sort(first)]
+
+
+def vertex_keys(sp, V):
+    """The rows of V rounded as ``lipschitz_vertices`` deduplicates them."""
+    scale = max(1.0, float(sp.dist.max()))
+    return {tuple(row) for row in (np.round(V / scale, 10) + 0.0).tolist()}
+
+
 class TestExactKernels:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_rooted_trees_cayley_count(self, n):
-        trees = obs._rooted_trees(n)
-        assert len(trees) == n ** (n - 2)
-        assert len({tuple(t) for t in trees}) == len(trees)
-        for parent in trees:
-            assert parent[0] == 0
-            for v in range(n):
-                for _ in range(n - 1):
-                    v = parent[v]
-                assert v == 0
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 30.0, 1000.0])
+    def test_vertices_match_tree_enumeration(self, t):
+        for sp in (core.scale(base, t) for base in _vertex_spaces()):
+            got, want = obs.lipschitz_vertices(sp), tree_vertices(sp)
+            assert len(got) == len(want)
+            assert vertex_keys(sp, got) == vertex_keys(sp, want)
+            # a vertex with several tight trees may keep another tree's bits
+            for p in (2, 1, 3, math.inf):
+                a = core._central_moment(sp.mass, got, p).max()
+                b = core._central_moment(sp.mass, want, p).max()
+                assert abs(a - b) <= 4 * math.ulp(b)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_generic_vertex_count(self, n):
+        # Gordon and Petrov: a generic n-point metric has C(2n - 2, n - 1)
+        rng = np.random.default_rng(2100 + n)
+        for _ in range(3 if n <= 7 else 1):
+            got = obs.lipschitz_vertices(random_embedded_space(rng, n))
+            assert len(got) == math.comb(2 * n - 2, n - 1)
+
+    def test_vertices_feasible_with_connected_tight_graphs(self):
+        rng = np.random.default_rng(2101)
+        spaces = corpus(152, 16, sizes=(2, 3, 4, 5, 6, 7))
+        spaces += [random_shortest_path_space(rng, 8), generators.interval_grid(8, 0.7),
+                   generators.dissipation_family(atoms.sort_atoms([0.4]), 1.5, 2)]
+        for sp in spaces:
+            V = obs.lipschitz_vertices(sp)
+            scale = max(1.0, float(sp.dist.max()))
+            slack = np.abs(V[:, :, None] - V[:, None, :]) - sp.dist
+            assert slack.max() <= 1e-10 * scale
+            tight = slack >= -1e-9 * scale
+            reach = np.zeros(V.shape, bool)
+            reach[:, 0] = True
+            for _ in range(sp.n):
+                reach = (tight & reach[:, None, :]).any(axis=2)
+            assert reach.all()
+
+    def test_levels_within_generic_counts(self):
+        # level k holds the vertices on each k-point set that contains 0,
+        # at most C(2k - 2, k - 1) each: polynomial in n for a fixed k
+        rng = np.random.default_rng(2102)
+        spaces = [random_embedded_space(rng, 9), random_shortest_path_space(rng, 9),
+                  generators.interval_grid(9, 0.7), *_vertex_spaces()]
+        for sp in spaces:
+            n, to, scale = sp.n, np.ascontiguousarray(sp.dist.T), max(1.0, float(sp.dist.max()))
+            F = np.full((1, n), math.nan)
+            F[0, 0] = 0.0
+            for k in range(2, n + 1):
+                F = obs._grow_vertices(F, to, scale)
+                assert len(F) <= math.comb(n - 1, k - 1) * math.comb(2 * k - 2, k - 1)
+            assert np.array_equal(F, obs.lipschitz_vertices(sp))
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_heuristic_below_exact_beyond_six_points(self, n):
+        rng = np.random.default_rng(2103 + n)
+        for sp in (random_embedded_space(rng, n), random_shortest_path_space(rng, n)):
+            assert obs.variance(sp, "heuristic") <= obs.variance(sp) + 1e-9
+            for p in (1, 3, math.inf):
+                assert obs.p_deviation(sp, p, "heuristic") <= obs.p_deviation(sp, p) + 1e-9
 
     def test_vertices_match_basic_solution_oracle(self):
         for sp in corpus(151, 16, sizes=(2, 3, 4, 5)):
