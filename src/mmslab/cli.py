@@ -12,16 +12,33 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
 
-from . import atoms as atoms_mod
-from . import boxmetric, core, functional, generators, observables, order
+class _Lazy:
+    """A module imported on first attribute access, so that a process imports
+    only the modules its command runs (``--help`` imports no numpy)."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+np = _Lazy("numpy")
+atoms_mod = _Lazy(f"{__package__}.atoms")
+boxmetric = _Lazy(f"{__package__}.boxmetric")
+core = _Lazy(f"{__package__}.core")
+functional = _Lazy(f"{__package__}.functional")
+generators = _Lazy(f"{__package__}.generators")
+observables = _Lazy(f"{__package__}.observables")
+order = _Lazy(f"{__package__}.order")
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -312,6 +329,7 @@ def _cmd_atoms(args):
                 "atom_error": list(ev.atom_error),
                 "max_small_bin": list(ev.max_small),
                 "bin_counts": list(ev.bin_counts),
+                "sep_checked": ev.sep_checked,
                 "reason": ev.reason,
             },
             args.format,
@@ -372,18 +390,22 @@ def _cmd_compare(args):
             out[tag] = "skipped (size)"
     table = {}
     for name, spn in (("A", sx), ("B", sy)):
-        exact = spn.n <= observables.EXACT_MAX_POINTS
-        mode = "exact" if exact else "heuristic"
+        var_spec = {"exact": spn.n <= observables.VERTEX_MAX_POINTS}
+        obs_spec = {"exact": spn.n <= observables.EXACT_MAX_POINTS}
         row = {
             "diam": spn.diam(),
-            "variance": observables.variance(spn, mode=mode, seed=args.seed),
-            "obsdiam_0.1": observables.obs_diam(spn, 0.1, mode=mode, seed=args.seed),
-            "certificate": "exact" if exact else "estimate",
+            "variance": observables.variance(spn, mode=_mode(var_spec), seed=args.seed),
+            "obsdiam_0.1": observables.obs_diam(spn, 0.1, mode=_mode(obs_spec), seed=args.seed),
         }
+        tags = {"diam": "exact", "variance": _mode_certificate(var_spec),
+                "obsdiam_0.1": _mode_certificate(obs_spec)}
         try:
             row["sep_quarters"] = observables.separation(spn, (0.25, 0.25))
+            tags["sep_quarters"] = "exact"
         except core.SizeLimitError:
             row["sep_quarters"] = "skipped (size)"
+        row["certificate"] = "exact" if all(t == "exact" for t in tags.values()) else "estimate"
+        row["certificates"] = tags
         table[name] = row
     out["invariants"] = table
     _print_json(out, args.format)
@@ -553,6 +575,11 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
     return report
 
 
+# observables.gaussian_obs_diam(1.0, kappa), recorded so that building the
+# plan imports no scipy; tests/test_cli.py pins each value bit for bit
+GAUSSIAN_OBS_DIAM = {0.1: 3.289707253902946, 0.3: 2.072866778987579, 0.5: 1.3489795003921636}
+
+
 def bundled_plan(name, seed=0):
     """Plans shipped with the tool; see the README for their claims."""
     if name == "gaussian_obsdiam":
@@ -563,10 +590,9 @@ def bundled_plan(name, seed=0):
         ]
         invariants, assertions = [], []
         for d in (1, 5):
-            for kappa in (0.1, 0.3, 0.5):
+            for kappa, target in GAUSSIAN_OBS_DIAM.items():
                 row = {"space": f"gauss_dim{d}", "kind": "obsdiam_projection", "kappa": kappa}
                 invariants.append(row)
-                target = observables.gaussian_obs_diam(1.0, kappa)
                 assertions.append(
                     {"row": _row_key(row), "op": "close", "target": target, "rtol": 0.02}
                 )

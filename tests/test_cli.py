@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmslab import cli, core, generators as gen
+from mmslab import cli, core, generators as gen, observables
 
 
 def run_cli(*args):
@@ -142,27 +142,65 @@ class TestSubcommands:
         assert code == 0
         data = json.loads(stdout)
         assert set(data["invariants"]) == {"A", "B"}
+        for row in data["invariants"].values():
+            assert row["certificate"] == "exact"
+            assert set(row["certificates"].values()) == {"exact"}
+
+    def test_compare_variance_exact_up_to_vertex_limit(self, tmp_path):
+        """Between obs_diam's exact limit (6) and the vertex limit (9), variance
+        is exact and obsdiam is an estimate, so the row reads estimate."""
+        spaces = [gen.gaussian_sample(8, 2, 1.0, seed=s) for s in (0, 1)]
+        paths = [str(tmp_path / f"g{s}.json") for s in (0, 1)]
+        for sp, path in zip(spaces, paths):
+            core.save_space(sp, path)
+        code, stdout, _ = run_cli("compare", *paths)
+        assert code == 0
+        table = json.loads(stdout)["invariants"]
+        for name, sp in zip("AB", spaces):
+            row = table[name]
+            assert row["variance"] == observables.variance(sp, mode="exact")
+            assert row["certificates"] == {"diam": "exact", "variance": "exact",
+                                           "obsdiam_0.1": "estimate", "sep_quarters": "exact"}
+            assert row["certificate"] == "estimate"
+        # the heuristic read a few ulp above these
+        assert [table[k]["variance"] for k in "AB"] == [1.304963211742536, 0.4375119748266303]
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
+    def test_gaussian_plan_targets_are_the_formula(self, kappa):
+        assert cli.GAUSSIAN_OBS_DIAM[kappa] == observables.gaussian_obs_diam(1.0, kappa)
+        plan = cli.bundled_plan("gaussian_obsdiam")
+        targets = {a["row"]: a["target"] for a in plan.assertions}
+        for d in (1, 5):
+            assert targets[f"gauss_dim{d}:obsdiam_projection:kappa={kappa!r}"] == (
+                observables.gaussian_obs_diam(1.0, kappa))
 
 
-# recorded before the dissipation detector dropped its unread outputs
+# recorded before the dissipation detector dropped its unread outputs;
+# sep_checked ([member index, kappa length, slack] rows) was added afterwards
 DISSIPATE_RECORDED = {
     "dissipation:2": {
         "accepted": True, "delta": 2.0, "atom_error": [0.0] * 5,
         "max_small_bin": [0.19999999999999996, 0.09999999999999998, 0.04999999999999999,
                           0.024999999999999994, 0.012499999999999997],
-        "bin_counts": [2, 4, 8, 16, 32], "reason": ""},
+        "bin_counts": [2, 4, 8, 16, 32], "reason": "",
+        "sep_checked": [[2, 0, 0.01], [3, 0, 0.01], [2, 1, 0.01], [3, 1, 0.01], [2, 2, 0.01],
+                        [3, 2, 0.01]]},
     "atom:0.6": {
         "accepted": False, "delta": 0.6, "atom_error": [0.04999999999999999] + [0.0] * 4,
         "max_small_bin": [0.25, 0.5, 0.5, 0.5, 0.4999999999999999],
         "bin_counts": [2, 1, 1, 1, 1],
         "reason": "largest small bin 0.5000 above 0.05; separation never reaches delta at "
-                  "index 4 (kappa length 2)"},
+                  "index 4 (kappa length 2)",
+        "sep_checked": [[2, 0, 0.01], [3, 0, 0.01], [4, 0, 0.01], [2, 1, 0.01], [3, 1, 0.01],
+                        [4, 1, 0.01], [2, 2, "inf"], [3, 2, "inf"], [4, 2, "inf"]]},
     "atom:0.15": {
         "accepted": False, "delta": 0.15, "atom_error": [0.04999999999999999] + [0.0] * 4,
         "max_small_bin": [0.25, 0.16666666666666666, 0.125, 0.1, 0.07142857142857142],
         "bin_counts": [2, 3, 4, 5, 7],
         "reason": "largest small bin 0.0714 above 0.05; separation slack grows along the "
-                  "sequence (kappa length 2)"},
+                  "sequence (kappa length 2)",
+        "sep_checked": [[2, 0, 0.01], [3, 0, 0.01], [4, 0, 0.01], [2, 1, 0.01], [3, 1, 0.01],
+                        [4, 1, 0.01], [2, 2, 0.01], [3, 2, 0.05], [4, 2, 0.05]]},
 }
 
 

@@ -1,15 +1,21 @@
-"""Start-up: importing mmslab loads no scipy subpackage.
+"""Start-up: a command loads only the modules it runs.
 
-Each scipy function mmslab uses is reached through a shim in
-``mmslab._scipy`` that imports it on the first call.  These tests pin that no
-module imports scipy at module level, that a fresh process running
-``mmslab --help`` loads no scipy module while an exact observable diameter
-loads ``scipy.optimize``, that validating a space given by distances and
-coords and reading the distances of a sampled space load none, and that the
-shims return what scipy returns.
+``import mmslab`` resolves the public names on first access, and the command
+line reaches numpy and each library module through a handle that imports it
+on first use.  Each scipy function mmslab uses is reached through a shim in
+``mmslab._scipy`` that imports it on the first call.  These tests pin, each
+in a fresh process, that ``--help`` and a usage error load no numpy and no
+library module, that ``box``, ``dominates``, ``atoms`` and ``spectral`` load
+only the modules they use, that the Gaussian plan loads no scipy, and that
+every public name still imports from ``mmslab``.  They also pin that no
+module imports scipy at module level, that ``mmslab --help`` loads no scipy
+module while an exact observable diameter loads ``scipy.optimize``, that
+validating a space given by distances and coords and reading the distances of
+a sampled space load none, and that the shims return what scipy returns.
 """
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +29,7 @@ import scipy.sparse.csgraph
 import scipy.special
 
 import mmslab
-from mmslab import atoms, functional, observables as obs
+from mmslab import atoms, core, functional, generators, observables as obs
 
 from conftest import random_embedded_space
 
@@ -79,6 +85,97 @@ def test_fresh_process_loads_scipy_only_when_it_needs_it():
     before, after = proc.stdout.splitlines()
     assert before == "[]"
     assert after == "True"
+
+
+COMMAND_PROCESS = """
+import contextlib, io, json, sys
+from mmslab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(k for k in sys.modules if k.split(".")[0] in
+                               ("numpy", "scipy", "mmslab"))]))
+"""
+
+
+def _run_command(*argv):
+    """Exit code and the numpy, scipy and mmslab modules loaded by one command."""
+    proc = subprocess.run([sys.executable, "-c", COMMAND_PROCESS, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0), (["box", "--help"], 0), (["frobnicate"], 2), (["box", "only_one.json"], 2),
+], ids=["help", "command_help", "unknown_command", "missing_argument"])
+def test_help_and_usage_errors_load_no_numpy(argv, code):
+    assert _run_command(*argv) == [code, ["mmslab", "mmslab.cli"]]
+
+
+@pytest.fixture(scope="module")
+def space_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("spaces")
+    a, b = folder / "a.json", folder / "b.json"
+    core.save_space(generators.two_point(1.0), a)
+    core.save_space(generators.interval_grid(3), b)
+    return str(a), str(b)
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["box", "A", "B", "--exact"], ["boxmetric", "core"]),
+    (["dominates", "B", "A"], ["core", "order"]),
+    (["atoms", "product", "--alpha", "0.5,0.25", "--beta", "0.5,0.5"],
+     ["_scipy", "atoms", "core", "observables"]),
+    (["spectral", "--space", "interval", "--size", "128"], ["_scipy", "core", "functional"]),
+], ids=["box_exact", "dominates", "atoms", "spectral"])
+def test_command_loads_only_its_modules(space_files, argv, modules):
+    files = dict(zip("AB", space_files))
+    code, loaded = _run_command(*(files.get(arg, arg) for arg in argv))
+    assert code == 0
+    assert [k for k in loaded if k.startswith("mmslab.")] == sorted(
+        ["mmslab.cli"] + [f"mmslab.{m}" for m in modules])
+    assert ("scipy" in loaded) == (argv[0] == "spectral")
+
+
+def test_gaussian_plan_loads_no_scipy():
+    code, loaded = _run_command("run", "gaussian_obsdiam")
+    assert code == 0
+    assert "mmslab.observables" in loaded
+    assert not [k for k in loaded if k.split(".")[0] == "scipy"]
+
+
+# the names `from mmslab import ...` gave when the package imported every module
+EXPORTS = (
+    "Coupling FinitePmSpace InputError InvalidSpaceError LipschitzFunction SizeLimitError "
+    "Violation as_lipschitz check_valid entropy from_json_dict ky_fan load_space "
+    "mcshane_extend mm_isomorphic product prokhorov save_space scale space to_json_dict "
+    "total_variation validate gaussian_obs_diam obs_diam obs_diam_projection_estimate "
+    "p_deviation p_variance partial_diameter separation separation_witness variance "
+    "BoxEstimate box_converges box_exact_small box_lower box_upper DominationWitness Refusal "
+    "antisymmetry_check dominates generator_idempotent AtomAssignment AtomVector atom_product "
+    "detect_dissipation is_contraction member pyramid_distance_upper sort_atoms truncate "
+    "GridSpace1D gaussian_domination_scale gaussian_grid log_sobolev_check poincare_c22 "
+    "poincare_pq_lower unit_interval_grid"
+).split()
+
+EXPORT_PROCESS = """
+import sys
+import mmslab
+print("numpy" in sys.modules)
+names = sys.argv[1:]
+exec(f"from mmslab import {', '.join(names)}")
+print(sorted(mmslab.__all__) == sorted(names), sorted(set(names) - set(dir(mmslab))))
+"""
+
+
+def test_every_export_imports_from_the_package():
+    proc = subprocess.run([sys.executable, "-c", EXPORT_PROCESS, *EXPORTS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True []"]
+    assert mmslab.obs_diam is obs.obs_diam and mmslab.observables is obs
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mmslab.no_such_name
 
 
 VALIDATE_PROCESS = """
