@@ -179,9 +179,9 @@ def _cmd_gen(args):
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as e:
         raise core.InputError(f"--params is not valid JSON: {e}") from e
-    sp = make_space(args.kind, params, seed=args.seed)
-    if isinstance(sp, functional.GridSpace1D):
+    if args.kind in _SPACE_KINDS and _SPACE_KINDS[args.kind][0] == "grid":
         raise core.InputError("gen writes finite spaces; grid kinds exist only inside plans")
+    sp = make_space(args.kind, params, seed=args.seed)
     core.save_space(sp, args.output)
     print(f"wrote {sp.n} points to {args.output}")
     return EXIT_OK
@@ -202,12 +202,10 @@ def _first_kappa(spec):
     return kappas[0] if kappas else 0.1
 
 
-def _mode(spec):
-    return "exact" if spec.get("exact", False) else "heuristic"
-
-
-def _mode_certificate(spec):
-    return "exact" if spec.get("exact", False) else "estimate"
+def _moded(spec, evaluate):
+    """evaluate(mode) in the row's mode, tagged with that mode's certificate."""
+    exact = spec.get("exact", False)
+    return evaluate("exact" if exact else "heuristic"), "exact" if exact else "estimate"
 
 
 def _separation(sp, spec, seed):
@@ -222,14 +220,12 @@ def _separation(sp, spec, seed):
 # rows look the library functions up at call time
 _INVARIANTS = {
     "diam": ("finite", (), (), lambda sp, spec, seed: (sp.diam(), "exact")),
-    "var": ("finite", (), ("exact",), lambda sp, spec, seed: (
-        observables.variance(sp, mode=_mode(spec), seed=seed), _mode_certificate(spec))),
-    "pvar": ("finite", (), ("p", "exact"), lambda sp, spec, seed: (
-        observables.p_deviation(sp, spec.get("p", 2.0), mode=_mode(spec), seed=seed),
-        _mode_certificate(spec))),
-    "obsdiam": ("finite", (), ("kappa", "exact"), lambda sp, spec, seed: (
-        observables.obs_diam(sp, _first_kappa(spec), mode=_mode(spec), seed=seed),
-        _mode_certificate(spec))),
+    "var": ("finite", (), ("exact",), lambda sp, spec, seed: _moded(
+        spec, lambda mode: observables.variance(sp, mode=mode, seed=seed))),
+    "pvar": ("finite", (), ("p", "exact"), lambda sp, spec, seed: _moded(
+        spec, lambda mode: observables.p_deviation(sp, spec.get("p", 2.0), mode=mode, seed=seed))),
+    "obsdiam": ("finite", (), ("kappa", "exact"), lambda sp, spec, seed: _moded(
+        spec, lambda mode: observables.obs_diam(sp, _first_kappa(spec), mode=mode, seed=seed))),
     "obsdiam_projection": ("finite", (), ("kappa",), lambda sp, spec, seed: (
         observables.obs_diam_projection_estimate(sp, _first_kappa(spec)), "estimate")),
     "sep": ("finite", ("kappa",), (), _separation),
@@ -256,17 +252,26 @@ def _cmd_invariant(args):
     return EXIT_OK
 
 
+def _exact_first(evaluate):
+    """evaluate(True), or evaluate(False) where the exact search is beyond its size limit."""
+    try:
+        return evaluate(True)
+    except core.SizeLimitError:
+        return evaluate(False)
+
+
+def _box_bounds(sx, sy, exact, seed):
+    """The exact box distance or a certified upper bound on it, with the
+    larger of its lower side and the Levy bound below."""
+    est = boxmetric.box_exact_small(sx, sy) if exact else boxmetric.box_upper(sx, sy, seed=seed)
+    return {"lower": max(boxmetric.box_lower(sx, sy), est.lower), "upper": est.upper,
+            "certificate": est.certificate}
+
+
 def _cmd_box(args):
     sx = core.load_space(args.fileA)
     sy = core.load_space(args.fileB)
-    lower = boxmetric.box_lower(sx, sy)
-    if args.exact:
-        est = boxmetric.box_exact_small(sx, sy)
-        out = {"lower": max(lower, est.lower), "upper": est.upper, "certificate": "exact"}
-    else:
-        est = boxmetric.box_upper(sx, sy, seed=args.seed)
-        out = {"lower": lower, "upper": est.upper, "certificate": est.certificate}
-    _print_json(out, args.format)
+    _print_json(_box_bounds(sx, sy, args.exact, args.seed), args.format)
     return EXIT_OK
 
 
@@ -275,15 +280,10 @@ def _cmd_dominates(args):
     sy = core.load_space(args.fileY)
     res = order.dominates(sx, sy)
     if isinstance(res, order.DominationWitness):
-        _print_json(
-            {"dominates": True, "map": list(res.map), "nodes_explored": res.nodes_explored},
-            args.format,
-        )
+        out = {"dominates": True, "map": list(res.map)}
     else:
-        _print_json(
-            {"dominates": False, "refused": True, "nodes_explored": res.nodes_explored},
-            args.format,
-        )
+        out = {"dominates": False, "refused": True}
+    _print_json({**out, "nodes_explored": res.nodes_explored}, args.format)
     return EXIT_OK
 
 
@@ -339,24 +339,23 @@ def _cmd_atoms(args):
 
 
 def _cmd_spectral(args):
-    def grid(m):
-        if args.space == "interval":
-            return functional.unit_interval_grid(m)
-        return functional.gaussian_grid(m, args.sigma)
+    def grid(m):  # the plan kind grid_<space>; grid_interval reads no sigma
+        return _SPACE_KINDS[f"grid_{args.space}"][3]({"m": m, "sigma": args.sigma}, args.seed)
 
+    c22 = _INVARIANTS["c22"][3]
     if args.convergence_table:
         if args.constant != "c22":
             raise core.InputError("--convergence-table tabulates c22 only, not --constant ls")
         rows = [["size", "c22"]]
         m = min(64, args.size)  # below 64 poincare_c22 rejects the size itself
         while m <= args.size:
-            rows.append([m, functional.poincare_c22(grid(m))])
+            rows.append([m, c22(grid(m), {}, args.seed)[0]])
             m *= 2
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return EXIT_OK
     if args.constant == "c22":
-        value = functional.poincare_c22(grid(args.size))
-        out = {"constant": "c22", "size": args.size, "value": value, "certificate": "estimate"}
+        value, cert = c22(grid(args.size), {}, args.seed)
+        out = {"constant": "c22", "size": args.size, "value": value, "certificate": cert}
     else:
         reference = 1.0 / math.pi if args.space == "interval" else args.sigma
         rep = functional.log_sobolev_check(
@@ -377,12 +376,10 @@ def _cmd_spectral(args):
 def _cmd_compare(args):
     sx = core.load_space(args.fileA)
     sy = core.load_space(args.fileB)
-    out = {"lower": boxmetric.box_lower(sx, sy)}
-    if sx.n * sy.n <= boxmetric.EXACT_MAX_CELLS:
-        est = boxmetric.box_exact_small(sx, sy)
-        out.update(upper=est.upper, box=est.upper, certificate="exact")
-    else:
-        out.update(upper=boxmetric.box_upper(sx, sy, seed=args.seed).upper, certificate="bound")
+    out = _exact_first(lambda exact: _box_bounds(sx, sy, exact, args.seed))
+    if out["certificate"] == "exact":  # the exact value also reads as "box"
+        out = {"lower": out["lower"], "upper": out["upper"], "box": out["upper"],
+               "certificate": "exact"}
     for tag, a, b in (("x_dominates_y", sx, sy), ("y_dominates_x", sy, sx)):
         try:
             out[tag] = isinstance(order.dominates(a, b), order.DominationWitness)
@@ -390,20 +387,15 @@ def _cmd_compare(args):
             out[tag] = "skipped (size)"
     table = {}
     for name, spn in (("A", sx), ("B", sy)):
-        var_spec = {"exact": spn.n <= observables.VERTEX_MAX_POINTS}
-        obs_spec = {"exact": spn.n <= observables.EXACT_MAX_POINTS}
-        row = {
-            "diam": spn.diam(),
-            "variance": observables.variance(spn, mode=_mode(var_spec), seed=args.seed),
-            "obsdiam_0.1": observables.obs_diam(spn, 0.1, mode=_mode(obs_spec), seed=args.seed),
-        }
-        tags = {"diam": "exact", "variance": _mode_certificate(var_spec),
-                "obsdiam_0.1": _mode_certificate(obs_spec)}
-        try:
-            row["sep_quarters"] = observables.separation(spn, (0.25, 0.25))
-            tags["sep_quarters"] = "exact"
-        except core.SizeLimitError:
-            row["sep_quarters"] = "skipped (size)"
+        row, tags = {}, {}
+        for column, kind, spec in (("diam", "diam", {}), ("variance", "var", {}),
+                                   ("obsdiam_0.1", "obsdiam", {"kappa": 0.1}),
+                                   ("sep_quarters", "sep", {"kappa": [0.25, 0.25]})):
+            try:
+                row[column], tags[column] = _exact_first(
+                    lambda exact: _INVARIANTS[kind][3](spn, {**spec, "exact": exact}, args.seed))
+            except core.SizeLimitError:  # separation has no heuristic mode
+                row[column] = "skipped (size)"
         row["certificate"] = "exact" if all(t == "exact" for t in tags.values()) else "estimate"
         row["certificates"] = tags
         table[name] = row

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .atoms import AtomVector
 from .core import (
     FinitePmSpace,
     InputError,
@@ -28,7 +28,9 @@ from .core import (
     check_valid,
     product,
 )
-from .order import DominationWitness
+
+if TYPE_CHECKING:
+    from .atoms import AtomVector
 
 # Above this many points ``_finish`` does not call ``validate``, which would
 # build the n x n distance matrix (the Euclidean certificate makes the
@@ -186,6 +188,8 @@ def dissipation_family(alpha: AtomVector, delta, n):
 def product_tower(base: FinitePmSpace, p, levels):
     """Monotone tower base, base^2, ... with projection witnesses onto the
     previous level."""
+    from .order import DominationWitness
+
     _check_count("levels", levels)
     if base.n**levels > TOWER_MAX_POINTS:
         raise InputError(f"tower would exceed {TOWER_MAX_POINTS} points")

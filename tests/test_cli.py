@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmslab import cli, core, generators as gen, observables
+from mmslab import boxmetric, cli, core, generators as gen, observables
 
 
 def run_cli(*args):
@@ -29,6 +29,23 @@ def space_files(tmp_path):
     core.save_space(gen.two_point(1.0), a)
     core.save_space(gen.interval_grid(3), b)
     return str(a), str(b)
+
+
+def _save(folder, *spaces):
+    """Write spaces to numbered files in folder and return their paths."""
+    paths = [str(folder / f"s{k}.json") for k in range(len(spaces))]
+    for sp, path in zip(spaces, paths):
+        core.save_space(sp, path)
+    return paths
+
+
+# pairs of at most 12 cells, where compare's box is exact
+SMALL_PAIRS = {
+    "two_point_grid4": lambda: (gen.two_point(1.0, 0.3), gen.interval_grid(4)),
+    "grid3_grid4": lambda: (gen.interval_grid(3), gen.interval_grid(4)),
+    "one_point_grid3": lambda: (gen.gaussian_sample(1, 1, seed=3), gen.interval_grid(3)),
+    "two_point_gauss5": lambda: (gen.two_point(1.0, 0.3), gen.gaussian_sample(5, 2, seed=1)),
+}
 
 
 class TestSubcommands:
@@ -164,6 +181,59 @@ class TestSubcommands:
             assert row["certificate"] == "estimate"
         # the heuristic read a few ulp above these
         assert [table[k]["variance"] for k in "AB"] == [1.304963211742536, 0.4375119748266303]
+
+    @pytest.mark.parametrize("pair", list(SMALL_PAIRS))
+    def test_compare_box_is_box_exact_up_to_12_cells(self, tmp_path, capsys, pair):
+        """On a pair of at most 12 cells compare prints box --exact's bounds;
+        on two_point(1.0, 0.3) and interval_grid(4) its lower once read the
+        Levy bound 0.165 beside the exact 1/3."""
+        paths = _save(tmp_path, *SMALL_PAIRS[pair]())
+        assert cli.main(["compare", *paths]) == 0
+        compare = json.loads(capsys.readouterr().out)
+        assert cli.main(["box", *paths, "--exact"]) == 0
+        box = json.loads(capsys.readouterr().out)
+        assert box["certificate"] == "exact"
+        assert {k: compare[k] for k in box} == box and compare["box"] == box["upper"]
+        if pair == "two_point_grid4":
+            assert box["lower"] == box["upper"] == pytest.approx(1 / 3)
+
+    def test_compare_beyond_the_exact_limits(self, tmp_path, capsys):
+        """Each column is the library's exact value where its exact mode
+        returns and the seeded heuristic where that raises SizeLimitError,
+        with the matching tag; separation above 20 points is skipped.  The
+        pairs have 14 and 210 cells, so the box columns are box_upper's."""
+        pairs = [(gen.two_point(1.0, 0.3), gen.gaussian_sample(7, 2, seed=2)),
+                 (gen.gaussian_sample(10, 2, seed=5), gen.interval_grid(21))]
+        tags = []
+        for sx, sy in pairs:
+            assert cli.main(["--seed", "3", "compare", *_save(tmp_path, sx, sy)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["lower"] == boxmetric.box_lower(sx, sy)
+            assert out["upper"] == boxmetric.box_upper(sx, sy, seed=3).upper
+            assert out["certificate"] == "bound" and "box" not in out
+            for name, sp in zip("AB", (sx, sy)):
+                want = {"diam": (sp.diam(), "exact")}
+                for column, f in (("variance", observables.variance),
+                                  ("obsdiam_0.1", lambda sp, **kw: observables.obs_diam(
+                                      sp, 0.1, **kw))):
+                    try:
+                        want[column] = (f(sp, mode="exact"), "exact")
+                    except core.SizeLimitError:
+                        want[column] = (f(sp, mode="heuristic", seed=3), "estimate")
+                try:
+                    want["sep_quarters"] = (observables.separation(sp, (0.25, 0.25)), "exact")
+                except core.SizeLimitError:
+                    want["sep_quarters"] = ("skipped (size)", None)
+                row = out["invariants"][name]
+                assert {k: row[k] for k in want} == {k: v for k, (v, _) in want.items()}
+                assert row["certificates"] == {k: t for k, (_, t) in want.items() if t}
+                assert row["certificate"] == (
+                    "exact" if all(t == "exact" for _, t in want.values()) else "estimate")
+                tags.append((sp.n, row["certificate"], *row["certificates"].values()))
+        assert tags == [(2, "exact", "exact", "exact", "exact", "exact"),
+                        (7, "estimate", "exact", "exact", "estimate", "exact"),
+                        (10, "estimate", "exact", "estimate", "estimate", "exact"),
+                        (21, "estimate", "exact", "estimate", "estimate")]
 
     @pytest.mark.parametrize("kappa", [0.1, 0.3, 0.5])
     def test_gaussian_plan_targets_are_the_formula(self, kappa):

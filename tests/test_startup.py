@@ -5,9 +5,10 @@ line reaches numpy and each library module through a handle that imports it
 on first use.  Each scipy function mmslab uses is reached through a shim in
 ``mmslab._scipy`` that imports it on the first call.  These tests pin, each
 in a fresh process, that ``--help`` and a usage error load no numpy and no
-library module, that ``box``, ``dominates``, ``atoms`` and ``spectral`` load
-only the modules they use, that the Gaussian plan loads no scipy, and that
-every public name still imports from ``mmslab``.  They also pin that no
+library module, that ``box``, ``dominates``, ``atoms``, ``spectral``, ``gen``
+and the Gaussian plan load only the modules they use (``gen`` refuses a grid
+kind without loading ``functional``), that the Gaussian plan loads no scipy,
+and that every public name still imports from ``mmslab``.  They also pin that no
 module imports scipy at module level, that ``mmslab --help`` loads no scipy
 module while an exact observable diameter loads ``scipy.optimize``, that
 validating a space given by distances and coords and reading the distances of
@@ -135,6 +136,22 @@ def test_command_loads_only_its_modules(space_files, argv, modules):
     assert [k for k in loaded if k.startswith("mmslab.")] == sorted(
         ["mmslab.cli"] + [f"mmslab.{m}" for m in modules])
     assert ("scipy" in loaded) == (argv[0] == "spectral")
+
+
+@pytest.mark.parametrize("argv,code,modules", [
+    (["gen", "two_point", "-o", "OUT"], 0, ["core", "generators"]),
+    (["gen", "grid_interval", "-o", "OUT"], 2, ["core"]),
+    (["run", "gaussian_obsdiam"], 0, ["_scipy", "core", "generators", "observables"]),
+], ids=["gen_two_point", "gen_grid_refused", "gaussian_plan"])
+def test_gen_and_plan_load_only_their_modules(tmp_path, argv, code, modules):
+    """Generators reach atoms and order only inside the functions that use
+    them, and gen refuses a grid kind before building it."""
+    out = str(tmp_path / "space.json")
+    got, loaded = _run_command(*(out if arg == "OUT" else arg for arg in argv))
+    assert got == code
+    assert [k for k in loaded if k.startswith("mmslab.")] == sorted(
+        ["mmslab.cli"] + [f"mmslab.{m}" for m in modules])
+    assert not [k for k in loaded if k.split(".")[0] == "scipy"]
 
 
 def test_gaussian_plan_loads_no_scipy():
