@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +32,9 @@ PROKHOROV_MAX_POINTS = 20
 # 1-D trial family come in row blocks of the same size.
 _TRIANGLE_BLOCK_LIMIT = 48
 _TRIANGLE_BLOCK_ELEMENTS = 65536
+# Up to this size a space with dist takes the tensor sweep without trying the
+# Euclidean certificate of its coords, which costs more there.
+_SWEEP_MAX_POINTS = 12
 
 
 class InputError(ValueError):
@@ -74,7 +78,9 @@ class FinitePmSpace:
     with ``dist=None`` takes the Euclidean distances of its ``coords`` rows
     (``_euclidean_rows``) as its metric; they are computed on the first read
     of ``dist`` and kept, so code that only reads ``coords`` never builds the
-    n x n matrix.
+    n x n matrix.  ``validate`` does not read ``dist`` of such a space: it
+    evaluates the rows block by block, and builds the matrix only when the
+    triangle certificate fails and the sweep needs it.
     """
 
     points: tuple
@@ -106,9 +112,11 @@ class FinitePmSpace:
         if self._dist is None:
             c, D = self.coords, np.empty((self.n, self.n))
             rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // max(1, self.n))
+            scratch = np.empty((min(rows, self.n), self.n))
             with np.errstate(over="ignore", invalid="ignore"):
-                for start in range(0, self.n, rows):
-                    D[start:start + rows] = _euclidean_rows(c[start:start + rows], c)
+                for s in range(0, self.n, rows):
+                    e = min(self.n, s + rows)
+                    _euclidean_rows(c[s:e], c, D[s:e], scratch[:e - s])
             object.__setattr__(self, "_dist", _freeze(D))
         return self._dist
 
@@ -128,34 +136,28 @@ def space(points, dist, mass, mass_rational=None, coords=None):
 
 
 def validate(sp: FinitePmSpace):
-    """Return the first violated invariant of ``sp`` or None.  Total function."""
+    """Return the first violated invariant of ``sp`` or None.  Total function.
+
+    The checks are reported in a fixed order: finite, diagonal, symmetry,
+    positivity, triangle, masses, coords.  One pass over row blocks
+    (``_scan_metric``) gathers everything but the triangle sweep, which runs
+    on the whole matrix only when ``_certified`` cannot prove it silent; a
+    certified space built from coords keeps ``dist`` unbuilt.
+    """
     n = sp.n
     if n == 0:
         return Violation("empty", (), "space has no support points")
-    D, m = sp.dist, sp.mass
-    if D.shape != (n, n):
+    D, m = sp._dist, sp.mass
+    if D is not None and D.shape != (n, n):
         return Violation("shape", D.shape, f"dist must be {n}x{n}, got {D.shape}")
     if m.shape != (n,):
         return Violation("shape", m.shape, f"mass must have length {n}")
-    if not np.all(np.isfinite(D)):
-        i, j = np.argwhere(~np.isfinite(D))[0]
-        return Violation("finite", (int(i), int(j)), f"dist[{i}][{j}] is not finite")
-    bad = np.argwhere(np.abs(np.diag(D)) > VALIDATION_TOL)
-    if bad.size:
-        i = int(bad[0][0])
-        return Violation("diagonal", (i,), f"dist[{i}][{i}] = {D[i, i]} != 0")
-    asym = np.abs(D - D.T)
-    if asym.max() > VALIDATION_TOL:
-        i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
-        return Violation("symmetry", (int(i), int(j)), f"dist[{i}][{j}] != dist[{j}][{i}]")
-    if n > 1:
-        off = D + np.diag([np.inf] * n)
-        if off.min() <= 0:
-            i, j = np.unravel_index(int(np.argmin(off)), off.shape)
-            return Violation(
-                "positivity", (int(i), int(j)), f"dist[{i}][{j}] = {D[i, j]} <= 0 for i != j"
-            )
-    tri = None if _euclidean_certified(sp.coords, D) else _triangle_violation(D)
+    scan = _scan_metric(sp)
+    if isinstance(scan, Violation):
+        return scan
+    top, cert, late = scan
+    certified = cert is not None and _certified(sp.coords.shape[1], max(top, cert[0]), cert[1])
+    tri = None if certified else _triangle_violation(sp.dist)
     if tri is not None:
         i, j, k, gap = tri
         return Violation(
@@ -164,7 +166,132 @@ def validate(sp: FinitePmSpace):
             f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}",
         )
     v = _mass_violation(sp)
-    return v if v is not None else _projection_violation(sp.coords, D)
+    return v if v is not None else late
+
+
+def _scan_metric(sp: FinitePmSpace):
+    """One pass over the rows of the metric D of ``sp``, in blocks of at
+    most _TRIANGLE_BLOCK_ELEMENTS values.  Returns the first failed check
+    among finite, diagonal, symmetry and positivity as a Violation, or
+    ``(top, cert, late)``:
+
+    - ``top`` is max D;
+    - ``cert`` is ``(max Ê, max |Ê - D|)`` for ``_certified``, with Ê the
+      Euclidean metric of the coords as ``_euclidean_rows`` evaluates it
+      beside a given D, or None when no certificate is tried;
+    - ``late`` is the coords check, which ``validate`` reports last: the
+      first coordinate that is not finite, else the first column c with
+      |c_i - c_j| - D[i, j] above 1e-12 max(1, max D) somewhere, at the
+      largest such gap, as a Violation; or None.
+
+    Every position is the first row-major one, as an argmax or argmin over
+    the whole matrix finds it.
+
+    A block is a view of ``dist`` when the space has one.  A space with
+    ``dist`` evaluates Ê beside it only when its coords are finite, have at
+    most 2^20 columns and the space has more than _SWEEP_MAX_POINTS points:
+    below that the tensor sweep costs less than the evaluation, and a
+    certified space has no violation for the sweep to find.
+
+    A space built from coords (``_dist`` is None) has the rows of Ê as its
+    blocks, and once every entry is finite these checks hold for it by
+    construction:
+
+    - Diagonal: a finite x gives x - x = +0 exactly, so every square, sum
+      and root on the diagonal is 0.
+    - Symmetry: rounding to nearest commutes with negation, so the computed
+      x - y is exactly minus the computed y - x, and D[i, j] and D[j, i] sum
+      the same squares in the same order.
+    - Coords: a coordinate that is not finite makes its point's diagonal
+      entry NaN, so every coordinate is finite.  Let t be the computed
+      difference of column c for points i and j, the one Ê uses, and u =
+      2^-53.  Rounding is monotone and every summand is nonnegative, so the
+      computed sum of squares is at least fl(t^2); when |t| >= 2^-511, t^2
+      is normal and D[i, j] >= fl(sqrt(fl(t^2))) >= |t| (1 - u)^2.  The
+      computed |t| - D[i, j] is then at most 3u |t| <= 4u max D, and
+      otherwise at most |t| < 2^-511; either is below the tolerance
+      1e-12 max(1, max D).
+    - Certificate: Ê is D, so ``cert`` is (0, 0) and Ê is not evaluated a
+      second time.
+    """
+    n, D, coords = sp.n, sp._dist, sp.coords
+    given = D is not None
+    cert = None if given else (0.0, 0.0)
+    late = gaps = None
+    if given and coords is not None:
+        bad = np.argwhere(~np.isfinite(coords))
+        if bad.size:
+            i, c = bad[0]
+            late = Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
+        else:
+            gaps = [None] * coords.shape[1]
+            if coords.shape[1] <= 1 << 20 and n > _SWEEP_MAX_POINTS:
+                cert = (0.0, 0.0)
+    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
+    work = np.empty((rows, n))
+    spare = None if cert is None else np.empty((rows, n))  # holds Ê or its squares
+    diag = asym = low = None
+    top = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, rows):
+            e = min(n, s + rows)
+            w = work[:e - s]
+            block = D[s:e] if given else _euclidean_rows(coords[s:e], coords, spare[:e - s], w)
+            hi, lo = block.max(), block.min()
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                i, j = np.argwhere(~np.isfinite(block))[0]
+                return Violation("finite", (s + int(i), int(j)),
+                                 f"dist[{s + i}][{j}] is not finite")
+            top = max(top, float(hi))
+            if given:
+                on = np.abs(block.diagonal(s)) > VALIDATION_TOL
+                if diag is None and on.any():
+                    i = int(np.argmax(on))
+                    diag = (s + i, block[i, s + i])
+                np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
+                asym = _first_extreme(asym, w, s, np.argmax, operator.gt)
+            np.copyto(w, block)
+            np.fill_diagonal(w[:, s:], np.inf)
+            low = _first_extreme(low, w, s, np.argmin, operator.lt)
+            if given and cert is not None:
+                est = _euclidean_rows(coords[s:e], coords, w, spare[:e - s])
+                far = max(cert[0], float(est.max()))
+                np.abs(np.subtract(est, block, out=w), out=w)
+                cert = (far, max(cert[1], float(w.max())))
+            if gaps is not None:
+                for c, col in enumerate(coords.T):
+                    np.abs(np.subtract.outer(col[s:e], col, out=w), out=w)
+                    gaps[c] = _first_extreme(gaps[c], np.subtract(w, block, out=w), s,
+                                             np.argmax, operator.gt)
+    if diag is not None:
+        i, value = diag
+        return Violation("diagonal", (i,), f"dist[{i}][{i}] = {value} != 0")
+    if asym is not None and asym[0] > VALIDATION_TOL:
+        _, i, j = asym
+        return Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
+    if low[0] <= 0:
+        value, i, j = low
+        return Violation("positivity", (i, j), f"dist[{i}][{j}] = {value} <= 0 for i != j")
+    for c, (gap, i, j) in enumerate(gaps or ()):
+        if gap > VALIDATION_TOL * max(1.0, top):
+            late = Violation(
+                "coords",
+                (i, j, c),
+                f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
+            )
+            break
+    return top, cert, late
+
+
+def _first_extreme(best, block, start, arg, better):
+    """``best`` or the extreme of ``block`` (rows from ``start``) that
+    ``arg`` finds, as (value, i, j), whichever is ``better``; a tie keeps
+    ``best``, the earlier position."""
+    k = int(arg(block))
+    value = block.flat[k]
+    if best is None or better(value, best[0]):
+        return value, start + k // block.shape[1], k % block.shape[1]
+    return best
 
 
 def _mass_violation(sp: FinitePmSpace):
@@ -190,39 +317,16 @@ def _mass_violation(sp: FinitePmSpace):
     return None
 
 
-def _projection_violation(coords, D):
-    """The first coordinate that is not finite, or the first coordinate
-    column that is not 1-Lipschitz for ``D`` within the validation tolerance
-    relative to the diameter, as a ``coords`` Violation; None without coords."""
-    if coords is None:
-        return None
-    if not np.all(np.isfinite(coords)):
-        i, c = np.argwhere(~np.isfinite(coords))[0]
-        return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
-    tol = VALIDATION_TOL * max(1.0, float(D.max()))
-    gap = np.empty_like(D)  # one buffer for every column: |c_i - c_j| - D[i, j]
-    for c, col in enumerate(coords.T):
-        np.abs(np.subtract.outer(col, col, out=gap), out=gap)
-        if np.subtract(gap, D, out=gap).max() > tol:
-            i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            return Violation(
-                "coords",
-                (int(i), int(j), c),
-                f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
-            )
-    return None
-
-
-def _euclidean_certified(coords, D):
+def _certified(d, M, err):
     """True when no triangle excess ``_triangle_violation(D)`` computes can
-    exceed the tolerance, proved in O(n^2 d) from the distance of ``D`` to
-    the Euclidean metric of ``coords``; False when it cannot be proved this
-    way (no coords, coords of another metric, or NaN or inf anywhere), and
-    then the sweep decides.
+    exceed the tolerance, proved from d <= 2^20 coordinate columns, M =
+    max(max D, max Ê) and err = max |Ê - D| as ``_scan_metric`` computes
+    them; False when it cannot be proved this way (coords of another
+    metric, a large M, or inf anywhere), and then the sweep decides.
 
     With u = 2^-53, E the exact Euclidean metric of the n x d coordinate
-    rows and Ê its evaluation here, per row block, as sqrt of the sum over
-    columns (left to right from 0) of the squared differences:
+    rows and Ê its evaluation by ``_euclidean_rows``, as sqrt of the sum
+    over columns (left to right from 0) of the squared differences:
 
     - Each square carries three roundings and each of d - 1 additions one, so
       the computed sum is S(1 + t) with |t| <= g = (d+2)u / (1 - (d+2)u), and
@@ -244,37 +348,26 @@ def _euclidean_certified(coords, D):
 
     B is evaluated with its last factor widened to 1 + 16u, which covers the
     at most eight roundings of evaluating it (every term is nonnegative; if
-    M < 1e-300 every computed excess is below M anyway).  NaN or inf in Ê
-    or in the error makes the bound NaN or inf, which fails the comparison.
-    Row blocks of at most _TRIANGLE_BLOCK_ELEMENTS values hold Ê, which
-    ``_euclidean_rows`` evaluates, so no n x n buffer is made.
+    M < 1e-300 every computed excess is below M anyway).  Inf in Ê or in
+    the error makes the bound inf, which fails the comparison.
     """
-    if coords is None or coords.shape[1] > 1 << 20:
-        return False
-    n, d = coords.shape
     u = 2.0 ** -53
-    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
-    far = err = 0.0  # max Ê and max |Ê - D|, with NaN kept by np.maximum
-    with np.errstate(all="ignore"):
-        for start in range(0, n, rows):
-            s = _euclidean_rows(coords[start:start + rows], coords)
-            far = np.maximum(far, s.max())
-            err = np.maximum(err, np.abs(np.subtract(s, D[start:start + rows], out=s), out=s).max())
-        M = np.maximum(far, D.max())
-        rho = (d + 5) / 2 * u
-        eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
-        return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL)
+    rho = (d + 5) / 2 * u
+    eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
+    return (3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL
 
 
-def _euclidean_rows(block, coords):
+def _euclidean_rows(block, coords, out, scratch):
     """Euclidean distances from each row of ``block`` to every row of
-    ``coords``: the square root of the squared column differences summed
-    left to right from 0, as scipy's ``pdist`` sums them."""
-    s = np.zeros((len(block), len(coords)))
+    ``coords``, written to ``out`` and returned: the square root of the
+    squared column differences summed left to right from 0, as scipy's
+    ``pdist`` sums them.  ``scratch``, shaped like ``out``, holds each
+    column's squares."""
+    out.fill(0.0)
     for part, col in zip(block.T, coords.T):
-        t = np.subtract.outer(part, col)
-        s += t * t
-    return np.sqrt(s, out=s)
+        t = np.subtract.outer(part, col, out=scratch)
+        out += np.multiply(t, t, out=t)
+    return np.sqrt(out, out=out)
 
 
 def _triangle_violation(D):

@@ -35,6 +35,7 @@ from .core import (
     SizeLimitError,
     REAL_TOL,
     VALIDATION_TOL,
+    _TRIANGLE_BLOCK_ELEMENTS,
     _central_moment,
     _check_count,
     _row_dots,
@@ -226,13 +227,20 @@ def _anchor_starts(sp, rng, starts):
     head = min(starts, n)
     F[:head] = D[:head]
     F[head:2 * n] = -D[:min(starts, 2 * n) - head]
-    diam = sp.diam()
-    for f in F[2 * n:]:
-        # min-extension of random anchor values
-        k = int(rng.integers(1, min(n, 8) + 1))
-        idx = rng.choice(n, size=k, replace=False)
-        vals = rng.uniform(-diam, diam, size=k)
-        f[:] = np.min(vals[None, :] + D[:, idx], axis=1)
+    diam, width = sp.diam(), min(n, 8)
+    rand = F[2 * n:]
+    # min-extensions of up to eight random anchor values each; the draws
+    # keep their order, and +inf pads every start to eight anchors, which
+    # the minimum never selects
+    idx = np.zeros((len(rand), width), dtype=np.intp)
+    vals = np.full((len(rand), width), np.inf)
+    for row in range(len(rand)):
+        k = int(rng.integers(1, width + 1))
+        idx[row, :k] = rng.choice(n, size=k, replace=False)
+        vals[row, :k] = rng.uniform(-diam, diam, size=k)
+    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // (width * n))
+    for s in range(0, len(rand), rows):
+        np.min(vals[s:s + rows, :, None] + D.T[idx[s:s + rows]], axis=1, out=rand[s:s + rows])
     return F
 
 

@@ -3,6 +3,7 @@ measure distances, Ky Fan, entropy and the Lipschitz extension."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 from mmslab import core, generators
 from mmslab.atoms import AtomVector
-from conftest import corpus, random_embedded_space, random_shortest_path_space
+from conftest import (corpus, random_embedded_space, random_shortest_path_space,
+                      reference_euclidean_rows, reference_validate)
 
 
 def two_point(d=1.0, p=0.5):
@@ -101,10 +103,26 @@ def test_blocked_triangle_sweep_reports_the_first_j(n):
 
 def sweep_only_validate(sp):
     """``validate`` with the Euclidean certificate switched off, so that every
-    space goes through the triangle sweep."""
+    space goes through the triangle sweep.  It runs on a copy, so the matrix
+    the sweep builds for a space given by its coords is not kept on ``sp``."""
+    copy = core.FinitePmSpace(sp.points, sp._dist, sp.mass, sp.mass_rational, sp.coords)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_euclidean_certified", lambda coords, D: False)
-        return core.validate(sp)
+        mp.setattr(core, "_certified", lambda d, M, err: False)
+        return core.validate(copy)
+
+
+def certificate(coords, D):
+    """``core._certified`` on the quantities ``validate`` gathers for these
+    coords beside ``D``: max(max D, max Ê) and max |Ê - D|, with Ê the
+    Euclidean metric of the coords as ``core._euclidean_rows`` evaluates it.
+    False without coords or with one that is not finite, which ``validate``
+    does not try to certify."""
+    if coords is None or not np.all(np.isfinite(coords)):
+        return False
+    n, d = coords.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = core._euclidean_rows(coords, coords, np.empty((n, n)), np.empty((n, n)))
+        return core._certified(d, max(D.max(), est.max()), np.abs(est - D).max())
 
 
 def euclidean(pts):
@@ -170,7 +188,7 @@ class TestEuclideanCertificate:
             for sp in spaces:
                 want = sweep_only_validate(sp)
                 assert core.validate(sp) == want
-                if core._euclidean_certified(sp.coords, sp.dist):
+                if certificate(sp.coords, sp.dist):
                     certified += 1
                     assert core._triangle_violation(sp.dist) is None
                 rejected += want is not None
@@ -179,10 +197,10 @@ class TestEuclideanCertificate:
 
     def test_only_true_euclidean_coords_are_certified(self, rng):
         sp = random_embedded_space(rng, 30)
-        assert core._euclidean_certified(sp.coords, sp.dist)
-        assert not core._euclidean_certified(None, sp.dist)
-        assert not core._euclidean_certified(sp.coords * 1.001, sp.dist)
-        assert not core._euclidean_certified(sp.coords[:, :2], sp.dist)
+        assert certificate(sp.coords, sp.dist)
+        assert not certificate(None, sp.dist)
+        assert not certificate(sp.coords * 1.001, sp.dist)
+        assert not certificate(sp.coords[:, :2], sp.dist)
 
     @pytest.mark.parametrize("n", [3, 60])
     def test_the_excess_bound_keeps_its_factor_three(self, n):
@@ -199,7 +217,7 @@ class TestEuclideanCertificate:
             D[j, k] = D[k, j] = D[j, k] - delta
             sp = core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1.0 / n),
                                     coords=x[:, None])
-            assert core._euclidean_certified(sp.coords, D) is not rejected
+            assert certificate(sp.coords, D) is not rejected
             v = core.validate(sp)
             assert v == first_triangle_violation(D)
             assert (v is not None and v.code == "triangle"
@@ -219,7 +237,7 @@ class TestEuclideanCertificate:
         for col in pts.T:
             squares += np.subtract.outer(col, col) ** 2
         sp = core.FinitePmSpace((0, 1, 2), np.sqrt(squares), np.full(3, 1 / 3), coords=pts)
-        assert not core._euclidean_certified(sp.coords, sp.dist)
+        assert not certificate(sp.coords, sp.dist)
         v = core.validate(sp)
         assert v == first_triangle_violation(sp.dist) and v.indices == (0, 1, 2)
 
@@ -237,11 +255,174 @@ class TestEuclideanCertificate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for sp in cases:
-                assert not core._euclidean_certified(sp.coords, sp.dist)
+                assert not certificate(sp.coords, sp.dist)
                 assert core.validate(sp) == sweep_only_validate(sp)
         assert core.validate(cases[0]) is None
         assert core.validate(cases[1]).code == "coords"
         assert core.validate(cases[2]).code == "triangle"
+
+
+def rebuilt(sp, dist=None, mass=None, coords=None, given=True):
+    """A copy of ``sp`` with the given parts replaced; with ``given=False``
+    its metric is left to the coords."""
+    coords = sp.coords if coords is None else coords
+    if given:
+        dist = sp.dist if dist is None else dist
+    mass = sp.mass if mass is None else mass
+    return core.FinitePmSpace(sp.points, dist if given else None, mass, coords=coords)
+
+
+def edited(D, *entries):
+    """A copy of ``D`` with each (i, j, value) set."""
+    D = np.array(D)
+    for i, j, value in entries:
+        D[i, j] = value
+    return D
+
+
+def block_boundary_cases(n):
+    """Spaces of n points in the unit cube, built from coords and with
+    ``dist`` given, valid and with one violation of each code in the last
+    row block, or two in different blocks."""
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.0, 1.0, size=(n, 3))
+    mass = np.full(n, 1.0 / n)
+    built = core.FinitePmSpace(tuple(range(n)), None, mass, coords=pts)
+    given = core.FinitePmSpace(tuple(range(n)), reference_euclidean_rows(pts, pts), mass,
+                               coords=pts)
+    D, last = given.dist, n - 1
+    cases = [built, given, rebuilt(given, coords=None)]
+    for sp in (built, given):
+        moved = np.array(pts)
+        moved[last] = moved[last - 1]  # positivity at (last - 1, last)
+        cases.append(rebuilt(sp, coords=moved, dist=reference_euclidean_rows(moved, moved),
+                             given=sp is given))
+        moved = np.array(pts)
+        moved[last, 0] = np.inf  # finite
+        cases.append(rebuilt(sp, coords=moved, dist=reference_euclidean_rows(moved, moved),
+                             given=sp is given))
+        cases.append(rebuilt(sp, coords=pts * 1e5, dist=D * 1e5, given=sp is given))  # the sweep
+        heavy = np.array(mass)
+        heavy[last], heavy[0] = 0.0, 2.0 / n
+        cases.append(rebuilt(sp, mass=heavy, given=sp is given))  # mass_positive
+    broken = np.array(pts)
+    broken[last, 2] = np.nan
+    far = np.array(pts)
+    far[last, 1] += 5.0  # column 1 is not 1-Lipschitz for D
+    farther = np.array(far)
+    farther[0, 0] -= 5.0  # column 0 is not either
+    cases += [
+        rebuilt(given, dist=edited(D, (last, 2, np.nan))),
+        rebuilt(given, dist=edited(D, (last, 2, np.inf), (last - 1, 7, -np.inf))),
+        rebuilt(given, dist=edited(D, (last, 2, np.nan), (1, last, np.nan))),
+        rebuilt(given, dist=edited(D, (last, last, 1e-9))),
+        rebuilt(given, dist=edited(D, (last, last, -1e-9), (0, 0, 1e-11))),
+        rebuilt(given, dist=edited(D, (last, 4, D[last, 4] + 1e-9))),
+        rebuilt(given, dist=edited(D, (last, 4, D[last, 4] + 2e-9), (1, 3, D[1, 3] + 1e-9))),
+        rebuilt(given, dist=edited(D, (last, 4, D[last, 4] + 1e-9), (1, 3, D[1, 3] + 1e-9))),
+        rebuilt(given, dist=edited(D, (last, last - 1, 0.0), (last - 1, last, 0.0))),
+        rebuilt(given, dist=edited(D, (last, 1, -0.0), (1, last, -0.0), (2, 3, 0.0),
+                                   (3, 2, 0.0))),
+        rebuilt(given, dist=edited(D, (last, 1, -1e-3), (1, last, -1e-3), (2, 3, 0.0),
+                                   (3, 2, 0.0))),
+        rebuilt(given, dist=edited(D, (last, 0, D[last, 0] + 0.5), (0, last, D[last, 0] + 0.5))),
+        rebuilt(given, coords=broken),
+        rebuilt(given, coords=far),
+        rebuilt(given, coords=farther),
+        rebuilt(given, coords=far[:, 1:]),
+    ]
+    return cases
+
+
+def extreme_coords_cases():
+    """The overflowing and underflowing samples of
+    ``test_dist_of_extreme_coords_is_silent_and_rejected``, built from
+    coords and with ``dist`` given."""
+    cases = []
+    for scale in (1e200, 1e-170):
+        pts = np.random.default_rng(8).normal(size=(50, 3)) * scale
+        for dist in (None, reference_euclidean_rows(pts, pts)):
+            cases.append(core.FinitePmSpace(tuple(range(50)), dist, np.full(50, 1 / 50),
+                                            coords=pts))
+    return cases
+
+
+class TestBlockedValidate:
+    """``validate`` reads the metric in row blocks and reports what the
+    whole-matrix checks before it reported: code, indices and message."""
+
+    def test_same_reports_as_the_whole_matrix_checks(self):
+        spaces = certificate_corpus() + extreme_coords_cases()
+        codes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp in spaces:
+                want = reference_validate(sp)
+                assert core.validate(sp) == want
+                codes.add(want and want.code)
+        assert {None, "triangle", "finite", "positivity"} <= codes
+
+    @pytest.mark.parametrize("n", [49, 109, 110, 601])
+    def test_same_reports_at_block_boundaries(self, n):
+        codes = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp in block_boundary_cases(n):
+                want = reference_validate(sp)
+                assert core.validate(sp) == want
+                codes.append(want and want.code)
+        assert set(codes) == {None, "finite", "diagonal", "symmetry", "positivity", "triangle",
+                              "mass_positive", "coords"}
+
+    def test_a_certified_sample_keeps_its_matrix_unbuilt(self):
+        small = generators.gaussian_sample(100, 3, 1.0, seed=0)  # validated when made
+        assert small._dist is None
+        sp = generators.gaussian_sample(2000, 3, 1.0, seed=0)
+        tracemalloc.start()
+        try:
+            v = core.validate(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v is None and sp._dist is None
+        assert peak < 4 * 2 ** 20  # the 2000 x 2000 matrix alone is 30.5 MiB
+
+    def test_a_given_matrix_costs_two_row_blocks(self):
+        n = 600
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(0.0, 1.0, size=(n, 3))
+        block = (core._TRIANGLE_BLOCK_ELEMENTS // n) * n * 8
+        for coords in (pts, None):
+            sp = core.FinitePmSpace(tuple(range(n)), reference_euclidean_rows(pts, pts),
+                                    np.full(n, 1 / n), coords=coords)
+            tracemalloc.start()
+            try:
+                v = core.validate(sp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # beside the blocks, numpy's iterator buffers broadcast operands
+            assert v is None and peak <= 2 * block + 3 * np.getbufsize() * 8
+
+    def test_the_sweep_hook_sweeps_every_space(self, rng):
+        spaces = [generators.gaussian_sample(60, 3, 1.0, seed=1),
+                  random_embedded_space(rng, 60),
+                  random_embedded_space(rng, 10),
+                  core.FinitePmSpace(tuple(range(5)), None, np.full(5, 0.2),
+                                     coords=rng.uniform(size=(5, 2)))]
+        swept = []
+        sweep = core._triangle_violation
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_triangle_violation", lambda D: swept.append(len(D)) or sweep(D))
+            for sp in spaces:
+                assert sweep_only_validate(sp) is None
+            assert swept == [60, 60, 10, 5]
+            swept.clear()
+            for sp in spaces:
+                assert core.validate(sp) is None
+            # certified, except the small space with dist given
+            assert swept == [10]
+        assert spaces[0]._dist is None and spaces[3]._dist is None
 
 
 class TestScale:

@@ -9,7 +9,7 @@ import pytest
 from mmslab import atoms, core, generators as gen, observables as obs, order
 from mmslab.atoms import sort_atoms
 
-from conftest import random_embedded_space
+from conftest import random_embedded_space, reference_projection_violation
 
 
 def dissipation_projection(alpha, delta, n):
@@ -59,7 +59,7 @@ class TestValidity:
         for sp in spaces:
             for t in (1e-3, 1.0, 30.0, 1e5):
                 scaled = core.scale(sp, t)
-                assert core._projection_violation(scaled.coords, scaled.dist) is None
+                assert reference_projection_violation(scaled.coords, scaled.dist) is None
 
     def test_interval_grid_two_points(self):
         sp = gen.interval_grid(2, 1.0)

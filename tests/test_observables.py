@@ -1070,6 +1070,17 @@ class TestLockstepAscent:
             scale = (1e-3, 1.0, 1e3)[k % 3]
             yield builders[k % 4](rng, n, scale=scale)
 
+    def test_start_rows_equal_the_per_start_loop(self):
+        # the random starts are drawn one by one and their minima taken in
+        # row blocks; rows and the generator state after them are unchanged
+        for k, sp in enumerate(self.spaces()):
+            for starts in (1, sp.n, 2 * sp.n + 1, 64, 40 * sp.n + 7):
+                got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+                got = obs._anchor_starts(sp, got_rng, starts)
+                want = np.array(per_start_anchors(sp, want_rng, starts))
+                assert got.tobytes() == want.tobytes()
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_values_equal_the_per_start_loop(self):
         for k, sp in enumerate(self.spaces()):
             big = sp.n > 20

@@ -201,8 +201,10 @@ import numpy as np
 from mmslab import core, generators
 pts = np.random.default_rng(0).uniform(size=(60, 3))
 dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+certified, seen = core._certified, []
+core._certified = lambda *a: seen.append(certified(*a)) or seen[-1]
 sp = core.space(list(range(60)), dist, np.full(60, 1 / 60), coords=pts)
-print(core._euclidean_certified(sp.coords, sp.dist))
+print(seen == [True])
 print(generators.gaussian_sample(400, 3, seed=1).dist.shape)
 print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
 """
