@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,59 +142,77 @@ def validate(sp: FinitePmSpace):
     (``_scan_metric``) gathers everything but the triangle sweep, which runs
     on the whole matrix only when ``_certified`` cannot prove it silent; a
     certified space built from coords keeps ``dist`` unbuilt.
+
+    The certificate needs finite coords of at most 2^20 columns.  A space
+    with ``dist`` tries it only above _SWEEP_MAX_POINTS points, where the
+    tensor sweep costs more than evaluating its Euclidean metric; a
+    certified space has no violation for the sweep to find either way.  Only
+    a space with ``dist`` needs its coords checked against the metric: for
+    one built from coords the check holds by construction (see
+    ``_scan_metric``).
     """
     n = sp.n
     if n == 0:
         return Violation("empty", (), "space has no support points")
-    D, m = sp._dist, sp.mass
+    D, m, coords = sp._dist, sp.mass, sp.coords
     if D is not None and D.shape != (n, n):
         return Violation("shape", D.shape, f"dist must be {n}x{n}, got {D.shape}")
     if m.shape != (n,):
         return Violation("shape", m.shape, f"mass must have length {n}")
-    scan = _scan_metric(sp)
-    if isinstance(scan, Violation):
-        return scan
-    top, cert, late = scan
-    certified = cert is not None and _certified(sp.coords.shape[1], max(top, cert[0]), cert[1])
-    tri = None if certified else _triangle_violation(sp.dist)
-    if tri is not None:
-        i, j, k, gap = tri
-        return Violation(
-            "triangle",
-            (i, j, k),
-            f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}",
-        )
+    # a coordinate that is not finite gives a space built from coords a
+    # non-finite entry, which the scan reports first
+    finite = D is None or (coords is not None and bool(np.isfinite(coords).all()))
+    certify = finite and coords.shape[1] <= 1 << 20 and (D is None or n > _SWEEP_MAX_POINTS)
+    first, top, cert, gaps = _scan_metric(sp, certify, finite and D is not None)
+    if first is not None:
+        return first
+    if cert is None or not _certified(coords.shape[1], max(top, cert[0]), cert[1]):
+        tri = _triangle_violation(sp.dist)
+        if tri is not None:
+            i, j, k, gap = tri
+            return Violation(
+                "triangle",
+                (i, j, k),
+                f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}",
+            )
     v = _mass_violation(sp)
-    return v if v is not None else late
+    if v is not None or coords is None:
+        return v
+    if not finite:
+        i, c = np.argwhere(~np.isfinite(coords))[0]
+        return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
+    for c, (gap, i, j) in enumerate(gaps or ()):
+        if gap > VALIDATION_TOL * max(1.0, top):
+            return Violation(
+                "coords",
+                (i, j, c),
+                f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
+            )
+    return None
 
 
-def _scan_metric(sp: FinitePmSpace):
+def _scan_metric(sp: FinitePmSpace, certify, check_coords):
     """One pass over the rows of the metric D of ``sp``, in blocks of at
-    most _TRIANGLE_BLOCK_ELEMENTS values.  Returns the first failed check
-    among finite, diagonal, symmetry and positivity as a Violation, or
-    ``(top, cert, late)``:
+    most _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, cert,
+    gaps)``:
 
+    - ``first`` is the first failed check among finite, diagonal, symmetry
+      and positivity, as a Violation, or None; the other values are only
+      meaningful when it is None;
     - ``top`` is max D;
-    - ``cert`` is ``(max Ê, max |Ê - D|)`` for ``_certified``, with Ê the
-      Euclidean metric of the coords as ``_euclidean_rows`` evaluates it
-      beside a given D, or None when no certificate is tried;
-    - ``late`` is the coords check, which ``validate`` reports last: the
-      first coordinate that is not finite, else the first column c with
-      |c_i - c_j| - D[i, j] above 1e-12 max(1, max D) somewhere, at the
-      largest such gap, as a Violation; or None.
+    - ``cert`` is ``(max Ê, max |Ê - D|)`` for ``_certified`` when
+      ``certify``, with Ê the Euclidean metric of the coords as
+      ``_euclidean_rows`` evaluates it, else None;
+    - ``gaps`` holds, per coordinate column c, the largest |c_i - c_j| -
+      D[i, j] as (gap, i, j) when ``check_coords``, else None; ``validate``
+      reports a gap above 1e-12 max(1, max D) last, as the coords check.
 
     Every position is the first row-major one, as an argmax or argmin over
     the whole matrix finds it.
 
-    A block is a view of ``dist`` when the space has one.  A space with
-    ``dist`` evaluates Ê beside it only when its coords are finite, have at
-    most 2^20 columns and the space has more than _SWEEP_MAX_POINTS points:
-    below that the tensor sweep costs less than the evaluation, and a
-    certified space has no violation for the sweep to find.
-
-    A space built from coords (``_dist`` is None) has the rows of Ê as its
-    blocks, and once every entry is finite these checks hold for it by
-    construction:
+    A block is a view of ``dist`` when the space has one.  A space built
+    from coords (``_dist`` is None) has the rows of Ê as its blocks, and
+    once every entry is finite these checks hold for it by construction:
 
     - Diagonal: a finite x gives x - x = +0 exactly, so every square, sum
       and root on the diagonal is 0.
@@ -216,20 +233,11 @@ def _scan_metric(sp: FinitePmSpace):
     """
     n, D, coords = sp.n, sp._dist, sp.coords
     given = D is not None
-    cert = None if given else (0.0, 0.0)
-    late = gaps = None
-    if given and coords is not None:
-        bad = np.argwhere(~np.isfinite(coords))
-        if bad.size:
-            i, c = bad[0]
-            late = Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
-        else:
-            gaps = [None] * coords.shape[1]
-            if coords.shape[1] <= 1 << 20 and n > _SWEEP_MAX_POINTS:
-                cert = (0.0, 0.0)
     rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
     work = np.empty((rows, n))
-    spare = None if cert is None else np.empty((rows, n))  # holds Ê or its squares
+    spare = np.empty((rows, n)) if certify or not given else None  # holds Ê or its squares
+    cert = (0.0, 0.0) if certify else None
+    gaps = [None] * coords.shape[1] if check_coords else None
     diag = asym = low = None
     top = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,8 +248,8 @@ def _scan_metric(sp: FinitePmSpace):
             hi, lo = block.max(), block.min()
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 i, j = np.argwhere(~np.isfinite(block))[0]
-                return Violation("finite", (s + int(i), int(j)),
-                                 f"dist[{s + i}][{j}] is not finite")
+                return (Violation("finite", (s + int(i), int(j)),
+                                  f"dist[{s + i}][{j}] is not finite"), top, None, None)
             top = max(top, float(hi))
             if given:
                 on = np.abs(block.diagonal(s)) > VALIDATION_TOL
@@ -249,47 +257,39 @@ def _scan_metric(sp: FinitePmSpace):
                     i = int(np.argmax(on))
                     diag = (s + i, block[i, s + i])
                 np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
-                asym = _first_extreme(asym, w, s, np.argmax, operator.gt)
+                asym = _first_extreme(asym, w, s, np.argmax)
             np.copyto(w, block)
             np.fill_diagonal(w[:, s:], np.inf)
-            low = _first_extreme(low, w, s, np.argmin, operator.lt)
-            if given and cert is not None:
+            low = _first_extreme(low, w, s, np.argmin)
+            if given and certify:
                 est = _euclidean_rows(coords[s:e], coords, w, spare[:e - s])
                 far = max(cert[0], float(est.max()))
                 np.abs(np.subtract(est, block, out=w), out=w)
                 cert = (far, max(cert[1], float(w.max())))
-            if gaps is not None:
+            if check_coords:
                 for c, col in enumerate(coords.T):
                     np.abs(np.subtract.outer(col[s:e], col, out=w), out=w)
-                    gaps[c] = _first_extreme(gaps[c], np.subtract(w, block, out=w), s,
-                                             np.argmax, operator.gt)
+                    gaps[c] = _first_extreme(gaps[c], np.subtract(w, block, out=w), s, np.argmax)
+    first = None
     if diag is not None:
         i, value = diag
-        return Violation("diagonal", (i,), f"dist[{i}][{i}] = {value} != 0")
-    if asym is not None and asym[0] > VALIDATION_TOL:
+        first = Violation("diagonal", (i,), f"dist[{i}][{i}] = {value} != 0")
+    elif asym is not None and asym[0] > VALIDATION_TOL:
         _, i, j = asym
-        return Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
-    if low[0] <= 0:
+        first = Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
+    elif low[0] <= 0:
         value, i, j = low
-        return Violation("positivity", (i, j), f"dist[{i}][{j}] = {value} <= 0 for i != j")
-    for c, (gap, i, j) in enumerate(gaps or ()):
-        if gap > VALIDATION_TOL * max(1.0, top):
-            late = Violation(
-                "coords",
-                (i, j, c),
-                f"coordinate {c} of points {i} and {j} differs by more than dist[{i}][{j}]",
-            )
-            break
-    return top, cert, late
+        first = Violation("positivity", (i, j), f"dist[{i}][{j}] = {value} <= 0 for i != j")
+    return first, top, cert, gaps
 
 
-def _first_extreme(best, block, start, arg, better):
+def _first_extreme(best, block, start, arg):
     """``best`` or the extreme of ``block`` (rows from ``start``) that
-    ``arg`` finds, as (value, i, j), whichever is ``better``; a tie keeps
-    ``best``, the earlier position."""
+    ``arg``, np.argmax or np.argmin, finds, as (value, i, j), whichever is
+    further that way; a tie keeps ``best``, the earlier position."""
     k = int(arg(block))
     value = block.flat[k]
-    if best is None or better(value, best[0]):
+    if best is None or (value > best[0] if arg is np.argmax else value < best[0]):
         return value, start + k // block.shape[1], k % block.shape[1]
     return best
 
@@ -354,7 +354,7 @@ def _certified(d, M, err):
     u = 2.0 ** -53
     rho = (d + 5) / 2 * u
     eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
-    return (3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL
+    return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL)
 
 
 def _euclidean_rows(block, coords, out, scratch):

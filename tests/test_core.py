@@ -125,6 +125,14 @@ def certificate(coords, D):
         return core._certified(d, max(D.max(), est.max()), np.abs(est - D).max())
 
 
+def certificate_verdicts(sp):
+    """``core.validate(sp)`` and the verdicts of every certificate it tried."""
+    seen, certified = [], core._certified
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_certified", lambda *a: seen.append(certified(*a)) or seen[-1])
+        return core.validate(sp), seen
+
+
 def euclidean(pts):
     return np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
 
@@ -202,13 +210,14 @@ class TestEuclideanCertificate:
         assert not certificate(sp.coords * 1.001, sp.dist)
         assert not certificate(sp.coords[:, :2], sp.dist)
 
-    @pytest.mark.parametrize("n", [3, 60])
+    @pytest.mark.parametrize("n", [3, 13, 60])
     def test_the_excess_bound_keeps_its_factor_three(self, n):
         # on collinear points lowering dist[i][j] and dist[j][k] and raising
         # dist[i][k] by delta moves each entry delta from the Euclidean
-        # metric but the excess through j by 3 delta
+        # metric but the excess through j by 3 delta; validate tries the
+        # certificate above the tensor sweep's range
         x = np.arange(n) / 64.0
-        i, j, k = (0, 1, 2) if n == 3 else (3, 20, 41)
+        i, j, k = (3, 20, 41) if n == 60 else (0, 1, 2)
         for three_delta, rejected in ((0.99e-12, False), (1.02e-12, True)):
             D = np.abs(x[:, None] - x[None, :])
             delta = three_delta / 3
@@ -218,34 +227,46 @@ class TestEuclideanCertificate:
             sp = core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1.0 / n),
                                     coords=x[:, None])
             assert certificate(sp.coords, D) is not rejected
-            v = core.validate(sp)
+            v, seen = certificate_verdicts(sp)
+            assert seen == ([] if n <= core._SWEEP_MAX_POINTS else [not rejected])
             assert v == first_triangle_violation(D)
             assert (v is not None and v.code == "triangle"
                     and v.indices == (min(i, k), j, max(i, k))) is rejected
 
     def test_the_rounding_of_the_euclidean_metric_counts(self):
         # three nearly collinear points in R^5 whose Euclidean distances, as
-        # computed, break the triangle inequality by 1.36e-12 through rounding
-        pts = np.array([
+        # computed, break the triangle inequality by 1.36e-12 through rounding;
+        # ten more points further along the first axis take the space above
+        # the tensor sweep's range, and the first violation stays (0, 1, 2)
+        triple = np.array([
             [387.7141745612483, -1043.150897030914, 363.6461769773352, 2995.593093556978,
              -537.6411048177647],
             [379.3367189096429, -1416.1359598454512, 243.2861840106521, 3008.7335504147445,
              -441.530159491722],
             [321.17039926396956, -4005.8444929577186, -592.3968818984504, 3099.9703227314744,
              225.78700693352403]])
-        squares = np.zeros((3, 3))
-        for col in pts.T:
-            squares += np.subtract.outer(col, col) ** 2
-        sp = core.FinitePmSpace((0, 1, 2), np.sqrt(squares), np.full(3, 1 / 3), coords=pts)
-        assert not certificate(sp.coords, sp.dist)
-        v = core.validate(sp)
-        assert v == first_triangle_violation(sp.dist) and v.indices == (0, 1, 2)
+        for extra in (0, 10):
+            further = triple[2] + np.outer(np.arange(1, extra + 1), [1e3, 0, 0, 0, 0])
+            pts = np.vstack([triple, further])
+            n = len(pts)
+            squares = np.zeros((n, n))
+            for col in pts.T:
+                squares += np.subtract.outer(col, col) ** 2
+            sp = core.FinitePmSpace(tuple(range(n)), np.sqrt(squares), np.full(n, 1 / n),
+                                    coords=pts)
+            assert not certificate(sp.coords, sp.dist)
+            v, seen = certificate_verdicts(sp)
+            assert seen == ([] if n <= core._SWEEP_MAX_POINTS else [False])
+            assert v == first_triangle_violation(sp.dist) and v.indices == (0, 1, 2)
 
     def test_huge_and_infinite_coords_take_the_sweep_without_warnings(self):
         x = np.array([0.0, 1e200, 3e200])
         D = np.abs(x[:, None] - x[None, :])
         mass = np.full(3, 1 / 3)
         cases = [core.FinitePmSpace((0, 1, 2), D, mass, coords=x[:, None])]
+        wide = np.arange(13) * 2.0 ** 665  # exact differences near 1e200, above the sweep's range
+        cases.append(core.FinitePmSpace(tuple(range(13)), np.abs(np.subtract.outer(wide, wide)),
+                                        np.full(13, 1 / 13), coords=wide[:, None]))
         for bad in (np.inf, -np.inf, np.nan):
             coords = np.array([[0.0], [bad], [2.0]])
             cases.append(core.FinitePmSpace((0, 1, 2), [[0, 1, 2], [1, 0, 1], [2, 1, 0]], mass,
@@ -256,10 +277,12 @@ class TestEuclideanCertificate:
             warnings.simplefilter("error")
             for sp in cases:
                 assert not certificate(sp.coords, sp.dist)
-                assert core.validate(sp) == sweep_only_validate(sp)
-        assert core.validate(cases[0]) is None
-        assert core.validate(cases[1]).code == "coords"
-        assert core.validate(cases[2]).code == "triangle"
+                v, seen = certificate_verdicts(sp)
+                assert v == sweep_only_validate(sp)
+                assert seen == ([False] if sp is cases[1] else [])
+        assert core.validate(cases[0]) is None and core.validate(cases[1]) is None
+        assert core.validate(cases[2]).code == "coords"
+        assert core.validate(cases[3]).code == "triangle"
 
 
 def rebuilt(sp, dist=None, mass=None, coords=None, given=True):
