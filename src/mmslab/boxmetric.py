@@ -115,42 +115,35 @@ def _maxflow_coupling(kept_cells, mass_x, mass_y):
 
 
 def _all_maxdisc(disc, ncells):
-    """maxdisc[mask]: largest pairwise discrepancy among the cells in mask."""
-    size = 1 << ncells
-    md = np.zeros(size)
+    """maxdisc[mask]: largest pairwise discrepancy among the cells in mask.
+
+    A mask whose highest cell is i adds to the mask below it the largest
+    disc[i, k] over its cells k < i: below[mask] folds the lower triangle
+    of ``disc``, column i of which is that maximum."""
+    below = _subset_fold(np.maximum, np.tril(disc, -1).T)
+    md = np.zeros(1 << ncells)
     for i in range(ncells):
         step = 1 << i
-        # rowmax over masks restricted to bits below the running doubling
-        row = _subset_fold(np.maximum, disc[i, :])  # max disc between cell i and mask
-        # masks are finalised at the pass of their highest set bit, which
-        # overwrites any interim value with max over the fully processed rest
-        md = md.reshape(-1, 2 * step)
-        row = row.reshape(-1, 2 * step)
-        md[:, step:] = np.maximum(md[:, :step], row[:, :step])
-        md = md.ravel()
+        md[step:2 * step] = np.maximum(md[:step], below[:step, i])
     return md
 
 
 def _all_maxflow(masks_count, nx, ny, mass_x, mass_y):
     """Vectorised maximal kept mass per cell mask via min vertex covers.
 
-    Enumerates uncut subsets of the smaller side; the neighbours each of its
-    points reaches on the other side are one bitmask per cell mask."""
+    A cover takes a subset A of the smaller side and, on the other side,
+    the points its kept cells reach; cut[A] is the mass outside A and
+    reach[A] one bitmask of those points per cell mask."""
     masks = np.arange(masks_count, dtype=np.int64)
     kept = ((masks[:, None] >> np.arange(nx * ny)) & 1).reshape(-1, nx, ny)
     if nx > ny:
         kept, nx, ny, mass_x, mass_y = kept.transpose(0, 2, 1), ny, nx, mass_y, mass_x
     reached = (kept @ (1 << np.arange(ny))).T  # reached[i][mask]: bits of the kept (i, y)
-    other_sum = _subset_fold(np.add, mass_y)
-    best = np.full(masks_count, np.inf)
-    for a_mask in range(1 << nx):
-        cut = sum(mass_x[i] for i in range(nx) if not a_mask >> i & 1)
-        reach = np.zeros(masks_count, dtype=np.int64)
-        for i in range(nx):
-            if a_mask >> i & 1:
-                reach |= reached[i]
-        best = np.minimum(best, cut + other_sum[reach])
-    return np.minimum(best, 1.0)
+    cut = _subset_fold(np.add, mass_x)[::-1]
+    reach = _subset_fold(np.bitwise_or, reached, np.int64)
+    cover = _subset_fold(np.add, mass_y)[reach]
+    cover += cut[:, None]
+    return np.minimum(cover.min(axis=0), 1.0)
 
 
 def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):

@@ -31,9 +31,6 @@ PROKHOROV_MAX_POINTS = 20
 # 1-D trial family come in row blocks of the same size.
 _TRIANGLE_BLOCK_LIMIT = 48
 _TRIANGLE_BLOCK_ELEMENTS = 65536
-# Up to this size a space with dist takes the tensor sweep without trying the
-# Euclidean certificate of its coords, which costs more there.
-_SWEEP_MAX_POINTS = 12
 
 
 class InputError(ValueError):
@@ -143,12 +140,10 @@ def validate(sp: FinitePmSpace):
     on the whole matrix only when ``_certified`` cannot prove it silent; a
     certified space built from coords keeps ``dist`` unbuilt.
 
-    The certificate needs finite coords of at most 2^20 columns.  A space
-    with ``dist`` tries it only above _SWEEP_MAX_POINTS points, where the
-    tensor sweep costs more than evaluating its Euclidean metric; a
-    certified space has no violation for the sweep to find either way.  Only
-    a space with ``dist`` needs its coords checked against the metric: for
-    one built from coords the check holds by construction (see
+    Every space whose coords are finite, with at most 2^20 columns, tries
+    the certificate; a certified space has no violation for the sweep to
+    find.  Only a space with ``dist`` needs its coords checked against the
+    metric: for one built from coords the check holds by construction (see
     ``_scan_metric``).
     """
     n = sp.n
@@ -162,7 +157,7 @@ def validate(sp: FinitePmSpace):
     # a coordinate that is not finite gives a space built from coords a
     # non-finite entry, which the scan reports first
     finite = D is None or (coords is not None and bool(np.isfinite(coords).all()))
-    certify = finite and coords.shape[1] <= 1 << 20 and (D is None or n > _SWEEP_MAX_POINTS)
+    certify = finite and coords.shape[1] <= 1 << 20
     first, top, cert, gaps = _scan_metric(sp, certify, finite and D is not None)
     if first is not None:
         return first
@@ -372,7 +367,10 @@ def _euclidean_rows(block, coords, out, scratch):
 
 def _triangle_violation(D):
     """(i, j, k, gap) for the first found D[i, k] - (D[i, j] + D[j, k]) above
-    the tolerance, with the gap as measured, or None."""
+    the tolerance, with the gap as measured, or None.  Above
+    _TRIANGLE_BLOCK_LIMIT points the check and the report read the excess
+    through j in row blocks of one reused buffer; the report takes the
+    smallest violating j, then the first row-major argmax over (i, k)."""
     n = D.shape[0]
     if n <= 2:
         return None
@@ -382,21 +380,24 @@ def _triangle_violation(D):
             return None
         i, j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
         return int(i), int(j), int(k), float(gap[i, j, k])
-    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
+    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
     buf = np.empty((rows, n))
-    for start, j in itertools.product(range(0, n, rows), range(n)):
-        block = D[start:start + rows]
+
+    def excess(s, j):
+        block = D[s:s + rows]
         out = np.add(block[:, j, None], D[j], out=buf[:len(block)])
-        if np.subtract(block, out, out=out).max() > VALIDATION_TOL:
-            break
-    else:
+        return np.subtract(block, out, out=out)
+
+    if not any(excess(s, j).max() > VALIDATION_TOL
+               for s, j in itertools.product(range(0, n, rows), range(n))):
         return None
-    # report the smallest violating j, then the largest gap over (i, k)
     for j in range(n):
-        gap = D - (D[:, j][:, None] + D[j][None, :])
-        if gap.max() > VALIDATION_TOL:
-            i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            return int(i), j, int(k), float(gap[i, k])
+        best = None
+        for s in range(0, n, rows):
+            best = _first_extreme(best, excess(s, j), s, np.argmax)
+        if best[0] > VALIDATION_TOL:
+            gap, i, k = best
+            return i, j, k, float(gap)
 
 
 def _check_count(name, value, low=1):
@@ -600,13 +601,15 @@ def _smallest_fixed_point(values, excess):
 
 def _subset_fold(ufunc, values, dtype=float):
     """out[mask] = ufunc folded over values[i] for the bits i set in mask,
-    starting from 0 for the empty mask, over all 2^len(values) masks."""
-    out = np.zeros(1 << len(values), dtype=dtype)
+    in ascending i, starting from 0 for the empty mask, over all
+    2^len(values) masks.  An entry values[i] may be an array; out[mask] then
+    has its shape."""
+    values = np.asarray(values)
+    out = np.zeros((1 << len(values),) + values.shape[1:], dtype=dtype)
     for i, v in enumerate(values):
         step = 1 << i
-        out = out.reshape(-1, 2 * step)
-        out[:, step:] = ufunc(out[:, :step], v)
-        out = out.ravel()
+        half = out.reshape(-1, 2 * step, *values.shape[1:])
+        half[:, step:] = ufunc(half[:, :step], v)
     return out
 
 

@@ -106,7 +106,8 @@ def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
     if sigma <= 0:
         raise InputError("gaussian_sample needs sigma > 0")
     rng = np.random.default_rng(seed)
-    pts = sigma * rng.standard_normal((n_points, dim))
+    with np.errstate(over="ignore"):  # coords that overflow are rejected as not finite
+        pts = sigma * rng.standard_normal((n_points, dim))
     return _finish(
         tuple(f"g{k}" for k in range(n_points)),
         None,

@@ -314,6 +314,50 @@ def submatrix_selection(disc_sub, masses, rng, restarts):
     return best
 
 
+def loop_maxdisc(disc, ncells):
+    """Reference ``_all_maxdisc``: one max-fold of row i of ``disc`` per cell
+    i, written into the masks whose highest cell is i."""
+    md = np.zeros(1 << ncells)
+    for i in range(ncells):
+        step = 1 << i
+        row = core._subset_fold(np.maximum, disc[i, :])
+        md = md.reshape(-1, 2 * step)
+        row = row.reshape(-1, 2 * step)
+        md[:, step:] = np.maximum(md[:, :step], row[:, :step])
+        md = md.ravel()
+    return md
+
+
+def loop_maxflow(masks_count, nx, ny, mass_x, mass_y):
+    """Reference ``_all_maxflow``: a Python loop over the subsets of the
+    smaller side, summing its cut and or-ing its reach one point at a time."""
+    masks = np.arange(masks_count, dtype=np.int64)
+    kept = ((masks[:, None] >> np.arange(nx * ny)) & 1).reshape(-1, nx, ny)
+    if nx > ny:
+        kept, nx, ny, mass_x, mass_y = kept.transpose(0, 2, 1), ny, nx, mass_y, mass_x
+    reached = (kept @ (1 << np.arange(ny))).T
+    other_sum = core._subset_fold(np.add, mass_y)
+    best = np.full(masks_count, np.inf)
+    for a_mask in range(1 << nx):
+        cut = sum(mass_x[i] for i in range(nx) if not a_mask >> i & 1)
+        reach = np.zeros(masks_count, dtype=np.int64)
+        for i in range(nx):
+            if a_mask >> i & 1:
+                reach |= reached[i]
+        best = np.minimum(best, cut + other_sum[reach])
+    return np.minimum(best, 1.0)
+
+
+def nearly_symmetric(rng, n):
+    """Random distances in [1, 1.9] whose matrix is asymmetric by up to 1e-12,
+    within the validation tolerance."""
+    raw = 1.0 + 0.9 * rng.random((n, n))
+    D = np.triu(raw, 1) + np.triu(raw, 1).T + np.triu(rng.uniform(0, 1e-12, (n, n)), 1)
+    sp = core.FinitePmSpace(tuple(range(n)), D, rng.dirichlet(np.ones(n)))
+    assert core.validate(sp) is None
+    return sp
+
+
 BOX_UPPER_64 = """
 from mmslab import boxmetric, generators
 sx = generators.gaussian_sample(64, 3, 1.0, seed=1)
@@ -383,6 +427,26 @@ class TestSearchKernelsPinned:
             want = submatrix_selection(disc, masses, gen_want, 2)
             assert got == want
             assert gen_got.bit_generator.state == gen_want.bit_generator.state
+
+    def test_subset_kernels_match_their_loops(self):
+        # the masks' largest discrepancy and kept mass of box_exact_small on
+        # every shape, for symmetric, nearly symmetric and tied discrepancies
+        rng = np.random.default_rng(25)
+        top = boxmetric.EXACT_MAX_CELLS
+        for nx, ny in [(x, y) for x in range(1, top + 1) for y in range(1, top // x + 1)]:
+            ncells = nx * ny
+            pairs = [(random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)),
+                     (nearly_symmetric(rng, nx), nearly_symmetric(rng, ny))]
+            discs = [boxmetric._cell_discrepancy(sx, sy, np.arange(ncells)) for sx, sy in pairs]
+            discs.append(rng.integers(0, 3, size=(ncells, ncells)) * 0.25)
+            for disc in discs:
+                got = boxmetric._all_maxdisc(disc, ncells)
+                assert got.tobytes() == loop_maxdisc(disc, ncells).tobytes()
+            masses = [(np.full(nx, 1 / nx), np.full(ny, 1 / ny))]
+            masses += [(sx.mass, sy.mass) for sx, sy in pairs]
+            for mx, my in masses:
+                got = boxmetric._all_maxflow(1 << ncells, nx, ny, mx, my)
+                assert got.tobytes() == loop_maxflow(1 << ncells, nx, ny, mx, my).tobytes()
 
     @pytest.mark.parametrize("m", [5, 39, 256])
     def test_two_opt_work_independent_of_restarts(self, m, monkeypatch):

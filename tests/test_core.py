@@ -55,16 +55,25 @@ class TestValidate:
             core.space(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]], [1 / 3] * 3)
 
 
-def first_triangle_violation(D):
+def whole_matrix_triangle(D):
     """Reference report: the smallest j with any gap above the tolerance,
-    then the argmax of that gap over (i, k)."""
+    then the argmax of that gap over (i, k), from one n x n gap per j."""
     for j in range(len(D)):
         gap = D - (D[:, j][:, None] + D[j][None, :])
         if gap.max() > core.VALIDATION_TOL:
             i, k = (int(t) for t in np.unravel_index(int(np.argmax(gap)), gap.shape))
-            msg = f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap[i, k]:.3e}"
-            return core.Violation("triangle", (i, j, k), msg)
+            return i, j, k, float(gap[i, k])
     return None
+
+
+def first_triangle_violation(D):
+    """The Violation ``validate`` makes of ``whole_matrix_triangle(D)``."""
+    tri = whole_matrix_triangle(D)
+    if tri is None:
+        return None
+    i, j, k, gap = tri
+    msg = f"dist[{i}][{k}] > dist[{i}][{j}] + dist[{j}][{k}] by {gap:.3e}"
+    return core.Violation("triangle", (i, j, k), msg)
 
 
 def planted(n, seed, shortcuts, rise=0.0):
@@ -99,6 +108,40 @@ def test_blocked_triangle_sweep_reports_the_first_j(n):
             want = first_triangle_violation(D.dist)
             assert want is not None and want.indices[1] == min(j for _, j, _ in shortcuts)
             assert core.validate(D) == want
+
+
+@pytest.mark.parametrize("n", [49, 110, 601])
+def test_blocked_triangle_report_matches_the_whole_matrix(n):
+    # the report reads the excess through j in row blocks (601 points take
+    # six); ties of equal rise through one j resolve to the first (i, k)
+    last = n - 3
+    cases = [[(4, n // 2, n - 5)],
+             [(1, n - 1, 2), (last, 3, n - 2)],
+             [(n - 1, 0, 7), (9, 0, 30), (20, 40, 41)],
+             [(last, 5, 2), (n - 2, 5, 0), (6, 9, 8)],
+             [(10, 30, 11), (n - 1, 20, n - 2), (12, 20, 13)]]
+    for shortcuts in cases:
+        for rise in (2e-12, 0.3):
+            D = planted(n, n, shortcuts, rise).dist
+            got = core._triangle_violation(D)
+            assert got == whole_matrix_triangle(D)
+            assert [type(t) for t in got] == [int, int, int, float]
+            assert got[1] == min(j for _, j, _ in shortcuts)
+
+
+def test_triangle_report_holds_no_square_temporary():
+    # 1500 points take 35 blocks of 43 rows; the first violation found is
+    # through j = 10 in the first block, the one reported through j = 3 in
+    # the last block; one n x n gap of the whole matrix takes 17 MiB
+    D = planted(1500, 3, [(1490, 3, 1450), (0, 10, 5)], 0.3).dist
+    tracemalloc.start()
+    try:
+        got = core._triangle_violation(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == whole_matrix_triangle(D)
+    assert got[:3] == (1450, 3, 1490) and peak <= 4 << 20
 
 
 def sweep_only_validate(sp):
@@ -215,7 +258,7 @@ class TestEuclideanCertificate:
         # on collinear points lowering dist[i][j] and dist[j][k] and raising
         # dist[i][k] by delta moves each entry delta from the Euclidean
         # metric but the excess through j by 3 delta; validate tries the
-        # certificate above the tensor sweep's range
+        # certificate at every size
         x = np.arange(n) / 64.0
         i, j, k = (3, 20, 41) if n == 60 else (0, 1, 2)
         for three_delta, rejected in ((0.99e-12, False), (1.02e-12, True)):
@@ -228,7 +271,7 @@ class TestEuclideanCertificate:
                                     coords=x[:, None])
             assert certificate(sp.coords, D) is not rejected
             v, seen = certificate_verdicts(sp)
-            assert seen == ([] if n <= core._SWEEP_MAX_POINTS else [not rejected])
+            assert seen == [not rejected]
             assert v == first_triangle_violation(D)
             assert (v is not None and v.code == "triangle"
                     and v.indices == (min(i, k), j, max(i, k))) is rejected
@@ -236,8 +279,8 @@ class TestEuclideanCertificate:
     def test_the_rounding_of_the_euclidean_metric_counts(self):
         # three nearly collinear points in R^5 whose Euclidean distances, as
         # computed, break the triangle inequality by 1.36e-12 through rounding;
-        # ten more points further along the first axis take the space above
-        # the tensor sweep's range, and the first violation stays (0, 1, 2)
+        # with ten more points further along the first axis the first
+        # violation stays (0, 1, 2)
         triple = np.array([
             [387.7141745612483, -1043.150897030914, 363.6461769773352, 2995.593093556978,
              -537.6411048177647],
@@ -256,7 +299,7 @@ class TestEuclideanCertificate:
                                     coords=pts)
             assert not certificate(sp.coords, sp.dist)
             v, seen = certificate_verdicts(sp)
-            assert seen == ([] if n <= core._SWEEP_MAX_POINTS else [False])
+            assert seen == [False]
             assert v == first_triangle_violation(sp.dist) and v.indices == (0, 1, 2)
 
     def test_huge_and_infinite_coords_take_the_sweep_without_warnings(self):
@@ -264,7 +307,7 @@ class TestEuclideanCertificate:
         D = np.abs(x[:, None] - x[None, :])
         mass = np.full(3, 1 / 3)
         cases = [core.FinitePmSpace((0, 1, 2), D, mass, coords=x[:, None])]
-        wide = np.arange(13) * 2.0 ** 665  # exact differences near 1e200, above the sweep's range
+        wide = np.arange(13) * 2.0 ** 665  # exact differences near 1e200
         cases.append(core.FinitePmSpace(tuple(range(13)), np.abs(np.subtract.outer(wide, wide)),
                                         np.full(13, 1 / 13), coords=wide[:, None]))
         for bad in (np.inf, -np.inf, np.nan):
@@ -275,11 +318,11 @@ class TestEuclideanCertificate:
                                             coords=coords))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sp in cases:
+            for c, sp in enumerate(cases):
                 assert not certificate(sp.coords, sp.dist)
                 v, seen = certificate_verdicts(sp)
                 assert v == sweep_only_validate(sp)
-                assert seen == ([False] if sp is cases[1] else [])
+                assert seen == ([False] if c < 2 else [])
         assert core.validate(cases[0]) is None and core.validate(cases[1]) is None
         assert core.validate(cases[2]).code == "coords"
         assert core.validate(cases[3]).code == "triangle"
@@ -443,8 +486,8 @@ class TestBlockedValidate:
             swept.clear()
             for sp in spaces:
                 assert core.validate(sp) is None
-            # certified, except the small space with dist given
-            assert swept == [10]
+            # every space is certified
+            assert swept == []
         assert spaces[0]._dist is None and spaces[3]._dist is None
 
 
