@@ -22,7 +22,7 @@ import numpy as np
 
 from ._scipy import connected_components
 from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL, _check_count
-from .observables import SEPARATION_MAX_POINTS, separation
+from .observables import SEPARATION_MAX_POINTS, SEPARATION_MAX_POSITIVE, separation
 
 MAX_CONTRACTION = 16
 MAX_PACKING = 20
@@ -262,7 +262,8 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
     below 0.05, (b) nonincreasing largest small bin, vanishing when
     diffuse mass exists, (c) nondecreasing small-bin counts when diffuse mass
     exists.  A separation cross-check at the prescribed thresholds runs on the
-    members within the exact-search size limits and must reach delta.
+    members within separation's point limit, for each threshold sequence
+    within its limit on positive entries, and must reach delta.
     """
     spaces = list(sequence)
     if len(spaces) < 4:
@@ -312,7 +313,9 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
         eps_grid = [e for e in (0.01, 0.02, 0.05, 0.1) if e < cap] or (
             [cap / 2] if cap > VALIDATION_TOL else []
         )
-        if not eps_grid or not checked:
+        # every slack is below min(merged) / 2, so all len(merged) reduced
+        # thresholds stay positive: beyond separation's limit, skip the kappa
+        if not eps_grid or not checked or len(merged) > SEPARATION_MAX_POSITIVE:
             continue
         slack = [_smallest_slack(spaces[idx], merged, eps_grid, delta) for idx in checked]
         sep_rows += [(idx, len(kap), eps) for idx, eps in zip(checked, slack)]
@@ -343,11 +346,8 @@ def _smallest_slack(sp, kappa, eps_grid, delta):
         reduced = tuple(k - eps for k in kappa)
         if sum(k for k in reduced if k > 0) > 1.0:
             continue
-        try:
-            if separation(sp, reduced) >= delta - 1e-9:
-                return eps
-        except SizeLimitError:
-            pass
+        if separation(sp, reduced) >= delta - 1e-9:
+            return eps
     return math.inf
 
 

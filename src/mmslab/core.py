@@ -74,9 +74,8 @@ class FinitePmSpace:
     with ``dist=None`` takes the Euclidean distances of its ``coords`` rows
     (``_euclidean_rows``) as its metric; they are computed on the first read
     of ``dist`` and kept, so code that only reads ``coords`` never builds the
-    n x n matrix.  ``validate`` does not read ``dist`` of such a space: it
-    evaluates the rows block by block, and builds the matrix only when the
-    triangle certificate fails and the sweep needs it.
+    n x n matrix.  ``validate`` does not read ``dist`` of such a space when
+    its coords pass ``_coords_certified``, and builds it otherwise.
     """
 
     points: tuple
@@ -135,34 +134,34 @@ def validate(sp: FinitePmSpace):
     """Return the first violated invariant of ``sp`` or None.  Total function.
 
     The checks are reported in a fixed order: finite, diagonal, symmetry,
-    positivity, triangle, masses, coords.  One pass over row blocks
-    (``_scan_metric``) gathers everything but the triangle sweep, which runs
-    on the whole matrix only when ``_certified`` cannot prove it silent; a
-    certified space built from coords keeps ``dist`` unbuilt.
+    positivity, triangle, masses, coords.  A triple is a defect when D[i,k]
+    exceeds D[i,j] + D[j,k] by more than VALIDATION_TOL max(1, max D), as
+    rounding scales with the distances; diagonal and symmetry are absolute.
 
-    Every space whose coords are finite, with at most 2^20 columns, tries
-    the certificate; a certified space has no violation for the sweep to
-    find.  Only a space with ``dist`` needs its coords checked against the
-    metric: for one built from coords the check holds by construction (see
-    ``_scan_metric``).
+    A space built from coords that pass ``_coords_certified`` meets every
+    check but the masses by construction and keeps ``dist`` unbuilt.  Any
+    other space has its matrix read once in row blocks (``_scan_metric``),
+    and the triangle sweep runs only when ``_certified`` cannot prove it
+    silent; every space with finite coords in at most 2^20 columns tries it.
     """
     n = sp.n
     if n == 0:
         return Violation("empty", (), "space has no support points")
-    D, m, coords = sp._dist, sp.mass, sp.coords
-    if D is not None and D.shape != (n, n):
+    coords = sp.coords
+    if sp._dist is None and _coords_certified(coords):
+        return _mass_violation(sp)
+    D, m = sp.dist, sp.mass
+    if D.shape != (n, n):
         return Violation("shape", D.shape, f"dist must be {n}x{n}, got {D.shape}")
     if m.shape != (n,):
         return Violation("shape", m.shape, f"mass must have length {n}")
-    # a coordinate that is not finite gives a space built from coords a
-    # non-finite entry, which the scan reports first
-    finite = D is None or (coords is not None and bool(np.isfinite(coords).all()))
-    certify = finite and coords.shape[1] <= 1 << 20
-    first, top, cert, gaps = _scan_metric(sp, certify, finite and D is not None)
+    finite = coords is not None and bool(np.isfinite(coords).all())
+    first, top, cert, gaps = _scan_metric(D, coords, finite and coords.shape[1] <= 1 << 20,
+                                          finite)
     if first is not None:
         return first
     if cert is None or not _certified(coords.shape[1], max(top, cert[0]), cert[1]):
-        tri = _triangle_violation(sp.dist)
+        tri = _triangle_violation(D)
         if tri is not None:
             i, j, k, gap = tri
             return Violation(
@@ -176,7 +175,7 @@ def validate(sp: FinitePmSpace):
     if not finite:
         i, c = np.argwhere(~np.isfinite(coords))[0]
         return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
-    for c, (gap, i, j) in enumerate(gaps or ()):
+    for c, (gap, i, j) in enumerate(gaps):
         if gap > VALIDATION_TOL * max(1.0, top):
             return Violation(
                 "coords",
@@ -186,10 +185,9 @@ def validate(sp: FinitePmSpace):
     return None
 
 
-def _scan_metric(sp: FinitePmSpace, certify, check_coords):
-    """One pass over the rows of the metric D of ``sp``, in blocks of at
-    most _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, cert,
-    gaps)``:
+def _scan_metric(D, coords, certify, check_coords):
+    """One pass over the rows of the n x n matrix D, in blocks of at most
+    _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, cert, gaps)``:
 
     - ``first`` is the first failed check among finite, diagonal, symmetry
       and positivity, as a Violation, or None; the other values are only
@@ -204,33 +202,11 @@ def _scan_metric(sp: FinitePmSpace, certify, check_coords):
 
     Every position is the first row-major one, as an argmax or argmin over
     the whole matrix finds it.
-
-    A block is a view of ``dist`` when the space has one.  A space built
-    from coords (``_dist`` is None) has the rows of Ê as its blocks, and
-    once every entry is finite these checks hold for it by construction:
-
-    - Diagonal: a finite x gives x - x = +0 exactly, so every square, sum
-      and root on the diagonal is 0.
-    - Symmetry: rounding to nearest commutes with negation, so the computed
-      x - y is exactly minus the computed y - x, and D[i, j] and D[j, i] sum
-      the same squares in the same order.
-    - Coords: a coordinate that is not finite makes its point's diagonal
-      entry NaN, so every coordinate is finite.  Let t be the computed
-      difference of column c for points i and j, the one Ê uses, and u =
-      2^-53.  Rounding is monotone and every summand is nonnegative, so the
-      computed sum of squares is at least fl(t^2); when |t| >= 2^-511, t^2
-      is normal and D[i, j] >= fl(sqrt(fl(t^2))) >= |t| (1 - u)^2.  The
-      computed |t| - D[i, j] is then at most 3u |t| <= 4u max D, and
-      otherwise at most |t| < 2^-511; either is below the tolerance
-      1e-12 max(1, max D).
-    - Certificate: Ê is D, so ``cert`` is (0, 0) and Ê is not evaluated a
-      second time.
     """
-    n, D, coords = sp.n, sp._dist, sp.coords
-    given = D is not None
+    n = len(D)
     rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
     work = np.empty((rows, n))
-    spare = np.empty((rows, n)) if certify or not given else None  # holds Ê or its squares
+    spare = np.empty((rows, n)) if certify else None  # holds the squares of Ê
     cert = (0.0, 0.0) if certify else None
     gaps = [None] * coords.shape[1] if check_coords else None
     diag = asym = low = None
@@ -238,25 +214,23 @@ def _scan_metric(sp: FinitePmSpace, certify, check_coords):
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, rows):
             e = min(n, s + rows)
-            w = work[:e - s]
-            block = D[s:e] if given else _euclidean_rows(coords[s:e], coords, spare[:e - s], w)
+            w, block = work[:e - s], D[s:e]
             hi, lo = block.max(), block.min()
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 i, j = np.argwhere(~np.isfinite(block))[0]
                 return (Violation("finite", (s + int(i), int(j)),
                                   f"dist[{s + i}][{j}] is not finite"), top, None, None)
             top = max(top, float(hi))
-            if given:
-                on = np.abs(block.diagonal(s)) > VALIDATION_TOL
-                if diag is None and on.any():
-                    i = int(np.argmax(on))
-                    diag = (s + i, block[i, s + i])
-                np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
-                asym = _first_extreme(asym, w, s, np.argmax)
+            on = np.abs(block.diagonal(s)) > VALIDATION_TOL
+            if diag is None and on.any():
+                i = int(np.argmax(on))
+                diag = (s + i, block[i, s + i])
+            np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
+            asym = _first_extreme(asym, w, s, np.argmax)
             np.copyto(w, block)
             np.fill_diagonal(w[:, s:], np.inf)
             low = _first_extreme(low, w, s, np.argmin)
-            if given and certify:
+            if certify:
                 est = _euclidean_rows(coords[s:e], coords, w, spare[:e - s])
                 far = max(cert[0], float(est.max()))
                 np.abs(np.subtract(est, block, out=w), out=w)
@@ -269,7 +243,7 @@ def _scan_metric(sp: FinitePmSpace, certify, check_coords):
     if diag is not None:
         i, value = diag
         first = Violation("diagonal", (i,), f"dist[{i}][{i}] = {value} != 0")
-    elif asym is not None and asym[0] > VALIDATION_TOL:
+    elif asym[0] > VALIDATION_TOL:
         _, i, j = asym
         first = Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
     elif low[0] <= 0:
@@ -314,10 +288,11 @@ def _mass_violation(sp: FinitePmSpace):
 
 def _certified(d, M, err):
     """True when no triangle excess ``_triangle_violation(D)`` computes can
-    exceed the tolerance, proved from d <= 2^20 coordinate columns, M =
-    max(max D, max Ê) and err = max |Ê - D| as ``_scan_metric`` computes
-    them; False when it cannot be proved this way (coords of another
-    metric, a large M, or inf anywhere), and then the sweep decides.
+    exceed its tolerance VALIDATION_TOL max(1, max D), proved from d <= 2^20
+    coordinate columns, M = max(max D, max Ê) and err = max |Ê - D| as
+    ``_scan_metric`` computes them; False when it cannot be proved this way
+    (coords of another metric, too many columns, or inf anywhere), and then
+    the sweep decides.
 
     With u = 2^-53, E the exact Euclidean metric of the n x d coordinate
     rows and Ê its evaluation by ``_euclidean_rows``, as sqrt of the sum
@@ -326,11 +301,12 @@ def _certified(d, M, err):
     - Each square carries three roundings and each of d - 1 additions one, so
       the computed sum is S(1 + t) with |t| <= g = (d+2)u / (1 - (d+2)u), and
       with the square root Ê = E(1 + e), |e| <= g/2 + g^2/2 + u(1 + g) <=
-      (d+4)/2 u + (d+4)^2 u^2 < rho = (d+5)/2 u while d <= 2^20.  Squares that
+      (d+4)/2 u + (d+4)^2 u^2 < rho = (d+5)/2 u while d <= 2^20 (Higham,
+      Accuracy and Stability of Numerical Algorithms, ch. 3).  Squares that
       underflow add at most 2^-1075 each, so the sum moves by at most
       d 2^-1074 and Ê by at most sqrt(d) 2^-537 (a difference that
       underflows is exact).  Hence |Ê - E| <= rho M (1 + rho) + sqrt(d)
-      2^-535, where M = max(max D, max Ê).
+      2^-535.
     - The differences Ê - D are rounded once, so max |D - Ê| is at most the
       computed one times 1 + 2u, and eps = max|D - Ê| (1 + 2u) + rho M
       (1 + rho) + sqrt(d) 2^-535 bounds |D - E| entrywise.
@@ -340,16 +316,70 @@ def _certified(d, M, err):
       result by at most u|a - b| <= u M or u(b + c) <= 2u M, and the second
       scales a positive result by at most 1 + u.  Every computed excess is
       therefore at most B = (3 eps + 2u M)(1 + 2u).
+    - The tolerance reads max D, which may lie below M: max Ê <= max D +
+      max |Ê - D|, so max D >= low = M - err (1 + 2u).  The sweep's
+      tolerance, VALIDATION_TOL max(1, max D) rounded once, is at least
+      VALIDATION_TOL max(1, low) (1 - u).
 
-    B is evaluated with its last factor widened to 1 + 16u, which covers the
-    at most eight roundings of evaluating it (every term is nonnegative; if
-    M < 1e-300 every computed excess is below M anyway).  Inf in Ê or in
+    B is evaluated with its last factor widened to 1 + 24u, which covers the
+    at most eight roundings of evaluating it and the at most four of the
+    tolerance and of low (every term is nonnegative, err is widened by 4u;
+    if M < 1e-300 every computed excess is below M anyway).  Inf in Ê or in
     the error makes the bound inf, which fails the comparison.
     """
     u = 2.0 ** -53
     rho = (d + 5) / 2 * u
     eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
-    return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= VALIDATION_TOL)
+    low = M - err * (1 + 4 * u)
+    return bool((3 * eps + 2 * u * M) * (1 + 24 * u) <= VALIDATION_TOL * max(1.0, low))
+
+
+def _coords_certified(coords):
+    """True when the Euclidean metric Ê of these n x d rows, as the ``dist``
+    of a space built from them evaluates it, passes every metric check of
+    ``validate`` and the coords check; reads no distance, in O(n d log n).
+    It requires (a) finite coordinates, (b) 2 S finite for S the computed
+    sum of the squared column spreads (max - min), (c) no two equal rows,
+    (d) a nonzero square of every column's smallest positive gap and (e)
+    ``_certified(d, 1.0, 0.0)``, which fails above about 6000 columns.
+    False sends ``validate`` to the matrix, whose verdict is then its own.
+
+    Let t be the computed difference of one column for points i and j and
+    u = 2^-53.  Rounding is monotone, so |t| is at most the column's
+    computed spread and, when t != 0, at least its computed smallest gap.
+
+    - Finite: S is at least (1 - u)^(d-1), and each partial left-to-right
+      sum of squares at most (1 + u)^(d-1), times the exact sum of the
+      spreads' squares, so none exceeds 2 S, which (b) keeps finite.
+    - Diagonal: a finite x gives x - x = +0 exactly, so every square, sum
+      and root on the diagonal is 0.
+    - Symmetry: rounding to nearest commutes with negation, so the computed
+      x - y is exactly minus the computed y - x, and Ê[i, j] and Ê[j, i] sum
+      the same squares in the same order.
+    - Positivity: by (c) some column has t != 0, whose square is positive
+      by (d).
+    - Coords: when |t| >= 2^-511, t^2 is normal and Ê[i, j] >=
+      fl(sqrt(fl(t^2))) >= |t| (1 - u)^2, so the computed |t| - Ê[i, j] is
+      at most 3u |t| <= 4u max Ê; otherwise it is at most |t| < 2^-511.
+      Either is below the tolerance 1e-12 max(1, max Ê).
+    - Triangle: D = Ê, so ``_certified`` reads err = 0 and M = max Ê.  Its
+      bound is affine in M with nonnegative terms, so B(M) <= max(1, M)
+      B(1), and (e) is B(1) <= VALIDATION_TOL: no excess reaches the
+      tolerance VALIDATION_TOL max(1, M) at any scale.
+    """
+    n, d = coords.shape
+    if not (np.isfinite(coords).all() and _certified(d, 1.0, 0.0)):
+        return False
+    with np.errstate(over="ignore"):
+        if not math.isfinite(2 * float(np.sum(np.ptp(coords, axis=0) ** 2))):
+            return False
+    if len(np.unique(coords, axis=0)) < n:
+        return False
+    for col in coords.T:
+        gaps = np.diff(np.unique(col))
+        if gaps.size and gaps.min() ** 2 == 0:
+            return False
+    return True
 
 
 def _euclidean_rows(block, coords, out, scratch):
@@ -367,16 +397,18 @@ def _euclidean_rows(block, coords, out, scratch):
 
 def _triangle_violation(D):
     """(i, j, k, gap) for the first found D[i, k] - (D[i, j] + D[j, k]) above
-    the tolerance, with the gap as measured, or None.  Above
-    _TRIANGLE_BLOCK_LIMIT points the check and the report read the excess
-    through j in row blocks of one reused buffer; the report takes the
-    smallest violating j, then the first row-major argmax over (i, k)."""
+    the tolerance VALIDATION_TOL max(1, max D), with the gap as measured, or
+    None.  Above _TRIANGLE_BLOCK_LIMIT points the check and the report read
+    the excess through j in row blocks of one reused buffer; the report
+    takes the smallest violating j, then the first row-major argmax over
+    (i, k)."""
     n = D.shape[0]
     if n <= 2:
         return None
+    tol = VALIDATION_TOL * max(1.0, float(D.max()))
     if n <= _TRIANGLE_BLOCK_LIMIT:
         gap = D[:, None, :] - D[:, :, None] - D[None, :, :]
-        if gap.max() <= VALIDATION_TOL:
+        if gap.max() <= tol:
             return None
         i, j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
         return int(i), int(j), int(k), float(gap[i, j, k])
@@ -388,14 +420,14 @@ def _triangle_violation(D):
         out = np.add(block[:, j, None], D[j], out=buf[:len(block)])
         return np.subtract(block, out, out=out)
 
-    if not any(excess(s, j).max() > VALIDATION_TOL
+    if not any(excess(s, j).max() > tol
                for s, j in itertools.product(range(0, n, rows), range(n))):
         return None
     for j in range(n):
         best = None
         for s in range(0, n, rows):
             best = _first_extreme(best, excess(s, j), s, np.argmax)
-        if best[0] > VALIDATION_TOL:
+        if best[0] > tol:
             gap, i, k = best
             return i, j, k, float(gap)
 

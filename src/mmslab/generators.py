@@ -5,10 +5,8 @@ towers with their projection witnesses.
 
 Sampled generators require a seed and are bit-reproducible, and their spaces
 compute the distance matrix from ``coords`` on first use.  Every constructed
-space satisfies the structural invariants: up to ``_VALIDATE_LIMIT`` points it
-is checked whole by ``validate``; above it, where the distance matrix is
-not built, its masses are checked and its distances are metric by
-construction (see ``_coords_violation``).
+space passes ``validate`` at every size; a sample whose coords pass
+``core._coords_certified`` is checked without building its matrix.
 """
 
 from __future__ import annotations
@@ -19,55 +17,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    FinitePmSpace,
-    InputError,
-    InvalidSpaceError,
-    _check_count,
-    _mass_violation,
-    check_valid,
-    product,
-)
+from .core import FinitePmSpace, InputError, _check_count, check_valid, product
 
 if TYPE_CHECKING:
     from .atoms import AtomVector
 
-# Above this many points ``_finish`` does not call ``validate``, which would
-# build the n x n distance matrix (the Euclidean certificate makes the
-# triangle check itself O(n^2 d)), and checks only what it can without it.
-_VALIDATE_LIMIT = 300
 # product_tower refuses towers whose top level has more points than this.
 TOWER_MAX_POINTS = 10_000
 
 
-def _coords_violation(coords):
-    """Why the Euclidean distances between these rows could fail to be a
-    metric in floating point (a coordinate that is not finite, a squared
-    difference that overflows, two equal rows or a positive difference whose
-    square underflows to 0), or None; builds no distance matrix."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        widest = np.sum(np.ptp(coords, axis=0) ** 2)  # inf or nan unless all finite
-    if not np.isfinite(widest):
-        return "coords are not finite or too far apart: a squared distance overflows"
-    if len(np.unique(coords, axis=0)) < len(coords):
-        return "two points have equal coords"
-    for col in coords.T:
-        gaps = np.diff(np.unique(col))
-        if gaps.size and gaps.min() ** 2 == 0:
-            return "coords are too close: a squared difference underflows to 0"
-    return None
-
-
 def _finish(points, dist, mass, mass_rational=None, coords=None):
-    sp = FinitePmSpace(points, dist, mass, mass_rational, coords)
-    if sp.n <= _VALIDATE_LIMIT:
-        return check_valid(sp)
-    v = _mass_violation(sp)
-    if v is None and sp.coords is not None:
-        v = _coords_violation(sp.coords)
-    if v is not None:
-        raise InvalidSpaceError(str(v))
-    return sp
+    return check_valid(FinitePmSpace(points, dist, mass, mass_rational, coords))
 
 
 def two_point(d=1.0, first_mass=0.5):

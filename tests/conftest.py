@@ -132,7 +132,9 @@ def reference_euclidean_certified(coords, D):
         M = np.maximum(far, D.max())
         rho = (d + 5) / 2 * u
         eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
-        return bool((3 * eps + 2 * u * M) * (1 + 16 * u) <= core.VALIDATION_TOL)
+        low = M - err * (1 + 4 * u)
+        return bool((3 * eps + 2 * u * M) * (1 + 24 * u)
+                    <= core.VALIDATION_TOL * max(1.0, low))
 
 
 def reference_euclidean_rows(block, coords):

@@ -367,6 +367,17 @@ class TestDissipation:
         assert not atoms.detect_dissipation(seq, a, 1.0).accepted
         assert not atoms.detect_dissipation(seq, a, 0.5).accepted
 
+    def test_thresholds_beyond_the_separation_limit_are_skipped(self):
+        # 13 atoms give 13 positive thresholds at every slack, one more than
+        # separation takes: the cross-check is skipped, not read as "never
+        # reaches delta"; with 12 atoms it runs
+        for k, rows in ((13, ()), (12, ((2, 0, 0.01), (3, 0, 0.01)))):
+            a = sort_atoms([Fraction(1, k)] * k)
+            seq = [gen.dissipation_family(a, 1.0, n) for n in range(1, 5)]
+            ev = atoms.detect_dissipation(seq, a, 1.0)
+            assert ev.accepted, ev.reason
+            assert ev.sep_checked == rows
+
     def test_short_sequence_rejected(self):
         a = sort_atoms([0.5])
         with pytest.raises(core.InputError):

@@ -90,8 +90,8 @@ BAD_PLANS = [
     # a misspelt or unread key at each level of a plan
     *[(f"unknown_{level}_key", doc) for level, doc, _ in UNKNOWN_KEYS],
     # samples whose distances are not a metric in floating point (squares that
-    # overflow, coordinates that overflow, squares that underflow to 0), on
-    # both sides of generators._VALIDATE_LIMIT
+    # overflow, coordinates that overflow, squares that underflow to 0), at
+    # sizes on both sides of 300 points
     *[(f"sample_sigma_{sigma:g}_n{n}", {"spaces": [{
         "id": "a", "kind": "gaussian_sample",
         "params": {"n_points": n, "dim": 1, "sigma": sigma, "seed": 1}}]})

@@ -50,11 +50,13 @@ SMALL_PAIRS = {
 
 class TestSubcommands:
     def test_gen_and_load(self, tmp_path):
-        out = tmp_path / "g.json"
-        code, stdout, _ = run_cli("gen", "interval_grid", "--params", '{"m": 4}', "-o", str(out))
-        assert code == 0
-        sp = core.load_space(out)
-        assert sp.n == 4
+        # a grid of length 1e4 has triangle excesses from rounding alone
+        for params, n in (('{"m": 4}', 4), ('{"m": 7, "r": 1e4}', 7)):
+            out = tmp_path / "g.json"
+            code, stdout, _ = run_cli("gen", "interval_grid", "--params", params, "-o", str(out))
+            assert code == 0
+            sp = core.load_space(out)
+            assert sp.n == n
 
     def test_invariant_var_exact(self, space_files):
         a, _ = space_files

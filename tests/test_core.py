@@ -56,11 +56,13 @@ class TestValidate:
 
 
 def whole_matrix_triangle(D):
-    """Reference report: the smallest j with any gap above the tolerance,
-    then the argmax of that gap over (i, k), from one n x n gap per j."""
+    """Reference report: the smallest j with any gap above the tolerance
+    VALIDATION_TOL max(1, max D), then the argmax of that gap over (i, k),
+    from one n x n gap per j."""
+    tol = core.VALIDATION_TOL * max(1.0, float(D.max()))
     for j in range(len(D)):
         gap = D - (D[:, j][:, None] + D[j][None, :])
-        if gap.max() > core.VALIDATION_TOL:
+        if gap.max() > tol:
             i, k = (int(t) for t in np.unravel_index(int(np.argmax(gap)), gap.shape))
             return i, j, k, float(gap[i, k])
     return None
@@ -193,12 +195,26 @@ def with_excess(sp, delta):
     return core.FinitePmSpace(sp.points, D, sp.mass, coords=sp.coords)
 
 
+def test_a_planted_excess_is_rejected_at_every_scale():
+    # an excess of 1e-9 max(1, diam) on the most nearly collinear triple is
+    # the whole-matrix report at every scale, with coords or without
+    base = generators.gaussian_sample(60, 2, 1.0, seed=4)
+    for t in (1e-3, 1.0, 1e3, 1e5):
+        sp = core.scale(base, t)
+        bad = with_excess(sp, 1e-9 * max(1.0, sp.diam()))
+        want = first_triangle_violation(bad.dist)
+        assert want is not None
+        assert core.validate(bad) == want
+        assert core.validate(core.FinitePmSpace(bad.points, bad.dist, bad.mass)) == want
+
+
 def certificate_corpus():
     """Spaces with coords: explicit numpy-Euclidean distances, distances
     left to ``dist`` (dist=None), the conftest corpus and generator outputs,
     at scales 1e-3 to 1e5 in dimensions 1 to 5; then a copy of most of them
-    with one triangle excess injected at each of five sizes; then
-    shortest-path metrics whose coords are only 1-Lipschitz projections."""
+    with one triangle excess injected at each of five sizes relative to
+    max(1, diam), on both sides of the tolerance; then shortest-path metrics
+    whose coords are only 1-Lipschitz projections."""
     rng = np.random.default_rng(16)
     base = []
     for scale, dim, n in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6),
@@ -209,17 +225,15 @@ def certificate_corpus():
         mass = np.full(n, 1.0 / n)
         base.append(core.FinitePmSpace(tuple(range(n)), euclidean(pts), mass, coords=pts))
         base.append(core.FinitePmSpace(tuple(range(n)), None, mass, coords=pts))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(generators, "_VALIDATE_LIMIT", 0)  # build without validating
-        for scale, dim in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6)):
-            base.append(generators.gaussian_sample(12, dim, scale, seed=[dim, 1]))
-            base.append(generators.sphere_sample(dim, scale, 9, seed=[dim, 2]))
-        for scale, m in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), (3, 10, 49)):
-            base.append(generators.interval_grid(m, scale))
-        for entries in ((0.5,), (0.4, 0.3), (0.25, 0.25, 0.25, 0.25)):
-            base.append(generators.atom_space(AtomVector(entries), m_diffuse=6))
+    for scale, dim in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6)):
+        base.append(generators.gaussian_sample(12, dim, scale, seed=[dim, 1]))
+        base.append(generators.sphere_sample(dim, scale, 9, seed=[dim, 2]))
+    for scale, m in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), (3, 10, 49)):
+        base.append(generators.interval_grid(m, scale))
+    for entries in ((0.5,), (0.4, 0.3), (0.25, 0.25, 0.25, 0.25)):
+        base.append(generators.atom_space(AtomVector(entries), m_diffuse=6))
     base += corpus(7, 120)
-    injected = [with_excess(sp, delta) for sp in base if sp.n >= 3
+    injected = [with_excess(sp, delta * max(1.0, sp.diam())) for sp in base if sp.n >= 3
                 for delta in (0.0, 1e-13, 9e-13, 1.1e-12, 2e-12)]
     projected = []
     for k in range(120):
@@ -278,9 +292,12 @@ class TestEuclideanCertificate:
 
     def test_the_rounding_of_the_euclidean_metric_counts(self):
         # three nearly collinear points in R^5 whose Euclidean distances, as
-        # computed, break the triangle inequality by 1.36e-12 through rounding;
-        # with ten more points further along the first axis the first
-        # violation stays (0, 1, 2)
+        # computed, break the triangle inequality by 1.36e-12 through rounding
+        # alone: the tolerance, 1e-12 times the diameter 3.2e3, counts that
+        # rounding and the certificate proves it silent.  Raising dist[0][2]
+        # by 1e-9 times the diameter is a real excess, which the sweep
+        # reports; with ten more points further along the first axis the
+        # first violation stays (0, 1, 2)
         triple = np.array([
             [387.7141745612483, -1043.150897030914, 363.6461769773352, 2995.593093556978,
              -537.6411048177647],
@@ -295,8 +312,15 @@ class TestEuclideanCertificate:
             squares = np.zeros((n, n))
             for col in pts.T:
                 squares += np.subtract.outer(col, col) ** 2
-            sp = core.FinitePmSpace(tuple(range(n)), np.sqrt(squares), np.full(n, 1 / n),
-                                    coords=pts)
+            D = np.sqrt(squares)
+            assert D[0, 2] - (D[0, 1] + D[1, 2]) > core.VALIDATION_TOL
+            sp = core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1 / n), coords=pts)
+            assert certificate(sp.coords, sp.dist)
+            assert certificate_verdicts(sp) == (None, [True])
+            assert sweep_only_validate(sp) is None
+            excess = 1e-9 * D.max()
+            D = edited(D, (0, 2, D[0, 2] + excess), (2, 0, D[2, 0] + excess))
+            sp = core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1 / n), coords=pts)
             assert not certificate(sp.coords, sp.dist)
             v, seen = certificate_verdicts(sp)
             assert seen == [False]
@@ -326,6 +350,76 @@ class TestEuclideanCertificate:
         assert core.validate(cases[0]) is None and core.validate(cases[1]) is None
         assert core.validate(cases[2]).code == "coords"
         assert core.validate(cases[3]).code == "triangle"
+
+
+def coords_refusals():
+    """Spaces built from coords that ``core._coords_certified`` refuses, each
+    as (space, valid): duplicate rows, squares that overflow (one within the
+    factor-2 margin of the sum alone), column gaps whose squares underflow
+    (one separated by another column) and too many columns."""
+    def built(rows, mass=None):
+        rows = np.asarray(rows, dtype=float)
+        n = len(rows)
+        return core.FinitePmSpace(tuple(range(n)), None,
+                                  np.full(n, 1.0 / n) if mass is None else mass, coords=rows)
+
+    wide = np.random.default_rng(3).uniform(size=(4, 6000))
+    return [
+        (built([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]]), False),
+        (built([[0.0], [1e160], [3e160]]), False),
+        (built([[0.0], [1e154], [0.5e154]]), True),
+        (built([[0.0], [1e-170], [1.0]]), False),
+        (built([[0.0, 0.0], [1e-170, 1.0], [2.0, 0.5]]), True),
+        (built(wide), True),
+        (built(wide, mass=np.full(4, 0.3)), False),
+    ]
+
+
+class TestCoordsCertificate:
+    """A space built from coords is checked without its matrix when
+    ``core._coords_certified`` passes, and as a space with ``dist`` when it
+    refuses; either way the verdict is that of the matrix checks."""
+
+    def test_same_verdict_as_the_matrix_checks(self):
+        # every corpus space with coords, rebuilt from its coords alone
+        spaces = [core.FinitePmSpace(sp.points, None, sp.mass, sp.mass_rational, sp.coords)
+                  for sp in certificate_corpus() + extreme_coords_cases()
+                  if sp.coords is not None]
+        rng = np.random.default_rng(12)
+        for k in range(40):
+            n, d = 2 + k % 9, 1 + k % 4
+            mass = np.full(n, 1.0 / n) if k % 5 else np.full(n, 1.1 / n)
+            pts = rng.normal(size=(n, d)) * 10.0 ** (k % 9 - 4)
+            spaces.append(core.FinitePmSpace(tuple(range(n)), None, mass, coords=pts))
+        certified = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp in spaces:
+                want = sweep_only_validate(sp)
+                sure = core._coords_certified(sp.coords)
+                assert core.validate(sp) == want
+                assert (sp._dist is None) is sure
+                certified += sure
+        assert certified >= 200 and len(spaces) - certified >= 2
+
+    def test_refusals_read_the_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sp, valid in coords_refusals():
+                assert not core._coords_certified(sp.coords)
+                want = sweep_only_validate(sp)
+                assert core.validate(sp) == want and sp._dist is not None
+                assert (want is None) is valid
+        codes = [sweep_only_validate(sp) for sp, _ in coords_refusals()]
+        assert [v and v.code for v in codes] == ["positivity", "finite", None, "positivity",
+                                                 None, None, "mass_sum"]
+
+    def test_the_column_bound_comes_from_the_tolerance(self):
+        # the certificate at M = 1 and err = 0 bounds every scale; it holds
+        # up to a few thousand columns
+        assert core._certified(5000, 1.0, 0.0) and not core._certified(7000, 1.0, 0.0)
+        for d in (1, 5, 1000, 5000):
+            assert all(core._certified(d, M, 0.0) for M in (1e-6, 1.0, 1e3, 1e9, 1e300))
 
 
 def rebuilt(sp, dist=None, mass=None, coords=None, given=True):

@@ -1,7 +1,7 @@
 """Sampled spaces: the distance matrix computed from ``coords`` on its first
-read, the checks that stand in for ``validate`` above
-``generators._VALIDATE_LIMIT`` points, the measured gap in triangle messages,
-and scaling that keeps coordinate projections 1-Lipschitz."""
+read, ``validate`` on every generator's output at every size and scale, the
+measured gap in triangle messages, and scaling that keeps coordinate
+projections 1-Lipschitz."""
 
 import hashlib
 import json
@@ -26,7 +26,7 @@ from mmslab.atoms import sort_atoms
                                   lambda: gen.sphere_sample(39, 1e-3, 500, seed=4)],
                          ids=["gaussian", "sphere", "gaussian_d40", "sphere_d40"])
 def test_dist_is_built_on_first_read_frozen_and_kept(make):
-    sp = make()  # above _VALIDATE_LIMIT, so the generator does not read it
+    sp = make()  # certified from its coords, so validating it builds no matrix
     assert sp._dist is None
     # more than one row block of at most core._TRIANGLE_BLOCK_ELEMENTS values
     assert sp.n > core._TRIANGLE_BLOCK_ELEMENTS // sp.n
@@ -126,41 +126,82 @@ def test_scale_keeps_coordinate_projections_1_lipschitz(t):
     assert obs.obs_diam_projection_estimate(scaled, 0.2) <= scaled.diam()
 
 
-def test_generators_above_the_validation_limit_are_valid():
+def generator_outputs(scale, size):
+    """Every generator's output at this scale with about ``size`` points,
+    where the generator takes a size; atom spaces have no scale."""
     alpha = sort_atoms([0.4, 0.3])
-    spaces = [
-        gen.interval_grid(400, 2.0),
-        gen.gaussian_sample(400, 2, 1.0, seed=0),
-        gen.sphere_sample(2, 1.5, 400, seed=0),
-        gen.atom_space(alpha, 398),
-        gen.dissipation_family(alpha, 1.0, 9),
+    towers = gen.product_tower(gen.interval_grid(15, scale), 2, 2)[0]
+    return [
+        gen.two_point(scale, 0.3),
+        gen.interval_grid(size, scale),
+        gen.gaussian_sample(size, 1, scale, seed=1),
+        gen.gaussian_sample(size, 3, scale, seed=2),
+        gen.sphere_sample(2, scale, size, seed=3),
+        gen.atom_space(alpha, size - 2),
+        gen.dissipation_family(alpha, scale, 7 if size < 300 else 8),
+        *towers,
     ]
-    for sp in spaces:
-        assert sp.n > gen._VALIDATE_LIMIT
-        assert core.validate(sp) is None
+
+
+def test_generators_are_valid_at_every_size_and_scale():
+    # 301 points lay above the 300-point gate below which the generators
+    # used to call validate; rounding alone exceeded the absolute 1e-12
+    # triangle tolerance of earlier versions at 1e3 and 1e5
+    for scale in (1e-3, 1.0, 1e3, 1e5):
+        for size in (200, 301):
+            for sp in generator_outputs(scale, size):
+                assert core.validate(sp) is None
+    alpha = sort_atoms([0.4, 0.3])
+    assert core.validate(gen.dissipation_family(alpha, 1.0, 9)) is None  # 514 points
     with pytest.raises(core.InputError):
         gen.dissipation_family(alpha, math.inf, 9)
+
+
+@pytest.mark.parametrize("n", [200, 301])
+def test_a_wide_sample_validates_and_round_trips(n):
+    sp = gen.gaussian_sample(n, 1, 2e3, seed=1)  # diameter about 1.5e4
+    assert core.validate(sp) is None and sp._dist is None
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.json")
+        core.save_space(sp, path)
+        back = core.load_space(path)  # dist given, certified against coords
+    assert np.array_equal(back.dist, sp.dist) and core.validate(back) is None
+
+
+def test_scaled_samples_are_valid():
+    for sp in (gen.gaussian_sample(100, 1, 1.0, seed=1), gen.gaussian_sample(60, 3, 1.0, seed=2),
+               gen.sphere_sample(2, 1.0, 80, seed=3), gen.interval_grid(50)):
+        for t in (1e-3, 0.1, 10.0, 1e3, 1e4, 1e5):
+            assert core.validate(core.scale(sp, t)) is None
 
 
 @pytest.mark.parametrize("coords, mass, message", [
     (np.arange(602.0).reshape(301, 2), np.full(301, 2 / 301), "sum"),
     (np.vstack([np.arange(600.0).reshape(300, 2), [[0.0, 1.0]]]), np.full(301, 1 / 301),
-     "equal coords"),
+     r"dist\[0\]\[300\] = 0.0 <= 0 for i != j"),
     (np.vstack([np.arange(600.0).reshape(300, 2), [[np.nan, 1.0]]]), np.full(301, 1 / 301),
-     "not finite"),
+     r"dist\[0\]\[300\] is not finite"),
 ], ids=["mass_sum", "equal_rows", "nan"])
 def test_checks_above_the_validation_limit(coords, mass, message):
+    # 301 points lay above the 300-point gate of earlier versions, where a
+    # separate check stood in for validate; validate now reports these
     points = tuple(range(len(coords)))
-    assert len(points) > gen._VALIDATE_LIMIT
     with pytest.raises(core.InvalidSpaceError, match=message):
         gen._finish(points, None, mass, coords=coords)
 
 
 def test_triangle_message_prints_the_measured_gap():
-    # n = 200 takes the blocked sweep, which compares D[i,k] with D[i,j] + D[j,k]
+    # n = 200 takes the blocked sweep, which compares D[i,k] with D[i,j] + D[j,k];
+    # rounding alone at diameter 3e5 stays within the tolerance, a planted
+    # excess of 1e-9 times the diameter does not
+    sp = gen.gaussian_sample(200, 1, 1e5, seed=1)
+    D = np.array(sp.dist)
+    order = np.argsort(sp.coords[:, 0])
+    i, j, k = order[0], order[1], order[-1]
+    D[i, k] = D[k, i] = D[i, j] + D[j, k] + 1e-9 * sp.diam()
     with pytest.raises(core.InvalidSpaceError, match=r"dist\[\d+\]\[\d+\] > ") as info:
-        gen.gaussian_sample(200, 1, 1e5, seed=1)
+        core.space(sp.points, D, sp.mass)
     gap = float(str(info.value).rsplit("by ", 1)[1])
-    assert gap > core.VALIDATION_TOL
+    assert gap > core.VALIDATION_TOL * sp.diam()
     small = core.FinitePmSpace(("a", "b", "c"), [[0, 1, 3], [1, 0, 1], [3, 1, 0]], [1 / 3] * 3)
     assert core.validate(small).message.endswith("by 1.000e+00")
