@@ -25,11 +25,10 @@ REAL_TOL = 1e-9
 ISOMORPHISM_MAX_POINTS = 10
 PROKHOROV_MAX_POINTS = 20
 
-# Above this size the triangle-inequality sweep takes blocks of rows against
-# one j at a time in a reused, cache-sized buffer instead of an n^3 tensor;
-# the Euclidean metric of coords, the box metric's cell discrepancies and the
-# 1-D trial family come in row blocks of the same size.
-_TRIANGLE_BLOCK_LIMIT = 48
+# The triangle-inequality sweep reads its n^3 excesses in blocks of at most
+# this many values, in one reused, cache-sized buffer; the Euclidean metric
+# of coords, the box metric's cell discrepancies and the 1-D trial family
+# come in row blocks of the same size.
 _TRIANGLE_BLOCK_ELEMENTS = 65536
 
 
@@ -141,8 +140,9 @@ def validate(sp: FinitePmSpace):
     A space built from coords that pass ``_coords_certified`` meets every
     check but the masses by construction and keeps ``dist`` unbuilt.  Any
     other space has its matrix read once in row blocks (``_scan_metric``),
-    and the triangle sweep runs only when ``_certified`` cannot prove it
-    silent; every space with finite coords in at most 2^20 columns tries it.
+    and the triangle sweep runs only when neither ``_certified`` nor
+    ``_spread`` can prove it silent; every space with finite coords in at
+    most 2^20 columns tries the first.
     """
     n = sp.n
     if n == 0:
@@ -156,11 +156,12 @@ def validate(sp: FinitePmSpace):
     if m.shape != (n,):
         return Violation("shape", m.shape, f"mass must have length {n}")
     finite = coords is not None and bool(np.isfinite(coords).all())
-    first, top, cert, gaps = _scan_metric(D, coords, finite and coords.shape[1] <= 1 << 20,
-                                          finite)
+    first, top, low, cert, gaps = _scan_metric(D, coords, finite and coords.shape[1] <= 1 << 20,
+                                               finite)
     if first is not None:
         return first
-    if cert is None or not _certified(coords.shape[1], max(top, cert[0]), cert[1]):
+    certified = cert is not None and _certified(coords.shape[1], max(top, cert[0]), cert[1])
+    if not (certified or _spread(top, *low)):
         tri = _triangle_violation(D)
         if tri is not None:
             i, j, k, gap = tri
@@ -173,8 +174,7 @@ def validate(sp: FinitePmSpace):
     if v is not None or coords is None:
         return v
     if not finite:
-        i, c = np.argwhere(~np.isfinite(coords))[0]
-        return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
+        return _infinite_coord(coords)
     for c, (gap, i, j) in enumerate(gaps):
         if gap > VALIDATION_TOL * max(1.0, top):
             return Violation(
@@ -187,12 +187,14 @@ def validate(sp: FinitePmSpace):
 
 def _scan_metric(D, coords, certify, check_coords):
     """One pass over the rows of the n x n matrix D, in blocks of at most
-    _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, cert, gaps)``:
+    _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, low, cert, gaps)``:
 
     - ``first`` is the first failed check among finite, diagonal, symmetry
       and positivity, as a Violation, or None; the other values are only
       meaningful when it is None;
     - ``top`` is max D;
+    - ``low`` is the smallest entry off the diagonal and the smallest on it,
+      for ``_spread``;
     - ``cert`` is ``(max Ê, max |Ê - D|)`` for ``_certified`` when
       ``certify``, with Ê the Euclidean metric of the coords as
       ``_euclidean_rows`` evaluates it, else None;
@@ -210,7 +212,7 @@ def _scan_metric(D, coords, certify, check_coords):
     cert = (0.0, 0.0) if certify else None
     gaps = [None] * coords.shape[1] if check_coords else None
     diag = asym = low = None
-    top = 0.0
+    top, floor = 0.0, math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, rows):
             e = min(n, s + rows)
@@ -219,8 +221,9 @@ def _scan_metric(D, coords, certify, check_coords):
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 i, j = np.argwhere(~np.isfinite(block))[0]
                 return (Violation("finite", (s + int(i), int(j)),
-                                  f"dist[{s + i}][{j}] is not finite"), top, None, None)
+                                  f"dist[{s + i}][{j}] is not finite"), top, None, None, None)
             top = max(top, float(hi))
+            floor = min(floor, float(block.diagonal(s).min()))
             on = np.abs(block.diagonal(s)) > VALIDATION_TOL
             if diag is None and on.any():
                 i = int(np.argmax(on))
@@ -249,7 +252,13 @@ def _scan_metric(D, coords, certify, check_coords):
     elif low[0] <= 0:
         value, i, j = low
         first = Violation("positivity", (i, j), f"dist[{i}][{j}] = {value} <= 0 for i != j")
-    return first, top, cert, gaps
+    return first, top, (low[0], floor), cert, gaps
+
+
+def _infinite_coord(coords):
+    """The first coordinate, row-major, that is not finite, as a Violation."""
+    i, c = np.argwhere(~np.isfinite(coords))[0]
+    return Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
 
 
 def _first_extreme(best, block, start, arg):
@@ -311,11 +320,10 @@ def _certified(d, M, err):
       computed one times 1 + 2u, and eps = max|D - Ê| (1 + 2u) + rho M
       (1 + rho) + sqrt(d) 2^-535 bounds |D - E| entrywise.
     - E is a metric, so in real arithmetic D[i,k] - D[i,j] - D[j,k] <= 3 eps.
-      The sweep computes (a - b) - c for n <= _TRIANGLE_BLOCK_LIMIT and
-      a - (b + c) above; with a, b, c in [0, M] the first rounding moves the
-      result by at most u|a - b| <= u M or u(b + c) <= 2u M, and the second
-      scales a positive result by at most 1 + u.  Every computed excess is
-      therefore at most B = (3 eps + 2u M)(1 + 2u).
+      The sweep computes a - (b + c); with b, c in [0, M] the first rounding
+      moves the result by at most u(b + c) <= 2u M, and the second scales a
+      positive result by at most 1 + u.  Every computed excess is therefore
+      at most B = (3 eps + 2u M)(1 + 2u).
     - The tolerance reads max D, which may lie below M: max Ê <= max D +
       max |Ê - D|, so max D >= low = M - err (1 + 2u).  The sweep's
       tolerance, VALIDATION_TOL max(1, max D) rounded once, is at least
@@ -332,6 +340,31 @@ def _certified(d, M, err):
     eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
     low = M - err * (1 + 4 * u)
     return bool((3 * eps + 2 * u * M) * (1 + 24 * u) <= VALIDATION_TOL * max(1.0, low))
+
+
+def _spread(top, least, floor):
+    """True when no triangle excess ``_triangle_violation(D)`` computes can
+    exceed its tolerance, proved from top = max D, least = the smallest
+    entry off the diagonal and floor = the smallest on it, of a matrix that
+    passed the finite, diagonal, symmetry and positivity checks: when
+    2 least >= top and floor >= 0.  O(1) beside ``_scan_metric``.
+
+    The sweep computes fl(a - fl(b + c)) with a = D[i,k], b = D[i,j] and
+    c = D[j,k] for every i, j, k.  Rounding to nearest is monotone, so
+    fl(b + c) >= x when b + c >= x for a float x, and fl(a - y) <= 0 when
+    a <= y.
+    - i, j, k distinct: b, c >= least, so b + c >= 2 least >= top >= a,
+      where 2 least is exact or inf; the excess is at most 0.
+    - j = i or j = k, i != k: b + c is a plus a diagonal entry >= floor
+      >= 0, so fl(b + c) >= a and the excess is at most 0.  A negative
+      diagonal entry, which the diagonal check allows down to
+      -VALIDATION_TOL, could leave an excess of its size plus a rounding of
+      a, above the tolerance when max D is near 1: hence floor >= 0.
+    - i = k != j: a = D[i,i] <= VALIDATION_TOL and b + c > 0, so the excess
+      is at most a, at most the tolerance VALIDATION_TOL max(1, max D).
+    - i = j = k: a >= 0 and the excess is a - 2a <= 0, both steps exact.
+    """
+    return floor >= 0 and 2 * least >= top
 
 
 def _coords_certified(coords):
@@ -398,35 +431,31 @@ def _euclidean_rows(block, coords, out, scratch):
 def _triangle_violation(D):
     """(i, j, k, gap) for the first found D[i, k] - (D[i, j] + D[j, k]) above
     the tolerance VALIDATION_TOL max(1, max D), with the gap as measured, or
-    None.  Above _TRIANGLE_BLOCK_LIMIT points the check and the report read
-    the excess through j in row blocks of one reused buffer; the report
-    takes the smallest violating j, then the first row-major argmax over
-    (i, k)."""
+    None.  The check reads the excess in blocks of rows i x columns j x every
+    k in one reused buffer (the whole tensor up to 40 points); the report
+    reads one j at a time and takes the smallest violating j, then the first
+    row-major argmax over (i, k)."""
     n = D.shape[0]
     if n <= 2:
         return None
     tol = VALIDATION_TOL * max(1.0, float(D.max()))
-    if n <= _TRIANGLE_BLOCK_LIMIT:
-        gap = D[:, None, :] - D[:, :, None] - D[None, :, :]
-        if gap.max() <= tol:
-            return None
-        i, j, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        return int(i), int(j), int(k), float(gap[i, j, k])
-    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
-    buf = np.empty((rows, n))
+    width = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (n * n)))
+    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (width * n)))
+    buf = np.empty(rows * width * n)
 
-    def excess(s, j):
-        block = D[s:s + rows]
-        out = np.add(block[:, j, None], D[j], out=buf[:len(block)])
-        return np.subtract(block, out, out=out)
+    def excess(s, j, w):
+        block, cols = D[s:s + rows], D[j:j + w]
+        out = buf[:block.size * len(cols)].reshape(len(block), len(cols), n)
+        np.add(block[:, j:j + len(cols), None], cols, out=out)
+        return np.subtract(block[:, None], out, out=out)
 
-    if not any(excess(s, j).max() > tol
-               for s, j in itertools.product(range(0, n, rows), range(n))):
+    if not any(excess(s, j, width).max() > tol
+               for s, j in itertools.product(range(0, n, rows), range(0, n, width))):
         return None
     for j in range(n):
         best = None
         for s in range(0, n, rows):
-            best = _first_extreme(best, excess(s, j), s, np.argmax)
+            best = _first_extreme(best, excess(s, j, 1)[:, 0], s, np.argmax)
         if best[0] > tol:
             gap, i, k = best
             return i, j, k, float(gap)
@@ -503,12 +532,17 @@ class Coupling:
 
 def scale(sp: FinitePmSpace, t):
     """Metric scale change: multiply all distances, and any coordinates, by
-    t > 0; masses unchanged."""
+    a finite t > 0; masses unchanged.  ``_check_rounding`` rejects a result
+    that rounding broke."""
     if not t > 0:
         raise InputError(f"scale factor must be positive, got {t}")
     t = float(t)
-    coords = None if sp.coords is None else sp.coords * t
-    return FinitePmSpace(sp.points, sp.dist * t, sp.mass, sp.mass_rational, coords)
+    if t == math.inf:
+        raise InvalidSpaceError("scale factor inf makes every distance infinite")
+    with np.errstate(over="ignore"):
+        D = sp.dist * t
+        coords = None if sp.coords is None else sp.coords * t
+    return _check_rounding(FinitePmSpace(sp.points, D, sp.mass, sp.mass_rational, coords))
 
 
 def _combine_lp(a, b, p):
@@ -518,17 +552,34 @@ def _combine_lp(a, b, p):
 
 
 def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
-    """l_p product: Cartesian points, l_p-combined distances, tensor masses."""
+    """l_p product: Cartesian points, l_p-combined distances, tensor masses.
+    ``_check_rounding`` rejects a result that rounding broke."""
     if not p >= 1:
         raise InputError(f"product exponent must satisfy p >= 1, got {p}")
     pts = tuple((a, b) for a in sx.points for b in sy.points)
     cx, cy = divmod(np.arange(sx.n * sy.n), sy.n)
-    D = _combine_lp(sx.dist[np.ix_(cx, cx)], sy.dist[np.ix_(cy, cy)], p)
+    with np.errstate(over="ignore"):
+        D = _combine_lp(sx.dist[np.ix_(cx, cx)], sy.dist[np.ix_(cy, cy)], p)
     m = np.outer(sx.mass, sy.mass).ravel()
     mr = None
     if sx.mass_rational is not None and sy.mass_rational is not None:
         mr = tuple(a * b for a in sx.mass_rational for b in sy.mass_rational)
-    return FinitePmSpace(pts, D, m, mr)
+    return _check_rounding(FinitePmSpace(pts, D, m, mr))
+
+
+def _check_rounding(sp: FinitePmSpace):
+    """``sp``, computed by ``scale`` or ``product`` from valid spaces, or
+    InvalidSpaceError when rounding broke its matrix or coords: a distance
+    that overflows to inf, an l_p sum that underflows to 0, a coordinate
+    that overflows.  The O(n^2) checks of ``_scan_metric`` and the coords'
+    finiteness, not the O(n^3) triangle sweep, which a 10,000-point tower
+    level cannot afford."""
+    first = _scan_metric(sp.dist, None, False, False)[0]
+    if first is None and sp.coords is not None and not np.isfinite(sp.coords).all():
+        first = _infinite_coord(sp.coords)
+    if first is not None:
+        raise InvalidSpaceError(str(first))
+    return sp
 
 
 def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
@@ -545,18 +596,12 @@ def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
     if abs(sx.diam() - sy.diam()) > REAL_TOL:
         return False
     # Candidate targets must match mass and the multiset of incident distances.
-    cand = []
-    for i in range(n):
-        di = np.sort(sx.dist[i])
-        row = [
-            j
-            for j in range(n)
-            if abs(sy.mass[j] - sx.mass[i]) <= REAL_TOL
-            and np.max(np.abs(np.sort(sy.dist[j]) - di)) <= REAL_TOL
-        ]
-        if not row:
-            return False
-        cand.append(row)
+    rows_x, rows_y = np.sort(sx.dist, axis=1), np.sort(sy.dist, axis=1)
+    gap = np.abs(rows_x[:, None, :] - rows_y[None, :, :]).max(axis=2, initial=0.0)
+    fits = (np.abs(sx.mass[:, None] - sy.mass[None, :]) <= REAL_TOL) & (gap <= REAL_TOL)
+    cand = [np.flatnonzero(row).tolist() for row in fits]
+    if not all(cand):
+        return False
 
     used = [False] * n
     assign = [-1] * n

@@ -132,6 +132,12 @@ def _edge_conductances(grid: GridSpace1D):
     return 0.5 * (w[:-1] + w[1:]) * grid.h
 
 
+def _dot(a, b):
+    """sum of a * b by einsum's own loop: the same bits at every BLAS thread
+    count, where OpenBLAS splits np.dot of a long vector across threads."""
+    return float(np.einsum("i,i", a, b))
+
+
 def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
@@ -153,16 +159,16 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         raise ConvergenceError("the shifted operator has a singular factor")
 
     def deflate(v):
-        return v - np.dot(v, sq) / np.dot(sq, sq) * sq
+        return v - _dot(v, sq) / _dot(sq, sq) * sq
 
     rng = np.random.default_rng(1)
     v = deflate(rng.standard_normal(n))
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(_dot(v, v))
     lam_old = math.inf
     for _ in range(max_iter):
         u = dgttrs(*factor, v)[0]
         u = deflate(u)
-        norm = np.linalg.norm(u)
+        norm = math.sqrt(_dot(u, u))
         if norm == 0:
             raise ConvergenceError("inverse iteration collapsed onto the constants")
         u /= norm
@@ -170,7 +176,7 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         # denominator is 1).  The symmetrised form cancels the diagonal
         # against the off-diagonal, and at m ~ 65 000 its rounding alternated
         # between two values 1e-8 apart that never met the stopping test.
-        lam = float(np.dot(cond, np.diff(u / sq) ** 2))
+        lam = _dot(cond, np.diff(u / sq) ** 2)
         if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
             return lam, u / sq
         lam_old = lam

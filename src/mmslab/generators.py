@@ -5,8 +5,10 @@ towers with their projection witnesses.
 
 Sampled generators require a seed and are bit-reproducible, and their spaces
 compute the distance matrix from ``coords`` on first use.  Every constructed
-space passes ``validate`` at every size; a sample whose coords pass
-``core._coords_certified`` is checked without building its matrix.
+space passes ``validate`` at every size, but for the levels of a product
+tower above its base, which ``core.product`` checks in O(n^2) for what its
+rounding can break; a sample whose coords pass ``core._coords_certified`` is
+checked without building its matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FinitePmSpace, InputError, _check_count, check_valid, product
+from .core import FinitePmSpace, InputError, _check_count, product, space
 
 if TYPE_CHECKING:
     from .atoms import AtomVector
@@ -26,14 +28,10 @@ if TYPE_CHECKING:
 TOWER_MAX_POINTS = 10_000
 
 
-def _finish(points, dist, mass, mass_rational=None, coords=None):
-    return check_valid(FinitePmSpace(points, dist, mass, mass_rational, coords))
-
-
 def two_point(d=1.0, first_mass=0.5):
     if not (d > 0 and 0 < first_mass < 1):
         raise InputError("two_point needs d > 0 and a mass in (0, 1)")
-    return _finish(("x0", "x1"), [[0.0, d], [d, 0.0]], [first_mass, 1.0 - first_mass])
+    return space(("x0", "x1"), [[0.0, d], [d, 0.0]], [first_mass, 1.0 - first_mass])
 
 
 def interval_grid(m, r=1.0):
@@ -44,7 +42,7 @@ def interval_grid(m, r=1.0):
     xs = np.linspace(0.0, r, m)
     dist = np.abs(xs[:, None] - xs[None, :])
     mass_rational = tuple(Fraction(1, m) for _ in range(m))
-    return _finish(
+    return space(
         tuple(f"t{k}" for k in range(m)),
         dist,
         np.full(m, 1.0 / m),
@@ -68,7 +66,7 @@ def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # coords that overflow are rejected as not finite
         pts = sigma * rng.standard_normal((n_points, dim))
-    return _finish(
+    return space(
         tuple(f"g{k}" for k in range(n_points)),
         None,
         np.full(n_points, 1.0 / n_points),
@@ -89,7 +87,7 @@ def sphere_sample(n_dim, radius, n_points, seed=None):
     raw = rng.standard_normal((n_points, n_dim + 1))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     pts = radius * raw
-    return _finish(
+    return space(
         tuple(f"s{k}" for k in range(n_points)),
         None,
         np.full(n_points, 1.0 / n_points),
@@ -117,7 +115,7 @@ def atom_space(alpha: AtomVector, m_diffuse=8):
         raise InputError("empty atom space: zero vector with no diffuse part")
     xs = np.asarray(xs)
     dist = np.abs(xs[:, None] - xs[None, :])
-    return _finish(tuple(labels), dist, masses, coords=xs.reshape(-1, 1))
+    return space(tuple(labels), dist, masses, coords=xs.reshape(-1, 1))
 
 
 def dissipation_family(alpha: AtomVector, delta, n):
@@ -143,7 +141,7 @@ def dissipation_family(alpha: AtomVector, delta, n):
         raise InputError("empty space: zero vector with no diffuse part")
     dist = np.full((size, size), float(delta))
     np.fill_diagonal(dist, 0.0)
-    return _finish(tuple(labels), dist, masses)
+    return space(tuple(labels), dist, masses)
 
 
 def product_tower(base: FinitePmSpace, p, levels):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmslab import core, generators
-from mmslab.atoms import AtomVector
+from mmslab.atoms import AtomVector, sort_atoms
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
                       reference_euclidean_rows, reference_validate)
 
@@ -92,18 +92,30 @@ def planted(n, seed, shortcuts, rise=0.0):
     return core.FinitePmSpace(tuple(range(n)), D, np.full(n, 1.0 / n))
 
 
-@pytest.mark.parametrize("n", [49, 64, 109, 110, 200, 601])
+def shortcut_cases(n):
+    """Lists of shortcuts for ``planted`` that fit n points.  In the first
+    list of two, the violation through the smaller j lives in later rows;
+    the last lists tie equal rises through one j."""
+    if n < 12:
+        small = [[(0, 1, 2)], [(2, 0, 1)]]
+        return small + ([[(0, 4, 1), (3, 2, 4)], [(4, 3, 1), (0, 3, 2)]] if n >= 5 else [])
+    cases = [[(4, n // 2, n - 5)],
+             [(1, n - 1, 2), (n - 3, 3, n - 2)],
+             [(n - 3, 5, 2), (n - 2, 5, 0), (6, 9, 8)]]
+    if n > 41:
+        cases += [[(n - 1, 0, 7), (9, 0, 30), (20, 40, 41)],
+                  [(10, 30, 11), (n - 1, 20, n - 2), (12, 20, 13)]]
+    return cases
+
+
+# up to 40 points one block holds every excess; 41 and 48 points take
+# blocks of several j, 49 and more blocks of rows
+@pytest.mark.parametrize("n", [3, 5, 12, 40, 41, 48, 49, 64, 109, 110, 200, 601])
 def test_blocked_triangle_sweep_reports_the_first_j(n):
+    cases = shortcut_cases(n)
     assert core.validate(planted(n, n, [])) is None
     # a gap of half the tolerance passes, twice the tolerance fails
-    assert core.validate(planted(n, n, [(4, n // 2, n - 5)], 5e-13)) is None
-    cases = [
-        [(4, n // 2, n - 5)],
-        # the violation at j = 3 lives in the last rows, the one at j = n - 1
-        # in the first rows, which a sweep over row blocks meets first
-        [(1, n - 1, 2), (n - 3, 3, n - 2)],
-        [(n - 1, 0, 7), (9, 0, 30), (20, 40, 41)],
-    ]
+    assert core.validate(planted(n, n, cases[0], 5e-13)) is None
     for shortcuts in cases:
         for rise in (2e-12, 0.3):
             D = planted(n, n, shortcuts, rise)
@@ -112,17 +124,12 @@ def test_blocked_triangle_sweep_reports_the_first_j(n):
             assert core.validate(D) == want
 
 
-@pytest.mark.parametrize("n", [49, 110, 601])
+@pytest.mark.parametrize("n", [3, 5, 12, 40, 41, 48, 49, 110, 601])
 def test_blocked_triangle_report_matches_the_whole_matrix(n):
-    # the report reads the excess through j in row blocks (601 points take
-    # six); ties of equal rise through one j resolve to the first (i, k)
-    last = n - 3
-    cases = [[(4, n // 2, n - 5)],
-             [(1, n - 1, 2), (last, 3, n - 2)],
-             [(n - 1, 0, 7), (9, 0, 30), (20, 40, 41)],
-             [(last, 5, 2), (n - 2, 5, 0), (6, 9, 8)],
-             [(10, 30, 11), (n - 1, 20, n - 2), (12, 20, 13)]]
-    for shortcuts in cases:
+    # the report reads the excess through one j at a time in row blocks (601
+    # points take six); ties of equal rise through one j resolve to the
+    # first (i, k)
+    for shortcuts in shortcut_cases(n):
         for rise in (2e-12, 0.3):
             D = planted(n, n, shortcuts, rise).dist
             got = core._triangle_violation(D)
@@ -147,12 +154,14 @@ def test_triangle_report_holds_no_square_temporary():
 
 
 def sweep_only_validate(sp):
-    """``validate`` with the Euclidean certificate switched off, so that every
-    space goes through the triangle sweep.  It runs on a copy, so the matrix
-    the sweep builds for a space given by its coords is not kept on ``sp``."""
+    """``validate`` with the Euclidean and spread certificates switched off,
+    so that every space goes through the triangle sweep.  It runs on a copy,
+    so the matrix the sweep builds for a space given by its coords is not
+    kept on ``sp``."""
     copy = core.FinitePmSpace(sp.points, sp._dist, sp.mass, sp.mass_rational, sp.coords)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_certified", lambda d, M, err: False)
+        mp.setattr(core, "_spread", lambda top, least, floor: False)
         return core.validate(copy)
 
 
@@ -213,8 +222,10 @@ def certificate_corpus():
     left to ``dist`` (dist=None), the conftest corpus and generator outputs,
     at scales 1e-3 to 1e5 in dimensions 1 to 5; then a copy of most of them
     with one triangle excess injected at each of five sizes relative to
-    max(1, diam), on both sides of the tolerance; then shortest-path metrics
-    whose coords are only 1-Lipschitz projections."""
+    max(1, diam), on both sides of the tolerance; then fresh copies of the
+    spaces left to their coords, whose matrix the injection built and kept;
+    then shortest-path metrics whose coords are only 1-Lipschitz
+    projections."""
     rng = np.random.default_rng(16)
     base = []
     for scale, dim, n in itertools.product((1e-3, 0.1, 1.0, 10.0, 1e3, 1e5), range(1, 6),
@@ -233,6 +244,8 @@ def certificate_corpus():
     for entries in ((0.5,), (0.4, 0.3), (0.25, 0.25, 0.25, 0.25)):
         base.append(generators.atom_space(AtomVector(entries), m_diffuse=6))
     base += corpus(7, 120)
+    unbuilt = [core.FinitePmSpace(sp.points, None, sp.mass, sp.mass_rational, sp.coords)
+               for sp in base if sp._dist is None]
     injected = [with_excess(sp, delta * max(1.0, sp.diam())) for sp in base if sp.n >= 3
                 for delta in (0.0, 1e-13, 9e-13, 1.1e-12, 2e-12)]
     projected = []
@@ -240,13 +253,14 @@ def certificate_corpus():
         sp = random_shortest_path_space(rng, 3 + k % 20, scale=10.0 ** (k % 7 - 3))
         cols = sp.dist[:, : 1 + k % 3] * (0.5 if k % 2 else 1.0)
         projected.append(core.FinitePmSpace(sp.points, sp.dist, sp.mass, coords=cols))
-    return base + injected + projected
+    return base + injected + unbuilt + projected
 
 
 class TestEuclideanCertificate:
     def test_same_verdict_as_the_sweep(self):
         spaces = certificate_corpus()
         assert len(spaces) >= 1000
+        assert sum(sp._dist is None for sp in spaces) >= 150
         certified = rejected = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -585,6 +599,63 @@ class TestBlockedValidate:
         assert spaces[0]._dist is None and spaces[3]._dist is None
 
 
+def sweeps(call, *args):
+    """``call`` of each of ``args``, and the size of each matrix the
+    triangle sweep read meanwhile."""
+    swept, sweep = [], core._triangle_violation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_triangle_violation", lambda D: swept.append(len(D)) or sweep(D))
+        return [call(a) for a in args], swept
+
+
+class TestSpreadCertificate:
+    """A matrix whose smallest entry off the diagonal is at least half its
+    largest, on a diagonal of entries >= 0, skips the triangle sweep."""
+
+    def test_a_large_dissipation_family_is_not_swept(self):
+        alpha = sort_atoms([0.2, 0.2, 0.1])
+        (family,), swept = sweeps(lambda n: generators.dissipation_family(alpha, 1.0, n), 10)
+        assert family.n == 1027 and swept == []
+        assert sweeps(core.validate, family) == ([None], [])
+        assert sweeps(sweep_only_validate, family) == ([None], [1027])
+
+    @pytest.mark.parametrize("n", [3, 12, 60])
+    def test_a_planted_excess_is_still_rejected(self, n):
+        # distances in [1, 1.2] are spread; one of 2.5 breaks the triangle
+        # inequality through every j, which the sweep reports
+        sp = planted(n, n, [])
+        assert sweeps(core.validate, sp) == ([None], [])
+        D = edited(sp.dist, (1, n - 1, 2.5), (n - 1, 1, 2.5))
+        bad = core.FinitePmSpace(sp.points, D, sp.mass)
+        want = first_triangle_violation(D)
+        assert want is not None and want.indices == (1, 0, n - 1)
+        assert sweeps(core.validate, bad) == ([want], [n])
+        assert sweep_only_validate(bad) == want
+
+    def test_a_negative_diagonal_entry_takes_the_sweep(self):
+        # the diagonal check allows -1e-12, and through j = i that entry
+        # leaves an excess of 1.00009e-12 above the tolerance 1.00001e-12
+        D = np.full((3, 3), 1.00001)
+        np.fill_diagonal(D, 0.0)
+        mass = np.full(3, 1 / 3)
+        spaces = [core.FinitePmSpace((0, 1, 2), edited(D, (0, 0, value)), mass)
+                  for value in (0.0, -0.0, 1e-12, -1e-12)]
+        verdicts, swept = sweeps(core.validate, *spaces)
+        assert swept == [3]
+        assert verdicts[:3] == [None] * 3 and verdicts[3].indices == (0, 0, 1)
+        assert verdicts == [sweep_only_validate(sp) for sp in spaces]
+
+    def test_same_verdict_as_the_sweep(self):
+        spaces = certificate_corpus() + [planted(n, n, []) for n in (3, 20, 70)]
+        spread = []
+        spread_test = core._spread
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_spread", lambda *a: spread.append(spread_test(*a)) or spread[-1])
+            for sp in spaces:
+                assert core.validate(sp) == sweep_only_validate(sp)
+        assert sum(spread) >= 20
+
+
 class TestScale:
     def test_identity(self):
         sp = two_point()
@@ -606,6 +677,19 @@ class TestScale:
     def test_nonpositive_rejected(self):
         with pytest.raises(core.InputError):
             core.scale(two_point(), 0.0)
+
+    def test_a_factor_that_breaks_the_metric_is_rejected(self):
+        # no RuntimeWarning escapes (pytest turns one into an error)
+        with pytest.raises(core.InvalidSpaceError, match="infinite"):
+            core.scale(two_point(), math.inf)
+        with pytest.raises(core.InvalidSpaceError, match=r"dist\[0\]\[1\] is not finite"):
+            core.scale(two_point(1e10), 1e300)
+        with pytest.raises(core.InvalidSpaceError, match=r"dist\[0\]\[1\] = 0.0 <= 0"):
+            core.scale(two_point(1e-10), 1e-320)
+        wide = core.FinitePmSpace(["a", "b"], [[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5],
+                                  coords=[[1e300], [1e300]])
+        with pytest.raises(core.InvalidSpaceError, match=r"coords\[0\]\[0\] is not finite"):
+            core.scale(wide, 1e10)
 
 
 class TestProduct:
@@ -642,6 +726,16 @@ class TestProduct:
     def test_p_below_one_rejected(self):
         with pytest.raises(core.InputError):
             core.product(two_point(), two_point(), 0.5)
+
+    def test_a_sum_that_overflows_or_underflows_is_rejected(self):
+        # 2^2000 overflows and 0.5^1e6 underflows; no RuntimeWarning escapes
+        with pytest.raises(core.InvalidSpaceError, match=r"dist\[0\]\[1\] is not finite"):
+            core.product(two_point(2.0), two_point(2.0), 2000)
+        with pytest.raises(core.InvalidSpaceError, match=r"dist\[0\]\[1\] = 0.0 <= 0"):
+            core.product(generators.interval_grid(3), generators.interval_grid(3), 1e6)
+        with pytest.raises(core.InvalidSpaceError, match="is not finite"):
+            generators.product_tower(generators.two_point(2.0), 2000, 2)
+        assert core.validate(core.product(two_point(2.0), two_point(2.0), 1000)) is None
 
 
 class TestIsomorphism:

@@ -8,12 +8,11 @@ Fan), the cell-pair discrepancy block (l_p products, exact and searched box
 distances), the max-flow orientation of the exact box distance on both
 sides of |X| = |Y|, the vertices of the Lipschitz polytope (their order
 included) and the bins of the dissipation detector.  The inverse iteration
-of the spectral gap gives the eigenvalue and eigenvector it gave when each
-step solved the tridiagonal system from scratch.  Floats compare by
-``float.hex`` and arrays by a digest of their bytes, so a change in any bit
-fails.  The linear programs of the exact observable diameter are pinned by
-their inputs: every ordering's constraint rows, in the order they are
-solved."""
+of the spectral gap gives the same eigenvalue and eigenvector at every BLAS
+thread count.  Floats compare by ``float.hex`` and arrays by a digest of
+their bytes, so a change in any bit fails.  The linear programs of the
+exact observable diameter are pinned by their inputs: every ordering's
+constraint rows, in the order they are solved."""
 
 import hashlib
 import math
@@ -336,36 +335,37 @@ BLOCKS_RECORDED = [['464d8a2308951220', '0a46a02b279caf13'], ['1f7156eb546361a5'
  ['0x1.97e754189eecfp-2', 'da1956f5cee06f75'], ['0x1.9392634025454p-2', 'e21027596c78b371'],
  ['0x1.14dd83561f7e3p-1', 'f13999700c4919aa'], ['0x1.3c84b184413dap-1', 'cb5b31cdd594e285'],
  ['0x1.e337cde2117f4p-2', 'c9fa9821756af10d'], ['0x1.07b0eba440301p-1', '7c34700820892785']]
-# recorded before the trial family was streamed
-TRIALS_RECORDED = [['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
- ['0x1.a5312397dec30p-14', '0x1.45f37a80f8fedp-2', 3],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 6],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 12],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 200],
+# recorded before the trial family was streamed; re-recorded when the
+# inverse iteration's reductions, which give the first trial row, left BLAS
+TRIALS_RECORDED = [['0x1.0df76613eea58p-20', '0x1.45f37a80f8febp-2', 1],
+ ['0x1.a5312397ded20p-14', '0x1.45f37a80f8febp-2', 3],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 6],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 12],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 200],
  ['0x1.45f3285f41233p-2', '0x1.6a16481e04b0bp-2', '0x1.45f3285f41233p-2',
   '0x1.6a16481e04b0bp-2', '0x1.45f3285f4361ep-2', '0x1.6a16481e0be13p-2'],
- 'b4189f1127f8567c', ['0x1.0df76613eea78p-20', '0x1.45f37a80f8fedp-2', 1],
- ['0x1.a5312397dec30p-14', '0x1.45f37a80f8fedp-2', 3],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 6],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 12],
- ['0x1.20063d9601400p-10', '0x1.45f37a80f8fedp-2', 200],
+ 'f012f33e02a3b81b', ['0x1.0df76613eea58p-20', '0x1.45f37a80f8febp-2', 1],
+ ['0x1.a5312397ded20p-14', '0x1.45f37a80f8febp-2', 3],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 6],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 12],
+ ['0x1.20063d96013d8p-10', '0x1.45f37a80f8febp-2', 200],
  ['0x1.45f3285f41233p-2', '0x1.6a16481e04b0bp-2', '0x1.45f3285f41233p-2',
   '0x1.6a16481e04b0bp-2', '0x1.45f3285f4361ep-2', '0x1.6a16481e0be13p-2'],
- '22f37415404118f4', ['0x1.031a3921ef29ep-22', '0x1.6666687502640p-1', 1],
- ['0x1.94d80b03d3da8p-16', '0x1.6666687502640p-1', 3],
- ['0x1.854c73725cffcp-8', '0x1.6666687502640p-1', 6],
- ['0x1.a7a858ce835d0p-6', '0x1.6666687502640p-1', 12],
- ['0x1.e9ef53071c550p-4', '0x1.6666687502640p-1', 200],
- ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
+ '2345b2cfb3d51675', ['0x1.031a392201e94p-22', '0x1.666668750cf82p-1', 1],
+ ['0x1.94d80b03c445ap-16', '0x1.666668750cf82p-1', 3],
+ ['0x1.854c73725d035p-8', '0x1.666668750cf82p-1', 6],
+ ['0x1.a7a858ce835d0p-6', '0x1.666668750cf82p-1', 12],
+ ['0x1.e9ef53071c550p-4', '0x1.666668750cf82p-1', 200],
+ ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3452p-1', '0x1.6666695885b4bp-1',
   '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
- '9e3dad1e93a80390', ['0x1.031a3921ef29ep-22', '0x1.6666687502640p-1', 1],
- ['0x1.94d80b03d3da8p-16', '0x1.6666687502640p-1', 3],
- ['0x1.854c73725cffcp-8', '0x1.6666687502640p-1', 6],
- ['0x1.5b5dfd69d5b0ep-5', '0x1.6666687502640p-1', 12],
- ['0x1.04290fe5fb6e3p-3', '0x1.6666687502640p-1', 200],
- ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3455p-1', '0x1.6666695885b4bp-1',
+ '22346f3b99053418', ['0x1.031a392201e94p-22', '0x1.666668750cf82p-1', 1],
+ ['0x1.94d80b03c445ap-16', '0x1.666668750cf82p-1', 3],
+ ['0x1.854c73725d035p-8', '0x1.666668750cf82p-1', 6],
+ ['0x1.5b5dfd69d5b0ep-5', '0x1.666668750cf82p-1', 12],
+ ['0x1.04290fe5fb6e3p-3', '0x1.666668750cf82p-1', 200],
+ ['0x1.6666695885b4bp-1', '0x1.a2c1c9b5f3452p-1', '0x1.6666695885b4bp-1',
   '0x1.31854459ed7dfp+1', '0x1.6666695885b4bp-1', '0x1.31854459ed7dfp+1'],
- '0cbb90eac3edcb72']
+ '5e6fe3d797def3bd']
 # recorded when the vertices were first grown point by point, which
 # changed their order and, where a vertex has several tight trees, the
 # tree whose bits it keeps
@@ -492,12 +492,14 @@ BINS_RECORDED = [[True,
                   'atom mismatch 0.2500 above 0.05; largest small bin 1.0000 above 0.05; '
                   'separation never reaches delta at index 3 (kappa length 1); separation never '
                   'reaches delta at index 3 (kappa length 2)']]
-# recorded while each inverse-iteration step still factored the operator anew
-EIGEN_RECORDED = [['0x1.3bc390d258106p+3', '02700ba1991b9d4e'], ['0x1.ffd73481084e0p-1', '4b991281b0847b12'],
- ['0x1.3bd38bab71ee7p+3', 'd3321d4c451d87b7'], ['0x1.fffffd55eb1b4p-1', 'dc102e648e6ea79b'],
- ['0x1.3bd3cb9823aa6p+3', '1cc6d0ff735a11c5'], ['0x1.0000000007215p+0', '29b0405760b7850c'],
- ['0x1.3bd3cc9ba6a98p+3', 'fb64508f7739eec9'], ['0x1.000000000a9f2p+0', 'a88c2aed4dd209e3'],
- ['0x1.4526a0893a908p+3', '271493f01078beba']]
+# re-recorded when the inverse iteration's four reductions left BLAS, whose
+# sums of long vectors depend on the thread count; the same bits under one
+# and two OpenBLAS threads
+EIGEN_RECORDED = [['0x1.3bc390d258106p+3', 'd8a0ed908af1044d'], ['0x1.ffd73481084e0p-1', '35e13de48abdb7f3'],
+ ['0x1.3bd38bab71ee4p+3', '7710d631967aee1a'], ['0x1.fffffd55eb1b9p-1', '02ed8118a5225a6c'],
+ ['0x1.3bd3cb9823aafp+3', '1ebd6f5f7753c010'], ['0x1.000000000721ep+0', '39bbe55e3d074c90'],
+ ['0x1.3bd3cc9ba6a9bp+3', '1397471cbeb857c3'], ['0x1.000000000a9fap+0', '032c495c48a6fd31'],
+ ['0x1.4526a0893a90cp+3', '7929488898924c81']]
 
 
 # recorded when each exact ordering found its windows with a two-pointer loop

@@ -187,7 +187,7 @@ def test_checks_above_the_validation_limit(coords, mass, message):
     # separate check stood in for validate; validate now reports these
     points = tuple(range(len(coords)))
     with pytest.raises(core.InvalidSpaceError, match=message):
-        gen._finish(points, None, mass, coords=coords)
+        core.space(points, None, mass, coords=coords)
 
 
 def test_triangle_message_prints_the_measured_gap():
