@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_TRIANGLE_BLOCK_ELEMENTS, Coupling, FinitePmSpace, InputError, SizeLimitError,
-                   _check_count, _subset_fold)
+                   _check_count, _check_positive, _subset_fold)
 
 EXACT_MAX_CELLS = 12
 
@@ -391,8 +391,7 @@ def box_converges(sequence, limit: FinitePmSpace, tol, seed=0):
     sequence = list(sequence)
     if not sequence:
         raise InputError("box_converges needs a non-empty sequence")
-    if not 0 < tol < np.inf:
-        raise InputError(f"tol must be finite and positive, got {tol!r}")
+    _check_positive("tol", tol)
     uppers = [box_upper(sp, limit, seed=seed).upper for sp in sequence]
     k = max(1, len(uppers) // 3)
     tail = uppers[-k:]

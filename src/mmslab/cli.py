@@ -127,17 +127,6 @@ _SPACE_KINDS = {
 }
 
 
-def _check_fields(doc, required, optional, what):
-    """Reject a plan object that lacks a required field or holds a field that
-    nothing reads, naming the field."""
-    for key in required:
-        if key not in doc:
-            raise core.InputError(f"{what} needs {key!r}")
-    for key in doc:
-        if key not in required + optional:
-            raise core.InputError(f"{what} has no field {key!r}")
-
-
 def _is_real(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -146,8 +135,45 @@ def _is_finite(x):
     return _is_real(x) and math.isfinite(x)
 
 
-# generator parameters that count points or dimensions (4 and 4.0 pass, 3.9 not)
-_INTEGER_PARAMS = ("m", "n_points", "dim", "n_dim", "n", "m_diffuse")
+# plan field -> (test of its JSON value or None, the library's rule(field,
+# value) or None), applied before any space is built; kappa's rule depends on
+# the row (_check_kappa), and counts (4.0 passes, 3.9 not) are range-checked
+# when built
+_FIELDS = {
+    **dict.fromkeys(("m", "n_points", "dim", "n_dim", "n", "m_diffuse"),
+                    (lambda v: _is_finite(v) and v == int(v), None)),
+    **dict.fromkeys(("d", "r", "sigma", "radius", "delta", "length"),
+                    (None, lambda key, v: core._check_positive(key, v))),
+    "constant": (None, lambda key, v: functional._check_squares(key, v)),
+    "first_mass": (_is_finite, None),
+    "alpha": (lambda v: isinstance(v, list) and all(map(_is_finite, v)), None),
+    "seed": (None, lambda key, v: core._check_count(key, v, 0)),
+    "trials": (None, lambda key, v: core._check_count(key, v)),
+    "p": (_is_real, lambda key, v: core._check_p(v)),
+    "kappa": (lambda v: _is_real(v) or isinstance(v, list) and all(map(_is_real, v)), None),
+    "exact": (lambda v: isinstance(v, bool), None),
+    **dict.fromkeys(("id", "path"), (lambda v: isinstance(v, str), None)),
+    **dict.fromkeys(("spaces", "invariants", "assertions"),
+                    (lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v), None)),
+    **dict.fromkeys(("target", "atol", "rtol", "threshold"), (_is_real, None)),
+}
+
+
+def _check_fields(doc, required, optional, what):
+    """Reject a plan object that lacks a required field, holds a field that
+    nothing reads, or holds a value that the field's entry in _FIELDS
+    refuses, naming the field."""
+    for key in required:
+        if key not in doc:
+            raise core.InputError(f"{what} needs {key!r}")
+    for key, v in doc.items():
+        if key not in required + optional:
+            raise core.InputError(f"{what} has no field {key!r}")
+        test, rule = _FIELDS.get(key, (None, None))
+        if test is not None and not test(v):
+            raise core.InputError(f"parameter {key!r} of {what} cannot be {v!r}")
+        if rule is not None:
+            rule(key, v)
 
 
 def _check_params(kind, params):
@@ -158,15 +184,6 @@ def _check_params(kind, params):
         raise core.InputError("generator params must be a JSON object")
     _, required, optional, _ = _SPACE_KINDS[kind]
     _check_fields(params, required, optional, kind)
-    for key, v in params.items():
-        if key == "alpha":
-            ok = isinstance(v, list) and all(map(_is_finite, v))
-        elif key == "seed":
-            ok = isinstance(v, int) and not isinstance(v, bool) and v >= 0
-        else:
-            ok = _is_finite(v) and (key not in _INTEGER_PARAMS or v == int(v))
-        if not ok:
-            raise core.InputError(f"parameter {key!r} of {kind} cannot be {v!r}")
 
 
 def make_space(kind, params, seed=0):
@@ -210,9 +227,9 @@ def _moded(spec, evaluate):
 
 def _separation(sp, spec, seed):
     kappas = _kappas(spec)
-    if not kappas:
+    if kappas is None:
         raise core.InputError("sep requires --kappa")
-    return observables.separation(sp, tuple(kappas)), "exact"
+    return observables.separation(sp, kappas), "exact"
 
 
 # invariant kind -> (space it needs: finite, grid or either, fields it needs,
@@ -421,13 +438,8 @@ class ExperimentPlan:
         if not isinstance(d, dict):
             raise core.InputError("a plan must be a JSON object")
         _check_fields(d, (), ("name", "seed", "spaces", "invariants", "assertions"), "a plan")
-        seed = d.get("seed", 0)
-        core._check_count("plan seed", seed, 0)
         parts = {k: d.get(k, []) for k in ("spaces", "invariants", "assertions")}
-        for key, items in parts.items():
-            if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
-                raise core.InputError(f"plan {key} must be a list of objects")
-        return ExperimentPlan(name=d.get("name", "plan"), seed=seed, **parts)
+        return ExperimentPlan(name=d.get("name", "plan"), seed=d.get("seed", 0), **parts)
 
 
 def _row_key(spec):
@@ -450,15 +462,17 @@ _ASSERTIONS = {
 }
 
 
-# invariant field -> (test every value of it passes, the library's message when
-# one fails); sep is exempt from the kappa test, as it takes any finite entries
-_FIELD_RANGES = {
-    "kappa": (lambda v: 0.0 <= v < 1.0, "kappa must be a finite number in [0, 1), got {}"),
-    "p": (lambda v: v >= 1, "p must satisfy p >= 1"),
-    "sigma": (lambda v: v > 0, "sigma must be positive"),
-    "constant": (lambda v: v > 0, "the candidate constant must be positive"),
-    "trials": (lambda v: v >= 1, "trials must be at least 1, got {}"),
-}
+def _check_kappa(kind, kappa):
+    """The library's rule for a row's kappa: sep takes any finite entries,
+    the Gaussian formula one number in (0, 1), and an observable diameter
+    every entry in [0, 1)."""
+    if kind == "sep":
+        observables._as_kappa(kappa)
+    elif kind == "gauss_obsdiam_formula":
+        observables._gaussian_kappa(kappa)
+    else:
+        for k in kappa if isinstance(kappa, list) else [kappa]:
+            observables._kappa_fraction(k)
 
 
 def _check_plan(plan):
@@ -470,12 +484,7 @@ def _check_plan(plan):
         path = "path" in spec
         _check_fields(spec, ("id", "path" if path else "kind"), () if path else ("params",),
                       f"space entry {spec!r}")
-        if not isinstance(spec["id"], str):
-            raise core.InputError(f"space entry {spec!r} needs a string id")
-        if path:
-            if not isinstance(spec["path"], str):
-                raise core.InputError(f"space path {spec['path']!r} is not a string")
-        else:
+        if not path:
             _check_params(spec["kind"], spec.get("params", {}))
         grids[spec["id"]] = "finite" if path else _SPACE_KINDS[spec["kind"]][0]
     for spec in plan.invariants:
@@ -487,23 +496,8 @@ def _check_plan(plan):
         if needs not in ("either", grids[space]):
             raise core.InputError(f"invariant {kind!r} needs a {needs} space, not {space!r}")
         _check_fields(spec, ("space", "kind") + required, optional, f"invariant {kind!r}")
-        kappa = spec.get("kappa", 0.0)
-        listed = isinstance(kappa, list) and all(map(_is_real, kappa))
-        if not (_is_real(kappa) or listed and kind != "gauss_obsdiam_formula"):
-            raise core.InputError(f"invariant {spec!r}: kappa must be a number or numbers")
-        for key in ("p", "sigma", "constant", "trials"):
-            ok = _is_real(spec.get(key)) and (key != "trials" or isinstance(spec[key], int))
-            if key in spec and not ok:
-                raise core.InputError(f"invariant {spec!r}: {key} must be a number")
-        for key, (in_range, message) in _FIELD_RANGES.items():
-            values = spec.get(key, [])
-            for v in values if isinstance(values, list) else [values]:
-                if not (key == "kappa" and kind == "sep" or in_range(v)):
-                    raise core.InputError(f"invariant {spec!r}: {message.format(v)}")
-        if kind == "gauss_obsdiam_formula" and not 0.0 < kappa:
-            raise core.InputError(f"invariant {spec!r}: kappa must lie in (0, 1)")
-        if not isinstance(spec.get("exact", False), bool):
-            raise core.InputError(f"invariant {spec!r}: exact must be true or false")
+        if "kappa" in spec:
+            _check_kappa(kind, spec["kappa"])
     keys = {_row_key(spec) for spec in plan.invariants}
     for a in plan.assertions:
         op = a.get("op")
@@ -514,8 +508,6 @@ def _check_plan(plan):
                 raise core.InputError(f"assertion names unknown row {row!r}")
         required, optional, _ = _ASSERTIONS[op]
         _check_fields(a, ("row", "op") + required, optional, f"assertion {op!r}")
-        if not all(_is_real(a[k]) for k in a if k not in ("row", "op", "other")):
-            raise core.InputError(f"assertion {a!r} needs numeric {', '.join(required)}")
 
 
 def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
@@ -698,6 +690,13 @@ def build_parser():
     return ap
 
 
+def _convergence_errors():
+    """functional.ConvergenceError, raised for a grid at a scale inverse
+    iteration cannot resolve, once the command has loaded functional."""
+    grids = sys.modules.get(f"{__package__}.functional")
+    return (grids.ConvergenceError,) if grids else ()
+
+
 def main(argv=None):
     ap = build_parser()
     try:
@@ -707,16 +706,13 @@ def main(argv=None):
     if args.seed is None and args.command != "run":
         args.seed = 0  # a plan carries its own seed unless --seed overrides it
     try:
-        if args.seed is not None and args.seed < 0:
-            raise core.InputError("--seed must be >= 0")
+        if args.seed is not None:
+            core._check_count("--seed", args.seed, 0)
         return args.func(args)
     except (core.SizeLimitError, MemoryError) as e:
         print(f"size limit: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE
-    except core.InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
+    except (core.InputError, FileNotFoundError, *_convergence_errors()) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

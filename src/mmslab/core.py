@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -467,6 +468,19 @@ def _check_count(name, value, low=1):
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_positive(name, value):
+    """InputError unless ``value`` is a real number, finite and > 0; a bool is not."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < math.inf):
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_p(p):
+    """InputError unless the exponent p >= 1; p may be inf, NaN may not."""
+    if not p >= 1:
+        raise InputError(f"p must satisfy p >= 1, got {p!r}")
+
+
 def check_valid(sp: FinitePmSpace):
     v = validate(sp)
     if v is not None:
@@ -532,16 +546,20 @@ class Coupling:
 
 def scale(sp: FinitePmSpace, t):
     """Metric scale change: multiply all distances, and any coordinates, by
-    a finite t > 0; masses unchanged.  ``_check_rounding`` rejects a result
-    that rounding broke."""
+    a finite t > 0; masses unchanged.  A space given by coords alone stays
+    so, its metric the Euclidean one of t coords (``sp.dist * t`` bit for bit
+    when t is a power of two), and ``space`` validates it as it validates a
+    sample; ``_check_rounding`` rejects any other result that rounding broke."""
     if not t > 0:
         raise InputError(f"scale factor must be positive, got {t}")
     t = float(t)
     if t == math.inf:
         raise InvalidSpaceError("scale factor inf makes every distance infinite")
     with np.errstate(over="ignore"):
-        D = sp.dist * t
         coords = None if sp.coords is None else sp.coords * t
+        D = None if sp._dist is None else sp.dist * t
+    if D is None:
+        return space(sp.points, None, sp.mass, sp.mass_rational, coords)
     return _check_rounding(FinitePmSpace(sp.points, D, sp.mass, sp.mass_rational, coords))
 
 
@@ -554,8 +572,7 @@ def _combine_lp(a, b, p):
 def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
     """l_p product: Cartesian points, l_p-combined distances, tensor masses.
     ``_check_rounding`` rejects a result that rounding broke."""
-    if not p >= 1:
-        raise InputError(f"product exponent must satisfy p >= 1, got {p}")
+    _check_p(p)
     pts = tuple((a, b) for a in sx.points for b in sy.points)
     cx, cy = divmod(np.arange(sx.n * sy.n), sy.n)
     with np.errstate(over="ignore"):

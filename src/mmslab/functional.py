@@ -16,6 +16,7 @@ row.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._scipy import dgttrf, dgttrs, ndtri
 from .core import (_TRIANGLE_BLOCK_ELEMENTS, FinitePmSpace, InputError, _central_moment,
-                   _check_count, entropy_weighted)
+                   _check_count, _check_positive, entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
@@ -33,6 +34,17 @@ GAUSSIAN_CUTOFF = 8.0
 
 class ConvergenceError(RuntimeError):
     pass
+
+
+@contextlib.contextmanager
+def _finite_arithmetic():
+    """ConvergenceError where numpy overflows, divides by zero or takes an
+    invalid operation: a grid at a scale its operator cannot represent."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise ConvergenceError(f"the grid's arithmetic is not finite: {e}") from e
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +94,18 @@ class GridSpace1D:
         return np.cumsum(mu) - mu / 2.0
 
 
+def _check_squares(name, value, *factors):
+    """``_check_positive(name, value)``, then InputError unless ``value`` and
+    its multiples by ``factors`` (to a grid's extent and step) have squares
+    that are normal floats: the spectral operator divides by the step squared
+    and the Gaussian density squares its nodes.  Runs before any array is
+    built."""
+    _check_positive(name, value)
+    lengths = [float(value) * f for f in (1.0, *factors)]
+    if not all(np.finfo(float).tiny <= x * x < math.inf for x in lengths):
+        raise InputError(f"{name} is too large or too small to square, got {value!r}")
+
+
 def _normalize(nodes, weight, kind):
     nodes = np.asarray(nodes, dtype=float)
     weight = np.asarray(weight, dtype=float)
@@ -94,8 +118,7 @@ def _normalize(nodes, weight, kind):
 def unit_interval_grid(m, length=1.0):
     """Uniformly weighted interval [0, length] on m+1 nodes."""
     _check_count("m", m, 2)
-    if not 0 < length < math.inf:
-        raise InputError("length must be positive and finite")
+    _check_squares("length", length, 1 / m)
     nodes = np.linspace(0.0, length, m + 1)
     return _normalize(nodes, np.ones(m + 1), "interval")
 
@@ -108,8 +131,7 @@ def gaussian_grid(m, sigma=1.0):
     tolerance used here.
     """
     _check_count("m", m, 2)
-    if not 0 < sigma < math.inf:
-        raise InputError("sigma must be positive and finite")
+    _check_squares("sigma", sigma, GAUSSIAN_CUTOFF, 2 * GAUSSIAN_CUTOFF / m)
     nodes = np.linspace(-GAUSSIAN_CUTOFF * sigma, GAUSSIAN_CUTOFF * sigma, m + 1)
     w = np.exp(-(nodes**2) / (2.0 * sigma**2))
     return _normalize(nodes, w, "gaussian-truncated")
@@ -117,8 +139,7 @@ def gaussian_grid(m, sigma=1.0):
 
 def scale_grid(grid: GridSpace1D, r):
     """Metric scale change of the grid space."""
-    if not 0 < r < math.inf:
-        raise InputError("scale factor must be positive and finite")
+    _check_positive("r", r)
     return GridSpace1D(grid.nodes * r, grid.weight / r, grid.kind)
 
 
@@ -138,6 +159,7 @@ def _dot(a, b):
     return float(np.einsum("i,i", a, b))
 
 
+@_finite_arithmetic()
 def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
@@ -153,6 +175,9 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     sq = np.sqrt(mu)
 
     shift = 1e-10 * float(np.max(diag / mu))  # regularises the deflated solve
+    # a power of two near the shift keeps each solve's u and its squares
+    # normal at every scale, and scales exactly, so u / norm keeps its bits
+    lift = math.ldexp(1.0, math.frexp(shift)[1])
     side = off / (sq[:-1] * sq[1:])
     *factor, info = dgttrf(side, diag / mu + shift, side)
     if info > 0:
@@ -166,8 +191,7 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     v /= math.sqrt(_dot(v, v))
     lam_old = math.inf
     for _ in range(max_iter):
-        u = dgttrs(*factor, v)[0]
-        u = deflate(u)
+        u = deflate(dgttrs(*factor, v)[0] * lift)
         norm = math.sqrt(_dot(u, u))
         if norm == 0:
             raise ConvergenceError("inverse iteration collapsed onto the constants")
@@ -178,6 +202,8 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         # between two values 1e-8 apart that never met the stopping test.
         lam = _dot(cond, np.diff(u / sq) ** 2)
         if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
+            if not lam > 0:  # a grid at a scale the iteration cannot resolve
+                raise ConvergenceError(f"nonpositive spectral gap {lam}")
             return lam, u / sq
         lam_old = lam
         v = u
@@ -188,10 +214,7 @@ def poincare_c22(grid: GridSpace1D):
     """(2,2) constant: variance versus squared-slope energy, spectrally."""
     if grid.nodes.size < 65:
         raise InputError("poincare_c22 expects a grid with at least 64 subintervals")
-    lam, _ = second_eigenvalue(grid)
-    if lam <= 0:
-        raise ConvergenceError(f"nonpositive spectral gap {lam}")
-    return 1.0 / math.sqrt(lam)
+    return 1.0 / math.sqrt(second_eigenvalue(grid)[0])
 
 
 def _trial_blocks(grid: GridSpace1D, trials, seed):
@@ -285,6 +308,7 @@ def _entropies(mu, squares):
             yield entropy_weighted(mu, v)
 
 
+@_finite_arithmetic()
 def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """Evaluate the entropy-energy inequality at a candidate constant.
 
@@ -295,8 +319,7 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     A trial whose entropy, energy or ratio is not finite raises
     ConvergenceError.
     """
-    if not 0 < constant < math.inf:
-        raise InputError("the candidate constant must be positive and finite")
+    _check_squares("constant", constant)
     _check_count("trials", trials)
     _check_count("seed", seed, 0)
     mu = grid.node_mass()

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FinitePmSpace, InputError, _check_count, product, space
+from .core import FinitePmSpace, InputError, _check_count, _check_positive, product, space
 
 if TYPE_CHECKING:
     from .atoms import AtomVector
@@ -29,16 +29,16 @@ TOWER_MAX_POINTS = 10_000
 
 
 def two_point(d=1.0, first_mass=0.5):
-    if not (d > 0 and 0 < first_mass < 1):
-        raise InputError("two_point needs d > 0 and a mass in (0, 1)")
+    _check_positive("d", d)
+    if not 0 < first_mass < 1:
+        raise InputError(f"first_mass must lie in (0, 1), got {first_mass!r}")
     return space(("x0", "x1"), [[0.0, d], [d, 0.0]], [first_mass, 1.0 - first_mass])
 
 
 def interval_grid(m, r=1.0):
     """m equally spaced points spanning [0, r] with equal masses."""
     _check_count("m", m, 2)
-    if r <= 0:
-        raise InputError("interval_grid needs r > 0")
+    _check_positive("r", r)
     xs = np.linspace(0.0, r, m)
     dist = np.abs(xs[:, None] - xs[None, :])
     mass_rational = tuple(Fraction(1, m) for _ in range(m))
@@ -61,8 +61,7 @@ def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
         raise InputError("gaussian_sample requires a seed")
     _check_count("n_points", n_points)
     _check_count("dim", dim)
-    if sigma <= 0:
-        raise InputError("gaussian_sample needs sigma > 0")
+    _check_positive("sigma", sigma)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # coords that overflow are rejected as not finite
         pts = sigma * rng.standard_normal((n_points, dim))
@@ -81,8 +80,7 @@ def sphere_sample(n_dim, radius, n_points, seed=None):
         raise InputError("sphere_sample requires a seed")
     _check_count("n_dim", n_dim)
     _check_count("n_points", n_points)
-    if radius <= 0:
-        raise InputError("sphere_sample needs radius > 0")
+    _check_positive("radius", radius)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_points, n_dim + 1))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -121,8 +119,7 @@ def atom_space(alpha: AtomVector, m_diffuse=8):
 def dissipation_family(alpha: AtomVector, delta, n):
     """Equidistant space with 2^n uniform points sharing the non-atomic mass
     plus the atom points, every pairwise distance equal to delta."""
-    if not 0 < delta < math.inf:
-        raise InputError("delta must be positive and finite")
+    _check_positive("delta", delta)
     _check_count("n", n, 0)
     if n > 16:
         raise InputError("dissipation_family needs n <= 16")

@@ -38,6 +38,8 @@ from .core import (
     _TRIANGLE_BLOCK_ELEMENTS,
     _central_moment,
     _check_count,
+    _check_p,
+    _check_positive,
     _row_dots,
 )
 
@@ -202,7 +204,10 @@ def _obs_diam_exact(sp, kappa):
     e = np.eye(n + 1)
     i, j = np.triu_indices(n, 1)
     lip = np.stack([e[i] - e[j], e[j] - e[i]], axis=1).reshape(-1, n + 1)
-    lip_b = np.repeat(sp.dist[i, j], 2)
+    # each LP is solved at a diameter in [1, 2), which HiGHS's absolute
+    # tolerances resolve at every scale; a power of two scales it exactly
+    shift = 1 - math.frexp(sp.diam())[1]
+    lip_b = np.ldexp(np.repeat(sp.dist[i, j], 2), shift)
     c = [0.0] * n + [-1.0]
     bounds = [(None, None)] * n + [(0.0, None)]
     for p, end, keep in zip(orders, ends, _minimal_starts(ends)):
@@ -216,7 +221,7 @@ def _obs_diam_exact(sp, kappa):
         )
         if res.status == 0:
             best = max(best, -res.fun)
-    return best
+    return math.ldexp(best, -shift)
 
 
 def _anchor_starts(sp, rng, starts):
@@ -359,15 +364,17 @@ def gaussian_obs_diam(sigma, kappa):
     """Observable diameter 2 sigma PsiInv((1-kappa)/2) of a Gaussian observable,
     where Psi(t) is the centred normal integral on [0, t], so that
     PsiInv(y) = sqrt(2) erfinv(2 y)."""
-    if not sigma > 0:
-        raise InputError("sigma must be positive")
-    kappa = float(kappa)
-    if not 0.0 < kappa < 1.0:
-        raise InputError("kappa must lie in (0, 1)")
-    y = (1.0 - kappa) / 2.0
-    if y >= 0.5:
-        raise InputError("Psi inverse needs an argument in [0, 1/2)")
+    _check_positive("sigma", sigma)
+    y = (1.0 - _gaussian_kappa(kappa)) / 2.0
     return 2.0 * sigma * math.sqrt(2.0) * float(erfinv(2.0 * y))
+
+
+def _gaussian_kappa(kappa):
+    """kappa as a float; the Gaussian formula needs a number with 0 < 1 - kappa
+    < 1 as computed: 0 < kappa < 1, and PsiInv((1 - kappa)/2) finite."""
+    if not (isinstance(kappa, (int, float)) and 0.0 < 1.0 - kappa < 1.0):
+        raise InputError(f"kappa must lie in (0, 1), got {kappa!r}")
+    return float(kappa)
 
 
 def gaussian_vs_uniform_crossover(sigma):
@@ -381,8 +388,7 @@ def gaussian_vs_uniform_crossover(sigma):
     exists only when sigma < 1/sqrt(2 pi), and the slack must reach
     ``CROSSOVER_MIN_SLACK``.
     """
-    if not 0 < sigma:
-        raise InputError("sigma must be positive")
+    _check_positive("sigma", sigma)
     if sigma * math.sqrt(2.0 * math.pi) >= 1.0:
         raise InputError(f"no crossover: sigma={sigma} >= 1/sqrt(2 pi)")
     # below machine epsilon 1 - kappa would round to 1, where erfinv is infinite
@@ -406,11 +412,12 @@ class SeparationConfig:
 
 
 def _as_kappa(kappa):
-    """A threshold sequence as a tuple of floats; one number is a 1-tuple.
-    Entries past the end read as zero."""
-    if isinstance(kappa, (int, float)):
-        return (float(kappa),)
-    return tuple(float(k) for k in kappa)
+    """A threshold sequence as a tuple of finite floats; one number is a
+    1-tuple.  Entries past the end read as zero."""
+    kappa = (float(kappa),) if isinstance(kappa, (int, float)) else tuple(map(float, kappa))
+    if not all(map(math.isfinite, kappa)):
+        raise InputError("kappa entries must be finite")
+    return kappa
 
 
 def separation(sp: FinitePmSpace, kappa):
@@ -442,8 +449,6 @@ def _separation_scan(sp: FinitePmSpace, kappa):
     positive value the bin memberships found at that threshold, at an
     infinite one the whole support (when an entry is positive), else none."""
     kappa = _as_kappa(kappa)
-    if not all(math.isfinite(k) for k in kappa):
-        raise InputError("kappa entries must be finite")
     pos = sorted((k for k in kappa if k > 0), reverse=True)
     if len(pos) > SEPARATION_MAX_POSITIVE:
         raise SizeLimitError(
@@ -467,7 +472,7 @@ def _separation_scan(sp: FinitePmSpace, kappa):
     while lo < hi:
         mid = (lo + hi) // 2
         delta = cands[mid]
-        conflict = sp.dist < delta - VALIDATION_TOL * max(1.0, delta)
+        conflict = sp.dist < delta - VALIDATION_TOL * delta
         np.fill_diagonal(conflict, False)
         groups = _assignment_feasible(conflict, sp.mass, pos)
         if groups is None:
@@ -555,8 +560,7 @@ def variance_of(sp: FinitePmSpace, values):
 
 def p_variance(sp: FinitePmSpace, values, p):
     """p-th absolute central moment of one observable."""
-    if not p >= 1:
-        raise InputError("p must satisfy p >= 1")
+    _check_p(p)
     return _central_moment(sp.mass, values, p)
 
 
@@ -571,7 +575,7 @@ def lipschitz_vertices(sp: FinitePmSpace):
     along a spanning tree of its tight graph, every vertex is reached.  A
     vertex's values are then its propagation f_v = f_u +- d_uv along the tree
     it grew on.  Each level keeps one row per (S, values) after rounding to
-    1e-10 of max(1, diam); rows come sorted by the bytes of those keys.  A
+    1e-10 of diam; rows come sorted by the bytes of those keys.  A
     generic metric has C(2n - 2, n - 1) vertices (Gordon and Petrov,
     "Combinatorics of the Lipschitz polytope", 2017), so level k holds at
     most C(n - 1, k - 1) C(2k - 2, k - 1) rows.
@@ -583,7 +587,7 @@ def lipschitz_vertices(sp: FinitePmSpace):
     F[0, 0] = 0.0
     # column v of dist as a row, so that f_u +- d_uv reads d in the order (u, v)
     to = np.ascontiguousarray(sp.dist.T)
-    scale = max(1.0, float(sp.dist.max()))
+    scale = float(sp.dist.max())
     for _ in range(n - 1):
         F = _grow_vertices(F, to, scale)
     return F
@@ -652,8 +656,7 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
     """p-deviation: sup over 1-Lipschitz f of the p-th central moment^(1/p);
     for p = inf, the sup of the maximal central deviation.  The exact mode
     (n <= 9) maximises over ``lipschitz_vertices``, as ``variance`` does."""
-    if not p >= 1:
-        raise InputError("p must satisfy p >= 1")
+    _check_p(p)
     if sp.n == 1:
         return 0.0
 

@@ -103,12 +103,34 @@ OUT_OF_RANGE = [
     ({"kind": "obsdiam", "kappa": 1.5}, "kappa must be a finite number in [0, 1), got 1.5"),
     ({"kind": "obsdiam", "kappa": [0.1, -0.2]},
      "kappa must be a finite number in [0, 1), got -0.2"),
-    ({"kind": "pvar", "p": 0.5}, "p must satisfy p >= 1"),
+    ({"kind": "pvar", "p": 0.5}, "p must satisfy p >= 1, got 0.5"),
     ({"kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": 0},
-     "sigma must be positive"),
-    ({"kind": "gauss_obsdiam_formula", "kappa": 0}, "kappa must lie in (0, 1)"),
-    ({"kind": "ls_check", "constant": -0.3}, "the candidate constant must be positive"),
-    ({"kind": "ls_check", "constant": 0.3, "trials": 0}, "trials must be at least 1, got 0"),
+     "sigma must be positive and finite, got 0"),
+    ({"kind": "gauss_obsdiam_formula", "kappa": 0.1, "sigma": INF},
+     "sigma must be positive and finite, got inf"),
+    ({"kind": "gauss_obsdiam_formula", "kappa": 0}, "kappa must lie in (0, 1), got 0"),
+    ({"kind": "gauss_obsdiam_formula", "kappa": [0.1]}, "kappa must lie in (0, 1), got [0.1]"),
+    # 1 - kappa rounds to 1, where PsiInv is infinite
+    ({"kind": "gauss_obsdiam_formula", "kappa": 1e-17}, "kappa must lie in (0, 1), got 1e-17"),
+    ({"kind": "sep", "kappa": [0.3, INF]}, "kappa entries must be finite"),
+    ({"kind": "ls_check", "constant": -0.3}, "constant must be positive and finite, got -0.3"),
+    ({"kind": "ls_check", "constant": INF}, "constant must be positive and finite, got inf"),
+    ({"kind": "ls_check", "constant": 1e300},
+     "constant is too large or too small to square, got 1e+300"),
+    ({"kind": "ls_check", "constant": 0.3, "trials": 0}, "trials must be an integer >= 1, got 0"),
+]
+# one generator parameter per positive rule, with the library's message
+PARAMS_OUT_OF_RANGE = [
+    ("two_point", {"d": -1}, "d must be positive and finite, got -1"),
+    ("interval_grid", {"m": 4, "r": -1}, "r must be positive and finite, got -1"),
+    ("gaussian_sample", {"n_points": 4, "sigma": NAN},
+     "sigma must be positive and finite, got nan"),
+    ("sphere_sample", {"n_dim": 2, "n_points": 4, "radius": INF},
+     "radius must be positive and finite, got inf"),
+    ("dissipation_family", {"alpha": [0.3], "n": 2, "delta": 0},
+     "delta must be positive and finite, got 0"),
+    ("grid_interval", {"length": -INF}, "length must be positive and finite, got -inf"),
+    ("grid_gaussian", {"sigma": "1"}, "sigma must be positive and finite, got '1'"),
 ]
 
 
@@ -129,22 +151,64 @@ def test_unknown_plan_key_is_named(doc, key):
     assert err.startswith("input error:") and err.strip().endswith(repr(key))
 
 
-@pytest.mark.parametrize("row,message", OUT_OF_RANGE,
-                         ids=["kappa", "kappa_list", "p", "sigma", "kappa_formula", "constant",
-                              "trials"])
-def test_out_of_range_plan_fails_before_any_space_is_built(monkeypatch, row, message):
+def _run_without_building(monkeypatch, doc):
     def no_build(*args, **kwargs):
         raise AssertionError("make_space called for a plan that is out of range")
 
     monkeypatch.setattr(cli, "make_space", no_build)
-    big = {"id": "a", "kind": "gaussian_sample", "params": {"n_points": 3000}}
-    doc = {"spaces": [big], "invariants": [{"space": "a", **row}]}
-    if row["kind"] == "ls_check":
-        doc["spaces"] = [{**LINE, "id": "a"}]
     with workdir() as d:
         code, out, err = run_main(["run", write_json(d, "plan.json", doc)])
     assert code == 2 and out == ""
-    assert err.startswith("input error:") and err.strip().endswith(message)
+    assert err.startswith("input error:")
+    return err.strip()
+
+
+BIG = {"id": "a", "kind": "gaussian_sample", "params": {"n_points": 3000}}
+
+
+@pytest.mark.parametrize("row,message", OUT_OF_RANGE,
+                         ids=["kappa", "kappa_list", "p", "sigma", "sigma_inf", "kappa_formula",
+                              "kappa_formula_list", "kappa_formula_tiny", "kappa_sep_inf",
+                              "constant", "constant_inf", "constant_1e300", "trials"])
+def test_out_of_range_plan_fails_before_any_space_is_built(monkeypatch, row, message):
+    space = {**LINE, "id": "a"} if row["kind"] == "ls_check" else BIG
+    doc = {"spaces": [space], "invariants": [{"space": "a", **row}]}
+    assert _run_without_building(monkeypatch, doc).endswith(message)
+
+
+@pytest.mark.parametrize("kind,params,message", PARAMS_OUT_OF_RANGE,
+                         ids=[case[0] for case in PARAMS_OUT_OF_RANGE])
+def test_out_of_range_parameter_fails_before_any_space_is_built(monkeypatch, kind, params,
+                                                                message):
+    doc = {"spaces": [BIG, {"id": "b", "kind": kind, "params": params}]}
+    assert _run_without_building(monkeypatch, doc).endswith(message)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda bad: generators.interval_grid(4, bad), "r"),
+    (lambda bad: generators.gaussian_sample(5, 1, bad, seed=0), "sigma"),
+    (lambda bad: generators.sphere_sample(2, bad, 5, seed=0), "radius"),
+    (lambda bad: generators.two_point(bad), "d"),
+    (lambda bad: generators.dissipation_family(atoms.sort_atoms([0.3]), bad, 2), "delta"),
+    (lambda bad: functional.unit_interval_grid(64, bad), "length"),
+    (lambda bad: functional.gaussian_grid(64, bad), "sigma"),
+    (lambda bad: functional.scale_grid(functional.unit_interval_grid(64), bad), "r"),
+    (lambda bad: functional.log_sobolev_check(functional.unit_interval_grid(64), bad), "constant"),
+    (lambda bad: obs.gaussian_obs_diam(bad, 0.1), "sigma"),
+    (lambda bad: obs.gaussian_vs_uniform_crossover(bad), "sigma"),
+    (lambda bad: boxmetric.box_converges([generators.two_point()], generators.two_point(), bad),
+     "tol"),
+], ids=["interval_grid", "gaussian_sample", "sphere_sample", "two_point", "dissipation_family",
+        "unit_interval_grid", "gaussian_grid", "scale_grid", "log_sobolev_check",
+        "gaussian_obs_diam", "crossover", "box_converges"])
+def test_positive_parameter_is_named_not_a_distance(call, name):
+    """NaN, infinities, zero, negatives and non-numbers fail the one positive
+    rule, with the parameter's name, not as a distance that is not finite."""
+    for bad in (NAN, INF, -INF, 0, -1.0, True, "1"):
+        with pytest.raises(core.InputError) as e:
+            call(bad)
+        assert type(e.value) is core.InputError
+        assert str(e.value) == f"{name} must be positive and finite, got {bad!r}"
 
 
 def test_sep_keeps_negative_and_large_thresholds():
@@ -153,6 +217,16 @@ def test_sep_keeps_negative_and_large_thresholds():
     with workdir() as d:
         code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
     assert code == 0, err
+
+
+def test_sep_of_no_thresholds_is_infinite():
+    """An empty threshold list passes the plan check, so the row evaluates:
+    with no positive entry the separation is infinite, as the library says."""
+    doc = {"spaces": [GRID], "invariants": [{"space": "a", "kind": "sep", "kappa": []}]}
+    with workdir() as d:
+        code, out, err = run_main(["run", write_json(d, "plan.json", doc)])
+    assert code == 0, err
+    assert out.splitlines()[1] == "a,sep,a:sep:kappa=[],inf,exact"
 
 
 BAD_ARGS = [
@@ -456,4 +530,64 @@ def test_fuzz_numeric_arguments(arg, kind, value):
                     f"--alpha={options['alpha']}", f"--delta={options['delta']}"]
         code, _, err = run_main(argv)
     assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
+def grid_plan(kind, params, row):
+    return {"spaces": [{"id": "g", "kind": kind, "params": params}],
+            "invariants": [{"space": "g", **row}]}
+
+
+# each once ended in a traceback (OverflowError or ConvergenceError); now it
+# is an input error naming the parameter, or with None the grid's value
+EXTREME_GRIDS = [
+    (["spectral", "--space", "gaussian", "--sigma", "1e300"], "sigma"),
+    (["spectral", "--space", "gaussian", "--sigma", "1e150", "--constant", "ls", "--trials", "5"],
+     None),
+    (["spectral", "--space", "gaussian", "--size", "64", "--sigma", "1e-150"], None),
+    (grid_plan("grid_gaussian", {"sigma": 1e300}, {"kind": "c22"}), "sigma"),
+    (grid_plan("grid_interval", {"length": 1e300}, {"kind": "ls_check", "constant": 1e300}),
+     "constant"),
+    (grid_plan("grid_interval", {"length": 1e-300}, {"kind": "c22"}), "length"),
+]
+
+
+@pytest.mark.parametrize("case,name", EXTREME_GRIDS,
+                         ids=["sigma_1e300", "ls_sigma_1e150", "sigma_1e-150", "plan_sigma_1e300",
+                              "plan_length_constant_1e300", "plan_length_1e-300"])
+def test_grid_at_an_extreme_scale_is_input_error_or_value(case, name):
+    with workdir() as d:
+        argv = case if isinstance(case, list) else ["run", write_json(d, "plan.json", case)]
+        code, out, err = run_main(argv)
+    if name is None:
+        assert code == 0 and err == ""
+        values = json.loads(out)
+        assert all(math.isfinite(values[k]) for k in ("value", "max_violation") if k in values)
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {name} is too large or too small to square")
+
+
+SCALES = st.floats(-300.0, 300.0).map(lambda u: 10.0**u)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(st.sampled_from(["interval", "gaussian"]), SCALES, st.integers(64, 4096),
+       st.sampled_from(["c22", "ls"]), st.integers(1, 5), SCALES, st.booleans())
+def test_fuzz_grids_across_scales(space, scale, size, constant, trials, candidate, plan):
+    """A 1-D grid at any scale from 1e-300 to 1e300, through ``spectral`` or
+    a plan, gives its constant or an input error, never a traceback."""
+    with workdir() as d:
+        if plan:
+            kind, key = {"interval": ("grid_interval", "length"),
+                         "gaussian": ("grid_gaussian", "sigma")}[space]
+            row = ({"kind": "c22"} if constant == "c22" else
+                   {"kind": "ls_check", "constant": candidate, "trials": trials})
+            doc = grid_plan(kind, {"m": size, key: scale}, row)
+            code, _, err = run_main(["run", write_json(d, "plan.json", doc)])
+        else:
+            code, _, err = run_main(["spectral", "--space", space, "--sigma", repr(scale),
+                                     "--size", str(size), "--constant", constant,
+                                     "--trials", str(trials)])
+    assert code in (0, 2), err
     assert "Traceback" not in err

@@ -145,9 +145,20 @@ def _vertex_spaces():
     return out
 
 
+def _vertex_set(sp, V):
+    """The rows of V rounded to 1e-10 of the diameter, in lexicographic order:
+    the same for two enumerations that keep a vertex with several tight
+    trees by different trees' bits."""
+    key = np.round(V / sp.diam(), 10) + 0.0
+    return key[np.lexsort(key.T[::-1])]
+
+
 def test_lipschitz_vertices_unchanged():
-    got = [[[len(V), pin(V)] for V in (obs.lipschitz_vertices(core.scale(sp, t))
-                                       for sp in _vertex_spaces())]
+    """Each vertex set, and its rows in the order returned, which follows the
+    bytes of the deduplication keys."""
+    got = [[[len(V), pin(_vertex_set(sp, V)), pin(V)]
+            for sp, V in ((sp, obs.lipschitz_vertices(sp))
+                          for sp in (core.scale(base, t) for base in _vertex_spaces()))]
            for t in (1e-3, 1.0, 30.0, 1000.0)]
     assert got == VERTICES_RECORDED
 
@@ -368,35 +379,77 @@ TRIALS_RECORDED = [['0x1.0df76613eea58p-20', '0x1.45f37a80f8febp-2', 1],
  '5e6fe3d797def3bd']
 # recorded when the vertices were first grown point by point, which
 # changed their order and, where a vertex has several tight trees, the
-# tree whose bits it keeps
-VERTICES_RECORDED = [[[2, '0a473d5c3a255acf'], [2, '279eefea564e297e'], [2, '42996a00edce23f9'],
-                      [6, 'ab31f16a6fdd3455'], [6, 'b3fce0aa2f878dd8'], [4, '1672a2b753f02ddd'],
-                      [20, '28d56a5195950bd0'], [20, '5018f61cf6a5c674'], [8, 'f74ec721664c7247'],
-                      [70, '75ba076e3faf9dc3'], [70, 'cf644f602007236e'], [16, '988e330f04268c00'],
-                      [252, 'e829d2794449b845'], [252, '8bbcbbdfd6e267f7'],
-                      [32, '912c34d92e968365'], [16, '22dde6236bec1fbd'],
-                      [30, '8f95bcb600560b6c']],
-                     [[2, 'e014caf2d6db1efb'], [2, '5c01a5020e97f3af'], [2, 'be3e9acef7198803'],
-                      [6, 'f058eb210a48bdd0'], [6, '021e93a36a6eeac4'], [4, 'c8814f08d226e04b'],
-                      [20, 'b89e668eb1eb5703'], [20, 'd340d9c7a8ffa0e0'], [8, 'a318fe317a1974d7'],
-                      [70, 'de83e4aa714fcbdb'], [70, '83fd5b0132768b0d'], [16, '3105aa7c21b73312'],
-                      [252, '0d1e1b2f1eeeb092'], [252, '07504a948fc56330'],
-                      [32, '149d93acd9a3ce07'], [16, '5811447eeec7ff98'],
-                      [30, '742f2b0be2b708b9']],
-                     [[2, '521c42fb0f5f5451'], [2, 'b627da2cfcb11e6f'], [2, 'eb573553cfb25f8e'],
-                      [6, '7249278926fa9bb2'], [6, 'd157e2e557707c22'], [4, '27ecad62b57f0864'],
-                      [20, 'e8f79f8baf3cd8eb'], [20, '82a9bbf209725a01'], [8, 'de2b1b6cdd0fce88'],
-                      [70, '490bec8c1e678ec1'], [70, 'def0b6b337488531'], [16, '04087d33d6bf8b2a'],
-                      [252, '801365d9b1a0cc69'], [252, 'b806f22d9697fa53'],
-                      [32, 'df2fe32b80279dbe'], [16, 'a5f6291a9e153860'],
-                      [30, '26f53fb9aea88593']],
-                     [[2, '2ac259ad449f322d'], [2, '7326cde481fb4891'], [2, '7d010ef24ab81406'],
-                      [6, '2b5505cc3dd143d7'], [6, 'ceeaa692082cb154'], [4, '774011d086f5d6c6'],
-                      [20, '11b12450d79d727e'], [20, '70174e8b0aabd300'], [8, '8170f27e0bbca6e1'],
-                      [70, 'bbd8f72efcfa132d'], [70, '66427b7de2b984c8'], [16, '82d818a748e57c94'],
-                      [252, '0eeb2d2b9488dbaa'], [252, '4bdbbca7320b3c77'],
-                      [32, 'c352c4f95883ee3e'], [16, '37553dadb9d13f57'],
-                      [30, 'c7bbed024e16c4ce']]]
+# tree whose bits it keeps; re-recorded with each vertex set when the keys
+# became relative to the diameter, not to max(1, diameter): the sets read the
+# same with the old keys, and only rows below diameter 1 changed order
+VERTICES_RECORDED = [[[2, '637b5e97259482d6', '0a473d5c3a255acf'],
+                      [2, '637b5e97259482d6', '279eefea564e297e'],
+                      [2, '637b5e97259482d6', '42996a00edce23f9'],
+                      [6, '8bc4039b42523104', '886dc994020623c5'],
+                      [6, '1807568d9ea09b02', 'e6bb261fbc271bc7'],
+                      [4, '1bdba64f7df17d25', '1672a2b753f02ddd'],
+                      [20, '7efdfb4156eeba33', '0746232c2f6eb8d6'],
+                      [20, '73109e527f510ae5', '844f13fcd97908dc'],
+                      [8, '8f3f96783216f118', 'e514e29ee4bb6cb5'],
+                      [70, '4dda4fcfaae1fa1b', '96d99ade86e3f3f0'],
+                      [70, '15d7ea56fcfe832c', '70185334e94f36c4'],
+                      [16, '7f44c23b6f797df7', 'dfdf134ce823194a'],
+                      [252, 'edaa427edc7ed0d7', 'c4bd6d62a2fa2018'],
+                      [252, 'c63529337dd2e402', '2a693e33de4a4201'],
+                      [32, 'dc64dce29a29f1b0', 'd04cf87d0ef56327'],
+                      [16, '40d7363c326ac70f', '22dde6236bec1fbd'],
+                      [30, '005172cbd4854714', '8f95bcb600560b6c']],
+                     [[2, '637b5e97259482d6', 'e014caf2d6db1efb'],
+                      [2, '637b5e97259482d6', '5c01a5020e97f3af'],
+                      [2, '637b5e97259482d6', 'be3e9acef7198803'],
+                      [6, '8bc4039b42523104', 'f058eb210a48bdd0'],
+                      [6, '1807568d9ea09b02', 'd49f0813dcc894fc'],
+                      [4, '1bdba64f7df17d25', 'c8814f08d226e04b'],
+                      [20, '7efdfb4156eeba33', 'b89e668eb1eb5703'],
+                      [20, '73109e527f510ae5', 'af6c9098e85a0c80'],
+                      [8, '8f3f96783216f118', 'a318fe317a1974d7'],
+                      [70, '4dda4fcfaae1fa1b', 'de83e4aa714fcbdb'],
+                      [70, '15d7ea56fcfe832c', 'cfbde46bf3cb08ea'],
+                      [16, '7f44c23b6f797df7', 'b4b18d6c346d44e1'],
+                      [252, 'edaa427edc7ed0d7', 'e73b122d6521bbd0'],
+                      [252, 'c63529337dd2e402', 'cd4b3d610948fa15'],
+                      [32, 'dc64dce29a29f1b0', '149d93acd9a3ce07'],
+                      [16, '40d7363c326ac70f', '5811447eeec7ff98'],
+                      [30, '005172cbd4854714', '742f2b0be2b708b9']],
+                     [[2, '637b5e97259482d6', '521c42fb0f5f5451'],
+                      [2, '637b5e97259482d6', 'b627da2cfcb11e6f'],
+                      [2, '637b5e97259482d6', 'eb573553cfb25f8e'],
+                      [6, '8bc4039b42523104', '7249278926fa9bb2'],
+                      [6, '1807568d9ea09b02', 'd157e2e557707c22'],
+                      [4, '1bdba64f7df17d25', '27ecad62b57f0864'],
+                      [20, '7efdfb4156eeba33', 'e8f79f8baf3cd8eb'],
+                      [20, '73109e527f510ae5', '82a9bbf209725a01'],
+                      [8, '8f3f96783216f118', 'de2b1b6cdd0fce88'],
+                      [70, '4dda4fcfaae1fa1b', '490bec8c1e678ec1'],
+                      [70, '15d7ea56fcfe832c', 'def0b6b337488531'],
+                      [16, '7f44c23b6f797df7', '04087d33d6bf8b2a'],
+                      [252, 'edaa427edc7ed0d7', '801365d9b1a0cc69'],
+                      [252, 'c63529337dd2e402', 'b806f22d9697fa53'],
+                      [32, 'dc64dce29a29f1b0', 'df2fe32b80279dbe'],
+                      [16, '40d7363c326ac70f', 'a5f6291a9e153860'],
+                      [30, '005172cbd4854714', '26f53fb9aea88593']],
+                     [[2, '637b5e97259482d6', '2ac259ad449f322d'],
+                      [2, '637b5e97259482d6', '7326cde481fb4891'],
+                      [2, '637b5e97259482d6', '7d010ef24ab81406'],
+                      [6, '8bc4039b42523104', '2b5505cc3dd143d7'],
+                      [6, '1807568d9ea09b02', 'ceeaa692082cb154'],
+                      [4, '1bdba64f7df17d25', '774011d086f5d6c6'],
+                      [20, '7efdfb4156eeba33', '11b12450d79d727e'],
+                      [20, '73109e527f510ae5', '70174e8b0aabd300'],
+                      [8, '8f3f96783216f118', '8170f27e0bbca6e1'],
+                      [70, '4dda4fcfaae1fa1b', 'bbd8f72efcfa132d'],
+                      [70, '15d7ea56fcfe832c', '66427b7de2b984c8'],
+                      [16, '7f44c23b6f797df7', '82d818a748e57c94'],
+                      [252, 'edaa427edc7ed0d7', '0eeb2d2b9488dbaa'],
+                      [252, 'c63529337dd2e402', '4bdbbca7320b3c77'],
+                      [32, 'dc64dce29a29f1b0', 'c352c4f95883ee3e'],
+                      [16, '40d7363c326ac70f', '37553dadb9d13f57'],
+                      [30, '005172cbd4854714', 'c7bbed024e16c4ce']]]
 BINS_RECORDED = [[True,
                   ['0x1.9999999999998p-4', '0x1.9999999999998p-5', '0x1.9999999999998p-6',
                    '0x1.9999999999998p-7', '0x1.9999999999998p-8', '0x1.9999999999998p-9'],
@@ -502,25 +555,13 @@ EIGEN_RECORDED = [['0x1.3bc390d258106p+3', 'd8a0ed908af1044d'], ['0x1.ffd7348108
  ['0x1.4526a0893a90cp+3', '7929488898924c81']]
 
 
-# recorded when each exact ordering found its windows with a two-pointer loop
-LP_INPUTS_RECORDED = [[3, '9e6dd08b2e2a5bec'],
- [3, '83923c45a95712b6'],
- [3, '9d9094efbf07b5ce'],
- [9, '5784033cf83e71cc'],
- [9, '6d35794102aeaa4f'],
- [9, '6554ff15e7b6e9c1'],
- [36, '60277078eebf9c53'],
- [36, '3564950541edf0d7'],
- [36, 'ea4ce453e8ebd511'],
- [36, '953d2094ba5be889'],
- [36, '1757f0202f2bc55b'],
- [36, '770f43bcf2b75aad'],
- [180, '0a18075c1fd807ce'],
- [180, '6ea07e5e66f64548'],
- [180, 'e3099dd41bc6837a'],
- [1080, '88e6cab244b0553a'],
- [1080, '6b18809107c59f31'],
- [1080, 'de363ea5a628b29e'],
- [1080, '1abb7a38626155c6'],
- [1080, '38f65a7cbe12ab96'],
- [1080, '3aeafe9a267d6c60']]
+# recorded when each exact ordering found its windows with a two-pointer loop,
+# and re-recorded when each LP came to be solved at a diameter in [1, 2): the
+# Lipschitz bounds are the earlier ones times a power of two, the rest equal
+LP_INPUTS_RECORDED = [[3, '71c40d95dc8c26c9'], [3, 'f061738c63eae49e'], [3, '241cc9a8662acec9'],
+ [9, '847d9d0bc12b902c'], [9, '63ea77d07bac946d'], [9, 'c5d70a8bf56f0c07'],
+ [36, '43aafb06dfe8e661'], [36, 'af39075f0b930914'], [36, '827a60aec4c93725'],
+ [36, '8d451417ed372351'], [36, '1757f0202f2bc55b'], [36, 'c2268521958ea153'],
+ [180, '76da5cfa3b092408'], [180, 'ba9eb0d81c47e67a'], [180, '6fcc3aa35d30ca68'],
+ [1080, '863975bb31625e43'], [1080, 'c0561fa69969efdb'], [1080, '23db1ece6a1c671d'],
+ [1080, '1ac684430428d36f'], [1080, 'b8b15b6ad6497b5f'], [1080, '67c23784ea4456eb']]

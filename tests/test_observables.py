@@ -553,7 +553,7 @@ def downward_separation_scan(sp, needs):
     assignment search fills every bin, with the groups it found there."""
     cands = np.unique(sp.dist[np.triu_indices(sp.n, 1)])
     for delta in cands[cands > 0][::-1]:
-        conflict = sp.dist < delta - core.VALIDATION_TOL * max(1.0, delta)
+        conflict = sp.dist < delta - core.VALIDATION_TOL * delta
         np.fill_diagonal(conflict, False)
         groups = obs._assignment_feasible(conflict, sp.mass, needs)
         if groups is not None:
@@ -727,7 +727,7 @@ def tree_vertices(sp):
     n, D = sp.n, sp.dist
     if n == 1:
         return np.zeros((1, 1))
-    scale = max(1.0, float(D.max()))
+    scale = float(D.max())
     P = np.array([(0,) + t for t in itertools.product(range(n), repeat=n - 1)])
     A = P
     for _ in range(n):
@@ -748,7 +748,7 @@ def tree_vertices(sp):
 
 def vertex_keys(sp, V):
     """The rows of V rounded as ``lipschitz_vertices`` deduplicates them."""
-    scale = max(1.0, float(sp.dist.max()))
+    scale = float(sp.dist.max())
     return {tuple(row) for row in (np.round(V / scale, 10) + 0.0).tolist()}
 
 
@@ -797,7 +797,7 @@ class TestExactKernels:
         spaces = [random_embedded_space(rng, 9), random_shortest_path_space(rng, 9),
                   generators.interval_grid(9, 0.7), *_vertex_spaces()]
         for sp in spaces:
-            n, to, scale = sp.n, np.ascontiguousarray(sp.dist.T), max(1.0, float(sp.dist.max()))
+            n, to, scale = sp.n, np.ascontiguousarray(sp.dist.T), float(sp.dist.max())
             F = np.full((1, n), math.nan)
             F[0, 0] = 0.0
             for k in range(2, n + 1):
@@ -849,6 +849,33 @@ class TestExactKernels:
         for g, p in zip(got, self.PINNED):
             # a vertex reached by two trees may keep either float copy (1 ulp)
             assert g[1:] == pytest.approx(p[1:], rel=1e-15, abs=0.0)
+
+
+class TestScaleHomogeneity:
+    """An exact invariant of t X is t^k times its value at X: the observable
+    diameter, separation and p-deviation have degree 1, the variance 2."""
+
+    SPACE = random_embedded_space(np.random.default_rng(7), 6)
+
+    @staticmethod
+    def values(t):
+        sp = core.scale(TestScaleHomogeneity.SPACE, t)
+        return [obs.obs_diam(sp, 0.2, mode="exact"), obs.variance(sp),
+                obs.separation(sp, (0.3, 0.3)), obs.p_deviation(sp, 3)]
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return self.values(1.0)
+
+    @pytest.mark.parametrize("k", [-300, -40, 10, 300])
+    def test_bit_for_bit_under_powers_of_two(self, base, k):
+        t = 2.0**k
+        assert self.values(t)[:3] == [base[0] * t, base[1] * t * t, base[2] * t]
+
+    @pytest.mark.parametrize("t", [1e-100, 1e-13, 1e-10, 1e3, 1e100])
+    def test_homogeneous_at_every_scale(self, base, t):
+        for value, want, degree in zip(self.values(t), base, (1, 2, 1, 1)):
+            assert value == pytest.approx(want * t**degree, rel=1e-12)
 
 
 def two_pointer_windows(masses_sorted, need):

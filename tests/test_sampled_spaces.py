@@ -1,7 +1,7 @@
 """Sampled spaces: the distance matrix computed from ``coords`` on its first
 read, ``validate`` on every generator's output at every size and scale, the
 measured gap in triangle messages, and scaling that keeps coordinate
-projections 1-Lipschitz."""
+projections 1-Lipschitz and a sample given by its coords alone."""
 
 import hashlib
 import json
@@ -116,14 +116,39 @@ def test_obsdiam_plan_builds_no_distance_matrix():
     assert csv_sha == "72f98c4e7d340384413d2a864413fc1793049257a91be0f9179438ac424b0d1b"
 
 
-@pytest.mark.parametrize("t", [0.1, 10.0])
+@pytest.mark.parametrize("t", [0.1, 10.0, 2.0])
 def test_scale_keeps_coordinate_projections_1_lipschitz(t):
     sp = gen.gaussian_sample(200, 2, 1.0, seed=3)
     scaled = core.scale(sp, t)
-    assert np.array_equal(scaled.dist, sp.dist * t)
+    assert scaled._dist is None  # the scaled coords define the metric
+    assert np.array_equal(scaled.dist, squareform(pdist(sp.coords * t)))
+    if t == 2.0:
+        assert np.array_equal(scaled.dist, sp.dist * t)
     for col in scaled.coords.T:
         assert core.lipschitz_constant(scaled, col) <= 1 + 1e-9
     assert obs.obs_diam_projection_estimate(scaled, 0.2) <= scaled.diam()
+
+
+SCALED_SAMPLE = """
+from mmslab import core, generators
+sp = core.scale(generators.gaussian_sample(3000, 3, seed=0), 2.0)
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(sp._dist is None, hwm_kb // 1024)
+"""
+
+
+def test_scaled_sample_builds_no_distance_matrix():
+    """A 3000-point sample scaled by 2 stays given by its coords.  One
+    3000 x 3000 matrix alone takes 72 MB; building and keeping the source's
+    and the result's, as ``scale`` once did, peaks at 174 MB in this script,
+    and the bound is half of that."""
+    proc = subprocess.run([sys.executable, "-c", SCALED_SAMPLE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    unbuilt, rss_mb = proc.stdout.split()
+    assert unbuilt == "True"
+    assert int(rss_mb) <= 87
 
 
 def generator_outputs(scale, size):
