@@ -363,6 +363,7 @@ def _cmd_spectral(args):
     if args.convergence_table:
         if args.constant != "c22":
             raise core.InputError("--convergence-table tabulates c22 only, not --constant ls")
+        functional._check_nodes(args.size)  # the largest grid is refused before any is built
         rows = [["size", "c22"]]
         m = min(64, args.size)  # below 64 poincare_c22 rejects the size itself
         while m <= args.size:

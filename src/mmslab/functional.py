@@ -10,8 +10,18 @@ midpoints, the quadrature of that operator; the log-Sobolev check takes the
 central difference (one-sided at the ends).  The trial family is smooth so
 both surrogates stay faithful.  It comes in row blocks of at most
 core._TRIANGLE_BLOCK_ELEMENTS values, and slopes, powers and entropies are
-taken a block at a time; every sum that is a dot product stays one dot per
-row.
+taken a block at a time.
+
+The long vectors are computed once and written into buffers each call owns:
+the trial mixtures and their mode terms, the slopes and squares of a block,
+np.gradient's coefficients (once per grid), and the inverse iteration's
+iterate and Rayleigh-quotient vectors, allocated after its set-up arrays are
+dropped.  A yielded block is never written to.  Every value keeps its bits,
+because each operation keeps its operands and its order: the modes are mixed
+left to right from zeros without einsum or matmul, equal steps take numpy's
+uniform gradient branch, every dot is one ``core._row_dots`` row (or an
+einsum loop in the iteration), and the per-row powers, logarithms and square
+roots are taken on Python floats.
 """
 
 from __future__ import annotations
@@ -24,12 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import dgttrf, dgttrs, ndtri
-from .core import (_TRIANGLE_BLOCK_ELEMENTS, FinitePmSpace, InputError, _central_moment,
-                   _check_count, _check_positive, entropy_weighted)
+from .core import (_TRIANGLE_BLOCK_ELEMENTS, FinitePmSpace, InputError, SizeLimitError,
+                   _central_moment, _check_count, _check_positive, _row_dots, entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
 GAUSSIAN_CUTOFF = 8.0
+# A grid has at most this many nodes (beyond it a SizeLimitError, CLI exit
+# code 3), so a huge size is refused before its nodes are allocated.  c22's
+# inverse iteration takes six to nine times as long per doubling of the size
+# (the README's limit table gives the time and memory at the limit).
+GRID_MAX_NODES = 2**21 + 1
 
 
 class ConvergenceError(RuntimeError):
@@ -79,8 +94,7 @@ class GridSpace1D:
         return float(self.nodes[1] - self.nodes[0])
 
     def node_mass(self):
-        mu = self.weight * self.h
-        mu = mu.copy()
+        mu = self.weight * self.h  # a new array, so the halving stays in it
         mu[0] *= 0.5
         mu[-1] *= 0.5
         return mu
@@ -106,6 +120,14 @@ def _check_squares(name, value, *factors):
         raise InputError(f"{name} is too large or too small to square, got {value!r}")
 
 
+def _check_nodes(m):
+    """InputError unless the subinterval count m is an integer >= 2, then
+    SizeLimitError when its m + 1 nodes exceed GRID_MAX_NODES."""
+    _check_count("m", m, 2)
+    if m + 1 > GRID_MAX_NODES:
+        raise SizeLimitError(f"grids are limited to {GRID_MAX_NODES} nodes, got m = {m}")
+
+
 def _normalize(nodes, weight, kind):
     nodes = np.asarray(nodes, dtype=float)
     weight = np.asarray(weight, dtype=float)
@@ -117,7 +139,7 @@ def _normalize(nodes, weight, kind):
 
 def unit_interval_grid(m, length=1.0):
     """Uniformly weighted interval [0, length] on m+1 nodes."""
-    _check_count("m", m, 2)
+    _check_nodes(m)
     _check_squares("length", length, 1 / m)
     nodes = np.linspace(0.0, length, m + 1)
     return _normalize(nodes, np.ones(m + 1), "interval")
@@ -130,7 +152,7 @@ def gaussian_grid(m, sigma=1.0):
     The truncated tail mass is below 1e-14, negligible against every
     tolerance used here.
     """
-    _check_count("m", m, 2)
+    _check_nodes(m)
     _check_squares("sigma", sigma, GAUSSIAN_CUTOFF, 2 * GAUSSIAN_CUTOFF / m)
     nodes = np.linspace(-GAUSSIAN_CUTOFF * sigma, GAUSSIAN_CUTOFF * sigma, m + 1)
     w = np.exp(-(nodes**2) / (2.0 * sigma**2))
@@ -164,34 +186,44 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
     the constant mode.  The shifted operator is factored once (LAPACK
-    ``gttrf``) and each step is one solve with that factor (``gttrs``)."""
+    ``gttrf``) and each step is one solve with that factor (``gttrs``), in
+    the iterate's own buffer."""
     mu = grid.node_mass()
     cond = _edge_conductances(grid) / grid.h**2
     n = mu.size
-    diag = np.zeros(n)
-    diag[:-1] += cond
-    diag[1:] += cond
-    off = -cond
+    scaled = np.zeros(n)  # the diagonal, then over mu and shifted
+    scaled[:-1] += cond
+    scaled[1:] += cond
+    scaled /= mu
     sq = np.sqrt(mu)
+    del mu
 
-    shift = 1e-10 * float(np.max(diag / mu))  # regularises the deflated solve
+    shift = 1e-10 * float(np.max(scaled))  # regularises the deflated solve
     # a power of two near the shift keeps each solve's u and its squares
     # normal at every scale, and scales exactly, so u / norm keeps its bits
     lift = math.ldexp(1.0, math.frexp(shift)[1])
-    side = off / (sq[:-1] * sq[1:])
-    *factor, info = dgttrf(side, diag / mu + shift, side)
+    side = -cond / (sq[:-1] * sq[1:])
+    scaled += shift
+    *factor, info = dgttrf(side, scaled, side)
     if info > 0:
         raise ConvergenceError("the shifted operator has a singular factor")
+    del scaled, side
+    # u / sq and its steps, and the multiple of sq that deflation removes
+    ratio, steps = np.empty(n), np.empty(n - 1)
+    mass = _dot(sq, sq)
 
     def deflate(v):
-        return v - _dot(v, sq) / _dot(sq, sq) * sq
+        v -= np.multiply(sq, _dot(v, sq) / mass, out=ratio)
 
     rng = np.random.default_rng(1)
-    v = deflate(rng.standard_normal(n))
-    v /= math.sqrt(_dot(v, v))
+    u = rng.standard_normal(n)
+    deflate(u)
+    u /= math.sqrt(_dot(u, u))
     lam_old = math.inf
     for _ in range(max_iter):
-        u = deflate(dgttrs(*factor, v)[0] * lift)
+        u = dgttrs(*factor, u, overwrite_b=True)[0]
+        u *= lift
+        deflate(u)
         norm = math.sqrt(_dot(u, u))
         if norm == 0:
             raise ConvergenceError("inverse iteration collapsed onto the constants")
@@ -200,13 +232,14 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         # denominator is 1).  The symmetrised form cancels the diagonal
         # against the off-diagonal, and at m ~ 65 000 its rounding alternated
         # between two values 1e-8 apart that never met the stopping test.
-        lam = _dot(cond, np.diff(u / sq) ** 2)
+        np.divide(u, sq, out=ratio)
+        np.square(np.subtract(ratio[1:], ratio[:-1], out=steps), out=steps)
+        lam = _dot(cond, steps)
         if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
             if not lam > 0:  # a grid at a scale the iteration cannot resolve
                 raise ConvergenceError(f"nonpositive spectral gap {lam}")
-            return lam, u / sq
+            return lam, ratio
         lam_old = lam
-        v = u
     raise ConvergenceError(f"inverse iteration did not reach {tol} in {max_iter} steps")
 
 
@@ -217,6 +250,12 @@ def poincare_c22(grid: GridSpace1D):
     return 1.0 / math.sqrt(second_eigenvalue(grid)[0])
 
 
+def _block_rows(n):
+    """Rows of n values in one block of at most _TRIANGLE_BLOCK_ELEMENTS
+    values, and one row when a row alone is longer."""
+    return max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
+
+
 def _trial_blocks(grid: GridSpace1D, trials, seed):
     """Yield the first ``trials`` functions of a smooth seeded family as the
     rows of matrices of at most _TRIANGLE_BLOCK_ELEMENTS values (one row when
@@ -225,29 +264,37 @@ def _trial_blocks(grid: GridSpace1D, trials, seed):
     keeps the central-difference slope faithful."""
     x = grid.nodes
     t = (x - x[0]) / (x[-1] - x[0])
-    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // t.size)
+    rows = _block_rows(t.size)
     _, eig = second_eigenvalue(grid)
     head = ([eig / np.abs(eig).max()] + [(t - 0.5) ** deg for deg in range(1, 7)])[:trials]
     for start in range(0, len(head), rows):
         yield np.array(head[start:start + rows])
     rng = np.random.default_rng(seed)
     modes = [np.cos((j + 1) * math.pi * t) for j in range(12)]
+    # the mixtures, and one coefficient times one mode per row (then |mix|)
+    mix, term = np.empty((rows, t.size)), np.empty((rows, t.size))
     made = len(head)
     while made < trials:
         # one trial draws its term count, then its coefficients
         draws = [rng.standard_normal(rng.integers(1, 13)) for _ in range(min(rows, trials - made))]
         # each row sums c * mode left to right from zeros; with the rows
         # longest first, the rows that take mode j are a leading slice
-        order = sorted(range(len(draws)), key=lambda i: -draws[i].size)
-        f = np.zeros((len(draws), t.size))
-        for j, mode in enumerate(modes):
-            coeff = [draws[i][j] for i in order if draws[i].size > j]
-            f[:len(coeff)] += np.array(coeff)[:, None] * mode
-        peak = np.abs(f).max(axis=1)
+        sizes = np.array([d.size for d in draws])
+        order = np.argsort(-sizes, kind="stable")
+        taking = np.arange(len(modes)) < sizes[order, None]
+        coeff = np.zeros(taking.shape)
+        coeff[taking] = np.concatenate([draws[i] for i in order])
+        f = mix[:len(draws)]
+        f.fill(0.0)
+        for j, k in enumerate(taking.sum(axis=0).tolist()):  # the first k rows take mode j
+            f[:k] += np.multiply(coeff[:k, j, None], modes[j], out=term[:k])
+        peak = np.abs(f, out=term[:len(draws)]).max(axis=1)
         back = np.argsort(order)  # the rows in draw order
         back = back[peak[back] > 0]  # a zero mixture is dropped and drawing goes on
         made += back.size
-        yield f[back] / peak[back, None]
+        block = f[back]
+        block /= peak[back, None]
+        yield block
 
 
 def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
@@ -265,11 +312,16 @@ def poincare_pq_lower(grid: GridSpace1D, p, q, trials=256, seed=0):
     _check_count("seed", seed, 0)
     mu = grid.node_mass()
     cond = _edge_conductances(grid)
+    slopes = np.empty((_block_rows(mu.size), mu.size - 1))  # |f'|^q on the edges
     best = 0.0
     for block in _trial_blocks(grid, trials, seed):
-        powered = (np.abs(np.diff(block, axis=1)) / grid.h) ** q
-        for moment, slope_q in zip(_central_moment(mu, block, p), powered):
-            energy = _finite(float(np.dot(cond, slope_q)) ** (1.0 / q))
+        powered = np.subtract(block[:, 1:], block[:, :-1], out=slopes[:len(block)])
+        np.abs(powered, out=powered)
+        powered /= grid.h
+        powered **= q
+        energies = _row_dots(powered, cond).tolist()
+        for moment, energy in zip(_central_moment(mu, block, p), energies):
+            energy = _finite(energy ** (1.0 / q))
             if energy <= 1e-14:
                 continue
             best = max(best, _finite(float(moment) ** (1.0 / p) / energy))
@@ -300,12 +352,45 @@ def _entropies(mu, squares):
     full = (squares > 0).all(axis=1)
     weighted = mu * squares  # w * v * log v in entropy_weighted's order
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with a zero are not read
-        s1 = np.sum(weighted * np.log(squares), axis=1)
+        terms = np.log(squares)
+        terms *= weighted
+    s1 = np.sum(terms, axis=1)
     for v, whole, s, mean in zip(squares, full, s1.tolist(), np.sum(weighted, axis=1).tolist()):
         if whole:
             yield s - (mean * math.log(mean) if mean > 0 else 0.0)
         else:
             yield entropy_weighted(mu, v)
+
+
+def _gradient(nodes):
+    """``np.gradient(f, nodes, axis=1)`` for a block f, as a function
+    ``(f, out, spare)`` that writes the slopes into ``out`` and a term into
+    ``spare`` (both of f's shape): numpy's coefficients taken once per grid,
+    and its operations in its order, so every slope keeps its bits.  Equal
+    steps take numpy's uniform branch, as np.gradient does."""
+    dx = np.diff(nodes)
+    uniform = (dx == dx[0]).all()
+    if not uniform:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+
+    def gradient(f, out, spare):
+        inner, term = out[:, 1:-1], spare[:, 1:-1]
+        if uniform:
+            np.subtract(f[:, 2:], f[:, :-2], out=inner)
+            inner /= 2.0 * dx[0]
+        else:  # a * f[:-2] + b * f[1:-1] + c * f[2:]
+            np.multiply(a, f[:, :-2], out=inner)
+            inner += np.multiply(b, f[:, 1:-1], out=term)
+            inner += np.multiply(c, f[:, 2:], out=term)
+        for edge, (hi, lo) in ((0, (1, 0)), (-1, (-1, -2))):  # one-sided
+            np.subtract(f[:, hi], f[:, lo], out=out[:, edge])
+            out[:, edge] /= dx[edge]
+        return out
+
+    return gradient
 
 
 @_finite_arithmetic()
@@ -327,13 +412,22 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     blocks = _trial_blocks(grid, max(trials - 4, 1), seed)
     first = next(blocks)  # its first row is the normalised spectral eigenfunction
     perturbed = 1.0 + np.array([0.003, 0.01, 0.03, 0.1])[:, None] * first[0]
+    gradient = _gradient(grid.nodes)
+    # the slopes and their squares, and the gradient's spare term, then the
+    # squares of the trials; the first block holds the 4 perturbed rows
+    # besides at most a block's rows
+    shape = (4 + _block_rows(mu.size), mu.size)
+    slopes, squares = np.empty(shape), np.empty(shape)
 
     worst = -math.inf
     lower = 0.0
     for block in itertools.chain([np.vstack((perturbed, first))[:trials]], blocks):
-        slopes = np.gradient(block, grid.nodes, axis=1)
-        for g2, ent in zip(slopes * slopes, _entropies(mu, block**2)):
-            ent, energy = _finite(ent), _finite(float(np.dot(mu, g2)))
+        g2 = gradient(block, slopes[:len(block)], squares[:len(block)])
+        g2 *= g2
+        energies = _row_dots(g2, mu).tolist()
+        block2 = np.multiply(block, block, out=squares[:len(block)])
+        for ent, energy in zip(_entropies(mu, block2), energies):
+            ent, energy = _finite(ent), _finite(energy)
             worst = max(worst, ent - 2.0 * constant**2 * energy)
             if energy > 1e-14 and ent > 0:
                 lower = max(lower, math.sqrt(_finite(ent / (2.0 * energy))))

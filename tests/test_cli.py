@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mmslab import boxmetric, cli, core, generators as gen, observables
+from mmslab import boxmetric, cli, core, functional, generators as gen, observables
 
 
 def run_cli(*args):
@@ -116,6 +117,23 @@ class TestSubcommands:
         code, stdout, _ = run_cli("spectral", "--space", "interval", "--size", "128")
         assert code == 0
         assert json.loads(stdout)["value"] == pytest.approx(1 / math.pi, abs=1e-3)
+
+    @pytest.mark.parametrize("size", [functional.GRID_MAX_NODES, 10**9], ids=["limit+1", "1e9"])
+    @pytest.mark.parametrize("extra", [["--space", "interval"], ["--space", "gaussian"],
+                                       ["--space", "interval", "--constant", "ls"],
+                                       ["--space", "interval", "--convergence-table"]],
+                             ids=["interval", "gaussian", "ls", "convergence_table"])
+    def test_spectral_node_limit_exit(self, monkeypatch, capsys, extra, size):
+        # a size + 1 node grid is refused before any grid is built, the
+        # table's smaller ones included
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_arrays)
+        assert cli.main(["spectral", "--size", str(size), *extra]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"size limit: grids are limited to {functional.GRID_MAX_NODES} nodes")
 
     def test_spectral_convergence_table(self):
         code, stdout, _ = run_cli(

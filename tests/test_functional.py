@@ -48,6 +48,17 @@ class TestGridSpaces:
         with pytest.raises(core.InputError):
             fn.GridSpace1D(np.linspace(0, 1, 5), 2.0 * np.ones(5))  # not normalised
 
+    @pytest.mark.parametrize("m", [fn.GRID_MAX_NODES, 10**9], ids=["limit+1", "1e9"])
+    @pytest.mark.parametrize("make", [fn.unit_interval_grid, fn.gaussian_grid],
+                             ids=["interval", "gaussian"])
+    def test_node_limit_refused_before_allocating(self, monkeypatch, make, m):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a grid beyond the node limit was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_arrays)
+        with pytest.raises(core.SizeLimitError, match=f"limited to {fn.GRID_MAX_NODES} nodes"):
+            make(m)  # m + 1 nodes
+
 
 class TestPoincare:
     def test_interval_reference(self):
@@ -280,6 +291,30 @@ class TestTrialBlocks:
         for trials in (1, 5, 7, 300) + (LS_EDGES if edges else ()):
             assert (fn.log_sobolev_check(grid, 0.3, trials=trials, seed=seed)
                     == _per_row_log_sobolev(grid, 0.3, trials, seed))
+
+    @pytest.mark.parametrize("grid", [fn.unit_interval_grid(512), fn.gaussian_grid(2047, 0.8)],
+                             ids=["uniform_steps", "rounded_steps"])
+    def test_blocks_are_only_read(self, monkeypatch, grid):
+        # every step of the 512-interval grid is exactly 1/512, so numpy
+        # takes its uniform np.gradient branch; the Gaussian grid's steps
+        # round apart and take the non-uniform one
+        steps = np.diff(grid.nodes)
+        assert (steps == steps[0]).all() == (grid.kind == "interval")
+        blocks = fn._trial_blocks
+
+        def read_only(grid, trials, seed):
+            for block in blocks(grid, trials, seed):
+                block = block.copy()
+                block.setflags(write=False)
+                yield block
+
+        monkeypatch.setattr(fn, "_trial_blocks", read_only)
+        for trials in (5, 300):
+            assert (fn.log_sobolev_check(grid, 0.3, trials=trials, seed=3)
+                    == _per_row_log_sobolev(grid, 0.3, trials, 3))
+            for p, q in ((2, 2), (3, 1.5)):
+                assert (fn.poincare_pq_lower(grid, p, q, trials=trials, seed=3)
+                        == _per_row_pq_lower(grid, p, q, trials, 3))
 
     def test_block_shapes(self):
         grid = fn.unit_interval_grid(2047)
