@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._scipy import connected_components
-from .core import FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL, _check_count
+from .core import (FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL, _check_count,
+                   _check_positive)
 from .observables import SEPARATION_MAX_POINTS, SEPARATION_MAX_POSITIVE, separation
 
 MAX_CONTRACTION = 16
@@ -179,9 +180,7 @@ class AtomAssignment:
     map: tuple
 
     def verify(self, sp: FinitePmSpace, alpha: AtomVector):
-        load = np.zeros(sp.n)
-        for i, x in enumerate(self.map):
-            load[x] += float(alpha.entries[i])
+        load = np.bincount(self.map, weights=alpha.as_floats()[:len(self.map)], minlength=sp.n)
         return bool(np.all(load <= sp.mass + VALIDATION_TOL))
 
 
@@ -268,8 +267,7 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
     spaces = list(sequence)
     if len(spaces) < 4:
         raise InputError("detect_dissipation needs a sequence of length >= 4")
-    if not delta > 0:
-        raise InputError("delta must be positive")
+    _check_positive("delta", delta)
     targets = [float(e) for e in alpha.entries if e > 0]
     if abs(alpha.norm1() - 1.0) < VALIDATION_TOL and len(targets) == 1:
         raise InputError("the single-full-atom vector dissipates vacuously")

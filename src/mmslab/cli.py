@@ -31,7 +31,6 @@ class _Lazy:
         return getattr(importlib.import_module(self._name), attr)
 
 
-np = _Lazy("numpy")
 atoms_mod = _Lazy(f"{__package__}.atoms")
 boxmetric = _Lazy(f"{__package__}.boxmetric")
 core = _Lazy(f"{__package__}.core")
@@ -55,23 +54,14 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.floating):
-        return _jsonable(float(x))
-    if isinstance(x, np.integer):
-        return int(x)
     return x
 
 
 def _print_json(obj, fmt="json"):
     if fmt == "csv":
-        flat = _jsonable(obj)
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if isinstance(flat, dict):
-            for k, v in flat.items():
-                writer.writerow([k, v])
-        else:
-            for row in flat:
-                writer.writerow(row if isinstance(row, (list, tuple)) else [row])
+        for k, v in _jsonable(obj).items():
+            writer.writerow([k, v])
     else:
         json.dump(_jsonable(obj), sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -691,13 +681,6 @@ def build_parser():
     return ap
 
 
-def _convergence_errors():
-    """functional.ConvergenceError, raised for a grid at a scale inverse
-    iteration cannot resolve, once the command has loaded functional."""
-    grids = sys.modules.get(f"{__package__}.functional")
-    return (grids.ConvergenceError,) if grids else ()
-
-
 def main(argv=None):
     ap = build_parser()
     try:
@@ -713,7 +696,7 @@ def main(argv=None):
     except (core.SizeLimitError, MemoryError) as e:
         print(f"size limit: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_SIZE
-    except (core.InputError, FileNotFoundError, *_convergence_errors()) as e:
+    except (core.InputError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -548,8 +548,9 @@ def scale(sp: FinitePmSpace, t):
     """Metric scale change: multiply all distances, and any coordinates, by
     a finite t > 0; masses unchanged.  A space given by coords alone stays
     so, its metric the Euclidean one of t coords (``sp.dist * t`` bit for bit
-    when t is a power of two), and ``space`` validates it as it validates a
-    sample; ``_check_rounding`` rejects any other result that rounding broke."""
+    when t is a power of two).  ``space`` validates the result as it
+    validates any space, so one that rounding broke, or whose triangle
+    excess the factor carried past the tolerance, is rejected."""
     if not t > 0:
         raise InputError(f"scale factor must be positive, got {t}")
     t = float(t)
@@ -558,9 +559,7 @@ def scale(sp: FinitePmSpace, t):
     with np.errstate(over="ignore"):
         coords = None if sp.coords is None else sp.coords * t
         D = None if sp._dist is None else sp.dist * t
-    if D is None:
-        return space(sp.points, None, sp.mass, sp.mass_rational, coords)
-    return _check_rounding(FinitePmSpace(sp.points, D, sp.mass, sp.mass_rational, coords))
+    return space(sp.points, D, sp.mass, sp.mass_rational, coords)
 
 
 def _combine_lp(a, b, p):
@@ -571,7 +570,10 @@ def _combine_lp(a, b, p):
 
 def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
     """l_p product: Cartesian points, l_p-combined distances, tensor masses.
-    ``_check_rounding`` rejects a result that rounding broke."""
+    The result of valid spaces is checked in O(n^2), not by the O(n^3)
+    triangle sweep, which a 10,000-point tower level cannot afford: a
+    distance that overflows to inf or an l_p sum that underflows to 0 is an
+    InvalidSpaceError."""
     _check_p(p)
     pts = tuple((a, b) for a in sx.points for b in sy.points)
     cx, cy = divmod(np.arange(sx.n * sy.n), sy.n)
@@ -581,22 +583,10 @@ def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
     mr = None
     if sx.mass_rational is not None and sy.mass_rational is not None:
         mr = tuple(a * b for a in sx.mass_rational for b in sy.mass_rational)
-    return _check_rounding(FinitePmSpace(pts, D, m, mr))
-
-
-def _check_rounding(sp: FinitePmSpace):
-    """``sp``, computed by ``scale`` or ``product`` from valid spaces, or
-    InvalidSpaceError when rounding broke its matrix or coords: a distance
-    that overflows to inf, an l_p sum that underflows to 0, a coordinate
-    that overflows.  The O(n^2) checks of ``_scan_metric`` and the coords'
-    finiteness, not the O(n^3) triangle sweep, which a 10,000-point tower
-    level cannot afford."""
-    first = _scan_metric(sp.dist, None, False, False)[0]
-    if first is None and sp.coords is not None and not np.isfinite(sp.coords).all():
-        first = _infinite_coord(sp.coords)
+    first = _scan_metric(D, None, False, False)[0]
     if first is not None:
         raise InvalidSpaceError(str(first))
-    return sp
+    return FinitePmSpace(pts, D, m, mr)
 
 
 def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):

@@ -47,8 +47,9 @@ GAUSSIAN_CUTOFF = 8.0
 GRID_MAX_NODES = 2**21 + 1
 
 
-class ConvergenceError(RuntimeError):
-    pass
+class ConvergenceError(InputError):
+    """A grid at a scale that inverse iteration or the log-Sobolev check
+    cannot resolve in floating point: an input error, CLI exit code 2."""
 
 
 @contextlib.contextmanager

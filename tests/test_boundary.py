@@ -198,9 +198,11 @@ def test_out_of_range_parameter_fails_before_any_space_is_built(monkeypatch, kin
     (lambda bad: obs.gaussian_vs_uniform_crossover(bad), "sigma"),
     (lambda bad: boxmetric.box_converges([generators.two_point()], generators.two_point(), bad),
      "tol"),
+    (lambda bad: atoms.detect_dissipation([generators.two_point()] * 4, atoms.sort_atoms([0.3]),
+                                          bad), "delta"),
 ], ids=["interval_grid", "gaussian_sample", "sphere_sample", "two_point", "dissipation_family",
         "unit_interval_grid", "gaussian_grid", "scale_grid", "log_sobolev_check",
-        "gaussian_obs_diam", "crossover", "box_converges"])
+        "gaussian_obs_diam", "crossover", "box_converges", "detect_dissipation"])
 def test_positive_parameter_is_named_not_a_distance(call, name):
     """NaN, infinities, zero, negatives and non-numbers fail the one positive
     rule, with the parameter's name, not as a distance that is not finite."""
@@ -242,6 +244,9 @@ BAD_ARGS = [
     ("alpha_nan", ["atoms", "product", "--alpha", "0.3,nan", "--beta", "0.5"]),
     ("negative_seed", ["--seed", "-1", "invariant", "{space}", "--kind", "var"]),
     ("negative_trials", ["spectral", "--space", "interval", "--constant", "ls", "--trials", "-2"]),
+    ("output_is_a_directory", ["gen", "two_point", "-o", "{dir}"]),
+    ("csv_is_a_directory", ["run", "cube_vs_gaussian", "--csv", "{dir}"]),
+    ("json_out_is_a_directory", ["run", "cube_vs_gaussian", "--json-out", "{dir}"]),
 ]
 
 
@@ -251,7 +256,7 @@ def test_bad_argument_is_input_error(argv):
         bad = os.path.join(d, "bad.json")
         with open(bad, "w", encoding="utf-8") as fh:
             fh.write("{")
-        argv = [a.format(space=os.path.join(d, "space.json"), bad=bad) for a in argv]
+        argv = [a.format(space=os.path.join(d, "space.json"), bad=bad, dir=d) for a in argv]
         code, _, err = run_main(argv)
     assert code == 2
     assert err.startswith("input error:")

@@ -691,6 +691,15 @@ class TestScale:
         with pytest.raises(core.InvalidSpaceError, match=r"coords\[0\]\[0\] is not finite"):
             core.scale(wide, 1e10)
 
+    def test_a_scaled_space_is_validated_like_any_space(self):
+        # the triangle tolerance 1e-12 max(1, max D) does not grow below
+        # diameter 1, so an excess it accepts there fails once scaled past it
+        sp = core.space("abc", [[0.0, 0.25, 0.5 + 0.9e-12], [0.25, 0.0, 0.25],
+                                [0.5 + 0.9e-12, 0.25, 0.0]], [0.25, 0.5, 0.25])
+        with pytest.raises(core.InvalidSpaceError) as e:
+            core.scale(sp, 1e3)
+        assert str(e.value) == "dist[0][2] > dist[0][1] + dist[1][2] by 8.999e-10"
+
 
 class TestProduct:
     def test_identity_element(self, rng):

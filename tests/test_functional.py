@@ -173,6 +173,10 @@ class TestNonFiniteTrials:
     """A trial whose entropy, slope energy or deviation is NaN fails the call
     instead of dropping out of the max folds."""
 
+    def test_convergence_error_is_an_input_error(self):
+        # so the CLI reports it as every other input error, with exit code 2
+        assert issubclass(fn.ConvergenceError, core.InputError)
+
     def test_log_sobolev_nan_entropy(self, monkeypatch):
         entropies = fn._entropies
 
