@@ -22,7 +22,7 @@ import numpy as np
 
 from ._scipy import connected_components
 from .core import (FinitePmSpace, InputError, SizeLimitError, VALIDATION_TOL, _check_count,
-                   _check_positive)
+                   _check_positive, _distance_tol)
 from .observables import SEPARATION_MAX_POINTS, SEPARATION_MAX_POSITIVE, separation
 
 MAX_CONTRACTION = 16
@@ -197,7 +197,7 @@ def member(sp: FinitePmSpace, alpha: AtomVector, delta=math.inf):
     entries = [float(e) for e in alpha.entries if e > 0]
     if len(entries) > MAX_PACKING or sp.n > MAX_PACKING:
         raise SizeLimitError(f"membership packing is limited to {MAX_PACKING} items/points")
-    if sp.diam() > delta + VALIDATION_TOL:
+    if sp.diam() > delta + _distance_tol(sp.diam()):
         return None
     slot = _pack(entries, [float(m) for m in sp.mass], VALIDATION_TOL, fill=False)
     return None if slot is None else AtomAssignment(tuple(slot))
@@ -231,7 +231,7 @@ class DissipationEvidence:
 def _greedy_families(sp: FinitePmSpace, targets, delta):
     """Assign components of the strict sub-delta graph to atom bins (best fit
     decreasing) and leave the rest as small bins."""
-    strict = sp.dist < delta * (1.0 - 1e-9) - VALIDATION_TOL
+    strict = sp.dist < delta * (1.0 - 1e-9) - _distance_tol(delta)
     _, labels = connected_components(strict, directed=False)
     comps = sorted(np.bincount(labels, weights=sp.mass), reverse=True)
     atom_bins = [0.0] * len(targets)
@@ -340,11 +340,12 @@ def detect_dissipation(sequence, alpha: AtomVector, delta):
 def _smallest_slack(sp, kappa, eps_grid, delta):
     """The first slack in ``eps_grid`` at which the separation of ``sp`` at
     thresholds ``kappa`` minus the slack reaches delta, or inf."""
+    reach = delta - _distance_tol(delta)
     for eps in eps_grid:
         reduced = tuple(k - eps for k in kappa)
         if sum(k for k in reduced if k > 0) > 1.0:
             continue
-        if separation(sp, reduced) >= delta - 1e-9:
+        if separation(sp, reduced) >= reach:
             return eps
     return math.inf
 

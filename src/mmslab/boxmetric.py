@@ -343,7 +343,7 @@ def _distance_distribution(sp):
     return uniq, sums
 
 
-def _levy(vals_a, w_a, vals_b, w_b, tol=1e-12):
+def _levy(vals_a, w_a, vals_b, w_b):
     """Levy distance between two discrete distributions on the line."""
     # values are unique, so cdf[1:] is each atom's own CDF value
     cdf_a = np.concatenate(([0.0], np.cumsum(w_a)))
@@ -353,7 +353,7 @@ def _levy(vals_a, w_a, vals_b, w_b, tol=1e-12):
         for vals_p, cdf_p, vals_q, cdf_q in ((vals_a, cdf_a, vals_b, cdf_b),
                                              (vals_b, cdf_b, vals_a, cdf_a)):
             at = np.searchsorted(vals_q, vals_p + eps, side="right")
-            if np.any(cdf_p[1:] > cdf_q[at] + eps + tol):
+            if np.any(cdf_p[1:] > cdf_q[at] + eps + 1e-12):
                 return False
         return True
 

@@ -21,6 +21,7 @@ import numpy as np
 # Global tolerance knobs: structural validation vs. equality of derived reals.
 VALIDATION_TOL = 1e-12
 REAL_TOL = 1e-9
+_DISTANCE_FLOOR = 2.0 ** -480  # the least scale of ``_distance_tol``, derived in ``_certified``
 
 # Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
 ISOMORPHISM_MAX_POINTS = 10
@@ -123,6 +124,12 @@ class FinitePmSpace:
         return float(self.dist.max()) if self.n else 0.0
 
 
+def _distance_tol(scale):
+    """How far two distances, the largest ``scale``, may differ and count as
+    equal: VALIDATION_TOL max(_DISTANCE_FLOOR, scale), as rounding is relative."""
+    return VALIDATION_TOL * max(_DISTANCE_FLOOR, scale)
+
+
 def space(points, dist, mass, mass_rational=None, coords=None):
     """Build a space and reject it if any invariant fails."""
     sp = FinitePmSpace(points, dist, mass, mass_rational, coords)
@@ -134,9 +141,9 @@ def validate(sp: FinitePmSpace):
     """Return the first violated invariant of ``sp`` or None.  Total function.
 
     The checks are reported in a fixed order: finite, diagonal, symmetry,
-    positivity, triangle, masses, coords.  A triple is a defect when D[i,k]
-    exceeds D[i,j] + D[j,k] by more than VALIDATION_TOL max(1, max D), as
-    rounding scales with the distances; diagonal and symmetry are absolute.
+    positivity, triangle, masses, coords.  The diagonal, symmetry, triangle
+    and coords checks tolerate ``_distance_tol(max D)``: a triple is a defect
+    when D[i,k] exceeds D[i,j] + D[j,k] by more than that.
 
     A space built from coords that pass ``_coords_certified`` meets every
     check but the masses by construction and keeps ``dist`` unbuilt.  Any
@@ -177,7 +184,7 @@ def validate(sp: FinitePmSpace):
     if not finite:
         return _infinite_coord(coords)
     for c, (gap, i, j) in enumerate(gaps):
-        if gap > VALIDATION_TOL * max(1.0, top):
+        if gap > _distance_tol(top):
             return Violation(
                 "coords",
                 (i, j, c),
@@ -201,7 +208,7 @@ def _scan_metric(D, coords, certify, check_coords):
       ``_euclidean_rows`` evaluates it, else None;
     - ``gaps`` holds, per coordinate column c, the largest |c_i - c_j| -
       D[i, j] as (gap, i, j) when ``check_coords``, else None; ``validate``
-      reports a gap above 1e-12 max(1, max D) last, as the coords check.
+      reports a gap above ``_distance_tol(max D)`` last, as the coords check.
 
     Every position is the first row-major one, as an argmax or argmin over
     the whole matrix finds it.
@@ -212,8 +219,8 @@ def _scan_metric(D, coords, certify, check_coords):
     spare = np.empty((rows, n)) if certify else None  # holds the squares of Ê
     cert = (0.0, 0.0) if certify else None
     gaps = [None] * coords.shape[1] if check_coords else None
-    diag = asym = low = None
-    top, floor = 0.0, math.inf
+    asym = low = None
+    top = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, rows):
             e = min(n, s + rows)
@@ -224,11 +231,6 @@ def _scan_metric(D, coords, certify, check_coords):
                 return (Violation("finite", (s + int(i), int(j)),
                                   f"dist[{s + i}][{j}] is not finite"), top, None, None, None)
             top = max(top, float(hi))
-            floor = min(floor, float(block.diagonal(s).min()))
-            on = np.abs(block.diagonal(s)) > VALIDATION_TOL
-            if diag is None and on.any():
-                i = int(np.argmax(on))
-                diag = (s + i, block[i, s + i])
             np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
             asym = _first_extreme(asym, w, s, np.argmax)
             np.copyto(w, block)
@@ -243,17 +245,18 @@ def _scan_metric(D, coords, certify, check_coords):
                 for c, col in enumerate(coords.T):
                     np.abs(np.subtract.outer(col[s:e], col, out=w), out=w)
                     gaps[c] = _first_extreme(gaps[c], np.subtract(w, block, out=w), s, np.argmax)
-    first = None
-    if diag is not None:
-        i, value = diag
-        first = Violation("diagonal", (i,), f"dist[{i}][{i}] = {value} != 0")
-    elif asym[0] > VALIDATION_TOL:
+    tol, diag = _distance_tol(top), D.diagonal()
+    first, on = None, np.abs(diag) > tol
+    if on.any():
+        i = int(np.argmax(on))
+        first = Violation("diagonal", (i,), f"dist[{i}][{i}] = {diag[i]} != 0")
+    elif asym[0] > tol:
         _, i, j = asym
         first = Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
     elif low[0] <= 0:
         value, i, j = low
         first = Violation("positivity", (i, j), f"dist[{i}][{j}] = {value} <= 0 for i != j")
-    return first, top, (low[0], floor), cert, gaps
+    return first, top, (low[0], float(diag.min())), cert, gaps
 
 
 def _infinite_coord(coords):
@@ -298,7 +301,7 @@ def _mass_violation(sp: FinitePmSpace):
 
 def _certified(d, M, err):
     """True when no triangle excess ``_triangle_violation(D)`` computes can
-    exceed its tolerance VALIDATION_TOL max(1, max D), proved from d <= 2^20
+    exceed its tolerance ``_distance_tol(max D)``, proved from d <= 2^20
     coordinate columns, M = max(max D, max Ê) and err = max |Ê - D| as
     ``_scan_metric`` computes them; False when it cannot be proved this way
     (coords of another metric, too many columns, or inf anywhere), and then
@@ -327,20 +330,24 @@ def _certified(d, M, err):
       at most B = (3 eps + 2u M)(1 + 2u).
     - The tolerance reads max D, which may lie below M: max Ê <= max D +
       max |Ê - D|, so max D >= low = M - err (1 + 2u).  The sweep's
-      tolerance, VALIDATION_TOL max(1, max D) rounded once, is at least
-      VALIDATION_TOL max(1, low) (1 - u).
+      tolerance, VALIDATION_TOL max(F, max D) rounded once with F =
+      _DISTANCE_FLOOR, is at least VALIDATION_TOL max(F, low) (1 - u).
+    - The floor F keeps the underflow term 3 sqrt(d) 2^-535 of B, at most
+      3 2^-525 for d <= 2^20, under a tenth of the least tolerance
+      VALIDATION_TOL F; 2^-480 is the least power of two that does.
 
     B is evaluated with its last factor widened to 1 + 24u, which covers the
     at most eight roundings of evaluating it and the at most four of the
-    tolerance and of low (every term is nonnegative, err is widened by 4u;
-    if M < 1e-300 every computed excess is below M anyway).  Inf in Ê or in
-    the error makes the bound inf, which fails the comparison.
+    tolerance and of low (every term is nonnegative, err is widened by 4u).
+    A rounding among subnormals moves a result by at most 2^-1075, far
+    below 24u times the underflow term, so the widening covers it too.  Inf
+    in Ê or in the error makes the bound inf, which fails the comparison.
     """
     u = 2.0 ** -53
     rho = (d + 5) / 2 * u
     eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
     low = M - err * (1 + 4 * u)
-    return bool((3 * eps + 2 * u * M) * (1 + 24 * u) <= VALIDATION_TOL * max(1.0, low))
+    return bool((3 * eps + 2 * u * M) * (1 + 24 * u) <= _distance_tol(low))
 
 
 def _spread(top, least, floor):
@@ -358,11 +365,11 @@ def _spread(top, least, floor):
       where 2 least is exact or inf; the excess is at most 0.
     - j = i or j = k, i != k: b + c is a plus a diagonal entry >= floor
       >= 0, so fl(b + c) >= a and the excess is at most 0.  A negative
-      diagonal entry, which the diagonal check allows down to
-      -VALIDATION_TOL, could leave an excess of its size plus a rounding of
-      a, above the tolerance when max D is near 1: hence floor >= 0.
-    - i = k != j: a = D[i,i] <= VALIDATION_TOL and b + c > 0, so the excess
-      is at most a, at most the tolerance VALIDATION_TOL max(1, max D).
+      diagonal entry, which the diagonal check allows down to minus the
+      tolerance, could leave an excess of its size plus a rounding of a,
+      above the tolerance: hence floor >= 0.
+    - i = k != j: a = D[i,i] is at most the tolerance, which the diagonal
+      check shares, and b + c > 0, so the excess is at most a.
     - i = j = k: a >= 0 and the excess is a - 2a <= 0, both steps exact.
     """
     return floor >= 0 and 2 * least >= top
@@ -375,8 +382,8 @@ def _coords_certified(coords):
     It requires (a) finite coordinates, (b) 2 S finite for S the computed
     sum of the squared column spreads (max - min), (c) no two equal rows,
     (d) a nonzero square of every column's smallest positive gap and (e)
-    ``_certified(d, 1.0, 0.0)``, which fails above about 6000 columns.
-    False sends ``validate`` to the matrix, whose verdict is then its own.
+    ``_certified(d, _DISTANCE_FLOOR, 0.0)``, which fails above about 6000
+    columns.  False sends ``validate`` to the matrix, whose verdict is its own.
 
     Let t be the computed difference of one column for points i and j and
     u = 2^-53.  Rounding is monotone, so |t| is at most the column's
@@ -392,17 +399,17 @@ def _coords_certified(coords):
       the same squares in the same order.
     - Positivity: by (c) some column has t != 0, whose square is positive
       by (d).
-    - Coords: when |t| >= 2^-511, t^2 is normal and Ê[i, j] >=
-      fl(sqrt(fl(t^2))) >= |t| (1 - u)^2, so the computed |t| - Ê[i, j] is
-      at most 3u |t| <= 4u max Ê; otherwise it is at most |t| < 2^-511.
-      Either is below the tolerance 1e-12 max(1, max Ê).
+    - Coords: Ê[i, j] >= fl(sqrt(fl(t^2))) >= |t| (1 - u)^2 when t^2 is
+      normal, else >= (|t| - 2^-537)(1 - u), as fl(t^2) >= t^2 - 2^-1075.  So
+      the computed |t| - Ê[i, j] is at most 4u max Ê + 2^-536, below the
+      tolerance ``_distance_tol(max Ê)`` >= VALIDATION_TOL 2^-480.
     - Triangle: D = Ê, so ``_certified`` reads err = 0 and M = max Ê.  Its
-      bound is affine in M with nonnegative terms, so B(M) <= max(1, M)
-      B(1), and (e) is B(1) <= VALIDATION_TOL: no excess reaches the
-      tolerance VALIDATION_TOL max(1, M) at any scale.
+      bound B(M) = aM + b, a, b >= 0, is at most max(1, M / F) B(F), and (e)
+      is B(F) <= VALIDATION_TOL F for F = _DISTANCE_FLOOR: no excess reaches
+      the tolerance ``_distance_tol(M)`` at any scale.
     """
     n, d = coords.shape
-    if not (np.isfinite(coords).all() and _certified(d, 1.0, 0.0)):
+    if not (np.isfinite(coords).all() and _certified(d, _DISTANCE_FLOOR, 0.0)):
         return False
     with np.errstate(over="ignore"):
         if not math.isfinite(2 * float(np.sum(np.ptp(coords, axis=0) ** 2))):
@@ -431,7 +438,7 @@ def _euclidean_rows(block, coords, out, scratch):
 
 def _triangle_violation(D):
     """(i, j, k, gap) for the first found D[i, k] - (D[i, j] + D[j, k]) above
-    the tolerance VALIDATION_TOL max(1, max D), with the gap as measured, or
+    the tolerance ``_distance_tol(max D)``, with the gap as measured, or
     None.  The check reads the excess in blocks of rows i x columns j x every
     k in one reused buffer (the whole tensor up to 40 points); the report
     reads one j at a time and takes the smallest violating j, then the first
@@ -439,7 +446,7 @@ def _triangle_violation(D):
     n = D.shape[0]
     if n <= 2:
         return None
-    tol = VALIDATION_TOL * max(1.0, float(D.max()))
+    tol = _distance_tol(float(D.max()))
     width = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (n * n)))
     rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (width * n)))
     buf = np.empty(rows * width * n)
@@ -592,20 +599,21 @@ def product(sx: FinitePmSpace, sy: FinitePmSpace, p):
 def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
     """Decide mm-isomorphism by searching mass-compatible support bijections.
 
-    Exact up to ``REAL_TOL`` on masses and distances; limited to
-    ``ISOMORPHISM_MAX_POINTS`` points.
+    Exact up to ``REAL_TOL`` on masses and ``_distance_tol`` of the larger
+    diameter on distances; limited to ``ISOMORPHISM_MAX_POINTS`` points.
     """
     if sx.n > ISOMORPHISM_MAX_POINTS or sy.n > ISOMORPHISM_MAX_POINTS:
         raise SizeLimitError(f"mm_isomorphic is limited to {ISOMORPHISM_MAX_POINTS} points")
     n = sx.n
     if n != sy.n:
         return False
-    if abs(sx.diam() - sy.diam()) > REAL_TOL:
+    tol = _distance_tol(max(sx.diam(), sy.diam()))
+    if abs(sx.diam() - sy.diam()) > tol:
         return False
     # Candidate targets must match mass and the multiset of incident distances.
     rows_x, rows_y = np.sort(sx.dist, axis=1), np.sort(sy.dist, axis=1)
     gap = np.abs(rows_x[:, None, :] - rows_y[None, :, :]).max(axis=2, initial=0.0)
-    fits = (np.abs(sx.mass[:, None] - sy.mass[None, :]) <= REAL_TOL) & (gap <= REAL_TOL)
+    fits = (np.abs(sx.mass[:, None] - sy.mass[None, :]) <= REAL_TOL) & (gap <= tol)
     cand = [np.flatnonzero(row).tolist() for row in fits]
     if not all(cand):
         return False
@@ -620,7 +628,7 @@ def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
             return True
         i = order[k]
         for j in cand[i]:
-            if used[j] or any(abs(dx[i][i2] - dy[j][assign[i2]]) > REAL_TOL for i2 in order[:k]):
+            if used[j] or any(abs(dx[i][i2] - dy[j][assign[i2]]) > tol for i2 in order[:k]):
                 continue
             used[j] = True
             assign[i] = j
@@ -664,7 +672,7 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
 
     def gap(t):
         # bitmask of each closed ball of radius t, then of the ball of every subset
-        balls = (sp.dist <= t + VALIDATION_TOL).astype(np.int64) @ (1 << np.arange(n))
+        balls = (sp.dist <= t).astype(np.int64) @ (1 << np.arange(n))
         union = _subset_fold(np.bitwise_or, balls, np.int64)
         return float(np.max(bmass - amass[union]))
 
@@ -673,11 +681,13 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
 
 def _smallest_fixed_point(values, excess):
     """Smallest eps >= 0 with excess(eps) <= eps for an ``excess`` that is
-    nonincreasing and constant between the thresholds 0 and ``values``: the
-    first max(t, excess(t)) below the next threshold, scanning t upward."""
+    nonincreasing and constant between the thresholds 0 and ``values``, each
+    threshold widened by ``_distance_tol`` of the largest: the first
+    max(t, excess(t + tol)) below the next threshold, scanning t upward."""
     thresholds = np.unique(np.concatenate(([0.0], values))).tolist()
+    tol = _distance_tol(thresholds[-1])
     for t, nxt in zip(thresholds, thresholds[1:] + [math.inf]):
-        cand = max(t, excess(t))
+        cand = max(t, excess(t + tol))
         if cand < nxt:
             return cand
     return 1.0  # unreachable: the last threshold always yields a candidate
@@ -702,7 +712,7 @@ def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     d = np.abs(f.values - g.values)
     if d.shape != (sp.n,):
         raise InputError("functions must live on the given space")
-    return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t + VALIDATION_TOL].sum()))
+    return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t].sum()))
 
 
 def _row_dots(F, w):
@@ -755,8 +765,9 @@ def mcshane_extend(sp: FinitePmSpace, subset, f_values, lip_bound):
     if fv.shape != (len(subset),):
         raise InputError("f_values must match the subset length")
     L = float(lip_bound)
+    tol = _distance_tol(L * sp.diam())
     for a, b in itertools.combinations(range(len(subset)), 2):
-        if abs(fv[a] - fv[b]) > L * sp.dist[subset[a], subset[b]] + REAL_TOL:
+        if abs(fv[a] - fv[b]) > L * sp.dist[subset[a], subset[b]] + tol:
             raise InputError("input is not L-Lipschitz on the subset")
     ext = np.min(fv[None, :] + L * sp.dist[:, subset], axis=1)
     return LipschitzFunction(ext, L)

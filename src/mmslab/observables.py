@@ -33,13 +33,13 @@ from .core import (
     FinitePmSpace,
     InputError,
     SizeLimitError,
-    REAL_TOL,
     VALIDATION_TOL,
     _TRIANGLE_BLOCK_ELEMENTS,
     _central_moment,
     _check_count,
     _check_p,
     _check_positive,
+    _distance_tol,
     _row_dots,
 )
 
@@ -472,7 +472,7 @@ def _separation_scan(sp: FinitePmSpace, kappa):
     while lo < hi:
         mid = (lo + hi) // 2
         delta = cands[mid]
-        conflict = sp.dist < delta - VALIDATION_TOL * delta
+        conflict = sp.dist < delta - _distance_tol(delta)
         np.fill_diagonal(conflict, False)
         groups = _assignment_feasible(conflict, sp.mass, pos)
         if groups is None:
@@ -673,4 +673,4 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
 
 def variance_diam_bound_holds(sp: FinitePmSpace, mode="exact"):
     """Variance never exceeds a quarter of the squared diameter."""
-    return variance(sp, mode=mode) <= sp.diam() ** 2 / 4.0 + REAL_TOL
+    return variance(sp, mode=mode) <= sp.diam() ** 2 / 4.0 + _distance_tol(sp.diam() ** 2)

@@ -18,7 +18,7 @@ from .core import (
     FinitePmSpace,
     InputError,
     SizeLimitError,
-    VALIDATION_TOL,
+    _distance_tol,
     mm_isomorphic,
     product,
 )
@@ -47,15 +47,16 @@ class Refusal:
         return False
 
 
-def check_witness(sx: FinitePmSpace, sy: FinitePmSpace, mapping, tol=VALIDATION_TOL):
-    """Verify the domination conditions for an explicit map."""
+def check_witness(sx: FinitePmSpace, sy: FinitePmSpace, mapping):
+    """Verify the domination conditions for an explicit map, up to ``_distance_tol``."""
     mapping = tuple(int(v) for v in mapping)
     if len(mapping) != sx.n or any(not 0 <= v < sy.n for v in mapping):
         raise InputError("mapping shape does not match the spaces")
+    tol = _distance_tol(max(sx.diam(), sy.diam()))
     if np.triu(sy.dist[np.ix_(mapping, mapping)] > sx.dist + tol, 1).any():
         return False
     push = np.bincount(mapping, weights=sx.mass, minlength=sy.n)
-    return bool(np.abs(push - sy.mass).max() <= max(tol, 1e-12))
+    return bool(np.abs(push - sy.mass).max() <= 1e-12)
 
 
 def dominates(sx: FinitePmSpace, sy: FinitePmSpace):
@@ -83,6 +84,7 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace):
     order = sorted(range(nx), key=lambda i: (-src_mass[i], i))
     y_order = sorted(range(ny), key=lambda j: (-need[j], j))
     dx, dy = sx.dist, sy.dist
+    stretch = _distance_tol(max(sx.diam(), sy.diam()))
     assign = [-1] * nx
     nodes = 0
 
@@ -99,7 +101,7 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace):
         # point already placed
         placed = order[:k]
         targets = [assign[i] for i in placed]
-        fits = (dy[None, :, targets] <= dx[:, None, placed] + 1e-12).all(axis=2).tolist()
+        fits = (dy[None, :, targets] <= dx[:, None, placed] + stretch).all(axis=2).tolist()
         # every remaining target deficit must be coverable by points that can
         # still reach it under the distance constraints
         rest = order[k:]

@@ -68,12 +68,13 @@ def reference_validate(sp):
     if not np.all(np.isfinite(D)):
         i, j = np.argwhere(~np.isfinite(D))[0]
         return core.Violation("finite", (int(i), int(j)), f"dist[{i}][{j}] is not finite")
-    bad = np.argwhere(np.abs(np.diag(D)) > core.VALIDATION_TOL)
+    tol = core._distance_tol(float(D.max()))
+    bad = np.argwhere(np.abs(np.diag(D)) > tol)
     if bad.size:
         i = int(bad[0][0])
         return core.Violation("diagonal", (i,), f"dist[{i}][{i}] = {D[i, i]} != 0")
     asym = np.abs(D - D.T)
-    if asym.max() > core.VALIDATION_TOL:
+    if asym.max() > tol:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         return core.Violation("symmetry", (int(i), int(j)), f"dist[{i}][{j}] != dist[{j}][{i}]")
     if n > 1:
@@ -104,7 +105,7 @@ def reference_projection_violation(coords, D):
     if not np.all(np.isfinite(coords)):
         i, c = np.argwhere(~np.isfinite(coords))[0]
         return core.Violation("coords", (int(i), int(c)), f"coords[{i}][{c}] is not finite")
-    tol = core.VALIDATION_TOL * max(1.0, float(D.max()))
+    tol = core._distance_tol(float(D.max()))
     gap = np.empty_like(D)
     for c, col in enumerate(coords.T):
         np.abs(np.subtract.outer(col, col, out=gap), out=gap)
@@ -133,8 +134,7 @@ def reference_euclidean_certified(coords, D):
         rho = (d + 5) / 2 * u
         eps = err * (1 + 2 * u) + rho * M * (1 + rho) + math.sqrt(d) * 2.0 ** -535
         low = M - err * (1 + 4 * u)
-        return bool((3 * eps + 2 * u * M) * (1 + 24 * u)
-                    <= core.VALIDATION_TOL * max(1.0, low))
+        return bool((3 * eps + 2 * u * M) * (1 + 24 * u) <= core._distance_tol(low))
 
 
 def reference_euclidean_rows(block, coords):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmslab import core, generators
+from mmslab import atoms, core, generators, order
 from mmslab.atoms import AtomVector, sort_atoms
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
                       reference_euclidean_rows, reference_validate)
@@ -57,9 +57,9 @@ class TestValidate:
 
 def whole_matrix_triangle(D):
     """Reference report: the smallest j with any gap above the tolerance
-    VALIDATION_TOL max(1, max D), then the argmax of that gap over (i, k),
+    ``core._distance_tol(max D)``, then the argmax of that gap over (i, k),
     from one n x n gap per j."""
-    tol = core.VALIDATION_TOL * max(1.0, float(D.max()))
+    tol = core._distance_tol(float(D.max()))
     for j in range(len(D)):
         gap = D - (D[:, j][:, None] + D[j][None, :])
         if gap.max() > tol:
@@ -286,12 +286,13 @@ class TestEuclideanCertificate:
         # on collinear points lowering dist[i][j] and dist[j][k] and raising
         # dist[i][k] by delta moves each entry delta from the Euclidean
         # metric but the excess through j by 3 delta; validate tries the
-        # certificate at every size
+        # certificate at every size.  3 delta is 0.99 and 1.02 times the
+        # tolerance 1e-12 max D, with max D = 2/64, 12/64 and 59/64
         x = np.arange(n) / 64.0
         i, j, k = (3, 20, 41) if n == 60 else (0, 1, 2)
         for three_delta, rejected in ((0.99e-12, False), (1.02e-12, True)):
             D = np.abs(x[:, None] - x[None, :])
-            delta = three_delta / 3
+            delta = three_delta * x[-1] / 3
             D[i, k] = D[k, i] = D[i, k] + delta
             D[i, j] = D[j, i] = D[i, j] - delta
             D[j, k] = D[k, j] = D[j, k] - delta
@@ -692,13 +693,15 @@ class TestScale:
             core.scale(wide, 1e10)
 
     def test_a_scaled_space_is_validated_like_any_space(self):
-        # the triangle tolerance 1e-12 max(1, max D) does not grow below
-        # diameter 1, so an excess it accepts there fails once scaled past it
-        sp = core.space("abc", [[0.0, 0.25, 0.5 + 0.9e-12], [0.25, 0.0, 0.25],
-                                [0.5 + 0.9e-12, 0.25, 0.0]], [0.25, 0.5, 0.25])
+        # the triangle tolerance 1e-12 max(2^-480, max D) does not shrink
+        # below diameter 2^-480, so an excess it accepts at diameter 2^-482
+        # fails once scaled to diameter 1/2
+        s, e = 2.0**-481, 0.9e-12 * 2.0**-480
+        sp = core.space("abc", [[0.0, 0.25 * s, 0.5 * s + e], [0.25 * s, 0.0, 0.25 * s],
+                                [0.5 * s + e, 0.25 * s, 0.0]], [0.25, 0.5, 0.25])
         with pytest.raises(core.InvalidSpaceError) as e:
-            core.scale(sp, 1e3)
-        assert str(e.value) == "dist[0][2] > dist[0][1] + dist[1][2] by 8.999e-10"
+            core.scale(sp, 2.0**481)
+        assert str(e.value) == "dist[0][2] > dist[0][1] + dist[1][2] by 1.800e-12"
 
 
 class TestProduct:
@@ -736,6 +739,22 @@ class TestProduct:
         with pytest.raises(core.InputError):
             core.product(two_point(), two_point(), 0.5)
 
+    def test_an_accepted_excess_stays_accepted_in_products(self):
+        # at diameter 1/2 the triangle tolerance is 5e-13: an excess of
+        # 0.9e-12 is rejected in the source itself, and one of 0.49e-12 is
+        # accepted there and in its products, whose excess grows with the
+        # diameter (to 0.98e-12 at diameter 1 + 0.98e-12 for p = 1)
+        def source(excess):
+            D = [[0.0, 0.25, 0.5 + excess], [0.25, 0.0, 0.25], [0.5 + excess, 0.25, 0.0]]
+            return core.FinitePmSpace("abc", D, [0.25, 0.5, 0.25])
+
+        v = core.validate(source(0.9e-12))
+        assert v.code == "triangle" and v.indices == (0, 1, 2)
+        sp = source(0.49e-12)
+        assert core.validate(sp) is None
+        for p in (1, 2, math.inf):
+            assert core.validate(core.product(sp, sp, p)) is None
+
     def test_a_sum_that_overflows_or_underflows_is_rejected(self):
         # 2^2000 overflows and 0.5^1e6 underflows; no RuntimeWarning escapes
         with pytest.raises(core.InvalidSpaceError, match=r"dist\[0\]\[1\] is not finite"):
@@ -745,6 +764,54 @@ class TestProduct:
         with pytest.raises(core.InvalidSpaceError, match="is not finite"):
             generators.product_tower(generators.two_point(2.0), 2000, 2)
         assert core.validate(core.product(two_point(2.0), two_point(2.0), 1000)) is None
+
+
+@pytest.mark.parametrize("k", [-60, -20, 0, 20])
+class TestVerdictsAtEveryScale:
+    """A verdict that compares distances is the same at t X as at X, for t =
+    2^k: each tolerance is relative to the largest distance in play."""
+
+    @staticmethod
+    def triangle(t, diagonal):
+        """The equilateral triangle of side t with dist[0][1], not dist[1][0],
+        raised by 9e-13 2^60 t and dist[2][2] = diagonal 2^60 t: at t = 2^-60
+        a raise of 9e-13 beside a diagonal entry of 5e-13 or 0."""
+        D = 1.0 - np.eye(3)
+        D[0, 1] += 9e-13 * 2.0**60
+        D[2, 2] = diagonal * 2.0**60
+        return core.FinitePmSpace("abc", D * t, np.full(3, 1 / 3))
+
+    def test_validate(self, k):
+        for diagonal, code in ((5e-13, "diagonal"), (0.0, "symmetry")):
+            got, want = (core.validate(self.triangle(t, diagonal)) for t in (2.0**k, 1.0))
+            assert (got.code, got.indices) == (want.code, want.indices)
+            assert want.code == code
+
+    def test_domination_and_isomorphism(self, k):
+        def verdicts(t):
+            x, y = core.scale(two_point(), t), core.scale(two_point(2.0), t)
+            return (type(order.dominates(x, y)), order.dominates(y, x).map,
+                    core.mm_isomorphic(x, y), order.check_witness(x, y, (0, 1)),
+                    order.check_witness(y, x, (0, 1)))
+
+        assert verdicts(2.0**k) == verdicts(1.0) == (order.Refusal, (0, 1), False, False, True)
+
+    def test_atom_membership(self, k):
+        def verdicts(t):
+            sp = core.scale(two_point(), t)
+            return [atoms.member(sp, AtomVector((0.5,)), delta=t * f) for f in (0.5, 1.0)]
+
+        assert verdicts(2.0**k) == verdicts(1.0) == [None, atoms.AtomAssignment((0,))]
+
+    def test_prokhorov_of_two_point_masses(self, k):
+        t = 2.0**k
+        assert core.prokhorov(core.scale(two_point(), t), [1.0, 0.0], [0.0, 1.0]) == min(1.0, t)
+
+    def test_ky_fan(self, k):
+        t = 2.0**k
+        sp = core.scale(two_point(), t)
+        f, g = core.as_lipschitz(sp, [0.0, 0.0]), core.as_lipschitz(sp, [0.0, t / 2])
+        assert core.ky_fan(sp, f, g) == min(0.5, t / 2)
 
 
 class TestIsomorphism:
