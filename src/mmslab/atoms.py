@@ -44,7 +44,7 @@ class AtomVector:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if any(e < 0 for e in self.entries):
+        if not all(e >= 0 for e in self.entries):
             raise InputError("atom entries must be nonnegative")
         if float(sum(self.entries)) > 1.0 + VALIDATION_TOL:
             raise InputError("atom entries must have l1 norm <= 1")
@@ -231,7 +231,7 @@ class DissipationEvidence:
 def _greedy_families(sp: FinitePmSpace, targets, delta):
     """Assign components of the strict sub-delta graph to atom bins (best fit
     decreasing) and leave the rest as small bins."""
-    strict = sp.dist < delta * (1.0 - 1e-9) - _distance_tol(delta)
+    strict = sp.dist < delta - _distance_tol(delta)
     _, labels = connected_components(strict, directed=False)
     comps = sorted(np.bincount(labels, weights=sp.mass), reverse=True)
     atom_bins = [0.0] * len(targets)
@@ -351,14 +351,11 @@ def _smallest_slack(sp, kappa, eps_grid, delta):
 
 
 def _slope(values):
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
+    """Least-squares slope of ``values`` (at least two) against their index."""
     x = np.arange(len(values), dtype=float)
     y = np.asarray(values, dtype=float)
     x = x - x.mean()
-    denom = float(np.dot(x, x))
-    return float(np.dot(x, y - y.mean()) / denom) if denom else 0.0
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
 # ---------------------------------------------------------------------------

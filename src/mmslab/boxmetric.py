@@ -100,8 +100,6 @@ def _maxflow_coupling(kept_cells, mass_x, mass_y):
             if j >= 0:
                 back.append((i, j))
         bottleneck = min([row_res[i], col_res[goal]] + [flow[c] for c in back])
-        if bottleneck <= 1e-15:
-            break
         for c in fwd:
             flow[c] += bottleneck
         for c in back:
@@ -159,7 +157,7 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
     kept = _all_maxflow(size, nx, ny, sx.mass, sy.mass)
     vals = np.maximum(maxdisc, 1.0 - kept)
     best_mask = int(np.argmin(vals))
-    best_val = max(0.0, float(vals[best_mask]))
+    best_val = float(vals[best_mask])
     cells = [(c // ny, c % ny) for c in range(ncells) if (best_mask >> c) & 1]
     witness = Coupling(_maxflow_coupling(cells, sx.mass, sy.mass)) if cells else None
     return BoxEstimate(best_val, best_val, witness, "exact")
@@ -197,7 +195,7 @@ def _candidate_couplings(sx, sy):
             colleft[ja] -= t
             if rowleft[ia] <= 1e-15:
                 ia += 1
-            if ja < ny and colleft[ja] <= 1e-15:
+            if colleft[ja] <= 1e-15:
                 ja += 1
         yield plan
 
@@ -292,8 +290,6 @@ def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed)
     best, best_plan = 1.0, None
     for plan in _candidate_couplings(sx, sy):
         nz = np.nonzero(plan.ravel() > 1e-15)[0]
-        if nz.size == 0:
-            continue
         if nz.size > MAX_SELECTION_CELLS:
             # keeping every cell needs no search and must be scored before
             # trimming, or a perfect coupling would look lossy
@@ -310,7 +306,7 @@ def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed)
         val = _optimize_selection(disc_sub, masses, rng, local_restarts)
         if val < best:
             best, best_plan = val, plan
-    return min(best, 1.0), best_plan
+    return best, best_plan
 
 
 def box_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts=32, seed=0):
@@ -378,7 +374,7 @@ def box_lower(sx: FinitePmSpace, sy: FinitePmSpace):
     2 eps; halving inverts that."""
     va, wa = _distance_distribution(sx)
     vb, wb = _distance_distribution(sy)
-    return max(0.0, _levy(va, wa, vb, wb) / 2.0)
+    return _levy(va, wa, vb, wb) / 2.0
 
 
 # ---------------------------------------------------------------------------

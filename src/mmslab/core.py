@@ -641,12 +641,19 @@ def mm_isomorphic(sx: FinitePmSpace, sy: FinitePmSpace):
     return rec(0)
 
 
+def _probability_pair(mass_a, mass_b):
+    """Two probability vectors of one shape as float arrays: InputError unless
+    each is finite and nonnegative and sums to 1 within VALIDATION_TOL."""
+    a, b = np.asarray(mass_a, dtype=float), np.asarray(mass_b, dtype=float)
+    if a.shape != b.shape or not all(np.isfinite(v).all() and (v >= 0).all()
+                                     and abs(v.sum() - 1.0) <= VALIDATION_TOL for v in (a, b)):
+        raise InputError("mass vectors must be probability vectors of the same length")
+    return a, b
+
+
 def total_variation(mass_a, mass_b):
     """Half-sum total variation between probability vectors on a common space."""
-    a = np.asarray(mass_a, dtype=float)
-    b = np.asarray(mass_b, dtype=float)
-    if a.shape != b.shape or not np.isfinite([a, b]).all():
-        raise InputError("total_variation requires finite vectors of the same length")
+    a, b = _probability_pair(mass_a, mass_b)
     return 0.5 * float(np.abs(a - b).sum())
 
 
@@ -662,10 +669,9 @@ def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
         raise SizeLimitError(
             f"prokhorov subset enumeration is limited to {PROKHOROV_MAX_POINTS} points"
         )
-    a = np.asarray(mass_a, dtype=float)
-    b = np.asarray(mass_b, dtype=float)
-    if a.shape != (n,) or b.shape != (n,) or not np.isfinite([a, b]).all():
-        raise InputError("mass vectors must be finite and match the space")
+    a, b = _probability_pair(mass_a, mass_b)
+    if a.shape != (n,):
+        raise InputError("mass vectors must match the space")
 
     amass = _subset_fold(np.add, a)
     bmass = _subset_fold(np.add, b)

@@ -61,8 +61,8 @@ def partial_diameter(values, masses, kappa):
     """Smallest diameter of a value set carrying mass >= 1 - kappa.
 
     Exact: an optimal set can always be taken as a contiguous run of sorted
-    support values (see ``_partial_diameters``).  Values, masses and kappa
-    must be finite and the masses nonnegative.
+    support values (see ``_partial_diameters``).  Values and masses must be
+    finite, the masses nonnegative, and kappa finite and >= 0.
     """
     kappa = float(kappa)
     v = np.asarray(values, dtype=float)
@@ -71,8 +71,8 @@ def partial_diameter(values, masses, kappa):
         raise InputError("values and masses must be 1-D and have the same length")
     if not len(v):
         raise InputError("partial_diameter needs at least one value")
-    if not (math.isfinite(kappa) and np.isfinite(v).all() and np.isfinite(w).all()):
-        raise InputError("values, masses and kappa must be finite")
+    if not (0.0 <= kappa < math.inf and np.isfinite(v).all() and np.isfinite(w).all()):
+        raise InputError("values and masses must be finite, kappa finite and >= 0")
     if (w < 0).any():
         raise InputError("masses must be nonnegative")
     if 1.0 - kappa <= VALIDATION_TOL:
@@ -144,10 +144,9 @@ def obs_diam_projection_estimate(sp: FinitePmSpace, kappa):
     if sp.coords is None:
         raise InputError("space carries no coordinates")
     kappa = _kappa_fraction(kappa)
-    best = 0.0
-    for proj in np.atleast_2d(sp.coords).reshape(sp.n, -1).T:
-        best = max(best, partial_diameter(proj, sp.mass, kappa))
-    return best
+    if 1.0 - kappa <= VALIDATION_TOL:
+        return 0.0
+    return float(_partial_diameters(sp.coords.T, sp.mass, kappa).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

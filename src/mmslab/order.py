@@ -88,15 +88,11 @@ def dominates(sx: FinitePmSpace, sy: FinitePmSpace):
     assign = [-1] * nx
     nodes = 0
 
-    suffix_mass = [sum(src_mass[i] for i in order[k:]) for k in range(nx + 1)]
-
     def rec(k):
         nonlocal nodes
         nodes += 1
         if k == nx:
             return all(abs(v) <= tol for v in need)
-        if suffix_mass[k] < sum(v for v in need if v > tol) - (0 if exact else 1e-9):
-            return False
         # fits[i][j]: sending source i to target j stretches no distance to a
         # point already placed
         placed = order[:k]

@@ -378,6 +378,22 @@ class TestDissipation:
             assert ev.accepted, ev.reason
             assert ev.sep_checked == rows
 
+    @pytest.mark.parametrize("order,reasons", [
+        ("reversed", ["largest small bin not decreasing", "small-bin count decreasing"]),
+        ("merging", ["atom mismatch not decreasing"]),
+    ])
+    def test_not_decreasing_reasons(self, order, reasons):
+        # reversed, the family's small bins grow and fewer; merging, the last
+        # member's points lie closer than delta, so the atoms fuse
+        a = sort_atoms([0.4, 0.2, 0.2])
+        if order == "reversed":
+            seq = [gen.dissipation_family(a, 2.0, n) for n in range(6, 0, -1)]
+        else:
+            seq = [gen.dissipation_family(a, d, 3) for d in (2.0,) * 5 + (0.5,)]
+        ev = atoms.detect_dissipation(seq, a, 2.0)
+        assert not ev.accepted
+        assert all(r in ev.reason.split("; ") for r in reasons)
+
     def test_short_sequence_rejected(self):
         a = sort_atoms([0.5])
         with pytest.raises(core.InputError):

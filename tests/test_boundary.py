@@ -338,6 +338,8 @@ def test_library_rejects_nan_and_out_of_range():
     with pytest.raises(core.InputError):
         atoms.sort_atoms([0.2, NAN])
     with pytest.raises(core.InputError):
+        atoms.AtomVector((NAN,))
+    with pytest.raises(core.InputError):
         obs.p_variance(sp, sp.dist[0], NAN)
     with pytest.raises(core.InputError):
         core.product(sp, sp, NAN)
@@ -347,6 +349,13 @@ def test_library_rejects_nan_and_out_of_range():
         with pytest.raises(core.InputError):
             core.LipschitzFunction([bad, 0.0, 0.5, 1.0], 1.0)
         masses = [bad, 0.0, 0.5, 0.5]
+        for a, b in ((masses, sp.mass), (sp.mass, masses)):
+            with pytest.raises(core.InputError):
+                core.prokhorov(sp, a, b)
+            with pytest.raises(core.InputError):
+                core.total_variation(a, b)
+    # a negative entry, and a sum 2e-12 above 1, are no probability vector
+    for masses in ([2.0, -1.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25 + 2e-12]):
         for a, b in ((masses, sp.mass), (sp.mass, masses)):
             with pytest.raises(core.InputError):
                 core.prokhorov(sp, a, b)
@@ -422,10 +431,11 @@ def test_library_rejects_nan_and_out_of_range():
     ([0.0, 1.0], [1.5, -0.5], 0.2),
     ([0.0, 1.0], [0.5, 0.5], NAN),
     ([0.0, 1.0], [0.5, 0.5], -INF),
+    ([0.0, 1.0, 2.0], [0.3, 0.4, 0.3], -0.5),
     ([0.0, 1.0], [1.0], 0.2),
     ([[0.0, 1.0]], [[0.5, 0.5]], 0.2),
 ], ids=["empty", "nan_value", "inf_value", "nan_mass", "inf_mass", "negative_mass",
-        "nan_kappa", "infinite_kappa", "length_mismatch", "two_dimensional"])
+        "nan_kappa", "infinite_kappa", "negative_kappa", "length_mismatch", "two_dimensional"])
 def test_partial_diameter_rejects_empty_and_non_finite(values, masses, kappa):
     with pytest.raises(core.InputError):
         obs.partial_diameter(values, masses, kappa)

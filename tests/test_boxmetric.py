@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mmslab import boxmetric, core
+from mmslab import boxmetric, core, generators
 from conftest import corpus, random_embedded_space, random_shortest_path_space
 
 
@@ -129,6 +129,13 @@ class TestUpper:
     def test_identity(self, rng):
         sp = random_embedded_space(rng, 5)
         assert boxmetric.box_upper(sp, sp).upper == pytest.approx(0.0, abs=1e-12)
+
+    def test_identity_of_a_trimmed_coupling(self):
+        # 300 x 300 cells: the sorted-mass coupling is the diagonal, 300
+        # cells, more than the search keeps; only the keep-every-cell score
+        # taken before trimming reads 0
+        sp = generators.gaussian_sample(300, 2, 1.0, seed=4)
+        assert boxmetric.box_upper(sp, sp).upper == 0.0
 
     def test_mass_perturbation_bound(self, rng):
         # same metric, different masses: upper at most four half-sum TVs

@@ -96,6 +96,15 @@ class TestSubcommands:
         code, stdout, _ = run_cli("atoms", "member", "--alpha", "0.5,0.3", "--space", str(sp_path))
         assert code == 0 and json.loads(stdout)["member"] is True
 
+    @pytest.mark.parametrize("beta,want", [
+        ("0.5,0.5", {"contraction": True, "groups": [[0, 1], [2, 3]]}),
+        ("0.6,0.4", {"contraction": False, "refused": True}),
+    ], ids=["found", "refused"])
+    def test_atoms_contract(self, beta, want):
+        code, stdout, _ = run_cli("atoms", "contract", "--alpha", "0.25,0.25,0.25,0.25",
+                                  "--beta", beta)
+        assert code == 0 and json.loads(stdout) == want
+
     @pytest.mark.parametrize("family,alpha,delta", [
         ("dissipation", "0.4,0.2", "2"), ("atom", "0.3,0.2", "0.6"), ("atom", "0.3,0.2", "0.15"),
     ], ids=["accepted", "refused_large_bin", "refused_slack"])

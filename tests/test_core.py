@@ -831,6 +831,25 @@ class TestIsomorphism:
     def test_distances_differ(self):
         assert not core.mm_isomorphic(two_point(1.0), two_point(2.0))
 
+    @staticmethod
+    def k33_and_prism():
+        """K3,3 and the triangular prism as graph metrics with uniform masses:
+        every sorted distance row of both is (0, 1, 1, 1, 2, 2), and only the
+        prism has triangles, so only backtracking tells them apart."""
+        side, rung = np.arange(6) // 3, np.arange(6) % 3
+        same = side[:, None] == side
+        mats = [np.where(same, 2.0, 1.0), np.where(same | (rung[:, None] == rung), 1.0, 2.0)]
+        for d in mats:
+            np.fill_diagonal(d, 0.0)
+        return [core.space(range(6), d, np.full(6, 1 / 6)) for d in mats]
+
+    @pytest.mark.parametrize("pair", ["k33_prism", "sizes_differ"])
+    def test_not_isomorphic(self, pair):
+        sx, sy = (self.k33_and_prism() if pair == "k33_prism"
+                  else (generators.interval_grid(3), generators.interval_grid(4)))
+        assert not core.mm_isomorphic(sx, sy)
+        assert core.mm_isomorphic(sx, sx) and core.mm_isomorphic(sy, sy)
+
     def test_size_limit(self, rng):
         sp = random_embedded_space(rng, 11)
         with pytest.raises(core.SizeLimitError):
