@@ -12,9 +12,10 @@ value is therefore
     min over S subset of X x Y of max( maxdisc(S), 1 - maxflow(S) )
 
 with no coupling-lattice restriction.  Larger instances get certified upper
-bounds from structured couplings plus seeded local search over kept cells, and
-lower bounds from the Levy distance between the pairwise-distance
-distributions (a provable consequence of a small box distance).
+bounds from the three monotone couplings (both sides in mass, eccentricity or
+index order) plus seeded local search over kept cells, and lower bounds from
+the Levy distance between the pairwise-distance distributions (a provable
+consequence of a small box distance).
 """
 
 from __future__ import annotations
@@ -167,18 +168,19 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
 # upper bounds
 
 
-# Selection search takes O(restarts * m^2 log m + m^3) time for m coupling
-# cells (m - 1 lockstep greedy steps, up to 4m 2-opt rounds of O(m^2)), more
-# when many discrepancies tie; couplings are trimmed to this many heaviest
-# cells, which keeps the bound certified (the trimmed cells just count as
-# excluded mass).
+# Selection search on m coupling cells takes m - 1 lockstep greedy steps of
+# O(restarts * m log m), more when many discrepancies tie, and up to 4m 2-opt
+# rounds: O(m) plus O(m) per row whose top two discrepancies the flip held
+# while the kept peak decides the value, O(m^2) while the kept mass does.
+# Couplings are trimmed to this many heaviest cells, which keeps the bound
+# certified (the trimmed cells just count as excluded mass).
 MAX_SELECTION_CELLS = 256
 
 
 def _candidate_couplings(sx, sy):
+    """The three monotone couplings: both sides in mass order, in eccentricity
+    order and in index order, each filled like a staircase."""
     nx, ny = sx.n, sy.n
-    if nx * ny <= 65536:
-        yield np.outer(sx.mass, sy.mass)
     for key_x, key_y in (
         (np.argsort(-sx.mass, kind="stable"), np.argsort(-sy.mass, kind="stable")),
         (np.argsort(sx.dist @ sx.mass, kind="stable"), np.argsort(sy.dist @ sy.mass, kind="stable")),
@@ -233,60 +235,102 @@ def _greedy_best(disc_sub, masses, orders):
     return best
 
 
-def _flip_values(disc_sub, masses, keep):
-    """Selection value after flipping each single cell of ``keep``: the kept
-    cells in ascending order, then the unkept ones."""
+def _top_two(disc_sub, rows, kept):
+    """Largest and second largest of disc_sub[j, kept] for each j in ``rows``,
+    a value held twice counting twice (-inf as the second of one cell)."""
+    if kept.size < 2:
+        return disc_sub[rows, kept[0]], np.full(rows.size, -np.inf)
+    top = np.partition(disc_sub[np.ix_(rows, kept)], kept.size - 2, axis=1)
+    return top[:, -1], top[:, -2]
+
+
+def _flip_values(disc_sub, masses, keep, top1, top2, val):
+    """First single flip of ``keep`` whose selection value is below
+    ``val - 1e-15``, as (cell, value), or None: the kept cells in ascending
+    order, then the unkept ones.  top1[j] and top2[j] are the largest and
+    second largest discrepancy of kept row j within the kept cells.
+
+    While the kept peak reaches the bound no added cell can gain, and a
+    dropped cell gains only if it lowers the peak of row h at the peak: so
+    it is h or, if h peaks once, the column where it does."""
     kept, unkept = np.flatnonzero(keep), np.flatnonzero(~keep)
     k = kept.size
-    rows = disc_sub[kept]
-    sub = rows[:, kept]
-    if k >= 2:
-        # without cell c, row j of the kept submatrix peaks at its second
-        # largest entry if c holds its largest, else at its largest
-        top = np.partition(sub, k - 2, axis=1)[:, -2:]
-        rest = np.where(sub == top[:, 1:], top[:, :1], top[:, 1:])
-        np.fill_diagonal(rest, -np.inf)
-        others = np.broadcast_to(masses[kept], (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
-        drops = np.maximum(rest.max(axis=0), 1.0 - others.sum(axis=1))
-    else:
-        drops = np.ones(k)
-    # with cell u added, the peak is the kept peak, column u or row u
-    grown = np.maximum(disc_sub[unkept, unkept], sub.max() if k else -np.inf)
+    bound = val - 1e-15
+    first, second = top1[kept], top2[kept]
+    peak = first.max(initial=-np.inf)
     if k:
-        grown = np.maximum(grown, np.maximum(rows[:, unkept].max(axis=0),
-                                             disc_sub[unkept][:, kept].max(axis=1)))
+        cand = np.arange(k)
+        if peak >= bound:
+            h = int(first.argmax())
+            cand = np.unique([h, disc_sub[kept[h], kept].argmax() if second[h] < bound else h])
+        # without cell c, row j peaks at its second largest value if disc[j, c]
+        # is its largest, else at its largest
+        rest = np.where(disc_sub[np.ix_(kept, kept[cand])] == first[:, None], second[:, None],
+                        first[:, None])
+        rest[cand, np.arange(cand.size)] = -np.inf
+        # each kept mass is a row of one row-major array, so numpy sums it
+        # pairwise; the gather of the added cells below is column-major and
+        # sums left to right, and the recorded values hold both orders
+        others = np.broadcast_to(masses[kept], (cand.size, k))[np.arange(k) != cand[:, None]]
+        drops = np.maximum(rest.max(axis=0), 1.0 - others.reshape(cand.size, k - 1).sum(axis=1))
+        hit = np.flatnonzero(drops < bound)
+        if hit.size:
+            return kept[cand[hit[0]]], float(drops[hit[0]])
+    if peak >= bound:
+        return None
+    # with cell u added, the peak is the kept peak, column u or row u
+    grown = np.maximum(np.maximum(disc_sub[unkept, unkept], peak),
+                       np.maximum(disc_sub[np.ix_(kept, unkept)].max(axis=0, initial=-np.inf),
+                                  disc_sub[np.ix_(unkept, kept)].max(axis=1, initial=-np.inf)))
     wider = np.sort(np.column_stack([np.broadcast_to(kept, (unkept.size, k)), unkept]), axis=1)
     adds = np.maximum(grown, 1.0 - masses[wider].sum(axis=1))
-    return np.concatenate([drops, adds])
+    hit = np.flatnonzero(adds < bound)
+    return (unkept[hit[0]], float(adds[hit[0]])) if hit.size else None
 
 
 def _optimize_selection(disc_sub, masses, rng, restarts=32):
     """Greedy removal by violation magnitude plus 2-opt moves; returns best value.
 
     The greedy restarts run in lockstep (``_greedy_best``), in m - 1 steps
-    of O(restarts * m log m).  A 2-opt round scores every single flip of its
-    state at once (``_flip_values``, O(m^2)) and takes the first that
-    improves, kept cells first; the search starts from the full selection
-    and reads no order and no RNG, so one run serves every restart."""
+    of O(restarts * m log m).  A 2-opt round takes the first single flip of
+    its state that improves, kept cells first (``_flip_values``); each kept
+    row's top two discrepancies are carried across rounds, and only the rows
+    whose top two the flipped cell held or enters are sorted again.  The
+    search starts from the full selection and reads no order and no RNG, so
+    one run serves every restart."""
     m = len(masses)
     orders = np.array([rng.permutation(m) for _ in range(restarts - 1)], dtype=np.intp)
     best = _greedy_best(disc_sub, masses, orders.reshape(-1, m))
     keep = np.ones(m, dtype=bool)
     val = max(float(disc_sub.max()), 1.0 - float(masses.sum()))
+    top1, top2 = _top_two(disc_sub, np.arange(m), np.arange(m))
     for _ in range(4 * m):
-        vals = _flip_values(disc_sub, masses, keep)
-        better = np.flatnonzero(vals < val - 1e-15)
-        if not better.size:
+        flip = _flip_values(disc_sub, masses, keep, top1, top2, val)
+        if flip is None:
             break
-        val = float(vals[better[0]])
-        cells = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
-        keep[cells[better[0]]] ^= True
+        c, val = flip
+        keep[c] ^= True
+        kept = np.flatnonzero(keep)
+        stale = kept[(disc_sub[kept, c] >= top2[kept]) | (kept == c)]
+        if stale.size:
+            top1[stale], top2[stale] = _top_two(disc_sub, stale, kept)
     return min(best, val)
 
 
 def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed):
-    """Heuristic upper bound: best kept-cell value over candidate couplings."""
+    """Heuristic upper bound: best kept-cell value over the monotone couplings.
+
+    The product coupling is not searched: keeping all its cells scores no
+    better than keeping those of a monotone coupling, and its search was not
+    strictly best on pairs of four or more points a side.  Its restart orders
+    are still drawn and discarded, so the monotone couplings see the RNG
+    stream they saw when it was searched."""
     rng = np.random.default_rng(seed)
+    nx, ny = sx.n, sy.n
+    if nx * ny <= 65536:
+        m = min(int(np.count_nonzero(np.outer(sx.mass, sy.mass) > 1e-15)), MAX_SELECTION_CELLS)
+        for _ in range(max(2, restarts * 64 // max(64, m)) - 1):
+            rng.permutation(m)
     best, best_plan = 1.0, None
     for plan in _candidate_couplings(sx, sy):
         nz = np.nonzero(plan.ravel() > 1e-15)[0]
@@ -353,16 +397,18 @@ def _levy(vals_a, w_a, vals_b, w_b):
                 return False
         return True
 
-    lo, hi = 0.0, 1.0
     if feasible(0.0):
         return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
+    # bisect the bit patterns of the floats in [0, 1], which sort as the
+    # floats do: about 62 steps to the smallest feasible float at any scale
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(np.int64(mid).view(np.float64)):
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(np.int64(hi).view(np.float64))
 
 
 def box_lower(sx: FinitePmSpace, sy: FinitePmSpace):

@@ -2,6 +2,7 @@
 pseudometric axioms, and the direct interval-parameter oracle that justifies
 the coupling reduction."""
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -194,6 +195,13 @@ class TestLower:
             b = random_embedded_space(rng, 3)
             assert boxmetric.box_lower(a, b) <= boxmetric.box_exact_small(a, b).upper + 1e-9
 
+    @pytest.mark.parametrize("k", [-70, -62, 0, 20])
+    def test_lower_le_exact_at_every_scale(self, k):
+        # the Levy bisection ends at the smallest feasible float, so no fixed
+        # resolution lifts the lower bound over the exact value of tiny spaces
+        a, b = (core.scale(sp, 2.0 ** k) for sp in (two_point(), two_point(3.0)))
+        assert boxmetric.box_lower(a, b) <= boxmetric.box_exact_small(a, b).upper
+
     def test_chain_lower_exact_upper(self, rng):
         for _ in range(6):
             a = random_embedded_space(rng, 2)
@@ -268,16 +276,16 @@ def scalar_levy(vals_a, w_a, vals_b, w_b, tol=1e-12):
                 return False
         return True
 
-    lo, hi = 0.0, 1.0
     if feasible(0.0):
         return 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(np.int64(mid).view(np.float64)):
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(np.int64(hi).view(np.float64))
 
 
 def submatrix_selection(disc_sub, masses, rng, restarts):
@@ -366,14 +374,16 @@ def nearly_symmetric(rng, n):
 
 
 BOX_UPPER_64 = """
+import numpy as np
 from mmslab import boxmetric, generators
 sx = generators.gaussian_sample(64, 3, 1.0, seed=1)
 sy = generators.gaussian_sample(64, 2, 1.0, seed=2)
 upper = boxmetric.box_upper(sx, sy, restarts=8).upper
+full = boxmetric._max_discrepancy(sx, sy, np.arange(4096))
 # VmHWM is this process's own peak; ru_maxrss would carry over the parent's
 with open("/proc/self/status") as status:
     hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(hwm_kb // 1024, repr(upper))
+print(hwm_kb // 1024, repr(upper), repr(full))
 """
 
 
@@ -434,6 +444,15 @@ class TestSearchKernelsPinned:
             want = submatrix_selection(disc, masses, gen_want, 2)
             assert got == want
             assert gen_got.bit_generator.state == gen_want.bit_generator.state
+
+    def test_selection_empties_and_refills_the_kept_cells(self):
+        # spaces whose distances pass 1e12 validate with diagonal entries
+        # above 1, so one kept cell can score above 1 alone and the 2-opt
+        # drops every cell before it adds one back
+        disc = np.diag([0.0, 2.0]) + np.array([[0.0, 10.0], [10.0, 0.0]])
+        masses = np.array([0.4, 0.6])
+        got = boxmetric._optimize_selection(disc, masses, np.random.default_rng(0), 2)
+        assert got == submatrix_selection(disc, masses, np.random.default_rng(0), 2) == 0.6
 
     def test_subset_kernels_match_their_loops(self):
         # the masks' largest discrepancy and kept mass of box_exact_small on
@@ -505,15 +524,18 @@ class TestSearchKernelsPinned:
             assert boxmetric._max_discrepancy(sx, sy, moved) == disc.max()
 
     def test_full_score_builds_no_cell_matrix(self):
-        """Two 64-point samples have a 4096-cell product coupling; scoring it
+        """Two 64-point samples have 4096 coupling cells; scoring all of them
         from one 4096 x 4096 discrepancy matrix and its two gathers peaked at
-        322 MB."""
+        322 MB.  The blocked score of all 4096 cells stays under 100 MB with
+        the one-matrix value, and so does ``box_upper`` on the pair, whose
+        monotone couplings have at most 127 cells, with its recorded value."""
         proc = subprocess.run([sys.executable, "-c", BOX_UPPER_64], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        rss_mb, upper = proc.stdout.split()
+        rss_mb, upper, full = proc.stdout.split()
         assert int(rss_mb) < 100
-        assert upper == "0.8004490274623502"  # the value of the one-matrix score
+        assert upper == "0.8004490274623502"
+        assert full == "6.30603224559543"
 
     # box_upper(restarts=8) and box_lower on pairs drawn from default_rng(2024),
     # recorded before the search kernels were vectorised
@@ -540,3 +562,48 @@ class TestSearchKernelsPinned:
         got = [(boxmetric.box_upper(a, b, restarts=8).upper, boxmetric.box_lower(a, b))
                for a, b in pairs]
         assert got == self.RECORDED
+
+    # box_upper's value and witness digest on pairs drawn from
+    # default_rng(314), from 3 x 5 to 40 x 40 cells, recorded while the
+    # search still scored the product coupling
+    SHAPES = [(3, 5), (4, 4), (5, 3), (4, 6), (6, 6), (5, 9), (8, 7), (9, 9), (10, 12), (12, 12),
+              (14, 11), (16, 16), (18, 20), (20, 20), (24, 22), (25, 25), (28, 30), (30, 30),
+              (32, 34), (35, 35), (36, 40), (40, 38), (40, 40), (40, 40)]
+    WITNESSES = [
+        (0.35867179265079546, "766124dc0c547d65"),
+        (0.36164128020762376, "82fffbfd8219ba02"),
+        (0.3580086396956315, "6d45591b92af6224"),
+        (0.42617264968286706, "0e0e96b272955bed"),
+        (0.47721925210890903, "e2fda36727e762a2"),
+        (0.31431184555616204, "faf6ca105f4b6f73"),
+        (0.4260345769646443, "0c3b799fd99572bb"),
+        (0.3762607529036286, "dfd46fe134c1916f"),
+        (0.47325775051205676, "28fcefe74ae6a7df"),
+        (0.4463793345904532, "68852f16d9907bfd"),
+        (0.4149447974767162, "edc4033c18f6ead9"),
+        (0.41086347417975677, "1885bd50c59116e8"),
+        (0.384571004212048, "45646f45673a1d70"),
+        (0.4709693432580375, "fc534298d5fe1665"),
+        (0.38015009993308324, "ad05966826d52e83"),
+        (0.3837835506204583, "627d43788d0fbae3"),
+        (0.47109127802292206, "7112daf82a54613a"),
+        (0.48326657100077586, "ef0efca7dec05190"),
+        (0.4954463658446169, "17cd508d47ae7bcd"),
+        (0.4245330634350998, "6ec88cda21e85545"),
+        (0.5279356139755254, "52df57f674f63c0a"),
+        (0.4595464402520184, "0bbc7d1bc25ba43e"),
+        (0.4951944586179844, "37c187ef1831fe6f"),
+        (0.40476820924690604, "c3525e04d01ae292"),
+    ]
+
+    def test_box_upper_witnesses_unchanged(self):
+        rng = np.random.default_rng(314)
+        kinds = (random_embedded_space, random_shortest_path_space)
+        got = []
+        for k, (nx, ny) in enumerate(self.SHAPES):
+            sx, sy = kinds[k % 2](rng, nx), kinds[k // 2 % 2](rng, ny)
+            restarts, seed = (8, 32)[k // 4 % 2], k % 3
+            est = boxmetric.box_upper(sx, sy, restarts=restarts, seed=seed)
+            joint = est.witness_coupling.joint
+            got.append((est.upper, hashlib.sha256(joint.tobytes()).hexdigest()[:16]))
+        assert got == self.WITNESSES
