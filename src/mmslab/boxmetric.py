@@ -168,12 +168,11 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
 # upper bounds
 
 
-# Selection search on m coupling cells takes m - 1 lockstep greedy steps of
-# O(restarts * m log m), more when many discrepancies tie, and up to 4m 2-opt
-# rounds: O(m) plus O(m) per row whose top two discrepancies the flip held
-# while the kept peak decides the value, O(m^2) while the kept mass does.
-# Couplings are trimmed to this many heaviest cells, which keeps the bound
-# certified (the trimmed cells just count as excluded mass).
+# Selection search takes O(restarts * m^2 log m + m^3) time for m coupling
+# cells (m - 1 lockstep greedy steps, up to 4m 2-opt rounds of O(m^2) whose
+# added cells are scored only when no dropped cell gains), more when many
+# discrepancies tie; couplings are trimmed to this many heaviest cells, which
+# keeps the bound certified (the trimmed cells just count as excluded mass).
 MAX_SELECTION_CELLS = 256
 
 
@@ -235,53 +234,33 @@ def _greedy_best(disc_sub, masses, orders):
     return best
 
 
-def _top_two(disc_sub, rows, kept):
-    """Largest and second largest of disc_sub[j, kept] for each j in ``rows``,
-    a value held twice counting twice (-inf as the second of one cell)."""
-    if kept.size < 2:
-        return disc_sub[rows, kept[0]], np.full(rows.size, -np.inf)
-    top = np.partition(disc_sub[np.ix_(rows, kept)], kept.size - 2, axis=1)
-    return top[:, -1], top[:, -2]
-
-
-def _flip_values(disc_sub, masses, keep, top1, top2, val):
+def _first_improving_flip(disc_sub, masses, keep, val):
     """First single flip of ``keep`` whose selection value is below
     ``val - 1e-15``, as (cell, value), or None: the kept cells in ascending
-    order, then the unkept ones.  top1[j] and top2[j] are the largest and
-    second largest discrepancy of kept row j within the kept cells.
-
-    While the kept peak reaches the bound no added cell can gain, and a
-    dropped cell gains only if it lowers the peak of row h at the peak: so
-    it is h or, if h peaks once, the column where it does."""
+    order, then the unkept ones, which are scored only when no drop gains."""
     kept, unkept = np.flatnonzero(keep), np.flatnonzero(~keep)
     k = kept.size
     bound = val - 1e-15
-    first, second = top1[kept], top2[kept]
-    peak = first.max(initial=-np.inf)
-    if k:
-        cand = np.arange(k)
-        if peak >= bound:
-            h = int(first.argmax())
-            cand = np.unique([h, disc_sub[kept[h], kept].argmax() if second[h] < bound else h])
-        # without cell c, row j peaks at its second largest value if disc[j, c]
-        # is its largest, else at its largest
-        rest = np.where(disc_sub[np.ix_(kept, kept[cand])] == first[:, None], second[:, None],
-                        first[:, None])
-        rest[cand, np.arange(cand.size)] = -np.inf
-        # each kept mass is a row of one row-major array, so numpy sums it
-        # pairwise; the gather of the added cells below is column-major and
-        # sums left to right, and the recorded values hold both orders
-        others = np.broadcast_to(masses[kept], (cand.size, k))[np.arange(k) != cand[:, None]]
-        drops = np.maximum(rest.max(axis=0), 1.0 - others.reshape(cand.size, k - 1).sum(axis=1))
-        hit = np.flatnonzero(drops < bound)
-        if hit.size:
-            return kept[cand[hit[0]]], float(drops[hit[0]])
-    if peak >= bound:
-        return None
+    rows = disc_sub[kept]
+    sub = rows[:, kept]
+    if k >= 2:
+        # without cell c, row j of the kept submatrix peaks at its second
+        # largest entry if c holds its largest, else at its largest
+        top = np.partition(sub, k - 2, axis=1)[:, -2:]
+        rest = np.where(sub == top[:, 1:], top[:, :1], top[:, 1:])
+        np.fill_diagonal(rest, -np.inf)
+        others = np.broadcast_to(masses[kept], (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+        drops = np.maximum(rest.max(axis=0), 1.0 - others.sum(axis=1))
+    else:
+        drops = np.ones(k)
+    hit = np.flatnonzero(drops < bound)
+    if hit.size:
+        return kept[hit[0]], float(drops[hit[0]])
     # with cell u added, the peak is the kept peak, column u or row u
-    grown = np.maximum(np.maximum(disc_sub[unkept, unkept], peak),
-                       np.maximum(disc_sub[np.ix_(kept, unkept)].max(axis=0, initial=-np.inf),
-                                  disc_sub[np.ix_(unkept, kept)].max(axis=1, initial=-np.inf)))
+    grown = np.maximum(disc_sub[unkept, unkept], sub.max() if k else -np.inf)
+    if k:
+        grown = np.maximum(grown, np.maximum(rows[:, unkept].max(axis=0),
+                                             disc_sub[unkept][:, kept].max(axis=1)))
     wider = np.sort(np.column_stack([np.broadcast_to(kept, (unkept.size, k)), unkept]), axis=1)
     adds = np.maximum(grown, 1.0 - masses[wider].sum(axis=1))
     hit = np.flatnonzero(adds < bound)
@@ -293,27 +272,20 @@ def _optimize_selection(disc_sub, masses, rng, restarts=32):
 
     The greedy restarts run in lockstep (``_greedy_best``), in m - 1 steps
     of O(restarts * m log m).  A 2-opt round takes the first single flip of
-    its state that improves, kept cells first (``_flip_values``); each kept
-    row's top two discrepancies are carried across rounds, and only the rows
-    whose top two the flipped cell held or enters are sorted again.  The
-    search starts from the full selection and reads no order and no RNG, so
-    one run serves every restart."""
+    its state that improves, kept cells first (``_first_improving_flip``,
+    O(m^2)); the search starts from the full selection and reads no order
+    and no RNG, so one run serves every restart."""
     m = len(masses)
     orders = np.array([rng.permutation(m) for _ in range(restarts - 1)], dtype=np.intp)
     best = _greedy_best(disc_sub, masses, orders.reshape(-1, m))
     keep = np.ones(m, dtype=bool)
     val = max(float(disc_sub.max()), 1.0 - float(masses.sum()))
-    top1, top2 = _top_two(disc_sub, np.arange(m), np.arange(m))
     for _ in range(4 * m):
-        flip = _flip_values(disc_sub, masses, keep, top1, top2, val)
+        flip = _first_improving_flip(disc_sub, masses, keep, val)
         if flip is None:
             break
         c, val = flip
         keep[c] ^= True
-        kept = np.flatnonzero(keep)
-        stale = kept[(disc_sub[kept, c] >= top2[kept]) | (kept == c)]
-        if stale.size:
-            top1[stale], top2[stale] = _top_two(disc_sub, stale, kept)
     return min(best, val)
 
 

@@ -483,13 +483,13 @@ class TestSearchKernelsPinned:
         disc = np.triu(raw, 1) + np.triu(raw, 1).T
         masses = rng.dirichlet(np.ones(m))
         calls = []
-        flips = boxmetric._flip_values
+        flips = boxmetric._first_improving_flip
 
         def counted(*args):
             calls.append(1)
             return flips(*args)
 
-        monkeypatch.setattr(boxmetric, "_flip_values", counted)
+        monkeypatch.setattr(boxmetric, "_first_improving_flip", counted)
 
         def rounds(restarts):
             calls.clear()
