@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TRIANGLE_BLOCK_ELEMENTS, Coupling, FinitePmSpace, InputError, SizeLimitError,
+from .core import (Coupling, FinitePmSpace, InputError, SizeLimitError, _block_rows,
                    _check_count, _check_positive, _subset_fold)
 
 EXACT_MAX_CELLS = 12
@@ -53,58 +53,42 @@ def _cell_discrepancy(sx, sy, cells, cols=None):
 
 
 def _max_discrepancy(sx, sy, cells):
-    """``_cell_discrepancy(sx, sy, cells).max()`` from row blocks of at most
-    _TRIANGLE_BLOCK_ELEMENTS values, so no |cells| x |cells| matrix is made."""
-    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // cells.size)
+    """``_cell_discrepancy(sx, sy, cells).max()`` from row blocks
+    (``_block_rows``), so no |cells| x |cells| matrix is made."""
+    rows = _block_rows(cells.size)
     return max(float(_cell_discrepancy(sx, sy, cells[s:s + rows], cells).max())
                for s in range(0, cells.size, rows))
 
 
 def _maxflow_coupling(kept_cells, mass_x, mass_y):
-    """Coupling placing maximal mass on the kept cells (Ford-Fulkerson with
-    breadth-first augmenting paths), extended to a full coupling by pairing the
-    leftover marginals."""
-    nx, ny = len(mass_x), len(mass_y)
-    flow = np.zeros((nx, ny))
-    allowed = np.zeros((nx, ny), dtype=bool)
-    for i, j in kept_cells:
-        allowed[i, j] = True
-    while True:
-        row_res = mass_x - flow.sum(axis=1)
-        col_res = mass_y - flow.sum(axis=0)
-        # BFS over rows: a row reaches columns through kept cells, a column
-        # reaches rows back through cells that carry flow.  row_from[i] is the
-        # column that reached row i (-1: the source, -2: unreached), col_from[j]
-        # the row that reached column j (-1: unreached).
-        row_from = np.where(row_res > 1e-15, -1, -2)
-        col_from = np.full(ny, -1)
-        queue, goal = list(np.flatnonzero(row_from == -1)), None
-        for i in queue:
-            for j in np.flatnonzero(allowed[i] & (col_from < 0)):
-                col_from[j] = i
-                if col_res[j] > 1e-15:
-                    goal = j
-                    break
-                rows = np.flatnonzero((flow[:, j] > 1e-15) & (row_from == -2))
-                row_from[rows] = j
-                queue.extend(rows)
-            if goal is not None:
-                break
-        if goal is None:
-            break
-        # walk back to the source, take the bottleneck and augment
-        fwd, back, j = [], [], goal
-        while j >= 0:
-            i = col_from[j]
-            fwd.append((i, j))
-            j = row_from[i]
-            if j >= 0:
-                back.append((i, j))
-        bottleneck = min([row_res[i], col_res[goal]] + [flow[c] for c in back])
-        for c in fwd:
-            flow[c] += bottleneck
-        for c in back:
-            flow[c] -= bottleneck
+    """Coupling placing maximal mass on the kept cells, extended to a full
+    coupling by pairing the leftover marginals.  Rows in index order augment
+    while they have mass left, by a depth-first search that enters a kept
+    cell whose column has room, or a full column whose flow from another row
+    it pushes onward, entering each column once.  Row by row is maximal: the
+    nodes a row without an augmenting path reaches are closed in the residual
+    graph, so no later path enters them (it would end there) or changes the
+    edges and room that leave them."""
+    flow = np.zeros((len(mass_x), len(mass_y)))
+    allowed = np.zeros(flow.shape, dtype=bool)
+    allowed.flat[[i * len(mass_y) + j for i, j in kept_cells]] = True
+
+    def path(i, seen):  # kept cells and cells pushed back, alternating
+        for j in np.flatnonzero(allowed[i] & ~seen):
+            seen[j] = True
+            if mass_y[j] - flow.sum(axis=0)[j] > 1e-15:
+                return [(i, j)]
+            for k in np.flatnonzero(flow[:, j] > 1e-15):
+                if k != i and (rest := path(k, seen)):
+                    return [(i, j), (k, j), *rest]
+
+    for i in range(len(mass_x)):
+        while (left := mass_x[i] - flow.sum(axis=1)[i]) > 1e-15 and (
+                cells := path(i, np.zeros(len(mass_y), dtype=bool))):
+            j = cells[-1][1]
+            t = min([left, mass_y[j] - flow.sum(axis=0)[j]] + [flow[c] for c in cells[1::2]])
+            for n, c in enumerate(cells):
+                flow[c] += -t if n % 2 else t
     row_res = np.maximum(mass_x - flow.sum(axis=1), 0.0)
     col_res = np.maximum(mass_y - flow.sum(axis=0), 0.0)
     slack = row_res.sum()
@@ -153,9 +137,8 @@ def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
     if ncells > EXACT_MAX_CELLS:
         raise SizeLimitError(f"exact box distance is limited to {EXACT_MAX_CELLS} cells")
     disc = _cell_discrepancy(sx, sy, np.arange(ncells))
-    size = 1 << ncells
     maxdisc = _all_maxdisc(disc, ncells)
-    kept = _all_maxflow(size, nx, ny, sx.mass, sy.mass)
+    kept = _all_maxflow(1 << ncells, nx, ny, sx.mass, sy.mass)
     vals = np.maximum(maxdisc, 1.0 - kept)
     best_mask = int(np.argmin(vals))
     best_val = float(vals[best_mask])
@@ -214,7 +197,7 @@ def _greedy_best(disc_sub, masses, orders):
     kept = np.tile(np.arange(m), (rows.size, 1))
     kept_peak = peak.copy()
     best = 1.0
-    block = max(1, _TRIANGLE_BLOCK_ELEMENTS // m)
+    block = _block_rows(m)
     for _ in range(m - 1):
         key = np.empty(kept.shape)
         key[0] = kept_peak[0] * 1e6 - masses[kept[0]] * 1e-6
@@ -407,8 +390,7 @@ def box_converges(sequence, limit: FinitePmSpace, tol, seed=0):
         raise InputError("box_converges needs a non-empty sequence")
     _check_positive("tol", tol)
     uppers = [box_upper(sp, limit, seed=seed).upper for sp in sequence]
-    k = max(1, len(uppers) // 3)
-    tail = uppers[-k:]
+    tail = uppers[-max(1, len(uppers) // 3):]
     if any(u >= tol for u in tail):
         return False
     return all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))

@@ -30,8 +30,14 @@ PROKHOROV_MAX_POINTS = 20
 # The triangle-inequality sweep reads its n^3 excesses in blocks of at most
 # this many values, in one reused, cache-sized buffer; the Euclidean metric
 # of coords, the box metric's cell discrepancies and the 1-D trial family
-# come in row blocks of the same size.
+# come in row blocks of the same size (``_block_rows``).
 _TRIANGLE_BLOCK_ELEMENTS = 65536
+
+
+def _block_rows(n):
+    """Rows of n values in one block of at most _TRIANGLE_BLOCK_ELEMENTS
+    values, and one row when a row alone is longer (or empty)."""
+    return max(1, _TRIANGLE_BLOCK_ELEMENTS // max(1, n))
 
 
 class InputError(ValueError):
@@ -107,7 +113,7 @@ class FinitePmSpace:
         """The read-only n x n distance matrix."""
         if self._dist is None:
             c, D = self.coords, np.empty((self.n, self.n))
-            rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // max(1, self.n))
+            rows = _block_rows(self.n)
             scratch = np.empty((min(rows, self.n), self.n))
             with np.errstate(over="ignore", invalid="ignore"):
                 for s in range(0, self.n, rows):
@@ -214,7 +220,7 @@ def _scan_metric(D, coords, certify, check_coords):
     the whole matrix finds it.
     """
     n = len(D)
-    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // n))
+    rows = min(n, _block_rows(n))
     work = np.empty((rows, n))
     spare = np.empty((rows, n)) if certify else None  # holds the squares of Ê
     cert = (0.0, 0.0) if certify else None
@@ -447,8 +453,8 @@ def _triangle_violation(D):
     if n <= 2:
         return None
     tol = _distance_tol(float(D.max()))
-    width = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (n * n)))
-    rows = min(n, max(1, _TRIANGLE_BLOCK_ELEMENTS // (width * n)))
+    width = min(n, _block_rows(n * n))
+    rows = min(n, _block_rows(width * n))
     buf = np.empty(rows * width * n)
 
     def excess(s, j, w):
@@ -721,10 +727,21 @@ def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t].sum()))
 
 
+def _dot(a, b):
+    """sum of a * b by einsum's own loop: the same bits at every BLAS thread
+    count, where OpenBLAS splits np.dot of a long vector across threads."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _row_dots(F, w):
-    """np.dot(F[r], w) for every row r of F, bit for bit: np.matmul makes one
-    dot call per row of the stack, the call np.dot makes, where ``F @ w``
-    rounds differently."""
+    """The dot of every row of F with w, the same bits at every BLAS thread
+    count.  A row of at most 8192 values is np.dot(F[r], w) bit for bit:
+    np.matmul makes one dot call per row of the stack, the call np.dot makes,
+    where ``F @ w`` rounds differently.  OpenBLAS splits a longer dot across
+    threads, so a longer row is one ``_dot``; einsum "ij,j->i" over the block
+    would round a row by the block's row count."""
+    if F.shape[1] > 8192:
+        return np.array([_dot(f, w) for f in F])
     return np.matmul(F[:, None, :], w[:, None])[:, 0, 0]
 
 
@@ -752,13 +769,24 @@ def entropy(sp: FinitePmSpace, f):
 
 
 def entropy_weighted(weights, v):
+    """sum(w v log v) over the positive entries of v, less m log m for
+    m = sum(w v); a list of one value per row when ``v`` is a matrix of
+    rows.  The rows positive everywhere take both sums in one pass over the
+    block; a row with a zero sums its positive entries again, alone."""
     w = np.asarray(weights, dtype=float)
     v = np.asarray(v, dtype=float)
-    pos = v > 0
-    s1 = float(np.sum(w[pos] * v[pos] * np.log(v[pos])))
-    mean = float(np.sum(w * v))
-    s2 = mean * math.log(mean) if mean > 0 else 0.0
-    return s1 - s2
+    V = np.broadcast_to(v, v.shape[:-1] + w.shape).reshape(-1, w.size)
+    weighted = w * V
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with a zero are summed again
+        terms = np.log(V)
+        terms *= weighted
+    s1 = np.sum(terms, axis=1)
+    for r in np.flatnonzero(~(V > 0).all(axis=1)):
+        pos = V[r] > 0
+        s1[r] = np.sum(weighted[r, pos] * np.log(V[r, pos]))
+    out = [s - (mean * math.log(mean) if mean > 0 else 0.0)
+           for s, mean in zip(s1.tolist(), np.sum(weighted, axis=1).tolist())]
+    return out if v.ndim == 2 else out[0]
 
 
 def mcshane_extend(sp: FinitePmSpace, subset, f_values, lip_bound):

@@ -19,9 +19,10 @@ iterate and Rayleigh-quotient vectors, allocated after its set-up arrays are
 dropped.  A yielded block is never written to.  Every value keeps its bits,
 because each operation keeps its operands and its order: the modes are mixed
 left to right from zeros without einsum or matmul, equal steps take numpy's
-uniform gradient branch, every dot is one ``core._row_dots`` row (or an
-einsum loop in the iteration), and the per-row powers, logarithms and square
-roots are taken on Python floats.
+uniform gradient branch, every dot is one ``core._row_dots`` row (np.dot's
+bits up to 8192 values, einsum's loop beyond) or, in the iteration, one
+``core._dot``, so no value depends on the BLAS thread count, and the per-row
+powers, logarithms and square roots are taken on Python floats.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import dgttrf, dgttrs, ndtri
-from .core import (_TRIANGLE_BLOCK_ELEMENTS, FinitePmSpace, InputError, SizeLimitError,
-                   _central_moment, _check_count, _check_positive, _row_dots, entropy_weighted)
+from .core import (FinitePmSpace, InputError, SizeLimitError, _block_rows, _central_moment,
+                   _check_count, _check_positive, _dot, _row_dots, entropy_weighted)
 
 GRID_NORMALIZATION_TOL = 1e-10
 # gaussian_grid truncates the normal density at this many deviations.
@@ -176,19 +177,14 @@ def _edge_conductances(grid: GridSpace1D):
     return 0.5 * (w[:-1] + w[1:]) * grid.h
 
 
-def _dot(a, b):
-    """sum of a * b by einsum's own loop: the same bits at every BLAS thread
-    count, where OpenBLAS splits np.dot of a long vector across threads."""
-    return float(np.einsum("i,i", a, b))
-
-
 @_finite_arithmetic()
-def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
+def second_eigenvalue(grid: GridSpace1D, max_iter=100_000):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
     the constant mode.  The shifted operator is factored once (LAPACK
     ``gttrf``) and each step is one solve with that factor (``gttrs``), in
-    the iterate's own buffer."""
+    the iterate's own buffer.  It stops when the Rayleigh quotient moves by
+    at most 1e-10 max(1, |lambda|) in one step."""
     mu = grid.node_mass()
     cond = _edge_conductances(grid) / grid.h**2
     n = mu.size
@@ -236,12 +232,12 @@ def second_eigenvalue(grid: GridSpace1D, tol=1e-10, max_iter=100_000):
         np.divide(u, sq, out=ratio)
         np.square(np.subtract(ratio[1:], ratio[:-1], out=steps), out=steps)
         lam = _dot(cond, steps)
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
+        if abs(lam - lam_old) <= 1e-10 * max(1.0, abs(lam)):
             if not lam > 0:  # a grid at a scale the iteration cannot resolve
                 raise ConvergenceError(f"nonpositive spectral gap {lam}")
             return lam, ratio
         lam_old = lam
-    raise ConvergenceError(f"inverse iteration did not reach {tol} in {max_iter} steps")
+    raise ConvergenceError(f"inverse iteration did not reach 1e-10 in {max_iter} steps")
 
 
 def poincare_c22(grid: GridSpace1D):
@@ -249,12 +245,6 @@ def poincare_c22(grid: GridSpace1D):
     if grid.nodes.size < 65:
         raise InputError("poincare_c22 expects a grid with at least 64 subintervals")
     return 1.0 / math.sqrt(second_eigenvalue(grid)[0])
-
-
-def _block_rows(n):
-    """Rows of n values in one block of at most _TRIANGLE_BLOCK_ELEMENTS
-    values, and one row when a row alone is longer."""
-    return max(1, _TRIANGLE_BLOCK_ELEMENTS // n)
 
 
 def _trial_blocks(grid: GridSpace1D, trials, seed):
@@ -345,24 +335,6 @@ class LogSobolevReport:
     trials: int
 
 
-def _entropies(mu, squares):
-    """``entropy_weighted(mu, v)`` for each row v of ``squares``.  The rows
-    positive everywhere take both sums in one pass over the block; any other
-    row (a polynomial vanishes at the midpoint node) goes through
-    ``entropy_weighted``, which leaves out its zeros."""
-    full = (squares > 0).all(axis=1)
-    weighted = mu * squares  # w * v * log v in entropy_weighted's order
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with a zero are not read
-        terms = np.log(squares)
-        terms *= weighted
-    s1 = np.sum(terms, axis=1)
-    for v, whole, s, mean in zip(squares, full, s1.tolist(), np.sum(weighted, axis=1).tolist()):
-        if whole:
-            yield s - (mean * math.log(mean) if mean > 0 else 0.0)
-        else:
-            yield entropy_weighted(mu, v)
-
-
 def _gradient(nodes):
     """``np.gradient(f, nodes, axis=1)`` for a block f, as a function
     ``(f, out, spare)`` that writes the slopes into ``out`` and a term into
@@ -427,7 +399,7 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
         g2 *= g2
         energies = _row_dots(g2, mu).tolist()
         block2 = np.multiply(block, block, out=squares[:len(block)])
-        for ent, energy in zip(_entropies(mu, block2), energies):
+        for ent, energy in zip(entropy_weighted(mu, block2), energies):
             ent, energy = _finite(ent), _finite(energy)
             worst = max(worst, ent - 2.0 * constant**2 * energy)
             if energy > 1e-14 and ent > 0:

@@ -34,7 +34,7 @@ from .core import (
     InputError,
     SizeLimitError,
     VALIDATION_TOL,
-    _TRIANGLE_BLOCK_ELEMENTS,
+    _block_rows,
     _central_moment,
     _check_count,
     _check_p,
@@ -242,7 +242,7 @@ def _anchor_starts(sp, rng, starts):
         k = int(rng.integers(1, width + 1))
         idx[row, :k] = rng.choice(n, size=k, replace=False)
         vals[row, :k] = rng.uniform(-diam, diam, size=k)
-    rows = max(1, _TRIANGLE_BLOCK_ELEMENTS // (width * n))
+    rows = _block_rows(width * n)
     for s in range(0, len(rand), rows):
         np.min(vals[s:s + rows, :, None] + D.T[idx[s:s + rows]], axis=1, out=rand[s:s + rows])
     return F

@@ -319,6 +319,34 @@ def test_out_of_memory_is_size_limit(monkeypatch, message, shown):
     assert err.strip() == f"size limit: {shown}"
 
 
+def test_exact_searches_refuse_one_past_their_limit():
+    # the README's limit table, one item past each limit
+    wide = generators.interval_grid(core.PROKHOROV_MAX_POINTS + 1)
+    with pytest.raises(core.SizeLimitError):
+        core.prokhorov(wide, wide.mass, wide.mass)
+    with pytest.raises(core.SizeLimitError):
+        obs.separation(generators.interval_grid(3), [0.05] * (obs.SEPARATION_MAX_POSITIVE + 1))
+    many = atoms.AtomVector((0.04,) * (atoms.MAX_PACKING + 1))
+    with pytest.raises(core.SizeLimitError):
+        atoms.member(generators.interval_grid(3), many)
+    with pytest.raises(core.SizeLimitError):
+        atoms.member(generators.interval_grid(atoms.MAX_PACKING + 1), atoms.AtomVector((0.04,)))
+    with pytest.raises(core.SizeLimitError):
+        atoms.is_contraction(atoms.AtomVector((0.05,) * (atoms.MAX_CONTRACTION + 1)),
+                             atoms.AtomVector((0.85,)))
+
+
+def test_atoms_past_their_limit_exit_3():
+    with workdir() as d:
+        for argv in (["member", "--space", os.path.join(d, "space.json"),
+                      "--alpha", ",".join(["0.04"] * (atoms.MAX_PACKING + 1))],
+                     ["contract", "--beta", "0.85",
+                      "--alpha", ",".join(["0.05"] * (atoms.MAX_CONTRACTION + 1))]):
+            code, out, err = run_main(["atoms", *argv])
+            assert code == 3 and out == ""
+            assert err.startswith("size limit:")
+
+
 def test_library_rejects_nan_and_out_of_range():
     sp = generators.interval_grid(4)
     for kappa in (NAN, INF, -0.1, 1.0, 1.5):

@@ -242,7 +242,8 @@ class TestMaxflowWitness:
     def test_kept_mass_is_the_max_flow(self):
         # the min-cut enumeration of _all_maxflow is an independent oracle
         rng = np.random.default_rng(2024)
-        for nx, ny in ((2, 3), (3, 3), (3, 4)):
+        # every shape of at most 12 cells, 1 x k and k x 1 included
+        for nx, ny in [(a, b) for a in range(1, 13) for b in range(1, 12 // a + 1)]:
             ncells = nx * ny
             pairs = [(np.full(nx, 1.0 / nx), np.full(ny, 1.0 / ny))]  # ties
             pairs += [(rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))) for _ in range(3)]

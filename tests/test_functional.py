@@ -4,6 +4,9 @@ against the per-row loops, and the quantile coupling scale."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -178,12 +181,12 @@ class TestNonFiniteTrials:
         assert issubclass(fn.ConvergenceError, core.InputError)
 
     def test_log_sobolev_nan_entropy(self, monkeypatch):
-        entropies = fn._entropies
+        entropies = fn.entropy_weighted
 
         def last_row_nan(mu, squares):  # the last row of every block
-            return [*list(entropies(mu, squares))[:-1], math.nan]
+            return [*entropies(mu, squares)[:-1], math.nan]
 
-        monkeypatch.setattr(fn, "_entropies", last_row_nan)
+        monkeypatch.setattr(fn, "entropy_weighted", last_row_nan)
         for grid, trials in ((fn.unit_interval_grid(256), 20), (fn.gaussian_grid(2048), 90)):
             with pytest.raises(fn.ConvergenceError):
                 fn.log_sobolev_check(grid, 0.3, trials=trials)
@@ -239,7 +242,7 @@ def _per_row_pq_lower(grid, p, q, trials, seed):
     best = 0.0
     for f in _per_row_trials(grid, trials, seed):
         slopes = np.abs(np.diff(f)) / grid.h
-        energy = float(np.dot(cond, slopes**q)) ** (1.0 / q)
+        energy = float(core._row_dots((slopes**q)[None], cond)[0]) ** (1.0 / q)
         if energy <= 1e-14:
             continue
         dev = core._central_moment(mu, f, p) ** (1.0 / p)
@@ -256,7 +259,7 @@ def _per_row_log_sobolev(grid, constant, trials, seed):
     lower = 0.0
     for f in itertools.islice(itertools.chain(perturbed, [eig], trial), trials):
         g = np.gradient(f, grid.nodes)
-        energy = float(np.dot(mu, g * g))
+        energy = float(core._row_dots((g * g)[None], mu)[0])
         ent = core.entropy_weighted(mu, f**2)
         worst = max(worst, ent - 2.0 * constant**2 * energy)
         if energy > 1e-14 and ent > 0:
@@ -335,10 +338,31 @@ class TestTrialBlocks:
         mu = grid.node_mass()
         squares = next(fn._trial_blocks(grid, 7, 0)) ** 2
         assert (squares == 0).sum(axis=1).tolist() == [0, 1, 1, 1, 1, 1, 1]
-        assert (list(fn._entropies(mu, squares))
-                == [core.entropy_weighted(mu, v) for v in squares])
+        assert core.entropy_weighted(mu, squares) == [core.entropy_weighted(mu, v) for v in squares]
         assert (fn.log_sobolev_check(grid, 0.3, trials=6, seed=0)
                 == _per_row_log_sobolev(grid, 0.3, 6, 0))
+
+
+PQ_AT_16384 = """
+from mmslab import functional as fn
+grid = fn.unit_interval_grid(16384)
+print(*(fn.poincare_pq_lower(grid, p, q, seed=0).hex() for p, q in ((4, 1), (2, 2))))
+"""
+
+
+class TestBlasThreads:
+    def test_long_rows_keep_their_bits_at_two_threads(self):
+        """OpenBLAS splits a dot of more than about 10 000 values across
+        threads; ``core._row_dots`` takes such rows through einsum's loop,
+        so the moments and energies of 16 385-node trials keep their bits."""
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", PQ_AT_16384], capture_output=True,
+                                  text=True, timeout=120,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
 
 class TestDisconnected:
