@@ -81,11 +81,15 @@ class TestSubcommands:
         assert data["certificate"] == "exact"
         assert data["lower"] <= data["upper"]
 
-    def test_dominates(self, space_files):
+    def test_dominates(self, space_files, tmp_path):
         a, b = space_files
         code, stdout, _ = run_cli("dominates", b, a)
         assert code == 0
-        assert json.loads(stdout)["dominates"] is False
+        assert json.loads(stdout) == {"dominates": False, "refused": True, "nodes_explored": 3}
+        (c,) = _save(tmp_path, gen.interval_grid(4, 3.0))
+        code, stdout, _ = run_cli("dominates", c, a)
+        assert code == 0
+        assert json.loads(stdout) == {"dominates": True, "map": [0, 0, 1, 1], "nodes_explored": 5}
 
     def test_atoms_product_and_member(self, space_files, tmp_path):
         code, stdout, _ = run_cli("atoms", "product", "--alpha", "0.5,0.25", "--beta", "0.5,0.5")
@@ -94,16 +98,32 @@ class TestSubcommands:
         sp_path = tmp_path / "m.json"
         core.save_space(gen.atom_space(cli.atoms_mod.sort_atoms([0.5, 0.3]), 3), sp_path)
         code, stdout, _ = run_cli("atoms", "member", "--alpha", "0.5,0.3", "--space", str(sp_path))
-        assert code == 0 and json.loads(stdout)["member"] is True
+        assert code == 0 and json.loads(stdout) == {"member": True, "assignment": [3, 4]}
+        code, stdout, _ = run_cli("atoms", "member", "--alpha", "0.6,0.3", "--space", str(sp_path))
+        assert code == 0 and json.loads(stdout) == {"member": False, "refused": True}
 
-    @pytest.mark.parametrize("beta,want", [
-        ("0.5,0.5", {"contraction": True, "groups": [[0, 1], [2, 3]]}),
-        ("0.6,0.4", {"contraction": False, "refused": True}),
-    ], ids=["found", "refused"])
-    def test_atoms_contract(self, beta, want):
-        code, stdout, _ = run_cli("atoms", "contract", "--alpha", "0.25,0.25,0.25,0.25",
-                                  "--beta", beta)
+    @pytest.mark.parametrize("alpha,beta,want", [
+        ("0.25,0.25,0.25,0.25", "0.5,0.5", {"contraction": True, "groups": [[0, 1], [2, 3]]}),
+        ("0.25,0.25,0.25,0.25", "0.6,0.4", {"contraction": False, "refused": True}),
+        # two empty vectors: the empty grouping is found, not refused
+        ("0", "0", {"contraction": True, "groups": []}),
+    ], ids=["found", "refused", "empty"])
+    def test_atoms_contract(self, alpha, beta, want):
+        code, stdout, _ = run_cli("atoms", "contract", "--alpha", alpha, "--beta", beta)
         assert code == 0 and json.loads(stdout) == want
+
+    @pytest.mark.parametrize("argv,message", [
+        (["product"], "atoms product requires --beta"),
+        (["contract"], "atoms contract requires --beta"),
+        (["member"], "atoms member requires --space"),
+        (["dissipate"], "atoms dissipate requires --spaces and --delta"),
+        (["dissipate", "--delta", "1"], "atoms dissipate requires --spaces and --delta"),
+        (["dissipate", "--spaces", "s.json"], "atoms dissipate requires --spaces and --delta"),
+    ], ids=["product", "contract", "member", "dissipate", "dissipate_no_spaces",
+            "dissipate_no_delta"])
+    def test_atoms_missing_flag(self, argv, message):
+        code, stdout, err = run_cli("atoms", *argv, "--alpha", "0.5")
+        assert (code, stdout, err) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize("family,alpha,delta", [
         ("dissipation", "0.4,0.2", "2"), ("atom", "0.3,0.2", "0.6"), ("atom", "0.3,0.2", "0.15"),
