@@ -352,11 +352,10 @@ def _levy(vals_a, w_a, vals_b, w_b):
                 return False
         return True
 
-    if feasible(0.0):
-        return 0.0
     # bisect the bit patterns of the floats in [0, 1], which sort as the
-    # floats do: about 62 steps to the smallest feasible float at any scale
-    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    # floats do: about 62 steps to the smallest feasible float at any scale;
+    # lo = -1 stands below 0.0, so 0.0 itself is found
+    lo, hi = -1, int(np.float64(1.0).view(np.int64))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(np.int64(mid).view(np.float64)):

@@ -282,67 +282,54 @@ def _cmd_box(args):
     return EXIT_OK
 
 
+def _verdict(kind, found, payload):
+    """The answer of a search: kind true with payload(found), or kind false
+    and refused where it found nothing (None; an empty answer is found)."""
+    if found is None:
+        return {kind: False, "refused": True}
+    return {kind: True, **payload(found)}
+
+
 def _cmd_dominates(args):
     sx = core.load_space(args.fileX)
     sy = core.load_space(args.fileY)
     res = order.dominates(sx, sy)
-    if isinstance(res, order.DominationWitness):
-        out = {"dominates": True, "map": list(res.map)}
-    else:
-        out = {"dominates": False, "refused": True}
+    out = _verdict("dominates", res if isinstance(res, order.DominationWitness) else None,
+                   lambda w: {"map": list(w.map)})
     _print_json({**out, "nodes_explored": res.nodes_explored}, args.format)
     return EXIT_OK
 
 
+def _dissipation(args, a):
+    ev = atoms_mod.detect_dissipation([core.load_space(p) for p in args.spaces], a, args.delta)
+    return {"accepted": ev.accepted, "delta": ev.delta, "atom_error": list(ev.atom_error),
+            "max_small_bin": list(ev.max_small), "bin_counts": list(ev.bin_counts),
+            "sep_checked": ev.sep_checked, "reason": ev.reason}
+
+
+# atoms action -> (flags it needs, answer(args, alpha) -> the JSON it prints);
+# a flag is missing when absent or empty (--delta 0 is given)
+_ATOM_ACTIONS = {
+    "product": (("beta",), lambda args, a: {
+        "entries": list(atoms_mod.atom_product(a, _parse_alpha(args.beta)).entries)}),
+    "contract": (("beta",), lambda args, a: _verdict(
+        "contraction", atoms_mod.is_contraction(a, _parse_alpha(args.beta)),
+        lambda groups: {"groups": [list(g) for g in groups]})),
+    "member": (("space",), lambda args, a: _verdict(
+        "member", atoms_mod.member(core.load_space(args.space), a,
+                                   math.inf if args.delta is None else args.delta),
+        lambda res: {"assignment": list(res.map)})),
+    "dissipate": (("spaces", "delta"), _dissipation),
+}
+
+
 def _cmd_atoms(args):
-    if args.action in ("product", "contract") and not args.beta:
-        raise core.InputError(f"atoms {args.action} requires --beta")
-    if args.action == "member" and not args.space:
-        raise core.InputError("atoms member requires --space")
-    if args.action == "dissipate" and (not args.spaces or args.delta is None):
-        raise core.InputError("atoms dissipate requires --spaces and --delta")
-    if args.action == "product":
-        a = _parse_alpha(args.alpha)
-        b = _parse_alpha(args.beta)
-        _print_json({"entries": list(atoms_mod.atom_product(a, b).entries)}, args.format)
-        return EXIT_OK
-    if args.action == "contract":
-        a = _parse_alpha(args.alpha)
-        b = _parse_alpha(args.beta)
-        groups = atoms_mod.is_contraction(a, b)
-        if groups is None:
-            _print_json({"contraction": False, "refused": True}, args.format)
-        else:
-            _print_json({"contraction": True, "groups": [list(g) for g in groups]}, args.format)
-        return EXIT_OK
-    if args.action == "member":
-        sp = core.load_space(args.space)
-        a = _parse_alpha(args.alpha)
-        delta = math.inf if args.delta is None else args.delta
-        res = atoms_mod.member(sp, a, delta)
-        if res is None:
-            _print_json({"member": False, "refused": True}, args.format)
-        else:
-            _print_json({"member": True, "assignment": list(res.map)}, args.format)
-        return EXIT_OK
-    if args.action == "dissipate":
-        spaces = [core.load_space(p) for p in args.spaces]
-        a = _parse_alpha(args.alpha)
-        ev = atoms_mod.detect_dissipation(spaces, a, args.delta)
-        _print_json(
-            {
-                "accepted": ev.accepted,
-                "delta": ev.delta,
-                "atom_error": list(ev.atom_error),
-                "max_small_bin": list(ev.max_small),
-                "bin_counts": list(ev.bin_counts),
-                "sep_checked": ev.sep_checked,
-                "reason": ev.reason,
-            },
-            args.format,
-        )
-        return EXIT_OK
-    raise core.InputError(f"unknown atoms action {args.action!r}")
+    flags, answer = _ATOM_ACTIONS[args.action]
+    if any(getattr(args, f) in (None, "", []) for f in flags):
+        raise core.InputError(f"atoms {args.action} requires "
+                              + " and ".join(f"--{f}" for f in flags))
+    _print_json(answer(args, _parse_alpha(args.alpha)), args.format)
+    return EXIT_OK
 
 
 def _cmd_spectral(args):
@@ -514,31 +501,21 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
         else:
             built[spec["id"]] = make_space(spec["kind"], spec.get("params", {}), plan.seed)
     rows = []
-    values = {}
     for spec in plan.invariants:
         value, cert = _INVARIANTS[spec["kind"]][3](built[spec["space"]], spec, plan.seed)
-        key = _row_key(spec)
-        values[key] = value
-        rows.append((spec["space"], spec["kind"], key, value, cert))
+        rows.append({"space": spec["space"], "invariant": spec["kind"], "row_key": _row_key(spec),
+                     "value": value, "certificate": cert})
+    values = {row["row_key"]: row["value"] for row in rows}
     failures = [{"assertion": a, "value": values[a["row"]]} for a in plan.assertions
                 if not _ASSERTIONS[a["op"]][2](values[a["row"]], a, values)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["space", "invariant", "row_key", "value", "certificate"])
-    for space_id, kind, key, value, cert in rows:
-        writer.writerow([space_id, kind, key, _fmt_value(value), cert])
+    writer.writerows([_fmt_value(v) for v in row.values()] for row in rows)
     csv_text = buf.getvalue()
-    report = {
-        "name": plan.name,
-        "seed": plan.seed,
-        "rows": [
-            {"space": s, "invariant": k, "row_key": key, "value": v, "certificate": c}
-            for s, k, key, v, c in rows
-        ],
-        "failures": failures,
-        "ok": not failures,
-    }
+    report = {"name": plan.name, "seed": plan.seed, "rows": rows, "failures": failures,
+              "ok": not failures}
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)

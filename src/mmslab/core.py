@@ -161,14 +161,14 @@ def validate(sp: FinitePmSpace):
     n = sp.n
     if n == 0:
         return Violation("empty", (), "space has no support points")
-    coords = sp.coords
-    if sp._dist is None and _coords_certified(coords):
-        return _mass_violation(sp)
-    D, m = sp.dist, sp.mass
-    if D.shape != (n, n):
+    coords, D, m = sp.coords, sp._dist, sp.mass
+    if D is not None and D.shape != (n, n):  # a matrix built from coords is n x n
         return Violation("shape", D.shape, f"dist must be {n}x{n}, got {D.shape}")
     if m.shape != (n,):
         return Violation("shape", m.shape, f"mass must have length {n}")
+    if D is None and _coords_certified(coords):
+        return _mass_violation(sp)
+    D = sp.dist
     finite = coords is not None and bool(np.isfinite(coords).all())
     first, top, low, cert, gaps = _scan_metric(D, coords, finite and coords.shape[1] <= 1 << 20,
                                                finite)
@@ -283,11 +283,9 @@ def _first_extreme(best, block, start, arg):
 
 
 def _mass_violation(sp: FinitePmSpace):
-    """The first violated mass invariant of ``sp`` (the mass checks of
-    ``validate``) or None; reads no distances."""
+    """The first violated mass invariant of ``sp``, whose mass ``validate``
+    has checked to have length n, or None; reads no distances."""
     n, m = sp.n, sp.mass
-    if m.shape != (n,):
-        return Violation("shape", m.shape, f"mass must have length {n}")
     if np.any(m <= 0):
         i = int(np.argmin(m))
         return Violation("mass_positive", (i,), f"mass[{i}] = {m[i]} <= 0 (support-only storage)")
@@ -695,14 +693,14 @@ def _smallest_fixed_point(values, excess):
     """Smallest eps >= 0 with excess(eps) <= eps for an ``excess`` that is
     nonincreasing and constant between the thresholds 0 and ``values``, each
     threshold widened by ``_distance_tol`` of the largest: the first
-    max(t, excess(t + tol)) below the next threshold, scanning t upward."""
+    max(t, excess(t + tol)) below the next threshold, scanning t upward.  The
+    last threshold's next is inf, so a finite ``excess`` always returns."""
     thresholds = np.unique(np.concatenate(([0.0], values))).tolist()
     tol = _distance_tol(thresholds[-1])
     for t, nxt in zip(thresholds, thresholds[1:] + [math.inf]):
         cand = max(t, excess(t + tol))
         if cand < nxt:
             return cand
-    return 1.0  # unreachable: the last threshold always yields a candidate
 
 
 def _subset_fold(ufunc, values, dtype=float):
@@ -763,6 +761,8 @@ def entropy(sp: FinitePmSpace, f):
     Nonnegative by Jensen; 0 log 0 is read as 0.  Rejects negative entries.
     """
     v = np.asarray(f, dtype=float)
+    if v.shape != (sp.n,):
+        raise InputError(f"entropy needs one value per point ({sp.n}), got shape {v.shape}")
     if np.any(v < 0):
         raise InputError("entropy requires nonnegative values")
     return entropy_weighted(sp.mass, v)

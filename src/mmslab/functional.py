@@ -178,7 +178,7 @@ def _edge_conductances(grid: GridSpace1D):
 
 
 @_finite_arithmetic()
-def second_eigenvalue(grid: GridSpace1D, max_iter=100_000):
+def second_eigenvalue(grid: GridSpace1D):
     """First nonzero eigenvalue of the weighted Neumann second-difference
     operator (edge-conductance form) by inverse iteration with deflation of
     the constant mode.  The shifted operator is factored once (LAPACK
@@ -217,7 +217,7 @@ def second_eigenvalue(grid: GridSpace1D, max_iter=100_000):
     deflate(u)
     u /= math.sqrt(_dot(u, u))
     lam_old = math.inf
-    for _ in range(max_iter):
+    for _ in range(100_000):
         u = dgttrs(*factor, u, overwrite_b=True)[0]
         u *= lift
         deflate(u)
@@ -237,7 +237,7 @@ def second_eigenvalue(grid: GridSpace1D, max_iter=100_000):
                 raise ConvergenceError(f"nonpositive spectral gap {lam}")
             return lam, ratio
         lam_old = lam
-    raise ConvergenceError(f"inverse iteration did not reach 1e-10 in {max_iter} steps")
+    raise ConvergenceError("inverse iteration did not reach 1e-10 in 100000 steps")
 
 
 def poincare_c22(grid: GridSpace1D):

@@ -109,8 +109,6 @@ def atom_space(alpha: AtomVector, m_diffuse=8):
         xs.append(float(i + 1))
         masses.append(a)
         labels.append(f"a{i + 1}")
-    if not xs:
-        raise InputError("empty atom space: zero vector with no diffuse part")
     xs = np.asarray(xs)
     dist = np.abs(xs[:, None] - xs[None, :])
     return space(tuple(labels), dist, masses, coords=xs.reshape(-1, 1))
@@ -134,8 +132,6 @@ def dissipation_family(alpha: AtomVector, delta, n):
         masses.append(a)
         labels.append(f"x{i + 1}")
     size = len(masses)
-    if size == 0:
-        raise InputError("empty space: zero vector with no diffuse part")
     dist = np.full((size, size), float(delta))
     np.fill_diagonal(dist, 0.0)
     return space(tuple(labels), dist, masses)

@@ -185,8 +185,7 @@ def obs_diam(sp: FinitePmSpace, kappa, mode="exact", starts=64, seed=0):
             raise SizeLimitError(f"exact obs_diam is limited to {EXACT_MAX_POINTS} points")
         return _obs_diam_exact(sp, kappa)
     if mode == "heuristic":
-        starts, _ = _effort_budget(sp.n, starts, seed)
-        return _coordinate_ascent(sp, starts, seed, 50, 1e-13,
+        return _coordinate_ascent(sp, starts, seed, 1e-13,
                                   *_rescoring(lambda G: _partial_diameters(G, sp.mass, kappa)))
     raise InputError(f"unknown mode {mode!r}")
 
@@ -249,10 +248,11 @@ def _anchor_starts(sp, rng, starts):
 
 
 def _effort_budget(n, starts, seed):
-    """Multi-start budgets that keep the quadratic sweeps tractable: beyond a
-    few hundred points the start count shrinks, to no fewer than two starts
-    unless fewer were asked for, so a call stays near the cost of the
-    reference 64-start search on 256 points."""
+    """Start count and sweep cap of ``_coordinate_ascent``, the same for every
+    objective, that keep the quadratic sweeps tractable: beyond a few hundred
+    points the start count shrinks, to no fewer than two starts unless fewer
+    were asked for, so a call stays near the cost of the reference 64-start
+    search on 256 points."""
     _check_count("starts", starts)
     _check_count("seed", seed, 0)
     if n <= 256:
@@ -261,14 +261,15 @@ def _effort_budget(n, starts, seed):
     return min(starts, max(2, starts // scale)), max(8, 200 // scale)
 
 
-def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
+def _coordinate_ascent(sp, starts, seed, tol, start, move):
     """Best value of seeded multi-start coordinate ascent over 1-Lipschitz f.
 
-    All starts run in lockstep as the rows of one matrix F.  ``start(F)``
-    returns ``(values, state)`` for the rows, where ``state`` is a tuple of
-    per-row arrays, and ``move(state, F, i, C)`` scores every row with f[i]
-    moved to each column of ``C``, returning the values and the states
-    shaped like ``C``, and leaving F as it was.  Each sweep tries, per
+    ``_effort_budget`` turns ``starts`` into the start count and gives the
+    sweep cap.  All starts run in lockstep as the rows of one matrix F.
+    ``start(F)`` returns ``(values, state)`` for the rows, where ``state`` is
+    a tuple of per-row arrays, and ``move(state, F, i, C)`` scores every row
+    with f[i] moved to each column of ``C``, returning the values and the
+    states shaped like ``C``, and leaving F as it was.  Each sweep tries, per
     coordinate, the low then the high end of the row's feasible interval and
     keeps a candidate only when it beats the best so far by more than
     ``tol``; a move whose pick equals f[i] changes nothing, so rounding in an
@@ -285,6 +286,7 @@ def _coordinate_ascent(sp, starts, seed, sweeps, tol, start, move):
     would repeat one of them and change nothing.
     """
     n = sp.n
+    starts, sweeps = _effort_budget(n, starts, seed)
     F = _anchor_starts(sp, np.random.default_rng(seed), starts)
     cur, state = start(F)
     # an infinite diagonal keeps f[i] itself out of its own interval
@@ -646,8 +648,7 @@ def variance(sp: FinitePmSpace, mode="exact", starts=64, seed=0):
             Q = Q[:, None] - mi * np.float_power(fi, 2) + mi * C * C
             return Q - E * E, (E, Q)
 
-        starts, sweeps = _effort_budget(sp.n, starts, seed)
-        return _coordinate_ascent(sp, starts, seed, sweeps, 1e-14, start, move)
+        return _coordinate_ascent(sp, starts, seed, 1e-14, start, move)
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -662,8 +663,7 @@ def p_deviation(sp: FinitePmSpace, p, mode="exact", starts=64, seed=0):
     if mode == "exact":
         val = float(_central_moment(sp.mass, lipschitz_vertices(sp), p).max())
     elif mode == "heuristic":
-        starts, sweeps = _effort_budget(sp.n, starts, seed)
-        val = _coordinate_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
+        val = _coordinate_ascent(sp, starts, seed, 1e-14,
                                  *_rescoring(lambda G: _central_moment(sp.mass, G, p)))
     else:
         raise InputError(f"unknown mode {mode!r}")

@@ -9,13 +9,15 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmslab import atoms, boxmetric, cli, core, functional, generators, observables as obs
+from mmslab import (atoms, boxmetric, cli, core, functional, generators,
+                    observables as obs, order)
 
 NAN, INF = math.nan, math.inf
 
@@ -259,6 +261,95 @@ def test_bad_argument_is_input_error(argv):
         argv = [a.format(space=os.path.join(d, "space.json"), bad=bad, dir=d) for a in argv]
         code, _, err = run_main(argv)
     assert code == 2
+    assert err.startswith("input error:")
+
+
+# input checks of the library, each called with one input it refuses; the
+# call raises InputError, or returns the Violation of ``validate``, with a
+# message that the pattern matches
+PAIR_DOC = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "mass": [0.5, 0.5]}
+BAD_MASS_RATIONAL = [
+    ("mass_rational_length", ["1/2"], "mass_rational length mismatch"),
+    ("mass_rational_sum", ["1/2", "1/3"], "mass_rational does not sum to 1"),
+    ("mass_rational_mismatch", ["1/4", "3/4"], r"mass_rational\[0\] != mass\[0\]"),
+]
+
+
+def _pair(mass_rational=None):
+    return core.FinitePmSpace(PAIR_DOC["points"], PAIR_DOC["dist"], PAIR_DOC["mass"],
+                              mass_rational)
+
+
+def _on_two_points(*values):
+    return [core.LipschitzFunction(np.asarray(v, dtype=float), 1.0) for v in values]
+
+
+GRID3 = generators.interval_grid(3)
+INPUT_CHECKS = [
+    *((name, lambda mr=mr: core.validate(_pair(mr)), message)
+      for name, mr, message in BAD_MASS_RATIONAL),
+    ("from_json_ragged", lambda: core.from_json_dict({**PAIR_DOC, "mass": [[0.5], [0.5, 0.0]]}),
+     "must be rectangular"),
+    ("as_lipschitz_above_bound", lambda: core.as_lipschitz(GRID3, [0.0, 1.0, 2.0], 1.0),
+     "Lipschitz constant"),
+    ("margins_rows", lambda: core.Coupling([[0.5, 0.0], [0.25, 0.25]]).check_margins(
+        [0.25, 0.75], [0.75, 0.25]), "row sums"),
+    ("margins_columns", lambda: core.Coupling([[0.5, 0.0], [0.25, 0.25]]).check_margins(
+        [0.5, 0.5], [0.5, 0.5]), "column sums"),
+    ("prokhorov_length", lambda: core.prokhorov(GRID3, [0.5, 0.5], [0.5, 0.5]),
+     "must match the space"),
+    ("ky_fan_other_space", lambda: core.ky_fan(GRID3, *_on_two_points([0, 1], [1, 0])),
+     "live on the given space"),
+    ("entropy_length", lambda: core.entropy(GRID3, [1.0, 2.0]), "one value per point"),
+    ("mcshane_empty_subset", lambda: core.mcshane_extend(GRID3, [], [], 1.0), "non-empty"),
+    ("mcshane_values_length", lambda: core.mcshane_extend(GRID3, [0, 1], [0.0], 1.0),
+     "subset length"),
+    ("projection_without_coords",
+     lambda: obs.obs_diam_projection_estimate(generators.two_point(), 0.1), "no coordinates"),
+    ("obs_diam_mode", lambda: obs.obs_diam(GRID3, 0.1, mode="fast"), "unknown mode"),
+    ("variance_mode", lambda: obs.variance(GRID3, mode="fast"), "unknown mode"),
+    ("p_deviation_mode", lambda: obs.p_deviation(GRID3, 2, mode="fast"), "unknown mode"),
+    ("atoms_above_one", lambda: atoms.AtomVector((0.7, 0.6)), "l1 norm"),
+    ("atoms_increasing", lambda: atoms.AtomVector((0.1, 0.2)), "nonincreasing"),
+    ("truncate_kind", lambda: atoms.truncate(atoms.sort_atoms([0.3]), 1, kind="drop"),
+     "unknown truncation kind"),
+    ("dissipation_of_the_full_atom",
+     lambda: atoms.detect_dissipation([GRID3] * 4, atoms.AtomVector((1.0,)), 1.0),
+     "vacuously"),
+    ("box_lower_above_upper", lambda: boxmetric.BoxEstimate(0.5, 0.25), "exceeds upper"),
+    ("box_exact_not_equal", lambda: boxmetric.BoxEstimate(0.25, 0.5, certificate="exact"),
+     "lower == upper"),
+    ("grid_two_nodes", lambda: functional.GridSpace1D([0.0, 1.0], [1.0, 1.0]), "3 nodes"),
+    ("grid_weight_shape", lambda: functional.GridSpace1D([0.0, 0.5, 1.0], [1.0, 1.0]),
+     "match the nodes"),
+    ("grid_weight_zero", lambda: functional.GridSpace1D([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]),
+     "positive"),
+    ("two_point_first_mass", lambda: generators.two_point(1.0, 1.0), "first_mass"),
+    ("sphere_without_seed", lambda: generators.sphere_sample(2, 1.0, 4), "requires a seed"),
+    ("witness_shape", lambda: order.check_witness(GRID3, generators.two_point(), (0, 1)),
+     "mapping shape"),
+    ("no_generators", lambda: order.generator_idempotent([], 2), "non-empty"),
+]
+
+
+@pytest.mark.parametrize("call,pattern", [c[1:] for c in INPUT_CHECKS],
+                         ids=[c[0] for c in INPUT_CHECKS])
+def test_input_check_refuses(call, pattern):
+    try:
+        got = call()
+    except core.InputError as e:
+        got = e
+    assert isinstance(got, (core.InputError, core.Violation))
+    assert re.search(pattern, str(got))
+
+
+@pytest.mark.parametrize("mass_rational", [c[1] for c in BAD_MASS_RATIONAL],
+                         ids=[c[0] for c in BAD_MASS_RATIONAL])
+def test_space_file_with_bad_mass_rational_exits_2(mass_rational):
+    with workdir() as d:
+        path = write_json(d, "space.json", {**PAIR_DOC, "mass_rational": mass_rational})
+        code, out, err = run_main(["invariant", path, "--kind", "diam"])
+    assert code == 2 and out == ""
     assert err.startswith("input error:")
 
 

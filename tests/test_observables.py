@@ -1124,8 +1124,8 @@ class TestLockstepAscent:
 
     @pytest.mark.parametrize("sweeps", [1, 2, 3])
     def test_values_equal_the_per_start_loop_under_a_sweep_cap(self, sweeps, monkeypatch):
-        # the cap stops rows that still move; obs_diam's 50 sweeps are capped
-        # through the engine, the others through their budget
+        # the cap stops rows that still move; every objective takes it from
+        # the one budget
         monkeypatch.setattr(obs, "_effort_budget", lambda n, starts, seed: (starts, sweeps))
         binds = 0
         for k, sp in enumerate(self.spaces()):
@@ -1138,7 +1138,7 @@ class TestLockstepAscent:
                 steps.append(i)
                 return move(state, F, i, C)
 
-            got = obs._coordinate_ascent(sp, starts, seed, sweeps, 1e-13, start, watched)
+            got = obs._coordinate_ascent(sp, starts, seed, 1e-13, start, watched)
             assert got == per_start_ascent(sp, starts, seed, sweeps, 1e-13,
                                            *per_start_recompute(per_start_width(sp, kappa)))
             # some row changed in the last sweep and was still climbing
@@ -1165,7 +1165,7 @@ class TestLockstepAscent:
                     rows.append(len(F))
                     return move(state, F, i, C)
 
-                got = obs._coordinate_ascent(sp, starts, seed, 50, 1e-13, start, watched)
+                got = obs._coordinate_ascent(sp, starts, seed, 1e-13, start, watched)
                 assert got == per_start_ascent(sp, starts, seed, 50, 1e-13,
                                                *per_start_recompute(per_start_width(sp, kappa)))
                 mid_sweep += sum(rows[s] < rows[s - 1] for s in range(1, len(rows))
@@ -1191,9 +1191,10 @@ class TestLockstepAscent:
                 == per_start_ascent(sp, 1, 0, 200, 1e-14, start, watched))
         assert any(differs)
 
-    def test_unchanged_candidates_are_not_scored(self):
+    def test_unchanged_candidates_are_not_scored(self, monkeypatch):
         # on the distance anchors d(x, .) and -d(x, .) of an integer-valued
         # space, one end of every row's first interval is f[0] itself
+        monkeypatch.setattr(obs, "_effort_budget", lambda n, starts, seed: (starts, 1))
         sp = integer_space(np.random.default_rng(8), 24)
         offered, scored = [], []
 
@@ -1207,7 +1208,7 @@ class TestLockstepAscent:
             offered.append(len(F))
             return move(state, F, i, C)
 
-        obs._coordinate_ascent(sp, 2 * sp.n, 0, 1, 1e-13, start, watched)
+        obs._coordinate_ascent(sp, 2 * sp.n, 0, 1e-13, start, watched)
         assert len(offered) == sp.n and offered[0] == 2 * sp.n
         assert scored[1] <= offered[0]
         assert sum(scored[1:]) < 2 * sum(offered)
