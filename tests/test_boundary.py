@@ -280,10 +280,6 @@ def _pair(mass_rational=None):
                               mass_rational)
 
 
-def _on_two_points(*values):
-    return [core.LipschitzFunction(np.asarray(v, dtype=float), 1.0) for v in values]
-
-
 GRID3 = generators.interval_grid(3)
 INPUT_CHECKS = [
     *((name, lambda mr=mr: core.validate(_pair(mr)), message)
@@ -298,7 +294,8 @@ INPUT_CHECKS = [
         [0.5, 0.5], [0.5, 0.5]), "column sums"),
     ("prokhorov_length", lambda: core.prokhorov(GRID3, [0.5, 0.5], [0.5, 0.5]),
      "must match the space"),
-    ("ky_fan_other_space", lambda: core.ky_fan(GRID3, *_on_two_points([0, 1], [1, 0])),
+    ("ky_fan_other_space",
+     lambda: core.ky_fan(GRID3, *[core.LipschitzFunction([0.0, 1.0], 1.0)] * 2),
      "live on the given space"),
     ("entropy_length", lambda: core.entropy(GRID3, [1.0, 2.0]), "one value per point"),
     ("mcshane_empty_subset", lambda: core.mcshane_extend(GRID3, [], [], 1.0), "non-empty"),
