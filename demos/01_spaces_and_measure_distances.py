@@ -28,7 +28,7 @@ print("=== measure distances on a fixed carrier ===")
 mass_a = np.array([0.5, 0.3, 0.2])
 mass_b = np.array([0.2, 0.3, 0.5])
 print("total variation (half sum):", core.total_variation(mass_a, mass_b))
-print("Prokhorov distance (exact, all subsets):", core.prokhorov(triangle, mass_a, mass_b))
+print("Prokhorov distance (exact, max-flow):", core.prokhorov(triangle, mass_a, mass_b))
 print("Prokhorov never exceeds total variation.")
 
 print()

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Coupling, FinitePmSpace, InputError, SizeLimitError, _block_rows,
-                   _check_count, _check_positive, _subset_fold)
+                   _check_count, _check_positive, _max_subcoupling, _subset_fold)
 
 EXACT_MAX_CELLS = 12
 
@@ -61,34 +61,11 @@ def _max_discrepancy(sx, sy, cells):
 
 
 def _maxflow_coupling(kept_cells, mass_x, mass_y):
-    """Coupling placing maximal mass on the kept cells, extended to a full
-    coupling by pairing the leftover marginals.  Rows in index order augment
-    while they have mass left, by a depth-first search that enters a kept
-    cell whose column has room, or a full column whose flow from another row
-    it pushes onward, entering each column once.  Row by row is maximal: the
-    nodes a row without an augmenting path reaches are closed in the residual
-    graph, so no later path enters them (it would end there) or changes the
-    edges and room that leave them."""
-    flow = np.zeros((len(mass_x), len(mass_y)))
-    allowed = np.zeros(flow.shape, dtype=bool)
+    """Coupling placing maximal mass on the kept cells (``_max_subcoupling``),
+    extended to a full coupling by pairing the leftover marginals."""
+    allowed = np.zeros((len(mass_x), len(mass_y)), dtype=bool)
     allowed.flat[[i * len(mass_y) + j for i, j in kept_cells]] = True
-
-    def path(i, seen):  # kept cells and cells pushed back, alternating
-        for j in np.flatnonzero(allowed[i] & ~seen):
-            seen[j] = True
-            if mass_y[j] - flow.sum(axis=0)[j] > 1e-15:
-                return [(i, j)]
-            for k in np.flatnonzero(flow[:, j] > 1e-15):
-                if k != i and (rest := path(k, seen)):
-                    return [(i, j), (k, j), *rest]
-
-    for i in range(len(mass_x)):
-        while (left := mass_x[i] - flow.sum(axis=1)[i]) > 1e-15 and (
-                cells := path(i, np.zeros(len(mass_y), dtype=bool))):
-            j = cells[-1][1]
-            t = min([left, mass_y[j] - flow.sum(axis=0)[j]] + [flow[c] for c in cells[1::2]])
-            for n, c in enumerate(cells):
-                flow[c] += -t if n % 2 else t
+    flow = _max_subcoupling(allowed, mass_x, mass_y)
     row_res = np.maximum(mass_x - flow.sum(axis=1), 0.0)
     col_res = np.maximum(mass_y - flow.sum(axis=0), 0.0)
     slack = row_res.sum()

@@ -23,9 +23,8 @@ VALIDATION_TOL = 1e-12
 REAL_TOL = 1e-9
 _DISTANCE_FLOOR = 2.0 ** -480  # the least scale of ``_distance_tol``, derived in ``_certified``
 
-# Exact-search size limits (beyond them a SizeLimitError, CLI exit code 3).
+# Exact-search size limit (beyond it a SizeLimitError, CLI exit code 3).
 ISOMORPHISM_MAX_POINTS = 10
-PROKHOROV_MAX_POINTS = 20
 
 # The triangle-inequality sweep reads its n^3 excesses in blocks of at most
 # this many values, in one reused, cache-sized buffer; the Euclidean metric
@@ -664,29 +663,49 @@ def total_variation(mass_a, mass_b):
 def prokhorov(sp: FinitePmSpace, mass_a, mass_b):
     """Exact Prokhorov distance between two probability vectors on ``sp``.
 
-    The feasibility condition b(A) <= a(closed eps-ball of A) + eps is checked
-    against all 2^n subsets A; the ball pattern is constant between consecutive
-    pairwise distances, so the infimum lies on a finite candidate set.
+    The largest excess b(A) - a(closed t-ball of A) over subsets A is the
+    b-mass that no sub-coupling of b and a routes over the pairs at distance
+    <= t (Strassen's theorem), one ``_max_subcoupling`` per pairwise distance.
     """
-    n = sp.n
-    if n > PROKHOROV_MAX_POINTS:
-        raise SizeLimitError(
-            f"prokhorov subset enumeration is limited to {PROKHOROV_MAX_POINTS} points"
-        )
     a, b = _probability_pair(mass_a, mass_b)
-    if a.shape != (n,):
+    if a.shape != (sp.n,):
         raise InputError("mass vectors must match the space")
 
-    amass = _subset_fold(np.add, a)
-    bmass = _subset_fold(np.add, b)
-
     def gap(t):
-        # bitmask of each closed ball of radius t, then of the ball of every subset
-        balls = (sp.dist <= t).astype(np.int64) @ (1 << np.arange(n))
-        union = _subset_fold(np.bitwise_or, balls, np.int64)
-        return float(np.max(bmass - amass[union]))
+        routed = _max_subcoupling(sp.dist <= t, b, a).sum(axis=1)
+        return float(np.maximum(b - routed, 0.0).sum())
 
     return max(0.0, min(1.0, _smallest_fixed_point(sp.dist.ravel(), gap)))
+
+
+def _max_subcoupling(allowed, mass_x, mass_y):
+    """Sub-coupling of mass_x and mass_y of maximal mass, on the cells where
+    the boolean matrix ``allowed`` holds.  Rows in index order augment while
+    they have mass left, by a depth-first search that enters an allowed cell
+    whose column has room, or a full column whose flow from another row it
+    pushes onward, entering each column once.  Row by row is maximal: the
+    nodes a row without an augmenting path reaches are closed in the residual
+    graph, so no later path enters them (it would end there) or changes the
+    edges and room that leave them."""
+    flow = np.zeros(allowed.shape)
+
+    def path(i, seen):  # allowed cells and cells pushed back, alternating
+        for j in np.flatnonzero(allowed[i] & ~seen):
+            seen[j] = True
+            if mass_y[j] - flow.sum(axis=0)[j] > 1e-15:
+                return [(i, j)]
+            for k in np.flatnonzero(flow[:, j] > 1e-15):
+                if k != i and (rest := path(k, seen)):
+                    return [(i, j), (k, j), *rest]
+
+    for i in range(len(mass_x)):
+        while (left := mass_x[i] - flow.sum(axis=1)[i]) > 1e-15 and (
+                cells := path(i, np.zeros(len(mass_y), dtype=bool))):
+            j = cells[-1][1]
+            t = min([left, mass_y[j] - flow.sum(axis=0)[j]] + [flow[c] for c in cells[1::2]])
+            for n, c in enumerate(cells):
+                flow[c] += -t if n % 2 else t
+    return flow
 
 
 def _smallest_fixed_point(values, excess):

@@ -556,12 +556,14 @@ def _assignment_feasible(conflict, masses, needs):
 
 def variance_of(sp: FinitePmSpace, values):
     """Variance of one observable over the space."""
-    return _central_moment(sp.mass, values)
+    return p_variance(sp, values, 2)
 
 
 def p_variance(sp: FinitePmSpace, values, p):
-    """p-th absolute central moment of one observable."""
+    """p-th absolute central moment of one observable, one value per point."""
     _check_p(p)
+    if np.shape(values) != (sp.n,):
+        raise InputError(f"need one value per point ({sp.n}), got shape {np.shape(values)}")
     return _central_moment(sp.mass, values, p)
 
 

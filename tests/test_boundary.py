@@ -305,6 +305,8 @@ INPUT_CHECKS = [
      lambda: obs.obs_diam_projection_estimate(generators.two_point(), 0.1), "no coordinates"),
     ("obs_diam_mode", lambda: obs.obs_diam(GRID3, 0.1, mode="fast"), "unknown mode"),
     ("variance_mode", lambda: obs.variance(GRID3, mode="fast"), "unknown mode"),
+    ("variance_of_length", lambda: obs.variance_of(GRID3, [1.0, 2.0]), "one value per point"),
+    ("p_variance_length", lambda: obs.p_variance(GRID3, [1.0, 2.0], 2), "one value per point"),
     ("p_deviation_mode", lambda: obs.p_deviation(GRID3, 2, mode="fast"), "unknown mode"),
     ("atoms_above_one", lambda: atoms.AtomVector((0.7, 0.6)), "l1 norm"),
     ("atoms_increasing", lambda: atoms.AtomVector((0.1, 0.2)), "nonincreasing"),
@@ -409,9 +411,6 @@ def test_out_of_memory_is_size_limit(monkeypatch, message, shown):
 
 def test_exact_searches_refuse_one_past_their_limit():
     # the README's limit table, one item past each limit
-    wide = generators.interval_grid(core.PROKHOROV_MAX_POINTS + 1)
-    with pytest.raises(core.SizeLimitError):
-        core.prokhorov(wide, wide.mass, wide.mass)
     with pytest.raises(core.SizeLimitError):
         obs.separation(generators.interval_grid(3), [0.05] * (obs.SEPARATION_MAX_POSITIVE + 1))
     many = atoms.AtomVector((0.04,) * (atoms.MAX_PACKING + 1))

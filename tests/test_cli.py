@@ -2,8 +2,10 @@
 and CSV determinism."""
 
 import csv
+import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -501,6 +503,23 @@ def test_readme_names_every_space_and_invariant_kind():
         readme = fh.read()
     missing = [k for k in (*cli._SPACE_KINDS, *cli._INVARIANTS) if f"`{k}`" not in readme]
     assert not missing
+
+
+def test_readme_limit_table_names_live_constants():
+    # each row's constants (`module.NAME`, or a bare `NAME` on the module
+    # before it) resolve, so a deleted limit cannot leave a stale row
+    with open(Path(__file__).parent.parent / "README.md", encoding="utf-8") as fh:
+        table = fh.read().split("| exact search | limit | constant |")[1].split("\n\n")[0]
+    cells = [line.rsplit("|", 2)[1] for line in table.splitlines()
+             if line.strip().startswith("| ")]
+    assert len(cells) >= 8
+    for cell in cells:
+        names = re.findall(r"`(?:(\w+)\.)?([A-Z_]+)`", cell)
+        assert names and names[0][0], cell
+        module = None
+        for mod, name in names:
+            module = importlib.import_module(f"mmslab.{mod}") if mod else module
+            assert isinstance(getattr(module, name, None), int), (cell, name)
 
 
 SPACE_DOC = {"points": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]], "mass": [0.5, 0.5]}

@@ -13,10 +13,26 @@ from mmslab import atoms, core, generators, order
 from mmslab.atoms import AtomVector, sort_atoms
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
                       reference_euclidean_rows, reference_validate)
+from test_observables import integer_space
 
 
 def two_point(d=1.0, p=0.5):
     return core.space(["a", "b"], [[0.0, d], [d, 0.0]], [p, 1 - p])
+
+
+def subset_prokhorov(sp, a, b):
+    """Reference Prokhorov distance by the 2^n subset route: the largest
+    excess b(A) - a(closed t-ball of A) over all subsets A, from the subset
+    sums of a and b and the bitmask of every subset's ball."""
+    amass = core._subset_fold(np.add, a)
+    bmass = core._subset_fold(np.add, b)
+
+    def gap(t):
+        balls = (sp.dist <= t).astype(np.int64) @ (1 << np.arange(sp.n))
+        union = core._subset_fold(np.bitwise_or, balls, np.int64)
+        return float(np.max(bmass - amass[union]))
+
+    return max(0.0, min(1.0, core._smallest_fixed_point(sp.dist.ravel(), gap)))
 
 
 class TestValidate:
@@ -866,9 +882,23 @@ class TestMeasureDistances:
         with pytest.raises(core.InputError):
             core.total_variation([1.0], [0.5, 0.5])
 
-    def test_prokhorov_identical(self, rng):
-        sp = random_embedded_space(rng, 4)
-        assert core.prokhorov(sp, sp.mass, sp.mass) == 0.0
+    def test_prokhorov_identical(self):
+        for sp in corpus(3, 300, sizes=(1, 2, 3, 5, 8, 12, 16)):
+            assert core.prokhorov(sp, sp.mass, sp.mass) == 0.0
+
+    def test_prokhorov_matches_the_subset_route(self):
+        # tied distances (integer weights) and tied subset sums (two-digit
+        # masses, zeros among them) included, in both argument orders
+        rng = np.random.default_rng(36)
+        spaces = corpus(36, 150, sizes=tuple(range(1, 13)))
+        spaces += [integer_space(rng, n) for n in range(1, 13) for _ in range(3)]
+        for k, sp in enumerate(spaces):
+            if k % 3:
+                a, b = rng.dirichlet(np.ones(sp.n)), rng.dirichlet(np.ones(sp.n))
+            else:
+                a, b = (rng.multinomial(100, np.full(sp.n, 1.0 / sp.n)) / 100 for _ in "ab")
+            for u, v in ((a, b), (b, a)):
+                assert abs(core.prokhorov(sp, u, v) - subset_prokhorov(sp, u, v)) <= 4.4e-16
 
     @pytest.mark.parametrize("d", [0.25, 0.8, 1.0, 3.0])
     def test_prokhorov_point_masses(self, d):
@@ -909,14 +939,16 @@ class TestMeasureDistances:
         assert got < 1e-9 or not condition(got - 1e-6)
 
     def test_prokhorov_larger_support(self, rng):
-        # the subset machinery stays exact and cheap at a dozen points
-        sp = random_embedded_space(rng, 12)
-        a = rng.dirichlet(np.ones(12))
-        b = rng.dirichlet(np.ones(12))
-        p = core.prokhorov(sp, a, b)
-        q = core.prokhorov(sp, b, a)
-        assert p == pytest.approx(q, abs=1e-12)
-        assert p <= core.total_variation(a, b) + 1e-12
+        # one max-flow per threshold, with no size limit: symmetric and below
+        # total variation at a dozen points and beyond the subset route's reach
+        for n in (12, 40):
+            sp = random_embedded_space(rng, n)
+            a = rng.dirichlet(np.ones(n))
+            b = rng.dirichlet(np.ones(n))
+            p = core.prokhorov(sp, a, b)
+            q = core.prokhorov(sp, b, a)
+            assert p == pytest.approx(q, abs=1e-12)
+            assert p <= core.total_variation(a, b) + 1e-12
 
     def test_pseudometric_axioms(self):
         rng = np.random.default_rng(3)

@@ -333,11 +333,11 @@ MOMENTS_RECORDED = [['0x1.e1538fda8bcd2p-5', '0x1.6dfe452e1dbbdp-3', '0x1.e1538f
 SCANS_RECORDED = [['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
  ['0x1.66a6c2e0552bcp-1', '0x1.66a6c2e0552bcp-1', '0x0.0p+0', '0x1.9e8ff0162a45cp-2',
   '0x0.0p+0'],
- ['0x1.4f91501dcf41ep-2', '0x1.4f91501dcf422p-2', '0x0.0p+0', '0x1.977b086d59e6cp-2',
+ ['0x1.4f91501dcf41fp-2', '0x1.4f91501dcf422p-2', '0x0.0p+0', '0x1.977b086d59e6cp-2',
   '0x0.0p+0'],
- ['0x1.7905208c64652p-2', '0x1.7905208c64653p-2', '0x0.0p+0', '0x1.ddd044d2b7261p-2',
+ ['0x1.7905208c64652p-2', '0x1.7905208c64652p-2', '0x0.0p+0', '0x1.ddd044d2b7261p-2',
   '0x0.0p+0'],
- ['0x1.b2ba1fde699f3p-2', '0x1.b2ba1fde699f4p-2', '0x0.0p+0', '0x1.5b2cd1635c3c6p-2',
+ ['0x1.b2ba1fde699f5p-2', '0x1.b2ba1fde699f5p-2', '0x0.0p+0', '0x1.5b2cd1635c3c6p-2',
   '0x0.0p+0']]
 BLOCKS_RECORDED = [['464d8a2308951220', '0a46a02b279caf13'], ['1f7156eb546361a5', '0a46a02b279caf13'],
  ['e1a74bfc8d3ef6b3', '0a46a02b279caf13'], ['70d027f6f06f2c78', '0a46a02b279caf13'],

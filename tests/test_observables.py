@@ -1018,8 +1018,8 @@ def per_start_width(sp, kappa):
 def per_start_obs_diam(sp, kappa, starts, seed):
     if sp.n == 1 or 1.0 - kappa <= core.VALIDATION_TOL:
         return 0.0
-    starts, _ = obs._effort_budget(sp.n, starts, seed)
-    return per_start_ascent(sp, starts, seed, 50, 1e-13,
+    starts, sweeps = obs._effort_budget(sp.n, starts, seed)
+    return per_start_ascent(sp, starts, seed, sweeps, 1e-13,
                             *per_start_recompute(per_start_width(sp, kappa)))
 
 
@@ -1049,7 +1049,7 @@ def per_start_variance(sp, starts, seed):
 
 def per_start_p_deviation(sp, p, starts, seed):
     starts, sweeps = obs._effort_budget(sp.n, starts, seed)
-    val = per_start_ascent(sp, starts, seed, min(sweeps, 100), 1e-14,
+    val = per_start_ascent(sp, starts, seed, sweeps, 1e-14,
                            *per_start_recompute(lambda f: obs.p_variance(sp, f, p)))
     return val ** (1.0 / p) if p != math.inf else val
 
@@ -1166,7 +1166,8 @@ class TestLockstepAscent:
                     return move(state, F, i, C)
 
                 got = obs._coordinate_ascent(sp, starts, seed, 1e-13, start, watched)
-                assert got == per_start_ascent(sp, starts, seed, 50, 1e-13,
+                sweeps = obs._effort_budget(sp.n, starts, seed)[1]
+                assert got == per_start_ascent(sp, starts, seed, sweeps, 1e-13,
                                                *per_start_recompute(per_start_width(sp, kappa)))
                 mid_sweep += sum(rows[s] < rows[s - 1] for s in range(1, len(rows))
                                  if s % sp.n)
