@@ -6,15 +6,19 @@ distance reduces to a search over couplings together with a choice of "kept"
 coupling cells: keeping a set S of cells forces the metric discrepancy of
 every pair of kept cells below epsilon and the discarded mass below epsilon.
 For a fixed S the best coupling only matters through the maximal mass it can
-place on S, which is a tiny transportation max-flow.  The exact small-instance
-value is therefore
+place on S, which is a tiny transportation max-flow.  The exact value is
+therefore
 
     min over S subset of X x Y of max( maxdisc(S), 1 - maxflow(S) )
 
-with no coupling-lattice restriction.  Larger instances get certified upper
-bounds from the three monotone couplings (both sides in mass, eccentricity or
-index order) plus seeded local search over kept cells, and lower bounds from
-the Levy distance between the pairwise-distance distributions (a provable
+with no coupling-lattice restriction.  Up to EXACT_MAX_CELLS cells it is
+found without listing the 2^cells sets S: an optimal S is a clique of the
+graph joining cells whose discrepancy is at most maxdisc(S), so a bisection
+over the discrepancies asks a pruned maximal-clique search for the largest
+max-flow (``box_exact_small``).  Larger instances get certified upper bounds
+from the three monotone couplings (both sides in mass, eccentricity or index
+order) plus seeded local search over kept cells, and lower bounds from the
+Levy distance between the pairwise-distance distributions (a provable
 consequence of a small box distance).
 """
 
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Coupling, FinitePmSpace, InputError, SizeLimitError, _block_rows,
-                   _check_count, _check_positive, _max_subcoupling, _subset_fold)
+                   _check_count, _check_positive, _max_subcoupling)
 
-EXACT_MAX_CELLS = 12
+EXACT_MAX_CELLS = 36
 
 
 @dataclass(frozen=True)
@@ -74,54 +78,127 @@ def _maxflow_coupling(kept_cells, mass_x, mass_y):
     return flow
 
 
-def _all_maxdisc(disc, ncells):
-    """maxdisc[mask]: largest pairwise discrepancy among the cells in mask.
-
-    A mask whose highest cell is i adds to the mask below it the largest
-    disc[i, k] over its cells k < i: below[mask] folds the lower triangle
-    of ``disc``, column i of which is that maximum."""
-    below = _subset_fold(np.maximum, np.tril(disc, -1).T)
-    md = np.zeros(1 << ncells)
-    for i in range(ncells):
-        step = 1 << i
-        md[step:2 * step] = np.maximum(md[:step], below[:step, i])
-    return md
+def _bits(mask):
+    """The set bits of an int bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _all_maxflow(masks_count, nx, ny, mass_x, mass_y):
-    """Vectorised maximal kept mass per cell mask via min vertex covers.
+def _kept_mass(n_small, n_large, mass_small, mass_large):
+    """flow(K): the largest mass a sub-coupling places on the cells of the
+    int bitmask K, whose cell s * n_large + l pairs point s of the smaller
+    side with point l of the larger.  It is the least vertex cover: over the
+    subsets A of the smaller side, the smaller side's mass outside A plus the
+    mass of the larger-side points that K reaches from A, clipped at 1.0.
+    Subset masses are summed over ascending bits from 0.0, the larger side's
+    once per reached set, so flow only grows with K, in floats too: rounded
+    sums of nonnegative terms are monotone."""
+    cut = [0.0]
+    for m in mass_small.tolist():
+        cut += [c + m for c in cut]
+    cut.reverse()  # cut[A]: the mass outside A
+    mass_large = mass_large.tolist()
+    full = (1 << n_large) - 1
+    sums, flows = {}, {}
 
-    A cover takes a subset A of the smaller side and, on the other side,
-    the points its kept cells reach; cut[A] is the mass outside A and
-    reach[A] one bitmask of those points per cell mask."""
-    masks = np.arange(masks_count, dtype=np.int64)
-    kept = ((masks[:, None] >> np.arange(nx * ny)) & 1).reshape(-1, nx, ny)
-    if nx > ny:
-        kept, nx, ny, mass_x, mass_y = kept.transpose(0, 2, 1), ny, nx, mass_y, mass_x
-    reached = (kept @ (1 << np.arange(ny))).T  # reached[i][mask]: bits of the kept (i, y)
-    cut = _subset_fold(np.add, mass_x)[::-1]
-    reach = _subset_fold(np.bitwise_or, reached, np.int64)
-    cover = _subset_fold(np.add, mass_y)[reach]
-    cover += cut[:, None]
-    return np.minimum(cover.min(axis=0), 1.0)
+    def reach_mass(reach):
+        s = sums.get(reach)
+        if s is None:
+            s = 0.0
+            for j in _bits(reach):
+                s += mass_large[j]
+            sums[reach] = s
+        return s
+
+    def flow(K):
+        f = flows.get(K)
+        if f is None:
+            reach = [0]
+            for s in range(n_small):
+                row = K >> s * n_large & full
+                reach += [r | row for r in reach]
+            f = flows[K] = min(1.0, *map(float.__add__, cut, map(reach_mass, reach)))
+        return f
+
+    return flow
+
+
+def _cliques(adj, flow, ok, R, P):
+    """Cliques K of R | P that contain R, with ok(flow(K)), in branching
+    order, where ``adj`` holds each cell's neighbours as an int bitmask and P
+    the common neighbours of R.  Bron and Kerbosch's branching with Tomita's
+    pivot u, the cell of P with most neighbours in P: a maximal clique of
+    R | P holds u or a cell of P that keeps u out, so branching on the cells
+    of P not adjacent to u (u among them) reaches every maximal clique, and
+    some smaller ones, with no excluded set to track.  A branch whose
+    bound flow(R | P) fails ``ok`` is skipped, for ``ok`` holds only above
+    some flow and flow only grows with the cell set; ``ok`` is read afresh
+    at each branch, so a caller may tighten it between cliques."""
+    if not ok(flow(R | P)):
+        return
+    if not P:
+        yield R
+        return
+    u = max(_bits(P), key=lambda c: ((P & adj[c]).bit_count(), c))
+    for c in _bits(P & ~adj[u]):
+        yield from _cliques(adj, flow, ok, R | 1 << c, P & adj[c])
+        P &= ~(1 << c)
 
 
 def box_exact_small(sx: FinitePmSpace, sy: FinitePmSpace):
-    """Exact box distance for |X| * |Y| <= 12 cells by subset enumeration over
-    kept cells with the per-subset transportation max-flow in closed form."""
+    """Exact box distance for |X| * |Y| <= EXACT_MAX_CELLS cells: the least
+    max(maxdisc(S), 1 - flow(S)) over kept-cell sets S, by a search over
+    thresholds and cliques.
+
+    At an optimal S, t = maxdisc(S) is 0 or one pair's discrepancy, and S is
+    a clique of G_t, the graph joining cells whose pair differs by at most
+    t; a maximal clique K of G_t around S has flow(K) >= flow(S).  So the
+    value is the least max(t, 1 - M(t)) over those t, where M(t) is the
+    largest flow of a clique of G_t.  M only grows with t, so for the first
+    threshold t* with 1 - M(t*) <= t* (found by bisection, each step asking
+    for one such clique) the value is min(t*, 1 - M(t')) at the threshold t'
+    before t*; M(t') is sought only among the cliques that beat t*.  Each
+    pair's discrepancy is read below the diagonal of the cell matrix, so a
+    metric asymmetric within the tolerance has one value.  The witness is
+    the max-flow coupling of the chosen clique's cells."""
     nx, ny = sx.n, sy.n
     ncells = nx * ny
     if ncells > EXACT_MAX_CELLS:
         raise SizeLimitError(f"exact box distance is limited to {EXACT_MAX_CELLS} cells")
-    disc = _cell_discrepancy(sx, sy, np.arange(ncells))
-    maxdisc = _all_maxdisc(disc, ncells)
-    kept = _all_maxflow(1 << ncells, nx, ny, sx.mass, sy.mass)
-    vals = np.maximum(maxdisc, 1.0 - kept)
-    best_mask = int(np.argmin(vals))
-    best_val = float(vals[best_mask])
-    cells = [(c // ny, c % ny) for c in range(ncells) if (best_mask >> c) & 1]
-    witness = Coupling(_maxflow_coupling(cells, sx.mass, sy.mass)) if cells else None
-    return BoxEstimate(best_val, best_val, witness, "exact")
+    # search cell s * n_large + l is pair cell (s, l), or (l, s) when X is larger
+    n_small, n_large = sorted((nx, ny))
+    small, large = divmod(np.arange(ncells), n_large)
+    cells = small * ny + large if nx <= ny else large * ny + small
+    low = np.tril(_cell_discrepancy(sx, sy, np.arange(ncells)), -1)
+    thresholds = np.unique(low).tolist()
+    disc = (low + low.T)[np.ix_(cells, cells)]
+    np.fill_diagonal(disc, np.inf)
+    masses = (sx.mass, sy.mass) if nx <= ny else (sy.mass, sx.mass)
+    flow = _kept_mass(n_small, n_large, *masses)
+    every = (1 << ncells) - 1
+
+    def cliques(t, ok):
+        rows = np.packbits(disc <= t, axis=1, bitorder="little")
+        adj = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        return _cliques(adj, flow, ok, 0, every)
+
+    lo, hi, kept = -1, len(thresholds), None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = thresholds[mid]
+        found = next(cliques(t, lambda f: 1.0 - f <= t), None)
+        if found is None:
+            lo = mid
+        else:
+            hi, kept = mid, found
+    value = thresholds[hi] if kept is not None else np.inf
+    if lo >= 0:
+        for K in cliques(thresholds[lo], lambda f: 1.0 - f < value):
+            kept, value = K, 1.0 - flow(K)
+    pairs = [divmod(int(cells[c]), ny) for c in _bits(kept)]
+    return BoxEstimate(value, value, Coupling(_maxflow_coupling(pairs, sx.mass, sy.mass)), "exact")
 
 
 # ---------------------------------------------------------------------------

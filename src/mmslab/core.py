@@ -722,20 +722,6 @@ def _smallest_fixed_point(values, excess):
             return cand
 
 
-def _subset_fold(ufunc, values, dtype=float):
-    """out[mask] = ufunc folded over values[i] for the bits i set in mask,
-    in ascending i, starting from 0 for the empty mask, over all
-    2^len(values) masks.  An entry values[i] may be an array; out[mask] then
-    has its shape."""
-    values = np.asarray(values)
-    out = np.zeros((1 << len(values),) + values.shape[1:], dtype=dtype)
-    for i, v in enumerate(values):
-        step = 1 << i
-        half = out.reshape(-1, 2 * step, *values.shape[1:])
-        half[:, step:] = ufunc(half[:, :step], v)
-    return out
-
-
 def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     """Smallest eps with mass{|f - g| > eps} <= eps, by a sorted scan."""
     d = np.abs(f.values - g.values)

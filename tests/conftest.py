@@ -39,6 +39,20 @@ def random_shortest_path_space(rng, n, scale=1.0):
     return core.space([f"q{i}" for i in range(n)], raw, mass)
 
 
+def subset_fold(ufunc, values, dtype=float):
+    """out[mask] = ufunc folded over values[i] for the bits i set in mask,
+    in ascending i, starting from 0 for the empty mask, over all
+    2^len(values) masks: the 2^n subset routes the test oracles take.  An
+    entry values[i] may be an array; out[mask] then has its shape."""
+    values = np.asarray(values)
+    out = np.zeros((1 << len(values),) + values.shape[1:], dtype=dtype)
+    for i, v in enumerate(values):
+        step = 1 << i
+        half = out.reshape(-1, 2 * step, *values.shape[1:])
+        half[:, step:] = ufunc(half[:, :step], v)
+    return out
+
+
 def corpus(seed, count, sizes=(2, 3, 4, 5), dim=3):
     rng = np.random.default_rng(seed)
     out = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mmslab import boxmetric, core, generators
-from conftest import corpus, random_embedded_space, random_shortest_path_space
+from conftest import corpus, random_embedded_space, random_shortest_path_space, subset_fold
 
 
 def two_point(d=1.0, p=0.5):
@@ -103,10 +103,68 @@ class TestExactSmall:
             est.witness_coupling.check_margins(a.mass, b.mass, tol=1e-9)
 
     def test_size_limit(self, rng):
-        a = random_embedded_space(rng, 4)
-        b = random_embedded_space(rng, 4)
-        with pytest.raises(core.SizeLimitError):
-            boxmetric.box_exact_small(a, b)
+        one = core.space(["p"], [[0.0]], [1.0])
+        a = random_embedded_space(rng, boxmetric.EXACT_MAX_CELLS + 1)
+        for pair in ((one, a), (a, one)):
+            with pytest.raises(core.SizeLimitError):
+                boxmetric.box_exact_small(*pair)
+
+    @pytest.mark.parametrize("ncells", [13, 14, 15, 16])
+    def test_past_twelve_cells_matches_the_mask_loop(self, ncells):
+        # 2^16 masks still fit the enumeration; every shape of the cell count
+        rng = np.random.default_rng(ncells)
+        for nx in [d for d in range(1, ncells + 1) if ncells % d == 0]:
+            ny = ncells // nx
+            pairs = [(random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)),
+                     (nearly_symmetric(rng, nx), nearly_symmetric(rng, ny)),
+                     (line_space(nx), line_space(ny))]
+            for sx, sy in pairs:
+                assert boxmetric.box_exact_small(sx, sy).upper == mask_exact(sx, sy)
+
+    def test_no_threshold_reaches_the_value(self):
+        # one cell of mass 1 - 2^-52 (valid within the mass tolerance): at the
+        # only threshold, 0, no clique has 1 - flow <= 0, so the value is the
+        # least 1 - flow over the cliques there
+        sx = core.space(["p"], [[0.0]], [1.0 - 2.0 ** -52])
+        sy = core.space(["q"], [[0.0]], [1.0])
+        est = boxmetric.box_exact_small(sx, sy)
+        assert est.upper == mask_exact(sx, sy) == 2.0 ** -52
+
+    def test_bounds_bracket_every_shape_to_the_limit(self):
+        rng = np.random.default_rng(36)
+        top = boxmetric.EXACT_MAX_CELLS
+        for nx, ny in [(x, y) for x in range(1, top + 1) for y in range(1, top // x + 1)]:
+            sx, sy = random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)
+            est = boxmetric.box_exact_small(sx, sy)
+            assert boxmetric.box_exact_small(sy, sx).upper == est.upper
+            assert boxmetric.box_lower(sx, sy) <= est.upper
+            assert est.upper <= boxmetric._coupling_search_upper(sx, sy, 4, 0)[0] + 1e-12
+            est.witness_coupling.check_margins(sx.mass, sy.mass, tol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cocktail_party", "tied", "nearly_symmetric"])
+    def test_pairs_at_the_limit(self, kind):
+        """Pairs of 34-36 cells.  interval_grid(2, 1.7) against 17 equidistant
+        points: at threshold 1 the only pairs of cells that are not joined
+        share their Y point, a cocktail-party graph with 2^17 maximal
+        cliques; its value is 15/17, for below 1 the cliques are pairs of
+        cells without a shared point.  Two 6-point lines tie many
+        discrepancies; 4 x 9 nearly symmetric spaces read each one below the
+        diagonal."""
+        rng = np.random.default_rng(17)
+        if kind == "cocktail_party":
+            sx = generators.interval_grid(2, 1.7)
+            sy = core.space(list(range(17)), 1.0 - np.eye(17), np.full(17, 1 / 17))
+        elif kind == "tied":
+            sx, sy = line_space(6), line_space(6, rng.dirichlet(np.ones(6)))
+        else:
+            sx, sy = nearly_symmetric(rng, 4), nearly_symmetric(rng, 9)
+        est = boxmetric.box_exact_small(sx, sy)
+        if kind == "cocktail_party":
+            assert est.upper == pytest.approx(15 / 17, abs=1e-12)
+        assert boxmetric.box_exact_small(sy, sx).upper == pytest.approx(est.upper, abs=1e-12)
+        assert boxmetric.box_lower(sx, sy) <= est.upper
+        assert est.upper <= boxmetric._coupling_search_upper(sx, sy, 8, 0)[0] + 1e-12
+        est.witness_coupling.check_margins(sx.mass, sy.mass, tol=1e-12)
 
     def test_interval_parameter_oracle_2x2(self):
         # masses on a quarter grid so the oracle granularity is lossless
@@ -240,7 +298,7 @@ class TestConvergence:
 
 class TestMaxflowWitness:
     def test_kept_mass_is_the_max_flow(self):
-        # the min-cut enumeration of _all_maxflow is an independent oracle
+        # the min-cut enumeration of loop_maxflow is an independent oracle
         rng = np.random.default_rng(2024)
         # every shape of at most 12 cells, 1 x k and k x 1 included
         for nx, ny in [(a, b) for a in range(1, 13) for b in range(1, 12 // a + 1)]:
@@ -248,7 +306,7 @@ class TestMaxflowWitness:
             pairs = [(np.full(nx, 1.0 / nx), np.full(ny, 1.0 / ny))]  # ties
             pairs += [(rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))) for _ in range(3)]
             for mx, my in pairs:
-                kept = boxmetric._all_maxflow(1 << ncells, nx, ny, mx, my)
+                kept = loop_maxflow(1 << ncells, nx, ny, mx, my)
                 for mask in rng.integers(0, 1 << ncells, size=64):
                     cells = [(c // ny, c % ny) for c in range(ncells) if mask >> c & 1]
                     flow = boxmetric._maxflow_coupling(cells, mx, my)
@@ -331,12 +389,13 @@ def submatrix_selection(disc_sub, masses, rng, restarts):
 
 
 def loop_maxdisc(disc, ncells):
-    """Reference ``_all_maxdisc``: one max-fold of row i of ``disc`` per cell
-    i, written into the masks whose highest cell is i."""
+    """Largest discrepancy disc[i, k], k < i, among the cells of every mask:
+    one max-fold of row i of ``disc`` per cell i, written into the masks
+    whose highest cell is i."""
     md = np.zeros(1 << ncells)
     for i in range(ncells):
         step = 1 << i
-        row = core._subset_fold(np.maximum, disc[i, :])
+        row = subset_fold(np.maximum, disc[i, :])
         md = md.reshape(-1, 2 * step)
         row = row.reshape(-1, 2 * step)
         md[:, step:] = np.maximum(md[:, :step], row[:, :step])
@@ -345,14 +404,15 @@ def loop_maxdisc(disc, ncells):
 
 
 def loop_maxflow(masks_count, nx, ny, mass_x, mass_y):
-    """Reference ``_all_maxflow``: a Python loop over the subsets of the
-    smaller side, summing its cut and or-ing its reach one point at a time."""
+    """Largest kept mass of every cell mask as its least vertex cover: a
+    Python loop over the subsets of the smaller side, summing its cut and
+    or-ing its reach one point at a time."""
     masks = np.arange(masks_count, dtype=np.int64)
     kept = ((masks[:, None] >> np.arange(nx * ny)) & 1).reshape(-1, nx, ny)
     if nx > ny:
         kept, nx, ny, mass_x, mass_y = kept.transpose(0, 2, 1), ny, nx, mass_y, mass_x
     reached = (kept @ (1 << np.arange(ny))).T
-    other_sum = core._subset_fold(np.add, mass_y)
+    other_sum = subset_fold(np.add, mass_y)
     best = np.full(masks_count, np.inf)
     for a_mask in range(1 << nx):
         cut = sum(mass_x[i] for i in range(nx) if not a_mask >> i & 1)
@@ -372,6 +432,36 @@ def nearly_symmetric(rng, n):
     sp = core.FinitePmSpace(tuple(range(n)), D, rng.dirichlet(np.ones(n)))
     assert core.validate(sp) is None
     return sp
+
+
+def line_space(n, mass=None):
+    """n points at unit spacing on a line, of equal masses unless given: many
+    equal distances, so many equal discrepancies."""
+    pos = np.arange(n, dtype=float)
+    return core.space(list(range(n)), np.abs(pos[:, None] - pos),
+                      np.full(n, 1.0 / n) if mass is None else mass)
+
+
+def mask_exact(sx, sy):
+    """The exact box distance by enumeration: the least max(largest
+    discrepancy, 1 - kept mass) over all 2^cells kept-cell masks."""
+    ncells = sx.n * sy.n
+    disc = boxmetric._cell_discrepancy(sx, sy, np.arange(ncells))
+    kept = loop_maxflow(1 << ncells, sx.n, sy.n, sx.mass, sy.mass)
+    return float(np.maximum(loop_maxdisc(disc, ncells), 1.0 - kept).min())
+
+
+def searched_upper(sx, sy, restarts, seed):
+    """box_upper's value and witness joint beyond EXACT_MAX_CELLS; within it,
+    where box_upper returns the exact value, the value and best coupling of
+    its coupling search, after checking box_upper == exact <= that value."""
+    if sx.n * sy.n > boxmetric.EXACT_MAX_CELLS:
+        est = boxmetric.box_upper(sx, sy, restarts=restarts, seed=seed)
+        return est.upper, est.witness_coupling.joint
+    upper, plan = boxmetric._coupling_search_upper(sx, sy, restarts, seed)
+    exact = boxmetric.box_exact_small(sx, sy).upper
+    assert boxmetric.box_upper(sx, sy, restarts=restarts, seed=seed).upper == exact <= upper
+    return upper, plan
 
 
 BOX_UPPER_64 = """
@@ -455,25 +545,17 @@ class TestSearchKernelsPinned:
         got = boxmetric._optimize_selection(disc, masses, np.random.default_rng(0), 2)
         assert got == submatrix_selection(disc, masses, np.random.default_rng(0), 2) == 0.6
 
-    def test_subset_kernels_match_their_loops(self):
-        # the masks' largest discrepancy and kept mass of box_exact_small on
-        # every shape, for symmetric, nearly symmetric and tied discrepancies
+    def test_exact_matches_the_mask_loop(self):
+        # box_exact_small against the enumeration of every kept-cell mask on
+        # every shape of at most 12 cells, for symmetric, nearly symmetric
+        # and tied discrepancies
         rng = np.random.default_rng(25)
-        top = boxmetric.EXACT_MAX_CELLS
-        for nx, ny in [(x, y) for x in range(1, top + 1) for y in range(1, top // x + 1)]:
-            ncells = nx * ny
+        for nx, ny in [(x, y) for x in range(1, 13) for y in range(1, 12 // x + 1)]:
             pairs = [(random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)),
-                     (nearly_symmetric(rng, nx), nearly_symmetric(rng, ny))]
-            discs = [boxmetric._cell_discrepancy(sx, sy, np.arange(ncells)) for sx, sy in pairs]
-            discs.append(rng.integers(0, 3, size=(ncells, ncells)) * 0.25)
-            for disc in discs:
-                got = boxmetric._all_maxdisc(disc, ncells)
-                assert got.tobytes() == loop_maxdisc(disc, ncells).tobytes()
-            masses = [(np.full(nx, 1 / nx), np.full(ny, 1 / ny))]
-            masses += [(sx.mass, sy.mass) for sx, sy in pairs]
-            for mx, my in masses:
-                got = boxmetric._all_maxflow(1 << ncells, nx, ny, mx, my)
-                assert got.tobytes() == loop_maxflow(1 << ncells, nx, ny, mx, my).tobytes()
+                     (nearly_symmetric(rng, nx), nearly_symmetric(rng, ny)),
+                     (line_space(nx), line_space(ny, rng.dirichlet(np.ones(ny))))]
+            for sx, sy in pairs:
+                assert boxmetric.box_exact_small(sx, sy).upper == mask_exact(sx, sy)
 
     @pytest.mark.parametrize("m", [5, 39, 256])
     def test_two_opt_work_independent_of_restarts(self, m, monkeypatch):
@@ -539,7 +621,9 @@ class TestSearchKernelsPinned:
         assert full == "6.30603224559543"
 
     # box_upper(restarts=8) and box_lower on pairs drawn from default_rng(2024),
-    # recorded before the search kernels were vectorised
+    # recorded before the search kernels were vectorised; box_upper has
+    # returned the exact value on the pairs of at most EXACT_MAX_CELLS cells
+    # since, so there the recorded value is its coupling search's
     RECORDED = [
         (0.3296772944092218, 0.08577996400765152),
         (0.3277334775295824, 0.08723898066638894),
@@ -560,13 +644,13 @@ class TestSearchKernelsPinned:
             (emb(rng, 12), emb(rng, 10)),
             (emb(rng, 20), emb(rng, 20)),
         ]
-        got = [(boxmetric.box_upper(a, b, restarts=8).upper, boxmetric.box_lower(a, b))
-               for a, b in pairs]
+        got = [(searched_upper(a, b, 8, 0)[0], boxmetric.box_lower(a, b)) for a, b in pairs]
         assert got == self.RECORDED
 
     # box_upper's value and witness digest on pairs drawn from
     # default_rng(314), from 3 x 5 to 40 x 40 cells, recorded while the
-    # search still scored the product coupling
+    # search still scored the product coupling (its coupling search's on
+    # the pairs of at most EXACT_MAX_CELLS cells, as above)
     SHAPES = [(3, 5), (4, 4), (5, 3), (4, 6), (6, 6), (5, 9), (8, 7), (9, 9), (10, 12), (12, 12),
               (14, 11), (16, 16), (18, 20), (20, 20), (24, 22), (25, 25), (28, 30), (30, 30),
               (32, 34), (35, 35), (36, 40), (40, 38), (40, 40), (40, 40)]
@@ -604,7 +688,6 @@ class TestSearchKernelsPinned:
         for k, (nx, ny) in enumerate(self.SHAPES):
             sx, sy = kinds[k % 2](rng, nx), kinds[k // 2 % 2](rng, ny)
             restarts, seed = (8, 32)[k // 4 % 2], k % 3
-            est = boxmetric.box_upper(sx, sy, restarts=restarts, seed=seed)
-            joint = est.witness_coupling.joint
-            got.append((est.upper, hashlib.sha256(joint.tobytes()).hexdigest()[:16]))
+            upper, joint = searched_upper(sx, sy, restarts, seed)
+            got.append((upper, hashlib.sha256(joint.tobytes()).hexdigest()[:16]))
         assert got == self.WITNESSES

@@ -42,7 +42,7 @@ def _save(folder, *spaces):
     return paths
 
 
-# pairs of at most 12 cells, where compare's box is exact
+# pairs within boxmetric.EXACT_MAX_CELLS, where compare's box is exact
 SMALL_PAIRS = {
     "two_point_grid4": lambda: (gen.two_point(1.0, 0.3), gen.interval_grid(4)),
     "grid3_grid4": lambda: (gen.interval_grid(3), gen.interval_grid(4)),
@@ -252,8 +252,9 @@ class TestSubcommands:
         """Each column is the library's exact value where its exact mode
         returns and the seeded heuristic where that raises SizeLimitError,
         with the matching tag; separation above 20 points is skipped.  The
-        pairs have 14 and 210 cells, so the box columns are box_upper's."""
-        pairs = [(gen.two_point(1.0, 0.3), gen.gaussian_sample(7, 2, seed=2)),
+        pairs have 42 and 210 cells, past boxmetric.EXACT_MAX_CELLS, so the
+        box columns are box_upper's."""
+        pairs = [(gen.interval_grid(6), gen.gaussian_sample(7, 2, seed=2)),
                  (gen.gaussian_sample(10, 2, seed=5), gen.interval_grid(21))]
         tags = []
         for sx, sy in pairs:
@@ -281,7 +282,7 @@ class TestSubcommands:
                 assert row["certificate"] == (
                     "exact" if all(t == "exact" for _, t in want.values()) else "estimate")
                 tags.append((sp.n, row["certificate"], *row["certificates"].values()))
-        assert tags == [(2, "exact", "exact", "exact", "exact", "exact"),
+        assert tags == [(6, "exact", "exact", "exact", "exact", "exact"),
                         (7, "estimate", "exact", "exact", "estimate", "exact"),
                         (10, "estimate", "exact", "estimate", "estimate", "exact"),
                         (21, "estimate", "exact", "estimate", "estimate")]

@@ -12,7 +12,7 @@ import pytest
 from mmslab import atoms, core, generators, order
 from mmslab.atoms import AtomVector, sort_atoms
 from conftest import (corpus, random_embedded_space, random_shortest_path_space,
-                      reference_euclidean_rows, reference_validate)
+                      reference_euclidean_rows, reference_validate, subset_fold)
 from test_observables import integer_space
 
 
@@ -24,12 +24,12 @@ def subset_prokhorov(sp, a, b):
     """Reference Prokhorov distance by the 2^n subset route: the largest
     excess b(A) - a(closed t-ball of A) over all subsets A, from the subset
     sums of a and b and the bitmask of every subset's ball."""
-    amass = core._subset_fold(np.add, a)
-    bmass = core._subset_fold(np.add, b)
+    amass = subset_fold(np.add, a)
+    bmass = subset_fold(np.add, b)
 
     def gap(t):
         balls = (sp.dist <= t).astype(np.int64) @ (1 << np.arange(sp.n))
-        union = core._subset_fold(np.bitwise_or, balls, np.int64)
+        union = subset_fold(np.bitwise_or, balls, np.int64)
         return float(np.max(bmass - amass[union]))
 
     return max(0.0, min(1.0, core._smallest_fixed_point(sp.dist.ravel(), gap)))
@@ -973,7 +973,7 @@ class TestSubsetFold:
                 values = rng.uniform(0.0, 1.0, size=n)
             else:
                 values = [int(v) for v in rng.integers(0, 1 << 20, size=n)]
-            got = core._subset_fold(ufunc, values, dtype)
+            got = subset_fold(ufunc, values, dtype)
             assert got.shape == (1 << n,) and got.dtype == dtype
             for mask in range(1 << n):
                 want = dtype(0)

@@ -339,9 +339,11 @@ SCANS_RECORDED = [['0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'],
   '0x0.0p+0'],
  ['0x1.b2ba1fde699f5p-2', '0x1.b2ba1fde699f5p-2', '0x0.0p+0', '0x1.5b2cd1635c3c6p-2',
   '0x0.0p+0']]
+# entry 5's witness re-recorded when box_exact_small became a clique search:
+# another optimal kept set of the (6, 2) pair, the value's bits unchanged
 BLOCKS_RECORDED = [['464d8a2308951220', '0a46a02b279caf13'], ['1f7156eb546361a5', '0a46a02b279caf13'],
  ['e1a74bfc8d3ef6b3', '0a46a02b279caf13'], ['70d027f6f06f2c78', '0a46a02b279caf13'],
- ['0x1.12f0a7ab271e0p-1', 'cc82f52d11009297'], ['0x1.b6f694ec307cbp-2', '4a77ccaed902707a'],
+ ['0x1.12f0a7ab271e0p-1', 'cc82f52d11009297'], ['0x1.b6f694ec307cbp-2', '7605b3eb91e90f3e'],
  ['0x1.6878472646d50p-3', 'fcef3ad565b05246'], ['0x1.04ef692ae354ap-2', 'eb28bdb32cfb232d'],
  ['0x1.97e754189eecfp-2', 'da1956f5cee06f75'], ['0x1.9392634025454p-2', 'e21027596c78b371'],
  ['0x1.14dd83561f7e3p-1', 'f13999700c4919aa'], ['0x1.3c84b184413dap-1', 'cb5b31cdd594e285'],
