@@ -80,8 +80,9 @@ class FinitePmSpace:
     with ``dist=None`` takes the Euclidean distances of its ``coords`` rows
     (``_euclidean_rows``) as its metric; they are computed on the first read
     of ``dist`` and kept, so code that only reads ``coords`` never builds the
-    n x n matrix.  ``validate`` does not read ``dist`` of such a space when
-    its coords pass ``_coords_certified``, and builds it otherwise.
+    n x n matrix.  ``validate`` checks such a space from its coords, by
+    ``_coords_certified`` or else a block of rows at a time, and builds the
+    matrix only for the triangle sweep.
     """
 
     points: tuple
@@ -152,10 +153,11 @@ def validate(sp: FinitePmSpace):
 
     A space built from coords that pass ``_coords_certified`` meets every
     check but the masses by construction and keeps ``dist`` unbuilt.  Any
-    other space has its matrix read once in row blocks (``_scan_metric``),
-    and the triangle sweep runs only when neither ``_certified`` nor
-    ``_spread`` can prove it silent; every space with finite coords in at
-    most 2^20 columns tries the first.
+    other space is read once in row blocks (``_scan_metric``): of its
+    matrix, or of its coords' distances when it has no matrix, which is
+    then built only for the triangle sweep.  The sweep runs only when
+    neither ``_certified`` nor ``_spread`` can prove it silent; every space
+    with finite coords in at most 2^20 columns tries the first.
     """
     n = sp.n
     if n == 0:
@@ -167,7 +169,6 @@ def validate(sp: FinitePmSpace):
         return Violation("shape", m.shape, f"mass must have length {n}")
     if D is None and _coords_certified(coords):
         return _mass_violation(sp)
-    D = sp.dist
     finite = coords is not None and bool(np.isfinite(coords).all())
     first, top, low, cert, gaps = _scan_metric(D, coords, finite and coords.shape[1] <= 1 << 20,
                                                finite)
@@ -175,7 +176,7 @@ def validate(sp: FinitePmSpace):
         return first
     certified = cert is not None and _certified(coords.shape[1], max(top, cert[0]), cert[1])
     if not (certified or _spread(top, *low)):
-        tri = _triangle_violation(D)
+        tri = _triangle_violation(sp.dist)
         if tri is not None:
             i, j, k, gap = tri
             return Violation(
@@ -188,7 +189,7 @@ def validate(sp: FinitePmSpace):
         return v
     if not finite:
         return _infinite_coord(coords)
-    for c, (gap, i, j) in enumerate(gaps):
+    for c, (gap, i, j) in enumerate(gaps or ()):
         if gap > _distance_tol(top):
             return Violation(
                 "coords",
@@ -200,7 +201,9 @@ def validate(sp: FinitePmSpace):
 
 def _scan_metric(D, coords, certify, check_coords):
     """One pass over the rows of the n x n matrix D, in blocks of at most
-    _TRIANGLE_BLOCK_ELEMENTS values.  Returns ``(first, top, low, cert, gaps)``:
+    _TRIANGLE_BLOCK_ELEMENTS values; with D None, over the rows of Ê, the
+    Euclidean metric of the coords, each block computed on its own.
+    Returns ``(first, top, low, cert, gaps)``:
 
     - ``first`` is the first failed check among finite, diagonal, symmetry
       and positivity, as a Violation, or None; the other values are only
@@ -215,32 +218,40 @@ def _scan_metric(D, coords, certify, check_coords):
       D[i, j] as (gap, i, j) when ``check_coords``, else None; ``validate``
       reports a gap above ``_distance_tol(max D)`` last, as the coords check.
 
-    Every position is the first row-major one, as an argmax or argmin over
-    the whole matrix finds it.
+    Without D the symmetry check, the error term of ``cert`` (0) and the
+    coords check are skipped: each holds for Ê by construction, as
+    ``_coords_certified`` proves.  Every position is the first row-major
+    one, as an argmax or argmin over the whole matrix finds it.
     """
-    n = len(D)
+    given = D is not None
+    n = len(D if given else coords)
     rows = min(n, _block_rows(n))
-    work = np.empty((rows, n))
-    spare = np.empty((rows, n)) if certify else None  # holds the squares of Ê
+    work, diag = np.empty((rows, n)), np.empty(n)
+    own = None if given else np.empty((rows, n))  # a block of Ê
+    spare = np.empty((rows, n)) if certify and given else None  # holds the squares of Ê
     cert = (0.0, 0.0) if certify else None
-    gaps = [None] * coords.shape[1] if check_coords else None
+    gaps = [None] * coords.shape[1] if check_coords and given else None
     asym = low = None
     top = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(0, n, rows):
             e = min(n, s + rows)
-            w, block = work[:e - s], D[s:e]
+            w = work[:e - s]  # without D, first the squares of Ê's block
+            block = D[s:e] if given else _euclidean_rows(coords[s:e], coords, own[:e - s], w)
             hi, lo = block.max(), block.min()
             if not (math.isfinite(hi) and math.isfinite(lo)):
                 i, j = np.argwhere(~np.isfinite(block))[0]
                 return (Violation("finite", (s + int(i), int(j)),
                                   f"dist[{s + i}][{j}] is not finite"), top, None, None, None)
             top = max(top, float(hi))
-            np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
-            asym = _first_extreme(asym, w, s, np.argmax)
+            diag[s:e] = block[:, s:e].diagonal()
             np.copyto(w, block)
             np.fill_diagonal(w[:, s:], np.inf)
             low = _first_extreme(low, w, s, np.argmin)
+            if not given:
+                continue
+            np.abs(np.subtract(block, D[:, s:e].T, out=w), out=w)
+            asym = _first_extreme(asym, w, s, np.argmax)
             if certify:
                 est = _euclidean_rows(coords[s:e], coords, w, spare[:e - s])
                 far = max(cert[0], float(est.max()))
@@ -250,12 +261,14 @@ def _scan_metric(D, coords, certify, check_coords):
                 for c, col in enumerate(coords.T):
                     np.abs(np.subtract.outer(col[s:e], col, out=w), out=w)
                     gaps[c] = _first_extreme(gaps[c], np.subtract(w, block, out=w), s, np.argmax)
-    tol, diag = _distance_tol(top), D.diagonal()
+    if certify and not given:
+        cert = (top, 0.0)
+    tol = _distance_tol(top)
     first, on = None, np.abs(diag) > tol
     if on.any():
         i = int(np.argmax(on))
         first = Violation("diagonal", (i,), f"dist[{i}][{i}] = {diag[i]} != 0")
-    elif asym[0] > tol:
+    elif given and asym[0] > tol:
         _, i, j = asym
         first = Violation("symmetry", (i, j), f"dist[{i}][{j}] != dist[{j}][{i}]")
     elif low[0] <= 0:

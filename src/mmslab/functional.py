@@ -7,22 +7,22 @@ integrals, spectra and quantile maps are all second-order accurate.  The
 Neumann second-difference operator, computed by inverse iteration with
 deflation of constants.  The (p,q) trial bounds measure slopes on edge
 midpoints, the quadrature of that operator; the log-Sobolev check takes the
-central difference (one-sided at the ends).  The trial family is smooth so
-both surrogates stay faithful.  It comes in row blocks of at most
+central difference at the grid's step h, one-sided at the ends.  Every
+kernel reads the one step h.  The trial family is smooth so both surrogates
+stay faithful.  It comes in row blocks of at most
 core._TRIANGLE_BLOCK_ELEMENTS values, and slopes, powers and entropies are
 taken a block at a time.
 
 The long vectors are computed once and written into buffers each call owns:
-the trial mixtures and their mode terms, the slopes and squares of a block,
-np.gradient's coefficients (once per grid), and the inverse iteration's
-iterate and Rayleigh-quotient vectors, allocated after its set-up arrays are
-dropped.  A yielded block is never written to.  Every value keeps its bits,
-because each operation keeps its operands and its order: the modes are mixed
-left to right from zeros without einsum or matmul, equal steps take numpy's
-uniform gradient branch, every dot is one ``core._row_dots`` row (np.dot's
-bits up to 8192 values, einsum's loop beyond) or, in the iteration, one
-``core._dot``, so no value depends on the BLAS thread count, and the per-row
-powers, logarithms and square roots are taken on Python floats.
+the trial mixtures and their mode terms, a block's (p,q) slopes or squares,
+and the inverse iteration's iterate and Rayleigh-quotient vectors, allocated
+after its set-up arrays are dropped.  A yielded block is never written to.
+Every value keeps its bits, because each operation keeps its operands and
+its order: the modes are mixed left to right from zeros without einsum or
+matmul, every dot is one ``core._row_dots`` row (np.dot's bits up to 8192
+values, einsum's loop beyond) or, in the iteration, one ``core._dot``, so
+no value depends on the BLAS thread count, and the per-row powers,
+logarithms and square roots are taken on Python floats.
 """
 
 from __future__ import annotations
@@ -335,44 +335,15 @@ class LogSobolevReport:
     trials: int
 
 
-def _gradient(nodes):
-    """``np.gradient(f, nodes, axis=1)`` for a block f, as a function
-    ``(f, out, spare)`` that writes the slopes into ``out`` and a term into
-    ``spare`` (both of f's shape): numpy's coefficients taken once per grid,
-    and its operations in its order, so every slope keeps its bits.  Equal
-    steps take numpy's uniform branch, as np.gradient does."""
-    dx = np.diff(nodes)
-    uniform = (dx == dx[0]).all()
-    if not uniform:
-        dx1, dx2 = dx[:-1], dx[1:]
-        a = -dx2 / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-
-    def gradient(f, out, spare):
-        inner, term = out[:, 1:-1], spare[:, 1:-1]
-        if uniform:
-            np.subtract(f[:, 2:], f[:, :-2], out=inner)
-            inner /= 2.0 * dx[0]
-        else:  # a * f[:-2] + b * f[1:-1] + c * f[2:]
-            np.multiply(a, f[:, :-2], out=inner)
-            inner += np.multiply(b, f[:, 1:-1], out=term)
-            inner += np.multiply(c, f[:, 2:], out=term)
-        for edge, (hi, lo) in ((0, (1, 0)), (-1, (-1, -2))):  # one-sided
-            np.subtract(f[:, hi], f[:, lo], out=out[:, edge])
-            out[:, edge] /= dx[edge]
-        return out
-
-    return gradient
-
-
 @_finite_arithmetic()
 def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     """Evaluate the entropy-energy inequality at a candidate constant.
 
     Reports the worst value of Ent(f^2) - 2 C^2 * energy(f) over the trial
     family (positive means a counterexample) and the best certified lower
-    bound on the optimal constant.  Near-constant perturbations along the
+    bound on the optimal constant.  The energy takes the slopes as central
+    differences at the grid's step ``grid.h``, one-sided at the ends
+    (``np.gradient``).  Near-constant perturbations along the
     spectral eigenfunction drive the lower bound up to the (2,2) constant.
     A trial whose entropy, energy or ratio is not finite raises
     ConvergenceError.
@@ -385,17 +356,14 @@ def log_sobolev_check(grid: GridSpace1D, constant, trials=1000, seed=0):
     blocks = _trial_blocks(grid, max(trials - 4, 1), seed)
     first = next(blocks)  # its first row is the normalised spectral eigenfunction
     perturbed = 1.0 + np.array([0.003, 0.01, 0.03, 0.1])[:, None] * first[0]
-    gradient = _gradient(grid.nodes)
-    # the slopes and their squares, and the gradient's spare term, then the
-    # squares of the trials; the first block holds the 4 perturbed rows
+    # the squares of the trials; the first block holds the 4 perturbed rows
     # besides at most a block's rows
-    shape = (4 + _block_rows(mu.size), mu.size)
-    slopes, squares = np.empty(shape), np.empty(shape)
+    squares = np.empty((4 + _block_rows(mu.size), mu.size))
 
     worst = -math.inf
     lower = 0.0
     for block in itertools.chain([np.vstack((perturbed, first))[:trials]], blocks):
-        g2 = gradient(block, slopes[:len(block)], squares[:len(block)])
+        g2 = np.gradient(block, grid.h, axis=1)
         g2 *= g2
         energies = _row_dots(g2, mu).tolist()
         block2 = np.multiply(block, block, out=squares[:len(block)])

@@ -7,8 +7,9 @@ Sampled generators require a seed and are bit-reproducible, and their spaces
 compute the distance matrix from ``coords`` on first use.  Every constructed
 space passes ``validate`` at every size, but for the levels of a product
 tower above its base, which ``core.product`` checks in O(n^2) for what its
-rounding can break; a sample whose coords pass ``core._coords_certified`` is
-checked without building its matrix.
+rounding can break.  A sample is checked from its coords, in row blocks when
+they fail ``core._coords_certified``; its matrix is built only for the
+triangle sweep.
 """
 
 from __future__ import annotations

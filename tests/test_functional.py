@@ -268,7 +268,7 @@ def _per_row_log_sobolev(grid, constant, trials, seed):
     worst = -math.inf
     lower = 0.0
     for f in itertools.islice(itertools.chain(perturbed, [eig], trial), trials):
-        g = np.gradient(f, grid.nodes)
+        g = np.gradient(f, grid.h)
         energy = float(core._row_dots((g * g)[None], mu)[0])
         ent = core.entropy_weighted(mu, f**2)
         worst = max(worst, ent - 2.0 * constant**2 * energy)
@@ -312,9 +312,8 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("grid", [fn.unit_interval_grid(512), fn.gaussian_grid(2047, 0.8)],
                              ids=["uniform_steps", "rounded_steps"])
     def test_blocks_are_only_read(self, monkeypatch, grid):
-        # every step of the 512-interval grid is exactly 1/512, so numpy
-        # takes its uniform np.gradient branch; the Gaussian grid's steps
-        # round apart and take the non-uniform one
+        # every step of the 512-interval grid is exactly 1/512; the Gaussian
+        # grid's steps round apart, and the check still reads the one step h
         steps = np.diff(grid.nodes)
         assert (steps == steps[0]).all() == (grid.kind == "interval")
         blocks = fn._trial_blocks
