@@ -77,8 +77,6 @@ def sort_atoms(raw):
     entries = list(raw.entries) if isinstance(raw, AtomVector) else list(raw)
     if not all(e >= 0 for e in entries):
         raise InputError("atom entries must be nonnegative numbers")
-    if float(sum(entries)) > 1.0 + VALIDATION_TOL:
-        raise InputError("atom entries must have l1 norm <= 1")
     entries = sorted((e for e in entries if e > 0), reverse=True)
     return AtomVector(tuple(entries))
 
@@ -388,7 +386,7 @@ def algebra_consistency_report(alpha: AtomVector, beta: AtomVector, p, samples=N
     gen = dissipation_family(prod, 1.0, 1)
     a_big = dissipation_family(alpha, 1.0, 1)
     b_big = dissipation_family(beta, 1.0, 1)
-    prod_space = space_product(a_big, b_big, p if p != math.inf else math.inf)
+    prod_space = space_product(a_big, b_big, p)
     if prod_space.n <= MAX_SOURCE and gen.n <= MAX_TARGET:
         w = dominates(prod_space, gen)
         report["generator_dominated"] = isinstance(w, DominationWitness)

@@ -24,6 +24,7 @@ consequence of a small box distance).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,16 +364,14 @@ def _coupling_search_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts, seed)
 
 
 def box_upper(sx: FinitePmSpace, sy: FinitePmSpace, restarts=32, seed=0):
-    """Certified upper bound on the box distance via coupling search.
-
-    Every candidate coupling and kept-cell selection realises admissible
-    interval parameters, so the reported value is always attainable.
-    """
+    """``box_exact_small``'s exact answer within EXACT_MAX_CELLS cells;
+    beyond, a certified upper bound via coupling search: every candidate
+    coupling and kept-cell selection realises admissible interval
+    parameters, so the reported value is attainable."""
     _check_count("restarts", restarts)
     _check_count("seed", seed, 0)
     if sx.n * sy.n <= EXACT_MAX_CELLS:
-        est = box_exact_small(sx, sy)
-        return BoxEstimate(0.0, est.upper, est.witness_coupling, "bound")
+        return box_exact_small(sx, sy)
     best, best_plan = _coupling_search_upper(sx, sy, restarts, seed)
     witness = Coupling(best_plan) if best_plan is not None else None
     return BoxEstimate(0.0, best, witness, "bound")
@@ -406,17 +405,12 @@ def _levy(vals_a, w_a, vals_b, w_b):
                 return False
         return True
 
-    # bisect the bit patterns of the floats in [0, 1], which sort as the
-    # floats do: about 62 steps to the smallest feasible float at any scale;
-    # lo = -1 stands below 0.0, so 0.0 itself is found
-    lo, hi = -1, int(np.float64(1.0).view(np.int64))
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(np.int64(mid).view(np.float64)):
-            hi = mid
-        else:
-            lo = mid
-    return float(np.int64(hi).view(np.float64))
+    # the bit patterns of the floats in [0, 1] sort as the floats do: about 62
+    # probes find the smallest feasible one at any scale (1.0 if none below)
+    top = int(np.float64(1.0).view(np.int64))
+    hit = bisect.bisect_left(range(top), True,
+                             key=lambda b: feasible(np.int64(b).view(np.float64)))
+    return float(np.int64(hit).view(np.float64))
 
 
 def box_lower(sx: FinitePmSpace, sy: FinitePmSpace):

@@ -60,8 +60,8 @@ def _jsonable(x):
 def _print_json(obj, fmt="json"):
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        for k, v in _jsonable(obj).items():
-            writer.writerow([k, v])
+        for k, v in _jsonable(obj).items():  # a nested or bool cell as its JSON text
+            writer.writerow([k, json.dumps(v) if isinstance(v, (dict, list, bool)) else v])
     else:
         json.dump(_jsonable(obj), sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -268,7 +268,7 @@ def _exact_first(evaluate):
 
 
 def _box_bounds(sx, sy, exact, seed):
-    """The exact box distance or a certified upper bound on it, with the
+    """box_upper's answer, or box_exact_small's where ``exact``, with the
     larger of its lower side and the Levy bound below."""
     est = boxmetric.box_exact_small(sx, sy) if exact else boxmetric.box_upper(sx, sy, seed=seed)
     return {"lower": max(boxmetric.box_lower(sx, sy), est.lower), "upper": est.upper,
@@ -336,6 +336,7 @@ def _cmd_spectral(args):
     def grid(m):  # the plan kind grid_<space>; grid_interval reads no sigma
         return _SPACE_KINDS[f"grid_{args.space}"][3]({"m": m, "sigma": args.sigma}, args.seed)
 
+    core._check_positive("sigma", args.sigma)  # for both spaces, before any grid is built
     c22 = _INVARIANTS["c22"][3]
     if args.convergence_table:
         if args.constant != "c22":
@@ -371,7 +372,7 @@ def _cmd_spectral(args):
 def _cmd_compare(args):
     sx = core.load_space(args.fileA)
     sy = core.load_space(args.fileB)
-    out = _exact_first(lambda exact: _box_bounds(sx, sy, exact, args.seed))
+    out = _box_bounds(sx, sy, False, args.seed)
     if out["certificate"] == "exact":  # the exact value also reads as "box"
         out = {"lower": out["lower"], "upper": out["upper"], "box": out["upper"],
                "certificate": "exact"}

@@ -310,7 +310,7 @@ def _mass_violation(sp: FinitePmSpace):
         if sum(sp.mass_rational) != 1:
             return Violation("mass_rational", (), "mass_rational does not sum to 1")
         for i, r in enumerate(sp.mass_rational):
-            if abs(float(r) - m[i]) > 1e-9:
+            if abs(float(r) - m[i]) > REAL_TOL:
                 return Violation("mass_rational", (i,), f"mass_rational[{i}] != mass[{i}]")
     return None
 

@@ -246,6 +246,8 @@ BAD_ARGS = [
     ("alpha_nan", ["atoms", "product", "--alpha", "0.3,nan", "--beta", "0.5"]),
     ("negative_seed", ["--seed", "-1", "invariant", "{space}", "--kind", "var"]),
     ("negative_trials", ["spectral", "--space", "interval", "--constant", "ls", "--trials", "-2"]),
+    *((f"interval_sigma_{s}", ["spectral", "--space", "interval", "--sigma", s])
+      for s in ("nan", "0", "inf")),
     ("output_is_a_directory", ["gen", "two_point", "-o", "{dir}"]),
     ("csv_is_a_directory", ["run", "cube_vs_gaussian", "--csv", "{dir}"]),
     ("json_out_is_a_directory", ["run", "cube_vs_gaussian", "--json-out", "{dir}"]),

@@ -136,6 +136,10 @@ class TestExactSmall:
         for nx, ny in [(x, y) for x in range(1, top + 1) for y in range(1, top // x + 1)]:
             sx, sy = random_embedded_space(rng, nx), random_shortest_path_space(rng, ny)
             est = boxmetric.box_exact_small(sx, sy)
+            # box_upper returns this answer field for field
+            up = boxmetric.box_upper(sx, sy, restarts=4, seed=1)
+            assert (up.lower, up.upper, up.certificate) == (est.lower, est.upper, "exact")
+            assert np.array_equal(up.witness_coupling.joint, est.witness_coupling.joint)
             assert boxmetric.box_exact_small(sy, sx).upper == est.upper
             assert boxmetric.box_lower(sx, sy) <= est.upper
             assert est.upper <= boxmetric._coupling_search_upper(sx, sy, 4, 0)[0] + 1e-12

@@ -234,19 +234,41 @@ class TestSubcommands:
         assert [table[k]["variance"] for k in "AB"] == [1.304963211742536, 0.4375119748266303]
 
     @pytest.mark.parametrize("pair", list(SMALL_PAIRS))
-    def test_compare_box_is_box_exact_up_to_12_cells(self, tmp_path, capsys, pair):
-        """On a pair of at most 12 cells compare prints box --exact's bounds;
-        on two_point(1.0, 0.3) and interval_grid(4) its lower once read the
-        Levy bound 0.165 beside the exact 1/3."""
+    def test_compare_box_is_box_exact_within_the_limit(self, tmp_path, capsys, pair):
+        """On a pair of at most boxmetric.EXACT_MAX_CELLS cells compare prints
+        box --exact's bounds; on two_point(1.0, 0.3) and interval_grid(4) its
+        lower once read the Levy bound 0.165 beside the exact 1/3.  box prints
+        the same JSON as box --exact there."""
         paths = _save(tmp_path, *SMALL_PAIRS[pair]())
         assert cli.main(["compare", *paths]) == 0
         compare = json.loads(capsys.readouterr().out)
-        assert cli.main(["box", *paths, "--exact"]) == 0
-        box = json.loads(capsys.readouterr().out)
-        assert box["certificate"] == "exact"
+        printed = []
+        for flags in (["--exact"], []):
+            assert cli.main(["box", *paths, *flags]) == 0
+            printed.append(capsys.readouterr().out)
+        box = json.loads(printed[0])
+        assert printed[1] == printed[0] and box["certificate"] == "exact"
         assert {k: compare[k] for k in box} == box and compare["box"] == box["upper"]
         if pair == "two_point_grid4":
             assert box["lower"] == box["upper"] == pytest.approx(1 / 3)
+
+    def test_csv_cells_are_the_json_values(self, space_files, tmp_path, capsys):
+        """Under --format csv a string value is its cell's text, and any other
+        (nested rows, booleans, numbers) is its cell's JSON text."""
+        a, b = space_files
+        grid, *family = _save(tmp_path, gen.interval_grid(4, 3.0), *(
+            gen.dissipation_family(cli.atoms_mod.sort_atoms([0.4, 0.2]), 2.0, n)
+            for n in range(1, 6)))
+        for argv in (["compare", a, b], ["dominates", grid, a], ["dominates", b, a],
+                     ["atoms", "dissipate", "--alpha", "0.4,0.2", "--delta", "2",
+                      "--spaces", *family]):
+            assert cli.main(argv) == 0
+            want = json.loads(capsys.readouterr().out)
+            assert cli.main(["--format", "csv", *argv]) == 0
+            rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+            assert [k for k, _ in rows] == list(want)
+            for k, cell in rows:
+                assert cell == want[k] if isinstance(want[k], str) else json.loads(cell) == want[k]
 
     def test_compare_beyond_the_exact_limits(self, tmp_path, capsys):
         """Each column is the library's exact value where its exact mode
@@ -337,6 +359,9 @@ class TestExitCodes:
         core.save_space(big, path)
         code, _, err = run_cli("invariant", str(path), "--kind", "var", "--exact")
         assert code == 3
+        # 100 cells, past boxmetric.EXACT_MAX_CELLS
+        code, out, _ = run_cli("box", str(path), str(path), "--exact")
+        assert code == 3 and out == ""
 
     def test_vertex_limit_above_obsdiam_limit(self, tmp_path):
         # nine points: within the exact variance's limit, beyond obs_diam's

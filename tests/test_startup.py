@@ -1,18 +1,18 @@
 """Start-up: a command loads only the modules it runs.
 
 ``import mmslab`` resolves the public names on first access, and the command
-line reaches numpy and each library module through a handle that imports it
-on first use.  Each scipy function mmslab uses is reached through a shim in
-``mmslab._scipy`` that imports it on the first call.  These tests pin, each
-in a fresh process, that ``--help`` and a usage error load no numpy and no
+line reaches each library module, and through it numpy, by a handle that
+imports it on first use.  Each scipy function mmslab uses is reached through a
+shim in ``mmslab._scipy`` that imports it on the first call.  These tests pin,
+each in a fresh process, that ``--help`` and a usage error load no numpy and no
 library module, that ``box``, ``dominates``, ``atoms``, ``spectral``, ``gen``
 and the Gaussian plan load only the modules they use (``gen`` refuses a grid
 kind without loading ``functional``), that the Gaussian plan loads no scipy,
-and that every public name still imports from ``mmslab``.  They also pin that no
-module imports scipy at module level, that ``mmslab --help`` loads no scipy
+and that every public name still imports from ``mmslab``.  They also pin that
+no module imports scipy at module level, that ``mmslab --help`` loads no scipy
 module while an exact observable diameter loads ``scipy.optimize``, that
-validating a space given by distances and coords and reading the distances of
-a sampled space load none, and that the shims return what scipy returns.
+validating a space given by distances and coords and reading the distances of a
+sampled space load none, and that the shims return what scipy returns.
 """
 
 import ast
