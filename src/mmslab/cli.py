@@ -67,54 +67,41 @@ def _print_json(obj, fmt="json"):
         sys.stdout.write("\n")
 
 
-def _fmt_value(v):
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
-
-
 # ---------------------------------------------------------------------------
 # space construction from CLI / plan parameters
 
 
 def _parse_alpha(text):
+    doc = (core._read_json(text, "atom vector") if text.endswith(".json")
+           else {"entries": [t for t in text.split(",") if t.strip()]})
     try:
-        if text.endswith(".json"):
-            with open(text, encoding="utf-8") as fh:
-                entries = [float(e) for e in json.load(fh)["entries"]]
-        else:
-            entries = [float(t) for t in text.split(",") if t.strip() != ""]
-    except (OSError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        entries = [float(e) for e in doc["entries"]]
+    except (KeyError, TypeError, ValueError) as e:
         raise core.InputError(f"cannot read atom vector {text!r}: {e}") from e
     return atoms_mod.sort_atoms(entries)
 
 
 # generator kind -> (space it builds: finite or grid, parameters it cannot do
-# without, parameters with a default, build(params, seed)); builders look
-# generators up at call time
+# without, parameters with a default, build(**params)); builders pass the
+# parameters by name, so one that a plan leaves out takes the builder's
+# default or else the generator's own, and look the generator up at call time
 _SPACE_KINDS = {
-    "two_point": ("finite", (), ("d", "first_mass"), lambda p, seed: generators.two_point(
-        p.get("d", 1.0), p.get("first_mass", 0.5))),
-    "interval_grid": ("finite", ("m",), ("r",), lambda p, seed: generators.interval_grid(
-        int(p["m"]), p.get("r", 1.0))),
+    "two_point": ("finite", (), ("d", "first_mass"), lambda **p: generators.two_point(**p)),
+    "interval_grid": ("finite", ("m",), ("r",), lambda **p: generators.interval_grid(**p)),
     "gaussian_sample": ("finite", ("n_points",), ("dim", "sigma", "seed"),
-                        lambda p, seed: generators.gaussian_sample(
-        int(p["n_points"]), int(p.get("dim", 1)), p.get("sigma", 1.0), p.get("seed", seed))),
+                        lambda dim=1, **p: generators.gaussian_sample(dim=dim, **p)),
     "sphere_sample": ("finite", ("n_dim", "n_points"), ("radius", "seed"),
-                      lambda p, seed: generators.sphere_sample(
-        int(p["n_dim"]), p.get("radius", 1.0), int(p["n_points"]), p.get("seed", seed))),
-    "atom_space": ("finite", ("alpha",), ("m_diffuse",), lambda p, seed: generators.atom_space(
-        atoms_mod.sort_atoms(p["alpha"]), int(p.get("m_diffuse", 8)))),
-    "dissipation_family": ("finite", ("alpha", "n"), ("delta",),
-                           lambda p, seed: generators.dissipation_family(
-        atoms_mod.sort_atoms(p["alpha"]), p.get("delta", 1.0), int(p["n"]))),
-    "grid_interval": ("grid", (), ("m", "length"), lambda p, seed: functional.unit_interval_grid(
-        int(p.get("m", 512)), p.get("length", 1.0))),
-    "grid_gaussian": ("grid", (), ("m", "sigma"), lambda p, seed: functional.gaussian_grid(
-        int(p.get("m", 512)), p.get("sigma", 1.0))),
+                      lambda radius=1.0, **p: generators.sphere_sample(radius=radius, **p)),
+    "atom_space": ("finite", ("alpha",), ("m_diffuse",), lambda alpha, **p: generators.atom_space(
+        atoms_mod.sort_atoms(alpha), **p)),
+    "dissipation_family": ("finite", ("alpha", "n"), ("delta",), lambda alpha, delta=1.0, **p:
+                           generators.dissipation_family(atoms_mod.sort_atoms(alpha), delta, **p)),
+    "grid_interval": ("grid", (), ("m", "length"),
+                      lambda m=512, **p: functional.unit_interval_grid(m, **p)),
+    "grid_gaussian": ("grid", (), ("m", "sigma"),
+                      lambda m=512, **p: functional.gaussian_grid(m, **p)),
 }
+_COUNTS = ("m", "n_points", "dim", "n_dim", "n", "m_diffuse")
 
 
 def _is_real(x):
@@ -127,11 +114,10 @@ def _is_finite(x):
 
 # plan field -> (test of its JSON value or None, the library's rule(field,
 # value) or None), applied before any space is built; kappa's rule depends on
-# the row (_check_kappa), and counts (4.0 passes, 3.9 not) are range-checked
+# the row (_check_row), and counts (4.0 passes, 3.9 not) are range-checked
 # when built
 _FIELDS = {
-    **dict.fromkeys(("m", "n_points", "dim", "n_dim", "n", "m_diffuse"),
-                    (lambda v: _is_finite(v) and v == int(v), None)),
+    **dict.fromkeys(_COUNTS, (lambda v: _is_finite(v) and v == int(v), None)),
     **dict.fromkeys(("d", "r", "sigma", "radius", "delta", "length"),
                     (None, lambda key, v: core._check_positive(key, v))),
     "constant": (None, lambda key, v: functional._check_squares(key, v)),
@@ -177,8 +163,12 @@ def _check_params(kind, params):
 
 
 def make_space(kind, params, seed=0):
+    """The space of a generator kind, its parameters and the plan's seed; a
+    count given as an integral float (4.0) reaches the generator as an int."""
     _check_params(kind, params)
-    return _SPACE_KINDS[kind][3](params, seed)
+    _, _, optional, build = _SPACE_KINDS[kind]
+    params = {k: int(v) if k in _COUNTS else v for k, v in params.items()}
+    return build(**({"seed": seed, **params} if "seed" in optional else params))
 
 
 def _cmd_gen(args):
@@ -215,13 +205,6 @@ def _moded(spec, evaluate):
     return evaluate("exact" if exact else "heuristic"), "exact" if exact else "estimate"
 
 
-def _separation(sp, spec, seed):
-    kappas = _kappas(spec)
-    if kappas is None:
-        raise core.InputError("sep requires --kappa")
-    return observables.separation(sp, kappas), "exact"
-
-
 # invariant kind -> (space it needs: finite, grid or either, fields it needs,
 # fields with a default, evaluate(space, spec, seed) -> (value, certificate));
 # rows look the library functions up at call time
@@ -235,7 +218,8 @@ _INVARIANTS = {
         spec, lambda mode: observables.obs_diam(sp, _first_kappa(spec), mode=mode, seed=seed))),
     "obsdiam_projection": ("finite", (), ("kappa",), lambda sp, spec, seed: (
         observables.obs_diam_projection_estimate(sp, _first_kappa(spec)), "estimate")),
-    "sep": ("finite", ("kappa",), (), _separation),
+    "sep": ("finite", ("kappa",), (), lambda sp, spec, seed: (
+        observables.separation(sp, _kappas(spec)), "exact")),
     "c22": ("grid", (), (), lambda grid, spec, seed: (functional.poincare_c22(grid), "estimate")),
     "ls_check": ("grid", ("constant",), ("trials",), lambda grid, spec, seed: (
         functional.log_sobolev_check(grid, spec["constant"], trials=spec.get("trials", 1000),
@@ -252,9 +236,11 @@ def _cmd_invariant(args):
         kappa = [float(t) for t in args.kappa.split(",")] if args.kappa else None
     except ValueError as e:
         raise core.InputError(f"--kappa must be comma-separated numbers: {e}") from e
-    sp = core.load_space(args.file)
-    spec = {"kappa": kappa, "p": args.p, "exact": args.exact}
-    value, cert = _INVARIANTS[args.kind][3](sp, spec, args.seed)
+    _, required, optional, evaluate = _INVARIANTS[args.kind]
+    given = {"kappa": kappa, "p": args.p, "exact": args.exact}
+    spec = {k: v for k, v in given.items() if k in required + optional and v is not None}
+    _check_row(args.kind, spec)
+    value, cert = evaluate(core.load_space(args.file), spec, args.seed)
     _print_json({"kind": args.kind, "value": value, "certificate": cert}, args.format)
     return EXIT_OK
 
@@ -334,7 +320,8 @@ def _cmd_atoms(args):
 
 def _cmd_spectral(args):
     def grid(m):  # the plan kind grid_<space>; grid_interval reads no sigma
-        return _SPACE_KINDS[f"grid_{args.space}"][3]({"m": m, "sigma": args.sigma}, args.seed)
+        params = {"m": m, "sigma": args.sigma} if args.space == "gaussian" else {"m": m}
+        return make_space(f"grid_{args.space}", params, args.seed)
 
     core._check_positive("sigma", args.sigma)  # for both spaces, before any grid is built
     c22 = _INVARIANTS["c22"][3]
@@ -423,7 +410,7 @@ class ExperimentPlan:
 
 def _row_key(spec):
     extras = sorted((k, v) for k, v in spec.items() if k not in ("space", "kind"))
-    blob = ",".join(f"{k}={_fmt_value(v)}" for k, v in extras)
+    blob = ",".join(f"{k}={_jsonable(v)}" for k, v in extras)
     return f"{spec['space']}:{spec['kind']}" + (f":{blob}" if blob else "")
 
 
@@ -441,16 +428,20 @@ _ASSERTIONS = {
 }
 
 
-def _check_kappa(kind, kappa):
-    """The library's rule for a row's kappa: sep takes any finite entries,
-    the Gaussian formula one number in (0, 1), and an observable diameter
-    every entry in [0, 1)."""
+def _check_row(kind, spec, fixed=()):
+    """Reject an invariant row, of a plan (``fixed`` names its space and kind)
+    or of the invariant command, whose fields its kind refuses.  kappa takes
+    the library's rule for the kind: sep any finite entries, the Gaussian
+    formula one number in (0, 1), and an observable diameter every entry in
+    [0, 1)."""
+    _, required, optional, _ = _INVARIANTS[kind]
+    _check_fields(spec, fixed + required, optional, f"invariant {kind!r}")
     if kind == "sep":
-        observables._as_kappa(kappa)
+        observables._as_kappa(spec["kappa"])
     elif kind == "gauss_obsdiam_formula":
-        observables._gaussian_kappa(kappa)
-    else:
-        for k in kappa if isinstance(kappa, list) else [kappa]:
+        observables._gaussian_kappa(spec["kappa"])
+    else:  # an observable diameter, or a kind that reads no kappa
+        for k in _kappas(spec) or ():
             observables._kappa_fraction(k)
 
 
@@ -471,12 +462,10 @@ def _check_plan(plan):
         if not (isinstance(space, str) and space in grids and isinstance(kind, str)
                 and kind in _INVARIANTS):
             raise core.InputError(f"invariant {spec!r} needs a known kind and space id")
-        needs, required, optional, _ = _INVARIANTS[kind]
+        needs = _INVARIANTS[kind][0]
         if needs not in ("either", grids[space]):
             raise core.InputError(f"invariant {kind!r} needs a {needs} space, not {space!r}")
-        _check_fields(spec, ("space", "kind") + required, optional, f"invariant {kind!r}")
-        if "kappa" in spec:
-            _check_kappa(kind, spec["kappa"])
+        _check_row(kind, spec, ("space", "kind"))
     keys = {_row_key(spec) for spec in plan.invariants}
     for a in plan.assertions:
         op = a.get("op")
@@ -513,7 +502,7 @@ def run_experiment(plan: ExperimentPlan, csv_path=None, json_path=None):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["space", "invariant", "row_key", "value", "certificate"])
-    writer.writerows([_fmt_value(v) for v in row.values()] for row in rows)
+    writer.writerows(row.values() for row in _jsonable(rows))
     csv_text = buf.getvalue()
     report = {"name": plan.name, "seed": plan.seed, "rows": rows, "failures": failures,
               "ok": not failures}
@@ -573,11 +562,7 @@ def bundled_plan(name, seed=0):
 
 def _cmd_run(args):
     if args.plan.endswith(".json"):
-        try:
-            with open(args.plan, encoding="utf-8") as fh:
-                plan = ExperimentPlan.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
-            raise core.InputError(f"cannot read plan: {e}") from e
+        plan = ExperimentPlan.from_dict(core._read_json(args.plan, "plan"))
         if args.seed is not None:
             plan.seed = args.seed
     else:

@@ -504,6 +504,27 @@ def _check_p(p):
         raise InputError(f"p must satisfy p >= 1, got {p!r}")
 
 
+def _point_values(sp, values, what):
+    """``values`` as a float array: InputError unless it holds one finite
+    value per point of ``sp``."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (sp.n,):
+        raise InputError(f"{what} needs one value per point ({sp.n}), got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InputError(f"{what} needs finite values")
+    return v
+
+
+def _point_indices(sp, indices, what):
+    """``indices`` as a tuple of ints: InputError unless each is an integer
+    index of a point of ``sp``; a bool is not."""
+    out = tuple(indices)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < sp.n
+               for i in out):
+        raise InputError(f"{what} must hold integer indices in [0, {sp.n}), got {list(out)!r}")
+    return tuple(int(i) for i in out)
+
+
 def check_valid(sp: FinitePmSpace):
     v = validate(sp)
     if v is not None:
@@ -528,7 +549,7 @@ class LipschitzFunction:
 
 def lipschitz_constant(sp: FinitePmSpace, values):
     """Smallest L with |f_i - f_j| <= L d_ij; 0 on a one-point space."""
-    f = np.asarray(values, dtype=float)
+    f = _point_values(sp, values, "lipschitz_constant")
     if sp.n <= 1:
         return 0.0
     diff = np.abs(f[:, None] - f[None, :])
@@ -776,11 +797,10 @@ def _central_moment(weights, values, p=2):
 def entropy(sp: FinitePmSpace, f):
     """Relative entropy functional sum(f log f dm) - (sum f dm) log(sum f dm).
 
-    Nonnegative by Jensen; 0 log 0 is read as 0.  Rejects negative entries.
+    Nonnegative by Jensen; 0 log 0 is read as 0.  Rejects negative and
+    non-finite entries.
     """
-    v = np.asarray(f, dtype=float)
-    if v.shape != (sp.n,):
-        raise InputError(f"entropy needs one value per point ({sp.n}), got shape {v.shape}")
+    v = _point_values(sp, f, "entropy")
     if np.any(v < 0):
         raise InputError("entropy requires nonnegative values")
     return entropy_weighted(sp.mass, v)
@@ -810,7 +830,7 @@ def entropy_weighted(weights, v):
 def mcshane_extend(sp: FinitePmSpace, subset, f_values, lip_bound):
     """Extend an L-Lipschitz function from a subset of support indices to all of
     the space via x -> min over y of f(y) + L d(x, y)."""
-    subset = list(subset)
+    subset = list(_point_indices(sp, subset, "subset"))
     if not subset:
         raise InputError("mcshane_extend needs a non-empty subset")
     fv = np.asarray(f_values, dtype=float)
@@ -873,10 +893,15 @@ def save_space(sp: FinitePmSpace, path):
         fh.write("\n")
 
 
-def load_space(path):
+def _read_json(path, what):
+    """The JSON document in the file at ``path``: InputError, naming ``what``,
+    where the file cannot be read or is not JSON in UTF-8."""
     try:
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read space file {path}: {e}") from e
-    return from_json_dict(d)
+            return json.load(fh)
+    except (OSError, ValueError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise InputError(f"cannot read {what} {path}: {e}") from e
+
+
+def load_space(path):
+    return from_json_dict(_read_json(path, "space file"))

@@ -40,6 +40,7 @@ from .core import (
     _check_p,
     _check_positive,
     _distance_tol,
+    _point_values,
     _row_dots,
 )
 
@@ -562,9 +563,7 @@ def variance_of(sp: FinitePmSpace, values):
 def p_variance(sp: FinitePmSpace, values, p):
     """p-th absolute central moment of one observable, one value per point."""
     _check_p(p)
-    if np.shape(values) != (sp.n,):
-        raise InputError(f"need one value per point ({sp.n}), got shape {np.shape(values)}")
-    return _central_moment(sp.mass, values, p)
+    return _central_moment(sp.mass, _point_values(sp, values, "p_variance"), p)
 
 
 def lipschitz_vertices(sp: FinitePmSpace):

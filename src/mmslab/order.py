@@ -19,6 +19,7 @@ from .core import (
     InputError,
     SizeLimitError,
     _distance_tol,
+    _point_indices,
     mm_isomorphic,
     product,
 )
@@ -49,8 +50,8 @@ class Refusal:
 
 def check_witness(sx: FinitePmSpace, sy: FinitePmSpace, mapping):
     """Verify the domination conditions for an explicit map, up to ``_distance_tol``."""
-    mapping = tuple(int(v) for v in mapping)
-    if len(mapping) != sx.n or any(not 0 <= v < sy.n for v in mapping):
+    mapping = _point_indices(sy, mapping, "mapping")
+    if len(mapping) != sx.n:
         raise InputError("mapping shape does not match the spaces")
     tol = _distance_tol(max(sx.diam(), sy.diam()))
     if np.triu(sy.dist[np.ix_(mapping, mapping)] > sx.dist + tol, 1).any():

@@ -236,6 +236,13 @@ def test_sep_of_no_thresholds_is_infinite():
 BAD_ARGS = [
     ("kappa_above_one", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "1.5"]),
     ("kappa_nan", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "nan"]),
+    # every entry of --kappa is checked as a plan row's kappa, not only the first
+    ("kappa_second_entry_above_one",
+     ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "0.1,2"]),
+    ("kappa_second_entry_nan",
+     ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "0.1,nan"]),
+    ("projection_kappa_second_entry_above_one",
+     ["invariant", "{space}", "--kind", "obsdiam_projection", "--kappa", "0.2,1.5"]),
     ("kappa_text", ["invariant", "{space}", "--kind", "obsdiam", "--kappa", "abc"]),
     ("projection_kappa_nan",
      ["invariant", "{space}", "--kind", "obsdiam_projection", "--kappa", "nan"]),
@@ -264,6 +271,31 @@ def test_bad_argument_is_input_error(argv):
         code, _, err = run_main(argv)
     assert code == 2
     assert err.startswith("input error:")
+
+
+# each kind of file the CLI reads as JSON, given as a file that is not UTF-8
+# (byte 0xff or a Latin-1 point name)
+NOT_UTF8 = [
+    ("invariant", ["invariant", "{bad}", "--kind", "diam"]),
+    ("box", ["box", "{space}", "{bad}"]),
+    ("run", ["run", "{bad}"]),
+    ("atoms_alpha", ["atoms", "product", "--alpha", "{bad}", "--beta", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in NOT_UTF8], ids=[c[0] for c in NOT_UTF8])
+@pytest.mark.parametrize("content", [b'{"name": "\xff"}',
+                                     b'{"points": ["\xe9", "b"], "dist": [[0, 1], [1, 0]], '
+                                     b'"mass": [0.5, 0.5]}'], ids=["byte_ff", "latin1"])
+def test_file_that_is_not_utf8_is_input_error(argv, content):
+    with workdir() as d:
+        bad = os.path.join(d, "bad.json")
+        with open(bad, "wb") as fh:
+            fh.write(content)
+        argv = [a.format(space=os.path.join(d, "space.json"), bad=bad) for a in argv]
+        code, out, err = run_main(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: cannot read")
 
 
 # input checks of the library, each called with one input it refuses; the
@@ -300,7 +332,19 @@ INPUT_CHECKS = [
      lambda: core.ky_fan(GRID3, *[core.LipschitzFunction([0.0, 1.0], 1.0)] * 2),
      "live on the given space"),
     ("entropy_length", lambda: core.entropy(GRID3, [1.0, 2.0]), "one value per point"),
+    ("entropy_nan", lambda: core.entropy(GRID3, [1.0, NAN, 1.0]), "finite values"),
+    ("lipschitz_constant_length", lambda: core.lipschitz_constant(GRID3, [0.0, 1.0]),
+     "one value per point"),
+    ("lipschitz_constant_nan", lambda: core.lipschitz_constant(GRID3, [0.0, NAN, 1.0]),
+     "finite values"),
+    ("as_lipschitz_length", lambda: core.as_lipschitz(GRID3, [0.0] * 4, 1.0),
+     "one value per point"),
+    ("as_lipschitz_nan", lambda: core.as_lipschitz(GRID3, [0.0, NAN, 1.0], 1.0),
+     "finite values"),
     ("mcshane_empty_subset", lambda: core.mcshane_extend(GRID3, [], [], 1.0), "non-empty"),
+    *((f"mcshane_subset_{name}", lambda i=i: core.mcshane_extend(GRID3, [i], [0.0], 1.0),
+       "integer indices") for name, i in (("negative", -1), ("past_the_end", 7),
+                                          ("fraction", 1.5), ("bool", True))),
     ("mcshane_values_length", lambda: core.mcshane_extend(GRID3, [0, 1], [0.0], 1.0),
      "subset length"),
     ("projection_without_coords",
@@ -309,6 +353,8 @@ INPUT_CHECKS = [
     ("variance_mode", lambda: obs.variance(GRID3, mode="fast"), "unknown mode"),
     ("variance_of_length", lambda: obs.variance_of(GRID3, [1.0, 2.0]), "one value per point"),
     ("p_variance_length", lambda: obs.p_variance(GRID3, [1.0, 2.0], 2), "one value per point"),
+    ("p_variance_nan", lambda: obs.p_variance(GRID3, [1.0, NAN, 2.0], 3), "finite values"),
+    ("variance_of_inf", lambda: obs.variance_of(GRID3, [1.0, INF, 2.0]), "finite values"),
     ("p_deviation_mode", lambda: obs.p_deviation(GRID3, 2, mode="fast"), "unknown mode"),
     ("atoms_above_one", lambda: atoms.AtomVector((0.7, 0.6)), "l1 norm"),
     ("atoms_increasing", lambda: atoms.AtomVector((0.1, 0.2)), "nonincreasing"),
@@ -329,6 +375,9 @@ INPUT_CHECKS = [
     ("sphere_without_seed", lambda: generators.sphere_sample(2, 1.0, 4), "requires a seed"),
     ("witness_shape", lambda: order.check_witness(GRID3, generators.two_point(), (0, 1)),
      "mapping shape"),
+    *((f"witness_{name}", lambda m=m: order.check_witness(GRID3, GRID3, m), "integer indices")
+      for name, m in (("fraction", (0, 1, 1.7)), ("past_the_end", (0, 1, 3)),
+                      ("negative", (0, 1, -1)))),
     ("no_generators", lambda: order.generator_idempotent([], 2), "non-empty"),
 ]
 

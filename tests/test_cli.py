@@ -524,6 +524,50 @@ def test_pinned_plan_csv():
     assert failed == [1, 3, 5, 7]
 
 
+# each generator kind built by make_space (plan seed 7) from its required
+# params alone, then with every field given (counts as integral floats),
+# against the generator called directly with the README table's defaults
+ALPHA = cli.atoms_mod.sort_atoms([0.3, 0.2])
+KIND_BUILDS = [
+    ("two_point", {}, lambda: gen.two_point(1.0, 0.5)),
+    ("two_point", {"d": 2.5, "first_mass": 0.25}, lambda: gen.two_point(2.5, 0.25)),
+    ("interval_grid", {"m": 4}, lambda: gen.interval_grid(4, 1.0)),
+    ("interval_grid", {"m": 5.0, "r": 3}, lambda: gen.interval_grid(5, 3)),
+    ("gaussian_sample", {"n_points": 6}, lambda: gen.gaussian_sample(6, 1, 1.0, seed=7)),
+    ("gaussian_sample", {"n_points": 6.0, "dim": 3.0, "sigma": 2.0, "seed": 4},
+     lambda: gen.gaussian_sample(6, 3, 2.0, seed=4)),
+    ("sphere_sample", {"n_dim": 2, "n_points": 5}, lambda: gen.sphere_sample(2, 1.0, 5, seed=7)),
+    ("sphere_sample", {"n_dim": 3.0, "n_points": 5.0, "radius": 2.5, "seed": 1},
+     lambda: gen.sphere_sample(3, 2.5, 5, seed=1)),
+    ("atom_space", {"alpha": [0.3, 0.2]}, lambda: gen.atom_space(ALPHA, 8)),
+    ("atom_space", {"alpha": [0.2, 0.3], "m_diffuse": 3.0}, lambda: gen.atom_space(ALPHA, 3)),
+    ("dissipation_family", {"alpha": [0.3, 0.2], "n": 3},
+     lambda: gen.dissipation_family(ALPHA, 1.0, 3)),
+    ("dissipation_family", {"alpha": [0.2, 0.3], "n": 2.0, "delta": 0.5},
+     lambda: gen.dissipation_family(ALPHA, 0.5, 2)),
+    ("grid_interval", {}, lambda: functional.unit_interval_grid(512, 1.0)),
+    ("grid_interval", {"m": 64.0, "length": 2.0}, lambda: functional.unit_interval_grid(64, 2.0)),
+    ("grid_gaussian", {}, lambda: functional.gaussian_grid(512, 1.0)),
+    ("grid_gaussian", {"m": 64.0, "sigma": 1.5}, lambda: functional.gaussian_grid(64, 1.5)),
+]
+
+
+def _as_data(sp):
+    if isinstance(sp, functional.GridSpace1D):
+        return sp.kind, sp.nodes.tolist(), sp.weight.tolist()
+    return core.to_json_dict(sp)
+
+
+@pytest.mark.parametrize("kind,params,direct", KIND_BUILDS,
+                         ids=[f"{k}-{'all' if i % 2 else 'required'}"
+                              for i, (k, _, _) in enumerate(KIND_BUILDS)])
+def test_make_space_is_the_generator_with_readme_defaults(kind, params, direct):
+    assert {k for k, _, _ in KIND_BUILDS} == set(cli._SPACE_KINDS)
+    _, required, optional, _ = cli._SPACE_KINDS[kind]
+    assert set(params) in ({*required}, {*required, *optional})
+    assert _as_data(cli.make_space(kind, params, seed=7)) == _as_data(direct())
+
+
 def test_readme_names_every_space_and_invariant_kind():
     with open(Path(__file__).parent.parent / "README.md", encoding="utf-8") as fh:
         readme = fh.read()
