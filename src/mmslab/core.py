@@ -541,8 +541,8 @@ class LipschitzFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
-        if not self.lip_bound >= 0:
-            raise InputError("lip_bound must be >= 0")
+        if not 0 <= self.lip_bound < math.inf:
+            raise InputError(f"lip_bound must be finite and >= 0, got {self.lip_bound!r}")
         if not np.isfinite(self.values).all():
             raise InputError("function values must be finite")
 
@@ -560,11 +560,10 @@ def lipschitz_constant(sp: FinitePmSpace, values):
 def as_lipschitz(sp: FinitePmSpace, values, lip_bound=None):
     """Wrap values into a LipschitzFunction, certifying the bound."""
     L = lipschitz_constant(sp, values)
-    if lip_bound is None:
-        lip_bound = L
-    elif L > lip_bound + REAL_TOL:
-        raise InputError(f"values have Lipschitz constant {L} > certified bound {lip_bound}")
-    return LipschitzFunction(values, float(lip_bound))
+    f = LipschitzFunction(values, L if lip_bound is None else float(lip_bound))
+    if L > f.lip_bound + REAL_TOL:
+        raise InputError(f"values have Lipschitz constant {L} > certified bound {f.lip_bound}")
+    return f
 
 
 @dataclass(frozen=True, eq=False)
@@ -758,9 +757,9 @@ def _smallest_fixed_point(values, excess):
 
 def ky_fan(sp: FinitePmSpace, f: LipschitzFunction, g: LipschitzFunction):
     """Smallest eps with mass{|f - g| > eps} <= eps, by a sorted scan."""
-    d = np.abs(f.values - g.values)
-    if d.shape != (sp.n,):
+    if not f.values.shape == g.values.shape == (sp.n,):
         raise InputError("functions must live on the given space")
+    d = np.abs(f.values - g.values)
     return _smallest_fixed_point(d, lambda t: float(sp.mass[d > t].sum()))
 
 
@@ -830,17 +829,17 @@ def entropy_weighted(weights, v):
 def mcshane_extend(sp: FinitePmSpace, subset, f_values, lip_bound):
     """Extend an L-Lipschitz function from a subset of support indices to all of
     the space via x -> min over y of f(y) + L d(x, y)."""
-    subset = list(_point_indices(sp, subset, "subset"))
-    if not subset:
+    subset = np.array(_point_indices(sp, subset, "subset"), dtype=int)
+    if not subset.size:
         raise InputError("mcshane_extend needs a non-empty subset")
-    fv = np.asarray(f_values, dtype=float)
+    on_subset = LipschitzFunction(np.array(f_values, dtype=float), float(lip_bound))
+    fv, L = on_subset.values, on_subset.lip_bound
     if fv.shape != (len(subset),):
         raise InputError("f_values must match the subset length")
-    L = float(lip_bound)
+    a, b = np.triu_indices(len(subset), 1)
     tol = _distance_tol(L * sp.diam())
-    for a, b in itertools.combinations(range(len(subset)), 2):
-        if abs(fv[a] - fv[b]) > L * sp.dist[subset[a], subset[b]] + tol:
-            raise InputError("input is not L-Lipschitz on the subset")
+    if (np.abs(fv[a] - fv[b]) > L * sp.dist[subset[a], subset[b]] + tol).any():
+        raise InputError("input is not L-Lipschitz on the subset")
     ext = np.min(fv[None, :] + L * sp.dist[:, subset], axis=1)
     return LipschitzFunction(ext, L)
 

@@ -52,46 +52,39 @@ def interval_grid(m, r=1.0):
     )
 
 
+def _sample(what, seed, prefix, shape, place):
+    """The space of the points ``place(z)`` for a standard normal draw z of
+    ``shape`` from the generator of ``seed``: labels prefix + index, uniform
+    masses, and the points as coords, the only metric.  A sampler needs a
+    seed."""
+    if seed is None:
+        raise InputError(f"{what} requires a seed")
+    with np.errstate(over="ignore"):  # coords that overflow are rejected as not finite
+        pts = place(np.random.default_rng(seed).standard_normal(shape))
+    n = len(pts)
+    return space(tuple(f"{prefix}{k}" for k in range(n)), None, np.full(n, 1.0 / n), coords=pts)
+
+
 def gaussian_sample(n_points, dim, sigma=1.0, seed=None):
     """Empirical space of i.i.d. centred normal samples with Euclidean metric.
 
     Invariants computed on these spaces are estimators of the sampled law's
     invariants; columns of ``coords`` are the 1-Lipschitz projections.
     """
-    if seed is None:
-        raise InputError("gaussian_sample requires a seed")
     _check_count("n_points", n_points)
     _check_count("dim", dim)
     _check_positive("sigma", sigma)
-    rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore"):  # coords that overflow are rejected as not finite
-        pts = sigma * rng.standard_normal((n_points, dim))
-    return space(
-        tuple(f"g{k}" for k in range(n_points)),
-        None,
-        np.full(n_points, 1.0 / n_points),
-        coords=pts,
-    )
+    return _sample("gaussian_sample", seed, "g", (n_points, dim), lambda z: sigma * z)
 
 
 def sphere_sample(n_dim, radius, n_points, seed=None):
     """Uniform samples on the n_dim-sphere of the given radius with chordal
     (restricted Euclidean) distance."""
-    if seed is None:
-        raise InputError("sphere_sample requires a seed")
     _check_count("n_dim", n_dim)
     _check_count("n_points", n_points)
     _check_positive("radius", radius)
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_points, n_dim + 1))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    pts = radius * raw
-    return space(
-        tuple(f"s{k}" for k in range(n_points)),
-        None,
-        np.full(n_points, 1.0 / n_points),
-        coords=pts,
-    )
+    return _sample("sphere_sample", seed, "s", (n_points, n_dim + 1),
+                   lambda z: radius * (z / np.linalg.norm(z, axis=1, keepdims=True)))
 
 
 def atom_space(alpha: AtomVector, m_diffuse=8):

@@ -331,6 +331,15 @@ INPUT_CHECKS = [
     ("ky_fan_other_space",
      lambda: core.ky_fan(GRID3, *[core.LipschitzFunction([0.0, 1.0], 1.0)] * 2),
      "live on the given space"),
+    ("ky_fan_lengths_differ",
+     lambda: core.ky_fan(GRID3, core.LipschitzFunction([0.0, 1.0], 1.0),
+                         core.LipschitzFunction([0.0, 1.0, 2.0], 1.0)),
+     "live on the given space"),
+    *((f"lipschitz_bound_{name}", lambda b=b: core.LipschitzFunction([0.0, 1.0, 2.0], b),
+       f"lip_bound must be finite and >= 0, got {b!r}") for name, b in (("inf", INF),
+                                                                         ("negative", -1.0))),
+    ("as_lipschitz_bound_inf", lambda: core.as_lipschitz(GRID3, [0.0, 0.5, 1.0], INF),
+     "lip_bound must be finite and >= 0, got inf"),
     ("entropy_length", lambda: core.entropy(GRID3, [1.0, 2.0]), "one value per point"),
     ("entropy_nan", lambda: core.entropy(GRID3, [1.0, NAN, 1.0]), "finite values"),
     ("lipschitz_constant_length", lambda: core.lipschitz_constant(GRID3, [0.0, 1.0]),
@@ -347,6 +356,9 @@ INPUT_CHECKS = [
                                           ("fraction", 1.5), ("bool", True))),
     ("mcshane_values_length", lambda: core.mcshane_extend(GRID3, [0, 1], [0.0], 1.0),
      "subset length"),
+    *((f"mcshane_bound_{name}", lambda b=b: core.mcshane_extend(GRID3, [0], [0.0], b),
+       f"lip_bound must be finite and >= 0, got {b!r}") for name, b in (("inf", INF),
+                                                                         ("nan", NAN))),
     ("projection_without_coords",
      lambda: obs.obs_diam_projection_estimate(generators.two_point(), 0.1), "no coordinates"),
     ("obs_diam_mode", lambda: obs.obs_diam(GRID3, 0.1, mode="fast"), "unknown mode"),

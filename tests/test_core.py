@@ -1110,6 +1110,29 @@ class TestMcShane:
         with pytest.raises(core.InputError):
             core.mcshane_extend(sp, [0, 1], [0.0, 5.0], 1.0)
 
+    def test_refuses_exactly_what_a_pair_loop_refuses(self):
+        """The values L d(anchor, y), each nudged by up to the tolerance either
+        way, so that pairs sit on both sides of L d + tol; subsets may repeat
+        a point, whose pairs then have d = 0."""
+        rng = np.random.default_rng(41)
+        refused = 0
+        for sp in corpus(41, 80):
+            L = float(rng.uniform(0.25, 4.0))
+            tol = core._distance_tol(L * sp.diam())
+            for _ in range(6):
+                subset = rng.integers(0, sp.n, size=int(rng.integers(1, sp.n + 2))).tolist()
+                f = L * sp.dist[subset[0], subset] + rng.uniform(-tol, tol, len(subset))
+                loop = any(abs(f[a] - f[b]) > L * sp.dist[subset[a], subset[b]] + tol
+                           for a, b in itertools.combinations(range(len(subset)), 2))
+                try:
+                    core.mcshane_extend(sp, subset, f, L)
+                except core.InputError as e:
+                    assert loop and "not L-Lipschitz" in str(e)
+                    refused += 1
+                else:
+                    assert not loop
+        assert 0 < refused < 480
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self, rng, tmp_path):

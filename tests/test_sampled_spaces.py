@@ -59,13 +59,24 @@ def test_space_without_dist_needs_a_row_of_coords_per_point():
         core.FinitePmSpace(("a", "b"), None, [0.5, 0.5], coords=[0.0, 1.0])
 
 
-# SHA-256 of json.dumps(to_json_dict(sp)), recorded when both samplers still
-# built their matrix eagerly.
+# SHA-256 of json.dumps(to_json_dict(sp)): the first two recorded when both
+# samplers still built their matrix eagerly, the others when each sampler
+# still built its own labels, masses and space.
 JSON_SHA256 = {
     "gaussian": (lambda: gen.gaussian_sample(400, 3, seed=5),
                  "0e7fa382470d556c207affaca45f7fde9c0a07fd939e1c98ca55a6f770044572"),
     "sphere": (lambda: gen.sphere_sample(2, 1.0, 400, seed=5),
                "03de1853a9a5cc3c033ecd335af37f46177fee8a67548315a3b0597b955936de"),
+    "gaussian_one_point": (lambda: gen.gaussian_sample(1, 1, seed=3),
+                           "928a8503e8c544112aebffb902776cd768bdac56b2d2d57ca4b838e7d3ccbfb6"),
+    "gaussian_d4_seed_list": (lambda: gen.gaussian_sample(50, 4, 2.5, seed=[7, 1]),
+                              "f980fd7293a83faef453cbd4d07e228c384d3e60f8f0f91de0d265e9c4b94beb"),
+    "gaussian_small_sigma": (lambda: gen.gaussian_sample(30, 2, 1e-3, seed=9),
+                             "b89b59230c0f3ed259c2ca5b47b61fb566d14fcad2e6bd307e8bc794ae4dc542"),
+    "sphere_circle": (lambda: gen.sphere_sample(1, 1.0, 40, seed=0),
+                      "921ff421515d2c2b7ded150d1471c80c41e81d5ee1b2fce99a4e35bd6fdbf85b"),
+    "sphere_d5_seed_list": (lambda: gen.sphere_sample(5, 3.0, 25, seed=[2, 5]),
+                            "2768bf47b8ea2914fa303b04d6078456ad6673e97a9cb015e3bbc1bf73aff742"),
 }
 
 
